@@ -18,6 +18,7 @@ system is -log R.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 from .errors import NoGrowthModel, RootNotBracketed, TailUnavailable
 from .intervals import (DEFAULT_PRECISION_BITS, CReal, decimal_bounds,
                         log_fraction, log_interval)
-from .oracle import PathCountTable
+from .oracle import PathCountTable, _ln_big
 from .spectrum import (LoopSpectrum, unit_sum_enclosure, weighted_sum_enclosure)
 
 
@@ -111,10 +112,14 @@ def radius_L(s: LoopSpectrum, require_certified: bool = False) -> Radius:
         return Radius.unbounded()
     if require_certified:
         raise NoGrowthModel("user spectrum without a declared growth model")
-    roots = [v ** (1.0 / n) for n, v in enumerate(s.a, start=1) if v > 0]
-    if not roots:
+    # in log space: a count above ~1e308 does not fit a float
+    ln_root = max((_ln_big(v) / n for n, v in enumerate(s.a, start=1) if v > 0),
+                  default=None)
+    if ln_root is None:
         return Radius.unbounded()
-    est = Fraction(1 / max(roots)).limit_denominator(10 ** 18)
+    # e^-ln_root = 2^-k e^-(ln_root - k ln 2) stays positive however small
+    k = int(ln_root / math.log(2))
+    est = Fraction(math.exp(k * math.log(2) - ln_root)).limit_denominator(10 ** 18) / 2 ** k
     return Radius(CReal.exact(est), certified=False)
 
 

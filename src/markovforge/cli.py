@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 invalid base (beta <= 1) or bad usage,
-3 precision exhausted, 4 no deletable loop, 5 verification failures.
+Exit codes: 0 success, 1 unreadable or malformed file, 2 invalid base
+(beta <= 1) or bad usage, 3 precision exhausted, 4 no deletable loop,
+5 verification failures, 6 graph too large to realize.
 """
 
 from __future__ import annotations
@@ -14,19 +15,20 @@ from typing import Optional
 
 from . import spectrum_io
 from .classifier import classify, entropy_of_lift, lambda_estimate
-from .errors import (FloorUndecidable, NoDeletableLoop, NotGreaterThanOne,
-                     PrecisionExhausted, SpectrumFileError)
-from .graph import export, lift_period, realize
+from .errors import (FloorUndecidable, InsufficientData, NoDeletableLoop,
+                     NotGreaterThanOne, PrecisionExhausted, SpectrumFileError)
+from .graph import export, lift_period, realize, vertex_count
 from .intervals import BetaValue, decimal_bounds
 from .oracle import growth_rate, table_from_spectrum
 from .spectrum import DEFAULT_N_MAX, build_spectrum, delete_loop
-from .verification import DEFAULT_ORACLE_DEPTH, run_suite
+from .verification import DEFAULT_ORACLE_DEPTH, REALIZE_VERTEX_BUDGET, run_suite
 
 EXIT_OK = 0
 EXIT_BAD_BETA = 2
 EXIT_PRECISION = 3
 EXIT_NO_LOOP = 4
 EXIT_VERIFY = 5
+EXIT_TOO_LARGE = 6
 
 ENTROPY_TOKENS = {"ln2": 2, "ln3": 3}
 
@@ -132,7 +134,7 @@ def cmd_entropy(args) -> int:
         est = growth_rate(table.p, window=8, period=sf.period_lift)
         print(f"growth estimate at n = {est.samples[-1][0]}: {est.value:.6f}",
               file=sys.stderr)
-    except Exception:
+    except InsufficientData:
         pass
     return EXIT_OK
 
@@ -150,6 +152,11 @@ def cmd_lift(args) -> int:
 def cmd_export(args) -> int:
     sf = _load(args.file)
     n = min(args.max_n, sf.spectrum.N_max)
+    size = vertex_count(sf.spectrum, n) * sf.period_lift
+    if size > REALIZE_VERTEX_BUDGET:
+        print(f"error: the graph up to length {n} has {size} vertices, more than "
+              f"{REALIZE_VERTEX_BUDGET}; lower --max-n", file=sys.stderr)
+        return EXIT_TOO_LARGE
     g = realize(sf.spectrum, n)
     if sf.period_lift > 1:
         g = lift_period(g, sf.period_lift)

@@ -42,16 +42,29 @@ class ExplicitGraph:
         if self.root not in self.vertices:
             raise ValueError("root is not a vertex")
 
-    def adjacency(self) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.arrows:
-            adj[u].append(v)
+    def adjacency(self) -> list[list[int]]:
+        """Successor lists indexed by position in ``vertices``.
+
+        Built on the first call and kept on the instance; it is not a field,
+        so equality and hashing are unaffected.  Callers must not mutate it.
+        """
+        adj = self.__dict__.get("_adjacency")
+        if adj is None:
+            adj = self._index_lists(reverse=False)
+            object.__setattr__(self, "_adjacency", adj)
         return adj
 
-    def reverse_adjacency(self) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
+    def reverse_adjacency(self) -> list[list[int]]:
+        """Predecessor lists indexed like :meth:`adjacency`; built on every call."""
+        return self._index_lists(reverse=True)
+
+    def _index_lists(self, reverse: bool) -> list[list[int]]:
+        index = {v: i for i, v in enumerate(self.vertices)}
+        adj: list[list[int]] = [[] for _ in self.vertices]
         for u, v in self.arrows:
-            adj[v].append(u)
+            if reverse:
+                u, v = v, u
+            adj[index[u]].append(index[v])
         return adj
 
 
@@ -88,6 +101,11 @@ def realize(s: LoopSpectrum, N: Optional[int] = None) -> ExplicitGraph:
             arrows.append((prev, ROOT))
     return ExplicitGraph(ROOT, tuple(vertices), tuple(arrows),
                          period_lift=1, loop_lengths=tuple(lengths))
+
+
+def vertex_count(s: LoopSpectrum, N: int) -> int:
+    """Number of vertices of ``realize(s, N)``, found without building it."""
+    return 1 + sum(s.count(n) * (n - 1) for n in range(2, N + 1))
 
 
 def lift_period(g: ExplicitGraph, p: int) -> ExplicitGraph:
@@ -169,16 +187,24 @@ def import_json(data: bytes) -> ExplicitGraph:
 
 
 def is_strongly_connected(g: ExplicitGraph) -> bool:
-    """Reachability in both directions from the root."""
-    def reach(adj: dict[str, list[str]]) -> set[str]:
-        seen = {g.root}
-        stack = [g.root]
+    """Reachability in both directions from the root.
+
+    The reverse graph is walked first and dropped, so it never coexists with
+    the forward adjacency that the graph keeps.
+    """
+    root = g.vertices.index(g.root)
+
+    def reaches_all(adj: list[list[int]]) -> bool:
+        seen = bytearray(len(adj))
+        seen[root] = 1
+        reached = 1
+        stack = [root]
         while stack:
             for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
+                if not seen[w]:
+                    seen[w] = 1
+                    reached += 1
                     stack.append(w)
-        return seen
+        return reached == len(adj)
 
-    n = len(g.vertices)
-    return len(reach(g.adjacency())) == n and len(reach(g.reverse_adjacency())) == n
+    return reaches_all(g.reverse_adjacency()) and reaches_all(g.adjacency())

@@ -3,7 +3,8 @@
 All counts are arbitrary-size integers.  Three routes are provided and
 cross-checked in the tests: dynamic programming on the adjacency lists,
 the renewal convolution of first-return counts, and (at desk scale)
-literal enumeration by walking every path.
+literal enumeration by walking every path.  Graph routes run on the
+integer-indexed adjacency that :class:`ExplicitGraph` builds once.
 """
 
 from __future__ import annotations
@@ -58,20 +59,36 @@ def _ln_big(v: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _dp_step(adj: list[list[int]], vec: list[int],
+             active: list[int]) -> tuple[list[int], list[int]]:
+    """One step of the path-count DP: the next dense count vector and the
+    indices of its nonzero entries, walking only the arrows out of ``active``."""
+    nxt = [0] * len(vec)
+    reached: list[int] = []
+    for w in active:
+        cnt = vec[w]
+        for x in adj[w]:
+            if nxt[x]:
+                nxt[x] += cnt
+            else:
+                nxt[x] = cnt
+                reached.append(x)
+    return nxt, reached
+
+
 def count_paths(g: ExplicitGraph, u: str, v: str, N: int) -> list[int]:
     """Exact counts p_uv(0..N) of length-n paths from u to v."""
     if N < 0:
         raise ValueError("N must be >= 0")
     adj = g.adjacency()
-    vec = {u: 1}
-    out = [1 if u == v else 0]
+    src, dst = g.vertices.index(u), g.vertices.index(v)
+    vec = [0] * len(adj)
+    vec[src] = 1
+    active = [src]
+    out = [vec[dst]]
     for _ in range(N):
-        nxt: dict[str, int] = {}
-        for w, cnt in vec.items():
-            for x in adj[w]:
-                nxt[x] = nxt.get(x, 0) + cnt
-        vec = nxt
-        out.append(vec.get(v, 0))
+        vec, active = _dp_step(adj, vec, active)
+        out.append(vec[dst])
     return out
 
 
@@ -80,20 +97,19 @@ def count_first_returns(g: ExplicitGraph, u: str, N: int) -> list[int]:
     if N < 0:
         raise ValueError("N must be >= 0")
     adj = g.adjacency()
+    src = g.vertices.index(u)
     out: list[int] = []
     # vec counts paths from u that have not revisited u
-    vec = {u: 1}
-    for step in range(1, N + 1):
-        nxt: dict[str, int] = {}
-        returned = 0
-        for w, cnt in vec.items():
-            for x in adj[w]:
-                if x == u:
-                    returned += cnt
-                else:
-                    nxt[x] = nxt.get(x, 0) + cnt
+    vec = [0] * len(adj)
+    vec[src] = 1
+    active = [src]
+    for _ in range(N):
+        vec, active = _dp_step(adj, vec, active)
+        returned = vec[src]
         out.append(returned)
-        vec = nxt
+        if returned:
+            vec[src] = 0
+            active.remove(src)
     return out
 
 
@@ -114,46 +130,57 @@ class BudgetExceeded(Exception):
     pass
 
 
+# The enumerators walk level by level: the frontier holds one vertex per walk
+# and is never merged by endpoint (merging would make them the DP again).  A
+# walk step is one vertex visited, the start included; each level's steps are
+# charged before the level is built, and BudgetExceeded is raised as soon as
+# more than ``budget`` steps would be walked.
+
+
+def _charge(walked: int, steps: int, budget: int) -> int:
+    walked += steps
+    if walked > budget:
+        raise BudgetExceeded(f"more than {budget} path steps")
+    return walked
+
+
 def enumerate_paths(g: ExplicitGraph, u: str, v: str, n: int,
                     budget: int = ENUMERATION_BUDGET) -> int:
     """Count length-n paths from u to v by walking each one."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     adj = g.adjacency()
-    walked = 0
-
-    def walk(w: str, remaining: int) -> int:
-        nonlocal walked
-        walked += 1
-        if walked > budget:
-            raise BudgetExceeded(f"more than {budget} path steps")
-        if remaining == 0:
-            return 1 if w == v else 0
-        return sum(walk(x, remaining - 1) for x in adj[w])
-
-    return walk(u, n)
+    dst = g.vertices.index(v)
+    frontier = [g.vertices.index(u)]
+    walked = _charge(0, 1, budget)
+    for _ in range(n):
+        succ = [adj[w] for w in frontier]
+        walked = _charge(walked, sum(map(len, succ)), budget)
+        frontier = [x for s in succ for x in s]
+    return frontier.count(dst)
 
 
 def enumerate_first_returns(g: ExplicitGraph, u: str, n: int,
                             budget: int = ENUMERATION_BUDGET) -> int:
-    """Count length-n first-return loops at u by walking each path."""
+    """Count length-n first-return loops at u by walking each path.
+
+    A step back to u ends a walk: it is counted as a return on the last
+    level and is not a walk step.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     adj = g.adjacency()
-    walked = 0
-
-    def walk(w: str, remaining: int) -> int:
-        nonlocal walked
-        walked += 1
-        if walked > budget:
-            raise BudgetExceeded(f"more than {budget} path steps")
-        if remaining == 0:
-            return 1 if w == u else 0
-        total = 0
-        for x in adj[w]:
-            if x == u:
-                total += 1 if remaining == 1 else 0
-            else:
-                total += walk(x, remaining - 1)
-        return total
-
-    return walk(u, n)
+    src = g.vertices.index(u)
+    frontier = [src]
+    walked = _charge(0, 1, budget)
+    for remaining in range(n, 0, -1):
+        succ = [adj[w] for w in frontier]
+        back = sum(s.count(src) for s in succ)
+        walked = _charge(walked, sum(map(len, succ)) - back, budget)
+        if remaining == 1:
+            return back
+        frontier = [x for s in succ for x in s if x != src]
+    return 1  # n == 0: the empty path at u
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ from typing import Optional
 from .classifier import Verdict, classify
 from .errors import TailUnavailable
 from .graph import is_strongly_connected, lift_period, period, realize
-from .oracle import (BudgetExceeded, count_first_returns, count_paths,
-                     enumerate_paths, renewal_convolve, table_from_spectrum)
+from .oracle import (ENUMERATION_BUDGET, BudgetExceeded, count_first_returns,
+                     count_paths, enumerate_paths, renewal_convolve,
+                     table_from_spectrum)
 from .spectrum import CheckResult, LoopSpectrum, spectrum_checks
 
 DEFAULT_ORACLE_DEPTH = 12
-ENUM_STEP_BUDGET = 10 ** 6
 REALIZE_VERTEX_BUDGET = 2 * 10 ** 6
 
 
@@ -53,7 +53,7 @@ def run_suite(s: LoopSpectrum, period_lift: int = 1,
     checked_to = 0
     for n in range(1, depth + 1):
         try:
-            if enumerate_paths(g, g.root, g.root, n, ENUM_STEP_BUDGET) != p_dp[n]:
+            if enumerate_paths(g, g.root, g.root, n, ENUMERATION_BUDGET) != p_dp[n]:
                 enum_ok = False
                 enum_detail = f"mismatch at n = {n}"
                 break

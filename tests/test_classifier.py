@@ -83,6 +83,16 @@ def test_truncation_estimate_not_certified(spec2):
         radius_L(trunc, require_certified=True)
 
 
+def test_truncation_estimate_survives_huge_counts():
+    # counts above ~1e308 overflowed the float estimate of L
+    s = user_spectrum([0, 1] + [10 ** 400] * 3, finite_support=False)
+    rep = classify(s)
+    assert rep.verdict is Verdict.INDETERMINATE
+    assert not rep.L.certified
+    # L ~ 10^(-400/3): the largest n-th root of a(n) is at n = 3
+    assert abs(float(rep.L.value.lo) / 10 ** -133 - 10 ** (-1 / 3)) < 1e-9
+
+
 def test_radius_helpers(spec2):
     assert radius_L(spec2).value.lo == Fraction(1, 2)
     assert radius_R(spec2).value.hi == Fraction(1, 2)

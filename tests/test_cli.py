@@ -86,6 +86,18 @@ def test_entropy_csv(tmp_path, capsys):
     assert len(lines) == 33
 
 
+def test_entropy_short_table_still_written(tmp_path, capsys):
+    # four lengths are too few for a growth estimate; the CSV is still the output
+    base = tmp_path / "b.json"
+    csv = tmp_path / "counts.csv"
+    run(capsys, "build", "--beta", "2", "--max-n", "32", "--out", str(base))
+    code, _, err = run(capsys, "entropy", str(base), "--max-n", "4",
+                       "--csv", str(csv))
+    assert code == 0
+    assert len(csv.read_text().splitlines()) == 5
+    assert "growth estimate" not in err
+
+
 def test_lift_and_lifted_entropy(tmp_path, capsys):
     base = tmp_path / "b.json"
     lifted = tmp_path / "l.json"
@@ -126,6 +138,22 @@ def test_export_formats(tmp_path, capsys):
     assert code == 0
     g = json.loads(gpath.read_text())
     assert "vertices" in g and "arrows" in g
+
+
+def test_export_refuses_oversized_graph(tmp_path, capsys, monkeypatch):
+    # base 8 to length 64 has ~1e53 vertices: refused before realizing
+    def realize_called(*a, **k):
+        raise AssertionError("export realized a graph over the vertex budget")
+    monkeypatch.setattr(cli, "realize", realize_called)
+    base = tmp_path / "b8.json"
+    out = tmp_path / "g.dot"
+    run(capsys, "build", "--beta", "8", "--max-n", "64", "--out", str(base))
+    code, stdout, err = run(capsys, "export", str(base), "--format", "dot",
+                            "--out", str(out))
+    assert code == cli.EXIT_TOO_LARGE == 6
+    assert "vertices" in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_verify_passes(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 
 from markovforge import (export, export_dot, export_json, import_json,
                          lift_period, period, realize, user_spectrum)
-from markovforge.graph import ROOT, ExplicitGraph, is_strongly_connected
+from markovforge.graph import (ROOT, ExplicitGraph, is_strongly_connected,
+                               vertex_count)
 
 
 def test_realize_flower_counts(spec2):
@@ -14,7 +15,7 @@ def test_realize_flower_counts(spec2):
     # 1 + 4*4 arrows
     g = realize(spec2, 4)
     assert g.root == ROOT
-    assert len(g.vertices) == 13
+    assert len(g.vertices) == 13 == vertex_count(spec2, 4)
     assert len(g.arrows) == 17
     assert is_strongly_connected(g)
 
@@ -94,3 +95,22 @@ def test_strong_connectivity_detects_sink():
     g = ExplicitGraph(root="u", vertices=("u", "v"),
                       arrows=(("u", "u"), ("u", "v")))
     assert not is_strongly_connected(g)
+
+
+def test_adjacency_built_once_by_index(spec2):
+    g = realize(spec2, 4)
+    adj = g.adjacency()
+    assert adj is g.adjacency()
+    name = g.vertices
+    assert sorted((name[i], name[j])
+                  for i, succ in enumerate(adj) for j in succ) == sorted(g.arrows)
+    assert sorted((name[j], name[i])
+                  for i, pred in enumerate(g.reverse_adjacency())
+                  for j in pred) == sorted(g.arrows)
+
+
+def test_kept_adjacency_leaves_equality_alone(spec2):
+    g, h = realize(spec2, 9), realize(spec2, 9)
+    g.adjacency()
+    assert g == h and hash(g) == hash(h)
+    assert g != realize(spec2, 4)

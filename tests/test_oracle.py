@@ -10,11 +10,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovforge import (count_first_returns, count_paths, growth_rate,
-                         realize, renewal_convolve, table_from_graph,
+from markovforge import (count_first_returns, count_paths, export_json,
+                         growth_rate, import_json, lift_period, realize,
+                         renewal_convolve, table_from_graph,
                          table_from_spectrum, user_spectrum)
 from markovforge.errors import InsufficientData
-from markovforge.oracle import (enumerate_first_returns, enumerate_paths)
+from markovforge.graph import ExplicitGraph
+from markovforge.oracle import (BudgetExceeded, enumerate_first_returns,
+                                enumerate_paths)
+
+
+def walk_reference(g, u, v, n, first_return):
+    """(count, steps) from a recursive walk of every path, one step per
+    vertex visited; with ``first_return`` a step back to u ends the walk."""
+    succ = {w: [] for w in g.vertices}
+    for a, b in g.arrows:
+        succ[a].append(b)
+    steps = 0
+
+    def walk(w, remaining):
+        nonlocal steps
+        steps += 1
+        if remaining == 0:
+            return 1 if w == v else 0
+        total = 0
+        for x in succ[w]:
+            if first_return and x == u:
+                total += remaining == 1
+            else:
+                total += walk(x, remaining - 1)
+        return total
+
+    return walk(u, n), steps
 
 
 def test_renewal_hand_values():
@@ -30,12 +57,33 @@ def test_dp_matches_renewal_on_flower(spec2):
 
 
 def test_enumeration_matches_dp(spec2):
-    g = realize(spec2, 10)
-    p = count_paths(g, g.root, g.root, 10)
-    f = count_first_returns(g, g.root, 10)
-    for n in range(1, 11):
-        assert enumerate_paths(g, g.root, g.root, n, 10 ** 6) == p[n]
-        assert enumerate_first_returns(g, g.root, n, 10 ** 6) == f[n - 1]
+    flower = realize(spec2, 10)
+    lifted = lift_period(realize(spec2, 5), 2)
+    imported = import_json(export_json(lifted))
+    # not a flower: walks of equal length meet at a and at b
+    chords = ExplicitGraph("u", ("u", "a", "b"),
+                           (("u", "a"), ("u", "b"), ("a", "b"), ("a", "u"),
+                            ("b", "u"), ("b", "a")))
+    for g in (flower, lifted, imported, chords):
+        p = count_paths(g, g.root, g.root, 10)
+        f = count_first_returns(g, g.root, 10)
+        for n in range(1, 11):
+            assert enumerate_paths(g, g.root, g.root, n, 10 ** 6) == p[n]
+            assert enumerate_first_returns(g, g.root, n, 10 ** 6) == f[n - 1]
+
+
+def test_enumeration_budget_is_exact(spec2):
+    g = lift_period(realize(spec2, 6), 2)
+    off_root = g.vertices[5]
+    cases = [(lambda n, b: enumerate_paths(g, g.root, g.root, n, b), g.root, False),
+             (lambda n, b: enumerate_paths(g, g.root, off_root, n, b), off_root, False),
+             (lambda n, b: enumerate_first_returns(g, g.root, n, b), g.root, True)]
+    for enumerate_, v, first_return in cases:
+        for n in range(0, 13):
+            count, steps = walk_reference(g, g.root, v, n, first_return)
+            assert enumerate_(n, steps) == count
+            with pytest.raises(BudgetExceeded):
+                enumerate_(n, steps - 1)
 
 
 def test_table_from_spectrum_base2(spec2):
