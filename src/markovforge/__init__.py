@@ -6,8 +6,8 @@ from .classifier import (ClassificationReport, Radius, Verdict, classify,
                          radius_L, radius_R, F_eval)
 from .graph import (ExplicitGraph, export, export_dot, export_json,
                     import_json, lift_period, period, realize)
-from .intervals import (BetaValue, CReal, certified_floor, eval_beta,
-                        exp_fraction, geometric_tail, log_fraction)
+from .intervals import (BetaValue, CReal, certified_floor, exp_fraction,
+                        geometric_tail, log_fraction, power_series)
 from .oracle import (GrowthEstimate, PathCountTable, count_first_returns,
                      count_paths, growth_rate, renewal_convolve,
                      table_from_graph, table_from_spectrum)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .errors import NoGrowthModel, RootNotBracketed, TailUnavailable
 from .intervals import (DEFAULT_PRECISION_BITS, CReal, decimal_bounds,
-                        log_fraction, log_interval)
+                        log_fraction, log_interval, power_series)
 from .oracle import PathCountTable, _ln_big
 from .spectrum import (LoopSpectrum, unit_sum_enclosure, weighted_sum_enclosure)
 
@@ -132,41 +132,34 @@ def F_eval(s: LoopSpectrum, x: CReal) -> CReal:
     """
     if x.lo < 0:
         raise ValueError("x must be nonnegative")
-    bits = x.precision_bits
-    partial = CReal.exact(0, bits)
-    for n in range(1, s.N_max + 1):
-        an = s.a[n - 1]
-        if an:
-            partial = partial + an * x ** n
     if s.finite_support:
-        return partial
+        return power_series(enumerate(s.a, 1), x)
     if s.meta is None:
         raise TailUnavailable("user spectrum truncation has no tail bound")
     L = s.meta.L
     if x.lo == L.lo and x.hi == L.hi:
-        return partial + s.meta.tail_at_L
+        return unit_sum_enclosure(s)
     if x.hi <= L.lo:
         ratio = x.hi / L.lo  # <= 1
         scaled_hi = s.meta.tail_at_L.hi * ratio ** (s.N_max + 1)
-        return partial + CReal(Fraction(0), scaled_hi, bits)
+        return (power_series(enumerate(s.a, 1), x)
+                + CReal(Fraction(0), scaled_hi, x.precision_bits))
     raise TailUnavailable("no certified tail bound beyond the radius L")
-
-
-def _finite_F(s: LoopSpectrum, x: Fraction) -> Fraction:
-    return sum((s.a[n - 1] * x ** n for n in range(1, s.N_max + 1)), Fraction(0))
 
 
 def _bisect_root(s: LoopSpectrum, precision_bits: int) -> CReal:
     """Certified root of F(x) = 1 for a finite-support spectrum."""
-    if _finite_F(s, Fraction(1)) < 1:
+    terms = list(enumerate(s.a, 1))
+    at_one = power_series(terms, 1)
+    if at_one < 1:
         raise RootNotBracketed("F(1) < 1 for a nonzero integer spectrum is impossible "
                                "unless all counts vanish")
-    if _finite_F(s, Fraction(1)) == 1:
+    if at_one == 1:
         return CReal.exact(1, precision_bits)
     lo, hi = Fraction(0), Fraction(1)
     for _ in range(precision_bits // 2):
         mid = (lo + hi) / 2
-        v = _finite_F(s, mid)
+        v = power_series(terms, mid)
         if v == 1:
             return CReal.exact(mid, precision_bits)
         if v < 1:
@@ -285,7 +278,7 @@ def _classify_finite(s: LoopSpectrum, precision_bits: int) -> ClassificationRepo
     # F is a polynomial with a positive coefficient, so F -> +infinity at L
     root = _bisect_root(s, precision_bits)
     R = Radius.of(root)
-    mean = _finite_mean_return(s, root)
+    mean = power_series(((n, n * an) for n, an in enumerate(s.a, 1)), root)
     entropy = entropy_for_root(root, precision_bits)
     if root.is_exact and root.lo == 1:
         notes.append("F(1) = 1 exactly: R = 1, entropy 0")
@@ -305,15 +298,6 @@ def entropy_for_root(root: CReal, precision_bits: int) -> Optional[CReal]:
     if root.is_exact and root.lo == 1:
         return CReal.exact(0, precision_bits)
     return -log_interval(root, precision_bits)
-
-
-def _finite_mean_return(s: LoopSpectrum, root: CReal) -> CReal:
-    total = CReal.exact(0, root.precision_bits)
-    for n in range(1, s.N_max + 1):
-        an = s.a[n - 1]
-        if an:
-            total = total + n * an * root ** n
-    return total
 
 
 # ---------------------------------------------------------------------------

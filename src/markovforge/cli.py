@@ -47,10 +47,6 @@ def _beta_from_entropy(entropy: str, p: int) -> BetaValue:
     return BetaValue.exp_of_rational(h * p)
 
 
-def _load(path: str) -> spectrum_io.SpectrumFile:
-    return spectrum_io.load(path)
-
-
 def _emit(data: bytes, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.buffer.write(data)
@@ -86,7 +82,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_transient_variant(args) -> int:
-    sf = _load(args.file)
+    sf = spectrum_io.load(args.file)
     n0 = None if args.n0 == "auto" else int(args.n0)
     try:
         variant = delete_loop(sf.spectrum, n0)
@@ -99,7 +95,7 @@ def cmd_transient_variant(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    sf = _load(args.file)
+    sf = spectrum_io.load(args.file)
     report = classify(sf.spectrum, precision_bits=args.precision)
     payload = report.to_dict()
     payload["period_lift"] = sf.period_lift
@@ -125,7 +121,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    sf = _load(args.file)
+    sf = spectrum_io.load(args.file)
     depth = args.max_n * sf.period_lift
     table = table_from_spectrum(sf.spectrum, depth, sf.period_lift)
     csv = table.to_csv(period=sf.period_lift)
@@ -140,7 +136,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    sf = _load(args.file)
+    sf = spectrum_io.load(args.file)
     if sf.period_lift != 1:
         print("error: spectrum file already carries a period lift", file=sys.stderr)
         return EXIT_BAD_BETA
@@ -150,7 +146,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_export(args) -> int:
-    sf = _load(args.file)
+    sf = spectrum_io.load(args.file)
     n = min(args.max_n, sf.spectrum.N_max)
     size = vertex_count(sf.spectrum, n) * sf.period_lift
     if size > REALIZE_VERTEX_BUDGET:
@@ -165,7 +161,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sf = _load(args.file)
+    sf = spectrum_io.load(args.file)
     results = run_suite(sf.spectrum, period_lift=sf.period_lift,
                         oracle_depth=args.oracle_depth)
     failed = [r for r in results if not r.passed]

@@ -7,6 +7,11 @@ log) come from series with explicit remainder bounds followed by outward
 dyadic rounding; rational inputs stay width zero, which is what makes
 the integer-base construction exact end to end.
 
+Every series sum ``sum c x^n`` in the library goes through one evaluator,
+:func:`power_series`: integer Horner at each endpoint of ``x`` with a
+single normalization, exact for rational ``x`` and a certified enclosure
+for an interval ``x >= 0``.
+
 No binary floats enter or leave this module.
 """
 
@@ -16,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import DivergentTail, FloorUndecidable, NotGreaterThanOne
 
@@ -77,9 +82,6 @@ class CReal:
         f = _frac(v)
         return self.lo <= f <= self.hi
 
-    def encloses(self, other: "CReal") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def certainly_lt(self, other: Union["CReal", Rat]) -> bool:
         o = _coerce(other, self.precision_bits)
         return self.hi < o.lo
@@ -87,14 +89,6 @@ class CReal:
     def certainly_gt(self, other: Union["CReal", Rat]) -> bool:
         o = _coerce(other, self.precision_bits)
         return self.lo > o.hi
-
-    def certainly_le(self, other: Union["CReal", Rat]) -> bool:
-        o = _coerce(other, self.precision_bits)
-        return self.hi <= o.lo
-
-    def certainly_ge(self, other: Union["CReal", Rat]) -> bool:
-        o = _coerce(other, self.precision_bits)
-        return self.lo >= o.hi
 
     # -- arithmetic ------------------------------------------------------
 
@@ -149,19 +143,6 @@ class CReal:
         if n % 2:
             return CReal(lo_n, hi_n, self.precision_bits)
         return CReal(Fraction(0), max(lo_n, hi_n), self.precision_bits)
-
-    # -- set operations --------------------------------------------------
-
-    def intersect(self, other: "CReal") -> "CReal":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("empty intersection")
-        return CReal(lo, hi, max(self.precision_bits, other.precision_bits))
-
-    def hull(self, other: "CReal") -> "CReal":
-        return CReal(min(self.lo, other.lo), max(self.hi, other.hi),
-                     min(self.precision_bits, other.precision_bits))
 
     def round_outward(self, bits: int) -> "CReal":
         """Push endpoints to the dyadic grid of step 2^-bits (soundly outward)."""
@@ -310,6 +291,49 @@ def certified_floor(x: CReal,
 
 
 # ---------------------------------------------------------------------------
+# power series
+# ---------------------------------------------------------------------------
+
+
+def _horner(terms: list[tuple[int, int]], x: Fraction) -> Fraction:
+    # S = sum c p^n q^(D-n) in integers, one normalization for S / q^D
+    p, q = x.numerator, x.denominator
+    acc, p_pow, last = 0, 1, 0
+    for n, c in terms:
+        if n > last:
+            p_pow *= p ** (n - last)
+            acc *= q ** (n - last)
+            last = n
+        acc += c * p_pow
+    return Fraction(acc, q ** last)
+
+
+def power_series(terms: Iterable[tuple[int, int]],
+                 x: Union[CReal, Rat]) -> Union[CReal, Fraction]:
+    """Exact sum of c x^n over (n, c) pairs, n ascending, integer c >= 0.
+
+    A rational x gives a Fraction.  A CReal x with x.lo >= 0 gives
+    [P(x.lo), P(x.hi)], which encloses P over x because nonnegative
+    coefficients make P monotone on [0, inf).
+    """
+    checked: list[tuple[int, int]] = []
+    last = 0
+    for n, c in terms:
+        if n < last or c < 0:
+            raise ValueError("terms need ascending n >= 0 and c >= 0")
+        last = n
+        if c:
+            checked.append((n, c))
+    if not isinstance(x, CReal):
+        return _horner(checked, _frac(x))
+    if x.lo < 0:
+        raise ValueError("power_series needs a nonnegative enclosure")
+    lo = _horner(checked, x.lo)
+    hi = lo if x.is_exact else _horner(checked, x.hi)
+    return CReal(lo, hi, x.precision_bits)
+
+
+# ---------------------------------------------------------------------------
 # weighted geometric tails
 # ---------------------------------------------------------------------------
 
@@ -416,13 +440,6 @@ class BetaValue:
                     f"at {MAX_PRECISION_BITS} bits")
         self._cache[precision_bits] = enc
         return enc
-
-
-def eval_beta(b: BetaValue, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
-    """Certified enclosure of the growth base; raises NotGreaterThanOne."""
-    if precision_bits < 32:
-        raise ValueError("precision_bits must be >= 32")
-    return b.eval(precision_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,7 @@ class PathCountTable:
     source: str
 
     def renewal_consistent(self) -> bool:
-        n_max = len(self.p) - 1
-        for n in range(1, n_max + 1):
-            total = sum(self.f[k - 1] * self.p[n - k] for k in range(1, min(n, len(self.f)) + 1))
-            if total != self.p[n]:
-                return False
-        return self.p[0] == 1
+        return list(self.p) == renewal_convolve(self.f, len(self.p) - 1)
 
     def to_csv(self, period: int = 1) -> str:
         lines = ["n,f,p,growth_estimate"]

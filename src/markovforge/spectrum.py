@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 from .errors import (FloorUndecidable, NoDeletableLoop, PrecisionExhausted,
                      TailUnavailable)
 from .intervals import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, BetaValue,
-                        CReal, certified_floor, geometric_tail)
+                        CReal, RefineFn, certified_floor, geometric_tail,
+                        power_series)
 
 DEFAULT_N_MAX = 64
 
@@ -150,6 +151,18 @@ def _log2_bounds(x: Fraction) -> tuple[float, float]:
     return v - pad, v + pad
 
 
+def _scaled_power(beta: BetaValue, e: int, lg_hi: float) -> RefineFn:
+    """c beta^e = (beta-1)^2 beta^e to absolute precision about 2^-bb, per bb.
+
+    beta^e has about e log2(beta) bits before the point, so beta is
+    evaluated with that many extra bits; ``lg_hi`` bounds log2(beta) above.
+    """
+    def at_bits(bb: int) -> CReal:
+        Bf = beta.eval(bb + math.ceil(e * lg_hi))
+        return (Bf - 1) ** 2 * Bf ** e
+    return at_bits
+
+
 def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     probe = beta.eval(bits)
     exact_integer_base = beta.is_integer
@@ -164,18 +177,11 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     n_ext = max(math.isqrt(N_max),
                 math.ceil(math.sqrt((bits + 32 + amp) / lg_lo)))
 
-    # Square-index floors: floor(c * beta^(m^2-m)) needs absolute precision,
-    # i.e. roughly (m^2-m) log2(beta) bits before the point; each floor gets
-    # its own evaluation with escalation on a near-integer hit.
-    def scaled_power(e: int):
-        def at_bits(bb: int) -> CReal:
-            Bf = beta.eval(bb + math.ceil(e * lg_hi))
-            return (Bf - 1) ** 2 * Bf ** e
-        return at_bits
-
+    # Square-index floors: each floor(c * beta^(m^2-m)) gets its own
+    # evaluation with escalation on a near-integer hit.
     floors: dict[int, int] = {1: 1}
     for m in range(2, n_ext + 1):
-        val = scaled_power(m * m - m)
+        val = _scaled_power(beta, m * m - m, lg_hi)
         floors[m * m] = certified_floor(val(bits), refine=val, start_bits=bits)
 
     B = beta.eval(series_bits)
@@ -184,9 +190,11 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     if not beta.is_exact_rational:
         L = L.round_outward(series_bits)
 
-    partial = CReal.exact(0, bits)
-    for n, bn in sorted(floors.items()):
-        partial = partial + bn * L ** n
+    # floors holds ascending n; those above N_max are summed once, for both
+    # the deficit and the stored tail
+    head = power_series(((n, b) for n, b in floors.items() if n <= N_max), L)
+    tracked_tail = power_series(((n, b) for n, b in floors.items() if n > N_max), L)
+    partial = head + tracked_tail
 
     # tail of the floor series beyond n_ext^2: each floor lies in
     # (c beta^(m^2-m) - 1, c beta^(m^2-m)], so the tail is within
@@ -217,10 +225,6 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
 
     a = [1] + [floors.get(n, 0) + d_prime[n - 1] for n in range(2, N_max + 1)]
 
-    tracked_tail = CReal.exact(0, bits)
-    for n, bn in sorted(floors.items()):
-        if n > N_max:
-            tracked_tail = tracked_tail + bn * L ** n
     tail_at_L = tracked_tail + far_tail + remainder * L ** N_max
 
     meta = SpectrumMeta(
@@ -294,13 +298,7 @@ def unit_sum_enclosure(s: LoopSpectrum) -> CReal:
     """
     if s.meta is None:
         raise TailUnavailable("spectrum has no analytic metadata")
-    L = s.meta.L
-    total = CReal.exact(0, L.precision_bits)
-    for n in range(1, s.N_max + 1):
-        an = s.a[n - 1]
-        if an:
-            total = total + an * L ** n
-    return total + s.meta.tail_at_L
+    return power_series(enumerate(s.a, 1), s.meta.L) + s.meta.tail_at_L
 
 
 def unit_sum_target(s: LoopSpectrum) -> CReal:
@@ -338,11 +336,7 @@ def weighted_sum_enclosure(s: LoopSpectrum) -> CReal:
     if s.meta is None:
         raise TailUnavailable("spectrum has no analytic metadata")
     L = s.meta.L
-    partial = CReal.exact(0, L.precision_bits)
-    for n in range(1, s.N_max + 1):
-        an = s.a[n - 1]
-        if an:
-            partial = partial + n * an * L ** n
+    partial = power_series(((n, n * an) for n, an in enumerate(s.a, 1)), L)
     tail = spectrum_tail_bounds(s, s.N_max + 1, "n")
     return CReal(partial.lo, (partial + tail).hi, L.precision_bits)
 
@@ -370,7 +364,7 @@ def spectrum_checks(s: LoopSpectrum,
     if s.meta is None:
         raise TailUnavailable("spectrum has no analytic metadata")
     meta = s.meta
-    B = meta.beta.eval(meta.precision_bits)
+    _, lg_hi = _log2_bounds(meta.beta.eval(meta.precision_bits).hi)
     results: list[CheckResult] = []
 
     def parent_count(n: int) -> int:
@@ -402,7 +396,9 @@ def spectrum_checks(s: LoopSpectrum,
 
     for m in range(2, math.isqrt(s.N_max) + 1):
         n = m * m
-        scale = meta.c * B ** (n - m)
+        # re-derived from beta: the stored c is too coarse once scaled by
+        # beta^(n-m) (e^3 at n = 49 amplifies its width by e^126)
+        scale = _scaled_power(meta.beta, n - m, lg_hi)(meta.precision_bits)
         val = parent_count(n)
         # lower bound certified up to the floor defect: a(m^2) > c beta^(m^2-m) - 1
         lower_ok = Fraction(val + 1) > scale.hi

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovforge import (BetaValue, CReal, certified_floor, exp_fraction,
-                         geometric_tail, log_fraction)
+                         geometric_tail, log_fraction, power_series)
 from markovforge.errors import FloorUndecidable, NotGreaterThanOne
 from markovforge.intervals import (decimal_bounds, interval_from_decimals,
                                    ln2_enclosure, log_interval)
@@ -182,3 +182,43 @@ def test_decimal_round_trip_encloses(p):
     x = CReal.exact(p)
     lo, hi = decimal_bounds(x)
     assert interval_from_decimals(lo, hi).contains(p)
+
+
+# sparse (n, c >= 0) lists, ascending n, as the construction and the
+# classifier produce them
+terms_st = st.dictionaries(st.integers(min_value=0, max_value=60),
+                           st.integers(min_value=0, max_value=10 ** 30),
+                           max_size=12).map(lambda d: sorted(d.items()))
+nonneg_st = st.fractions(min_value=Fraction(0), max_value=Fraction(3),
+                         max_denominator=10 ** 9)
+
+
+@given(terms_st, nonneg_st)
+@settings(max_examples=80, deadline=None)
+def test_power_series_matches_naive_sum_at_rational(terms, x):
+    got = power_series(terms, x)
+    assert isinstance(got, Fraction)
+    assert got == sum((c * x ** n for n, c in terms), Fraction(0))
+
+
+@given(terms_st, nonneg_st, nonneg_st)
+@settings(max_examples=80, deadline=None)
+def test_power_series_matches_naive_sum_at_endpoints(terms, a, b):
+    x = CReal(min(a, b), max(a, b), 96)
+    got = power_series(terms, x)
+    assert got.precision_bits == 96
+    assert got.lo == sum((c * x.lo ** n for n, c in terms), Fraction(0))
+    assert got.hi == sum((c * x.hi ** n for n, c in terms), Fraction(0))
+
+
+def test_power_series_edge_cases():
+    assert power_series([], Fraction(1, 3)) == 0
+    empty = power_series([], CReal(Fraction(1, 3), Fraction(1, 2)))
+    assert empty.lo == empty.hi == 0
+    assert power_series([(0, 5), (2, 0), (3, 1)], 0) == 5
+    with pytest.raises(ValueError):
+        power_series([(1, 1)], CReal(Fraction(-1, 10), Fraction(1, 10)))
+    with pytest.raises(ValueError):
+        power_series([(2, 1), (1, 1)], Fraction(1, 2))
+    with pytest.raises(ValueError):
+        power_series([(1, -1)], Fraction(1, 2))

@@ -1,12 +1,14 @@
 """Spectrum file serialization."""
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovforge import delete_loop, user_spectrum
+from markovforge import (BetaValue, build_spectrum, delete_loop,
+                         spectrum_checks, user_spectrum)
 from markovforge import spectrum_io
 from markovforge.errors import SpectrumFileError
 
@@ -23,6 +25,25 @@ def test_round_trip_constructed(spec_e07, tmp_path):
     path2 = tmp_path / "s2.json"
     spectrum_io.save(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("text, n_max, digest", [
+    ("2", 128, "88622d586db78cf0d154f04fda840f47131b2ca978d7fa393fdfa90eb3639e9d"),
+    ("e^7/10", 64, "dbbbfd14388e8260ee15a367d35dbd0fe01fd2f664cf435668960ac2ece28938"),
+])
+def test_build_bytes_are_golden(text, n_max, digest):
+    # the bytes `markovforge build --beta TEXT --max-n N_MAX` writes
+    sf = spectrum_io.SpectrumFile(build_spectrum(BetaValue.parse(text), n_max))
+    assert hashlib.sha256(spectrum_io.to_bytes(sf)).hexdigest() == digest
+
+
+def test_loaded_e3_passes_construction_checks():
+    # the stored c has 40 digits; scaled by e^(3 (m^2 - m)) it no longer
+    # decides the square bounds, which must be re-derived from beta
+    s = build_spectrum(BetaValue.parse("e^3"), 64)
+    back = spectrum_io.from_bytes(spectrum_io.to_bytes(spectrum_io.SpectrumFile(s)))
+    failed = [c for c in spectrum_checks(back.spectrum) if not c.passed]
+    assert not failed, failed
 
 
 def test_round_trip_preserves_deleted_loop(spec2):
