@@ -3,14 +3,16 @@
 The decision runs on the generating function F(x) = sum f(n) x^n of the
 first-return counts, evaluated at the radius L of its own series:
 
-  * certified F(L) < 1            -> transient (and then R = L),
+  * F(L) < 1                      -> transient (and then R = L),
   * F(L) = 1 with finite mean
     return sum n f(n) L^n         -> positive recurrent with R = L,
-  * certified F(L) > 1            -> positive recurrent with R < L, found
-                                     by certified bisection of F(x) = 1,
-  * F(L) = 1 with divergent mean  -> null recurrent; only an exact analytic
-                                     model can certify divergence, so this
-                                     verdict is never produced numerically.
+  * F(L) > 1                      -> positive recurrent with R < L,
+  * F(L) = 1 with divergent mean  -> null recurrent, never certified here.
+
+A constructed spectrum has F(L) = 1, or 1 - L^n0 after deleting a loop of
+length n0, by the construction identity (see spectrum.identity_failure;
+indeterminate when that does not hold).  A finite-support spectrum is a
+polynomial, F(L) = +infinity, and R comes from certified bisection.
 
 R is the radius of convergence of sum p(n) z^n; the entropy of the loop
 system is -log R.
@@ -24,11 +26,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import NoGrowthModel, RootNotBracketed, TailUnavailable
+from .errors import NoGrowthModel, TailUnavailable
 from .intervals import (DEFAULT_PRECISION_BITS, CReal, decimal_bounds,
                         log_fraction, log_interval, power_series)
 from .oracle import PathCountTable, _ln_big
-from .spectrum import (LoopSpectrum, unit_sum_enclosure, weighted_sum_enclosure)
+from .spectrum import (LoopSpectrum, identity_failure, unit_sum_enclosure,
+                       weighted_sum_enclosure)
 
 
 class Verdict(str, Enum):
@@ -65,19 +68,15 @@ class ClassificationReport:
     mean_return_bound: Optional[CReal]
     entropy: Optional[CReal]
     has_mme: Optional[bool]
-    lambda_window: Optional[tuple[tuple[int, float], ...]] = None
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        def radius_dict(r: Radius) -> dict:
-            return {
-                "infinite": r.infinite,
-                "certified": r.certified,
-                "interval": list(decimal_bounds(r.value)) if r.value is not None else None,
-            }
-
         def interval(x: Optional[CReal]):
             return list(decimal_bounds(x)) if x is not None else None
+
+        def radius_dict(r: Radius) -> dict:
+            return {"infinite": r.infinite, "certified": r.certified,
+                    "interval": interval(r.value)}
 
         return {
             "verdict": self.verdict.value,
@@ -87,8 +86,7 @@ class ClassificationReport:
             "mean_return_bound": interval(self.mean_return_bound),
             "entropy": interval(self.entropy),
             "has_mme": self.has_mme,
-            "lambda_window": ([[n, v] for n, v in self.lambda_window]
-                              if self.lambda_window is not None else None),
+            "lambda_window": None,  # filled in by `classify --lambda-window`
             "notes": list(self.notes),
         }
 
@@ -150,11 +148,8 @@ def F_eval(s: LoopSpectrum, x: CReal) -> CReal:
 def _bisect_root(s: LoopSpectrum, precision_bits: int) -> CReal:
     """Certified root of F(x) = 1 for a finite-support spectrum."""
     terms = list(enumerate(s.a, 1))
-    at_one = power_series(terms, 1)
-    if at_one < 1:
-        raise RootNotBracketed("F(1) < 1 for a nonzero integer spectrum is impossible "
-                               "unless all counts vanish")
-    if at_one == 1:
+    # some count is >= 1, so F(1) >= 1
+    if power_series(terms, 1) == 1:
         return CReal.exact(1, precision_bits)
     lo, hi = Fraction(0), Fraction(1)
     for _ in range(precision_bits // 2):
@@ -193,11 +188,7 @@ def entropy_enclosure(s: LoopSpectrum,
             return CReal.exact(beta.value, precision_bits)
         return log_fraction(beta.value, precision_bits)
     r = classify(s, precision_bits).R
-    if r.infinite:
-        return None
-    if r.value.is_exact and r.value.lo == 1:
-        return CReal.exact(0, precision_bits)
-    return -log_interval(r.value, precision_bits)
+    return None if r.infinite else entropy_for_root(r.value, precision_bits)
 
 
 def entropy_of_lift(s: LoopSpectrum, period_lift: int,
@@ -220,49 +211,35 @@ def classify(s: LoopSpectrum,
         return _classify_constructed(s, precision_bits)
     if s.finite_support:
         return _classify_finite(s, precision_bits)
-    L = radius_L(s)
     return ClassificationReport(
-        verdict=Verdict.INDETERMINATE,
-        L=L, R=Radius(None, False, False),
-        F_at_L=None, mean_return_bound=None, entropy=None, has_mme=None,
+        Verdict.INDETERMINATE, radius_L(s), Radius(None, False, False),
+        None, None, None, None,
         notes=("truncated user spectrum without tail bounds: only the "
                "Cauchy-Hadamard estimate of L is available",))
 
 
 def _classify_constructed(s: LoopSpectrum, precision_bits: int) -> ClassificationReport:
-    meta = s.meta
-    L = Radius.of(meta.L)
+    L = Radius.of(s.meta.L)
     F_at_L = unit_sum_enclosure(s)
     mean = weighted_sum_enclosure(s)
     entropy = entropy_enclosure(s, precision_bits)
-    notes: list[str] = []
-    if F_at_L.certainly_lt(1):
-        verdict = Verdict.TRANSIENT
-        R = L  # transient implies R = L
-        has_mme = False
-        notes.append("F(L) certified < 1; R = L for transient loop systems")
-    elif F_at_L.contains(1):
-        verdict = Verdict.POSITIVE_RECURRENT
-        R = L
-        has_mme = True
-        notes.append("series sums to 1 at L by construction; mean return is "
-                     "certifiably finite")
-    elif F_at_L.certainly_gt(1):
-        # cannot happen for these constructions, handled for completeness
-        root = _bisect_root(s, precision_bits)
-        verdict = Verdict.POSITIVE_RECURRENT
-        R = Radius.of(root)
-        has_mme = True
-        notes.append("F(L) certified > 1; R < L via certified bisection")
+    failure = identity_failure(s, F_at_L)
+    n0 = s.meta.deleted_loop
+    if failure is not None:
+        verdict, R, has_mme = Verdict.INDETERMINATE, Radius(None, False, False), None
+        notes = [f"construction identity not certified: {failure}"]
+    elif n0 is not None:
+        verdict, R, has_mme = Verdict.TRANSIENT, L, False
+        notes = [f"F(L) = 1 - L^{n0} < 1 by the construction identity; "
+                 "R = L for transient loop systems"]
     else:
-        verdict = Verdict.INDETERMINATE
-        R = Radius(None, False, False)
-        has_mme = None
-        notes.append("F(L) enclosure neither separates from 1 nor encloses it")
-    if verdict is Verdict.POSITIVE_RECURRENT and entropy is not None and entropy.lo <= 0:
-        has_mme = None
-        notes.append("entropy not certified positive; existence of a maximal-"
-                     "entropy measure is outside the theorem's hypotheses")
+        verdict, R, has_mme = Verdict.POSITIVE_RECURRENT, L, True
+        notes = ["F(L) = 1 by the construction identity; mean return is "
+                 "certifiably finite"]
+        if entropy is not None and entropy.lo <= 0:
+            has_mme = None
+            notes.append("entropy not certified positive; existence of a maximal-"
+                         "entropy measure is outside the theorem's hypotheses")
     return ClassificationReport(verdict, L, R, F_at_L, mean, entropy, has_mme,
                                 notes=tuple(notes))
 
@@ -285,7 +262,7 @@ def _classify_finite(s: LoopSpectrum, precision_bits: int) -> ClassificationRepo
     else:
         notes.append("polynomial F: F(L) = +infinity > 1, so R < L")
     has_mme: Optional[bool] = True
-    if entropy is None or entropy.lo <= 0:
+    if entropy.lo <= 0:
         has_mme = None
         notes.append("entropy not certified positive; maximal-entropy measure "
                      "verdict withheld")

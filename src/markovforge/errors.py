@@ -29,10 +29,6 @@ class EmptyLoopSet(Exception):
     """The graph truncation contains no loop through the root."""
 
 
-class RootNotBracketed(Exception):
-    """Certified root finding could not bracket the target value."""
-
-
 class InsufficientData(Exception):
     """Not enough nonzero counts to form the requested estimate."""
 

@@ -443,7 +443,7 @@ class BetaValue:
 
 
 # ---------------------------------------------------------------------------
-# decimal serialization of enclosures
+# decimal display of enclosures
 # ---------------------------------------------------------------------------
 
 DECIMAL_DIGITS = 40
@@ -461,7 +461,3 @@ def decimal_bounds(x: CReal, digits: int = DECIMAL_DIGITS) -> tuple[str, str]:
     lo = math.floor(x.lo * scale)
     hi = math.ceil(x.hi * scale)
     return _format_scaled(lo, digits), _format_scaled(hi, digits)
-
-
-def interval_from_decimals(lo: str, hi: str, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
-    return CReal(Fraction(lo), Fraction(hi), precision_bits)

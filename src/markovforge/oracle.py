@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 from .errors import InsufficientData
 from .graph import ExplicitGraph
@@ -139,20 +140,27 @@ def _charge(walked: int, steps: int, budget: int) -> int:
     return walked
 
 
+def walk_path_counts(g: ExplicitGraph, u: str, v: str,
+                     budget: int = ENUMERATION_BUDGET) -> Iterator[int]:
+    """Counts of length-n paths from u to v, n = 0, 1, ..., from one walk;
+    level n is walked on demand and charged what a call for length n is."""
+    adj = g.adjacency()
+    dst = g.vertices.index(v)
+    frontier = [g.vertices.index(u)]
+    walked = _charge(0, 1, budget)
+    while True:
+        yield frontier.count(dst)
+        succ = [adj[w] for w in frontier]
+        walked = _charge(walked, sum(map(len, succ)), budget)
+        frontier = [x for s in succ for x in s]
+
+
 def enumerate_paths(g: ExplicitGraph, u: str, v: str, n: int,
                     budget: int = ENUMERATION_BUDGET) -> int:
     """Count length-n paths from u to v by walking each one."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    adj = g.adjacency()
-    dst = g.vertices.index(v)
-    frontier = [g.vertices.index(u)]
-    walked = _charge(0, 1, budget)
-    for _ in range(n):
-        succ = [adj[w] for w in frontier]
-        walked = _charge(walked, sum(map(len, succ)), budget)
-        frontier = [x for s in succ for x in s]
-    return frontier.count(dst)
+    return next(islice(walk_path_counts(g, u, v, budget), n, None))
 
 
 def enumerate_first_returns(g: ExplicitGraph, u: str, n: int,

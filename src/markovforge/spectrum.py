@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -45,21 +46,26 @@ class DigitTrace:
 class SpectrumMeta:
     """Certified analytic metadata of a constructed spectrum.
 
-    c = (beta-1)^2 scales the square-index counts, delta is the deficit
-    left by the floors, k = floor(beta^2 delta), M_bound = beta + k bounds
-    the off-square counts, L = 1/beta is the radius of convergence of
-    sum a(n) z^n, and tail_at_L encloses sum_{n > N_max} a(n) L^n.
+    Stored: the build's inputs, the deficit delta, k = floor(beta^2 delta)
+    and tail_at_L (sum_{n > N_max} a(n) L^n), both enclosures on the dyadic
+    grid of the build's series arithmetic.  Derived on first use as the build
+    derived them: c = (beta-1)^2 (square counts), L = 1/beta (the radius of
+    sum a(n) z^n) and M_bound = beta + k (bounds the off-square counts).
     """
 
     beta: BetaValue
     precision_bits: int
-    c: CReal
+    N_max: int
     delta: CReal
     k: int
-    M_bound: CReal
-    L: CReal
     tail_at_L: CReal
     deleted_loop: Optional[int] = None
+
+    _series = cached_property(
+        lambda self: _series_constants(self.beta, self.N_max, self.precision_bits))
+    c = cached_property(lambda self: (self._series[1] - 1) ** 2)
+    L = cached_property(lambda self: self._series[2])
+    M_bound = cached_property(lambda self: self._series[1] + self.k)
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,8 @@ class LoopSpectrum:
             raise ValueError("a must have exactly N_max entries")
         if any(v < 0 for v in self.a):
             raise ValueError("loop counts must be nonnegative")
+        if self.meta is not None and self.meta.N_max != self.N_max:
+            raise ValueError("meta was built for another N_max")
 
     def count(self, n: int) -> int:
         if not 1 <= n <= self.N_max:
@@ -163,19 +171,29 @@ def _scaled_power(beta: BetaValue, e: int, lg_hi: float) -> RefineFn:
     return at_bits
 
 
+def _series_constants(beta: BetaValue, N_max: int,
+                      bits: int) -> tuple[int, CReal, CReal]:
+    """(series_bits, B, L): beta and L = 1/beta as the build's series use
+    them, at a precision that pre-pays the digit loop's beta^N_max."""
+    _, lg_hi = _log2_bounds(beta.eval(bits).hi)
+    series_bits = bits + 64 + math.ceil(N_max * lg_hi)
+    B = beta.eval(series_bits)
+    L = B.inv()
+    if not beta.is_exact_rational:
+        L = L.round_outward(series_bits)
+    return series_bits, B, L
+
+
 def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     probe = beta.eval(bits)
-    exact_integer_base = beta.is_integer
     lg_lo, _ = _log2_bounds(probe.lo)
     _, lg_hi = _log2_bounds(probe.hi)
-
-    # The greedy digit loop multiplies the deficit's width by beta^N_max, so
-    # the series arithmetic runs with that amplification pre-paid; the
-    # untracked floor tail (beyond n_ext^2) must be small on the same scale.
-    amp = math.ceil(N_max * lg_hi)
-    series_bits = bits + 64 + amp
+    series_bits, B, L = _series_constants(beta, N_max, bits)
+    c = (B - 1) ** 2
+    # the untracked floor tail (beyond n_ext^2) must be small on the scale
+    # of the series arithmetic
     n_ext = max(math.isqrt(N_max),
-                math.ceil(math.sqrt((bits + 32 + amp) / lg_lo)))
+                math.ceil(math.sqrt((series_bits - 32) / lg_lo)))
 
     # Square-index floors: each floor(c * beta^(m^2-m)) gets its own
     # evaluation with escalation on a near-integer hit.
@@ -183,12 +201,6 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     for m in range(2, n_ext + 1):
         val = _scaled_power(beta, m * m - m, lg_hi)
         floors[m * m] = certified_floor(val(bits), refine=val, start_bits=bits)
-
-    B = beta.eval(series_bits)
-    c = (B - 1) ** 2
-    L = B.inv()
-    if not beta.is_exact_rational:
-        L = L.round_outward(series_bits)
 
     # floors holds ascending n; those above N_max are summed once, for both
     # the deficit and the stored tail
@@ -200,7 +212,7 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     # (c beta^(m^2-m) - 1, c beta^(m^2-m)], so the tail is within
     # [c*T - slack, c*T] with T the geometric tail and slack = sum beta^-m^2.
     geo = geometric_tail(L, n_ext + 1, "1")
-    if exact_integer_base:
+    if beta.is_integer:
         # integer beta with integer c: every floor is lossless, tail exact
         far_tail = c * geo
     else:
@@ -220,29 +232,22 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     if digits[0] != 0:
         raise RuntimeError("first expansion digit is nonzero; this indicates a "
                            "precision bug, the remainder is below 1/beta by design")
-    d_prime = list(digits)
-    d_prime[1] += k  # the k units live in the n = 2 slot
-
-    a = [1] + [floors.get(n, 0) + d_prime[n - 1] for n in range(2, N_max + 1)]
-
-    tail_at_L = tracked_tail + far_tail + remainder * L ** N_max
-
-    meta = SpectrumMeta(
-        beta=beta,
-        precision_bits=bits,
-        c=c,
-        delta=delta,
-        k=k,
-        M_bound=B + k,
-        L=L,
-        tail_at_L=tail_at_L,
-    )
     trace = DigitTrace(
         b=tuple(floors.get(n, 0) for n in range(1, N_max + 1)),
         d=tuple(digits),
-        d_prime=tuple([0] + d_prime[1:]),
+        d_prime=(0, digits[1] + k, *digits[2:]),  # the k units live in the n = 2 slot
     )
-    return LoopSpectrum(tuple(a), N_max, meta=meta, digit_trace=trace)
+
+    # stored on the series grid, where a file holds them exactly; the digits
+    # above came from the unrounded deficit
+    def on_grid(x: CReal) -> CReal:
+        return CReal(x.lo, x.hi, bits).round_outward(series_bits)
+
+    meta = SpectrumMeta(beta=beta, precision_bits=bits, N_max=N_max,
+                        delta=on_grid(delta), k=k,
+                        tail_at_L=on_grid(tracked_tail + far_tail + remainder * L ** N_max))
+    a = tuple(b + dp for b, dp in zip(trace.b, trace.d_prime))
+    return LoopSpectrum(a, N_max, meta=meta, digit_trace=trace)
 
 
 def build_spectrum(beta: BetaValue, N_max: int = DEFAULT_N_MAX,
@@ -310,6 +315,27 @@ def unit_sum_target(s: LoopSpectrum) -> CReal:
     return 1 - s.meta.L ** s.meta.deleted_loop
 
 
+def identity_failure(s: LoopSpectrum, unit_sum: CReal) -> Optional[str]:
+    """Why the construction identity does not certify s, or None if it does.
+
+    sum a(n) L^n = 1 (1 - L^n0 after deleting a loop of length n0) holds when
+    the counts are the digit trace's, a(n) = b(n) + d'(n) (one less at n0),
+    and ``unit_sum`` (from :func:`unit_sum_enclosure`) meets that target.
+    """
+    target = unit_sum_target(s)
+    t, n0 = s.digit_trace, s.meta.deleted_loop
+    if t is None or not len(t.b) == len(t.d_prime) == s.N_max:
+        return "no digit trace of a(1..N_max) to check the counts against"
+    if n0 is not None and not 2 <= n0 <= s.N_max:
+        return f"deleted loop length {n0} outside 2..{s.N_max}"
+    for n, (an, b, dp) in enumerate(zip(s.a, t.b, t.d_prime), 1):
+        if an != b + dp - (n == n0):
+            return f"a({n}) = {an} disagrees with the digit trace ({b + dp - (n == n0)})"
+    if unit_sum.hi < target.lo or target.hi < unit_sum.lo:
+        return "the unit-sum enclosure misses its target"
+    return None
+
+
 def spectrum_tail_bounds(s: LoopSpectrum, from_n: int, weight: str = "1") -> CReal:
     """Certified upper bound on sum_{n >= from_n} w(n) a(n) L^n, w in {1, n}.
 
@@ -364,14 +390,10 @@ def spectrum_checks(s: LoopSpectrum,
     if s.meta is None:
         raise TailUnavailable("spectrum has no analytic metadata")
     meta = s.meta
-    _, lg_hi = _log2_bounds(meta.beta.eval(meta.precision_bits).hi)
     results: list[CheckResult] = []
 
     def parent_count(n: int) -> int:
-        v = s.count(n)
-        if meta.deleted_loop == n:
-            v += 1
-        return v
+        return s.count(n) + (meta.deleted_loop == n)
 
     results.append(CheckResult("a(1) = 1", parent_count(1) == 1, f"a(1) = {parent_count(1)}"))
 
@@ -396,9 +418,8 @@ def spectrum_checks(s: LoopSpectrum,
 
     for m in range(2, math.isqrt(s.N_max) + 1):
         n = m * m
-        # re-derived from beta: the stored c is too coarse once scaled by
-        # beta^(n-m) (e^3 at n = 49 amplifies its width by e^126)
-        scale = _scaled_power(meta.beta, n - m, lg_hi)(meta.precision_bits)
+        # the series precision pre-pays beta^N_max, so scaling stays tight
+        scale = meta.c / meta.L ** (n - m)
         val = parent_count(n)
         # lower bound certified up to the floor defect: a(m^2) > c beta^(m^2-m) - 1
         lower_ok = Fraction(val + 1) > scale.hi

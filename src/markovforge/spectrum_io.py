@@ -1,23 +1,25 @@
-"""Spectrum file format (version 1).
+"""Spectrum file format (version 2).
 
-JSON with big integers and interval endpoints as decimal strings; interval
-endpoints are outward-rounded to 40 decimal places, which keeps enclosures
-sound and makes load -> save a byte-exact identity.
+JSON with big integers as decimal strings.  Of the metadata only what beta
+cannot give back is stored: k, the deleted loop, and delta and tail_at_L,
+whose dyadic endpoints are written exactly ("-0x1a3p-384"), so a load
+returns what was saved.  Version 1 files (40-digit decimal endpoints) are
+read, rounded outward onto the grid 2^-precision_bits.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
 from .errors import SpectrumFileError
-from .intervals import BetaValue, CReal, decimal_bounds, interval_from_decimals
+from .intervals import BetaValue, CReal
 from .spectrum import DigitTrace, LoopSpectrum, SpectrumMeta
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -30,15 +32,29 @@ class SpectrumFile:
 
 
 def _interval_out(x: CReal) -> list[str]:
-    return list(decimal_bounds(x))
+    """Each endpoint m 2^e as "<hex m>p<e>", m odd unless 0: one text per value."""
+    out = []
+    for v in (x.lo, x.hi):
+        m, den = v.numerator, v.denominator
+        if den & (den - 1):
+            raise ValueError(f"endpoint {v} is not dyadic")
+        zeros = (m & -m).bit_length() - 1 if m else 0
+        out.append(f"{m >> zeros:#x}p{zeros + 1 - den.bit_length():+d}")
+    return out
 
 
-def _interval_in(v, bits: int) -> CReal:
-    try:
-        lo, hi = v
-        return interval_from_decimals(lo, hi, bits)
-    except (TypeError, ValueError) as e:
-        raise SpectrumFileError(f"bad interval {v!r}") from e
+def _dyadic_in(text: str) -> Fraction:
+    # hex int parsing has no digit limit, unlike decimal str <-> int
+    m, e = text.split("p")
+    m, e = int(m, 16), int(e)
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _interval_in(v, bits: int, version: int) -> CReal:
+    lo, hi = v
+    if version == 1:
+        return CReal(Fraction(lo), Fraction(hi), bits).round_outward(bits)
+    return CReal(_dyadic_in(lo), _dyadic_in(hi), bits)
 
 
 def to_dict(sf: SpectrumFile) -> dict:
@@ -60,29 +76,22 @@ def to_dict(sf: SpectrumFile) -> dict:
                            "text": m.beta.text}
         payload["meta"] = {
             "precision_bits": m.precision_bits,
-            "c": _interval_out(m.c),
             "delta": _interval_out(m.delta),
             "k": m.k,
-            "M": _interval_out(m.M_bound),
-            "L": _interval_out(m.L),
             "tail_at_L": _interval_out(m.tail_at_L),
             "deleted_loop": m.deleted_loop,
         }
     if s.digit_trace is not None:
-        t = s.digit_trace
-        payload["digit_trace"] = {
-            "b": [str(v) for v in t.b],
-            "d": [str(v) for v in t.d],
-            "d_prime": [str(v) for v in t.d_prime],
-        }
+        payload["digit_trace"] = {key: [str(v) for v in values]
+                                  for key, values in asdict(s.digit_trace).items()}
     return payload
 
 
 def from_dict(payload: dict) -> SpectrumFile:
     try:
-        if payload["format_version"] != FORMAT_VERSION:
-            raise SpectrumFileError(f"unsupported format_version "
-                                    f"{payload['format_version']!r}")
+        version = payload["format_version"]
+        if version not in (1, FORMAT_VERSION):
+            raise SpectrumFileError(f"unsupported format_version {version!r}")
         n_max = int(payload["N_max"])
         a = tuple(int(v) for v in payload["a"])
         meta = None
@@ -94,30 +103,21 @@ def from_dict(payload: dict) -> SpectrumFile:
             meta = SpectrumMeta(
                 beta=beta,
                 precision_bits=bits,
-                c=_interval_in(m["c"], bits),
-                delta=_interval_in(m["delta"], bits),
+                N_max=n_max,
+                delta=_interval_in(m["delta"], bits, version),
                 k=int(m["k"]),
-                M_bound=_interval_in(m["M"], bits),
-                L=_interval_in(m["L"], bits),
-                tail_at_L=_interval_in(m["tail_at_L"], bits),
-                deleted_loop=m["deleted_loop"],
+                tail_at_L=_interval_in(m["tail_at_L"], bits, version),
+                deleted_loop=None if m["deleted_loop"] is None else int(m["deleted_loop"]),
             )
-        trace = None
-        if payload.get("digit_trace") is not None:
-            t = payload["digit_trace"]
-            trace = DigitTrace(
-                b=tuple(int(v) for v in t["b"]),
-                d=tuple(int(v) for v in t["d"]),
-                d_prime=tuple(int(v) for v in t["d_prime"]),
-            )
+        t = payload.get("digit_trace")
+        trace = None if t is None else DigitTrace(
+            *(tuple(int(v) for v in t[key]) for key in ("b", "d", "d_prime")))
         spectrum = LoopSpectrum(a, n_max, meta=meta, digit_trace=trace,
                                 finite_support=bool(payload.get("finite_support", False)))
         return SpectrumFile(spectrum,
                             period_lift=int(payload.get("period_lift", 1)),
                             entropy_target=payload.get("entropy_target"))
     except (KeyError, ValueError, TypeError) as e:
-        if isinstance(e, SpectrumFileError):
-            raise
         raise SpectrumFileError(f"malformed spectrum file: {e}") from e
 
 

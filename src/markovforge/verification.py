@@ -10,9 +10,9 @@ from .classifier import Verdict, classify
 from .errors import TailUnavailable
 from .graph import is_strongly_connected, lift_period, period, realize
 from .oracle import (ENUMERATION_BUDGET, BudgetExceeded, count_first_returns,
-                     count_paths, enumerate_paths, renewal_convolve,
-                     table_from_spectrum)
-from .spectrum import CheckResult, LoopSpectrum, spectrum_checks
+                     count_paths, renewal_convolve, table_from_spectrum,
+                     walk_path_counts)
+from .spectrum import CheckResult, LoopSpectrum, identity_failure, spectrum_checks
 
 DEFAULT_ORACLE_DEPTH = 12
 REALIZE_VERTEX_BUDGET = 2 * 10 ** 6
@@ -51,57 +51,57 @@ def run_suite(s: LoopSpectrum, period_lift: int = 1,
     enum_ok = True
     enum_detail = "skipped (budget)"
     checked_to = 0
-    for n in range(1, depth + 1):
-        try:
-            if enumerate_paths(g, g.root, g.root, n, ENUMERATION_BUDGET) != p_dp[n]:
+    levels = walk_path_counts(g, g.root, g.root, ENUMERATION_BUDGET)
+    next(levels)  # n = 0
+    try:
+        for n in range(1, depth + 1):
+            if next(levels) != p_dp[n]:
                 enum_ok = False
                 enum_detail = f"mismatch at n = {n}"
                 break
             checked_to = n
-        except BudgetExceeded:
-            break
+    except BudgetExceeded:
+        pass
     if enum_ok and checked_to:
         enum_detail = f"walked all paths up to length {checked_to}"
     results.append(CheckResult("literal enumeration matches DP", enum_ok, enum_detail))
 
     # period
     lifted = lift_period(g, period_lift) if period_lift > 1 else g
-    support = [n for n in s.support()]
-    if support:
-        expected = gcd(*(n * period_lift for n in support if n <= depth)) \
-            if any(n <= depth for n in support) else None
-        if expected is not None:
-            structural = period(lifted)
-            table = table_from_spectrum(s, depth * period_lift, period_lift)
-            from_counts = [n for n, v in enumerate(table.p) if n > 0 and v > 0]
-            oracle_gcd = gcd(*from_counts) if from_counts else None
-            results.append(CheckResult(
-                "period (structural vs oracle)",
-                structural == expected and oracle_gcd == expected,
-                f"structural = {structural}, from counts = {oracle_gcd}, "
-                f"expected = {expected}"))
+    realized = [n * period_lift for n in s.support() if n <= depth]
+    if realized:
+        expected = gcd(*realized)
+        structural = period(lifted)
+        table = table_from_spectrum(s, depth * period_lift, period_lift)
+        from_counts = [n for n, v in enumerate(table.p) if n > 0 and v > 0]
+        oracle_gcd = gcd(*from_counts) if from_counts else None
+        results.append(CheckResult(
+            "period (structural vs oracle)",
+            structural == expected and oracle_gcd == expected,
+            f"structural = {structural}, from counts = {oracle_gcd}, "
+            f"expected = {expected}"))
 
     # classification certificate consistency
     try:
         report = classify(s)
-        ok, detail = _certificate_consistent(report)
+        ok, detail = _certificate_consistent(s, report)
         results.append(CheckResult("classification certificates consistent", ok, detail))
     except TailUnavailable:
         pass
     return results
 
 
-def _certificate_consistent(report) -> tuple[bool, str]:
+def _certificate_consistent(s: LoopSpectrum, report) -> tuple[bool, str]:
     v = report.verdict
-    if v is Verdict.TRANSIENT:
-        ok = (report.F_at_L is not None and report.F_at_L.certainly_lt(1)
-              and report.R == report.L and report.has_mme is False)
-        return ok, "transient: F(L) < 1 certified and R = L"
-    if v is Verdict.POSITIVE_RECURRENT:
-        ok = report.mean_return_bound is not None
-        if report.F_at_L is not None:
-            ok = ok and (report.F_at_L.contains(1) or report.F_at_L.certainly_gt(1))
-        return ok, "positive recurrent: F-sum reaches 1 with finite mean return"
+    if v is Verdict.INDETERMINATE:
+        return True, "indeterminate verdicts carry no certificate"
     if v is Verdict.NULL_RECURRENT:
         return False, "null recurrent verdicts require an exact analytic model"
-    return True, "indeterminate verdicts carry no certificate"
+    transient = v is Verdict.TRANSIENT
+    # a constructed verdict is the construction identity's, with R = L
+    ok = (transient == (s.meta.deleted_loop is not None) and report.R == report.L
+          and identity_failure(s, report.F_at_L) is None) if s.meta else not transient
+    if transient:
+        return ok and report.has_mme is False, "transient: F(L) < 1 certified and R = L"
+    return (ok and report.mean_return_bound is not None,
+            "positive recurrent: F-sum reaches 1 with finite mean return")

@@ -6,6 +6,7 @@ supplies that root and the matching entropy to 60 digits.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -129,3 +130,20 @@ def test_report_serializes(spec2):
     assert d["has_mme"] is True
     assert isinstance(d["entropy"], list) and len(d["entropy"]) == 2
     assert d["R"]["certified"] is True
+
+
+def test_constructed_verdict_needs_the_digit_trace(spec2):
+    rep = classify(replace(spec2, digit_trace=None))
+    assert rep.verdict is Verdict.INDETERMINATE
+    assert rep.has_mme is None
+
+
+def test_extra_loop_is_not_recurrent(spec_e07):
+    # a(2) + 1 pushes F(L) above 1: the identity no longer holds, and a
+    # root of the finite polynomial alone would ignore the tail
+    a = list(spec_e07.a)
+    a[1] += 1
+    rep = classify(replace(spec_e07, a=tuple(a)))
+    assert rep.verdict is Verdict.INDETERMINATE
+    assert rep.F_at_L.certainly_gt(1)
+    assert "a(2)" in rep.notes[0]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from markovforge import cli
+from markovforge import cli, spectrum_io
 from markovforge.errors import PrecisionExhausted
 
 
@@ -52,15 +52,43 @@ def test_precision_exhausted_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_transient_variant_pipeline(tmp_path, capsys):
-    base = tmp_path / "b.json"
-    var = tmp_path / "t.json"
-    run(capsys, "build", "--beta", "3", "--max-n", "32", "--out", str(base))
-    code, _, _ = run(capsys, "transient-variant", str(base), "--out", str(var))
+    # e^3 at n0 = 64: L^64 ~ 4e-84 is far below what a 40-digit file resolved
+    for beta, max_n, n0_args in (("3", 32, ()), ("e^3", 64, ("--n0", "64"))):
+        base = tmp_path / f"b{max_n}.json"
+        var = tmp_path / f"t{max_n}.json"
+        run(capsys, "build", "--beta", beta, "--max-n", str(max_n), "--out", str(base))
+        code, _, _ = run(capsys, "transient-variant", str(base), *n0_args,
+                         "--out", str(var))
+        assert code == 0
+        code, stdout, _ = run(capsys, "classify", str(var))
+        payload = json.loads(stdout)
+        assert payload["verdict"] == "Transient", beta
+        assert payload["has_mme"] is False
+
+
+@pytest.mark.parametrize("n, edit", [(2, 1), (4, -1)])
+def test_edited_count_is_indeterminate(spec_e07, tmp_path, capsys, n, edit):
+    path = tmp_path / "e07.json"
+    payload = spectrum_io.to_dict(spectrum_io.SpectrumFile(spec_e07))
+    payload["a"][n - 1] = str(int(payload["a"][n - 1]) + edit)
+    path.write_text(json.dumps(payload))
+    code, stdout, _ = run(capsys, "classify", str(path))
     assert code == 0
-    code, stdout, _ = run(capsys, "classify", str(var))
-    payload = json.loads(stdout)
-    assert payload["verdict"] == "Transient"
-    assert payload["has_mme"] is False
+    report = json.loads(stdout)
+    assert report["verdict"] == "Indeterminate"
+    assert any(f"a({n})" in note for note in report["notes"])
+
+
+def test_negative_count_is_malformed(spec_e07, tmp_path, capsys):
+    # a(2) = 0 for e^7/10: one less is no spectrum at all
+    path = tmp_path / "e07.json"
+    payload = spectrum_io.to_dict(spectrum_io.SpectrumFile(spec_e07))
+    assert payload["a"][1] == "0"
+    payload["a"][1] = "-1"
+    path.write_text(json.dumps(payload))
+    code, stdout, err = run(capsys, "classify", str(path))
+    assert code == 1
+    assert stdout == "" and "nonnegative" in err
 
 
 def test_transient_variant_twice_fails(tmp_path, capsys):

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from markovforge import (BetaValue, CReal, certified_floor, exp_fraction,
                          geometric_tail, log_fraction, power_series)
 from markovforge.errors import FloorUndecidable, NotGreaterThanOne
-from markovforge.intervals import (decimal_bounds, interval_from_decimals,
-                                   ln2_enclosure, log_interval)
+from markovforge.intervals import decimal_bounds, ln2_enclosure, log_interval
 
 mpmath.mp.dps = 60
 
@@ -171,7 +170,7 @@ def test_beta_must_exceed_one():
 def test_decimal_bounds_outward_and_idempotent():
     x = exp_fraction(Fraction(7, 10), 256)
     lo, hi = decimal_bounds(x)
-    back = interval_from_decimals(lo, hi)
+    back = CReal(Fraction(lo), Fraction(hi))
     assert back.lo <= x.lo and back.hi >= x.hi
     assert decimal_bounds(back) == (lo, hi)
 
@@ -181,7 +180,7 @@ def test_decimal_bounds_outward_and_idempotent():
 def test_decimal_round_trip_encloses(p):
     x = CReal.exact(p)
     lo, hi = decimal_bounds(x)
-    assert interval_from_decimals(lo, hi).contains(p)
+    assert CReal(Fraction(lo), Fraction(hi)).contains(p)
 
 
 # sparse (n, c >= 0) lists, ascending n, as the construction and the

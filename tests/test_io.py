@@ -2,15 +2,20 @@
 
 import hashlib
 import json
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovforge import (BetaValue, build_spectrum, delete_loop,
-                         spectrum_checks, user_spectrum)
+from markovforge import (BetaValue, CReal, Verdict, build_spectrum, classify,
+                         delete_loop, spectrum_checks, user_spectrum)
 from markovforge import spectrum_io
 from markovforge.errors import SpectrumFileError
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_round_trip_constructed(spec_e07, tmp_path):
@@ -27,14 +32,64 @@ def test_round_trip_constructed(spec_e07, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-@pytest.mark.parametrize("text, n_max, digest", [
-    ("2", 128, "88622d586db78cf0d154f04fda840f47131b2ca978d7fa393fdfa90eb3639e9d"),
-    ("e^7/10", 64, "dbbbfd14388e8260ee15a367d35dbd0fe01fd2f664cf435668960ac2ece28938"),
-])
-def test_build_bytes_are_golden(text, n_max, digest):
+@pytest.mark.parametrize("text, n_max, digest, v1_file", [
+    ("2", 128, "38705cfbc7ba99a3fa58887c41f0d844b812ffc4ad795b9e7d72421669f5e812",
+     "b2_n128.v1.json"),
+    ("e^7/10", 64, "7e8615e04d1eb7a5a1632a8e0258e90c5e12124b7050d280f0de646913659fdb",
+     "e7_10_n64.v1.json"),
+], ids=["2-128", "e^7/10-64"])
+def test_build_bytes_are_golden(text, n_max, digest, v1_file):
     # the bytes `markovforge build --beta TEXT --max-n N_MAX` writes
     sf = spectrum_io.SpectrumFile(build_spectrum(BetaValue.parse(text), n_max))
-    assert hashlib.sha256(spectrum_io.to_bytes(sf)).hexdigest() == digest
+    data = spectrum_io.to_bytes(sf)
+    assert hashlib.sha256(data).hexdigest() == digest
+    # the version 1 file of the same build holds the same counts and inputs
+    new, old = json.loads(data), json.loads((DATA / v1_file).read_text())
+    for key in ("a", "digit_trace", "N_max", "beta"):
+        assert new[key] == old[key], key
+    for key in ("k", "precision_bits"):
+        assert new["meta"][key] == old["meta"][key], key
+
+
+def test_v1_deep_deletion_loads_classifies_and_resaves_as_v2():
+    # written by the version 1 writer: e^3, N_max 64, the loop at n0 = 64
+    # deleted; its 40-digit tail is far wider than L^64 ~ 4e-84
+    sf = spectrum_io.from_bytes((DATA / "e3_n64_deleted64.v1.json").read_bytes())
+    assert sf.spectrum.meta.deleted_loop == 64
+    assert classify(sf.spectrum).verdict is Verdict.TRANSIENT
+    v2 = spectrum_io.to_bytes(sf)
+    assert json.loads(v2)["format_version"] == 2
+    back = spectrum_io.from_bytes(v2)
+    assert back == sf
+    assert spectrum_io.to_bytes(back) == v2
+
+
+def test_long_dyadic_endpoint_round_trips(spec2):
+    # a mantissa of more than 20,000 bits has more decimal digits than
+    # int <-> str conversion allows by default
+    lo = Fraction((1 << 20_003) + 1, 1 << 20_100)
+    hi = lo + Fraction(1, 1 << 20_100)
+    meta = replace(spec2.meta, tail_at_L=CReal(lo, hi, spec2.meta.precision_bits))
+    sf = spectrum_io.SpectrumFile(replace(spec2, meta=meta))
+    data = spectrum_io.to_bytes(sf)
+    back = spectrum_io.from_bytes(data)
+    assert back == sf
+    assert back.spectrum.meta.tail_at_L.lo.numerator.bit_length() > 20_000
+    assert spectrum_io.to_bytes(back) == data
+
+
+def test_save_refuses_non_dyadic_endpoint(spec2):
+    third = CReal.exact(Fraction(1, 3), spec2.meta.precision_bits)
+    sf = spectrum_io.SpectrumFile(replace(spec2, meta=replace(spec2.meta, delta=third)))
+    with pytest.raises(ValueError):
+        spectrum_io.to_bytes(sf)
+
+
+def test_loaded_spectrum_derives_the_build_constants(spec_e07):
+    back = spectrum_io.from_bytes(spectrum_io.to_bytes(spectrum_io.SpectrumFile(spec_e07)))
+    for name in ("c", "L", "M_bound"):
+        assert getattr(back.spectrum.meta, name) == getattr(spec_e07.meta, name), name
+    assert "c" not in json.loads(spectrum_io.to_bytes(back))["meta"]
 
 
 def test_loaded_e3_passes_construction_checks():
@@ -69,7 +124,7 @@ def test_format_is_versioned_json(spec2):
     assert payload["beta"]["kind"] == "rational"
 
 
-def test_rejects_garbage():
+def test_rejects_garbage(spec2):
     with pytest.raises(SpectrumFileError):
         spectrum_io.from_bytes(b"{nope")
     with pytest.raises(SpectrumFileError):
@@ -77,6 +132,13 @@ def test_rejects_garbage():
     with pytest.raises(SpectrumFileError):
         spectrum_io.from_bytes(json.dumps(
             {"format_version": 1, "a": "oops"}).encode())
+    for key, value in [("tail_at_L", ["0x1p", "0x0p+0"]), ("tail_at_L", ["1.5", "2"]),
+                       ("delta", ["0x1p+1p+2", "0x1p+0"]), ("delta", ["0xgp+0", "0x1p+0"]),
+                       ("deleted_loop", "four")]:
+        payload = spectrum_io.to_dict(spectrum_io.SpectrumFile(spec2))
+        payload["meta"][key] = value
+        with pytest.raises(SpectrumFileError):
+            spectrum_io.from_bytes(json.dumps(payload).encode())
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10 ** 9),
@@ -88,3 +150,29 @@ def test_user_round_trip_random(a):
     back = spectrum_io.from_bytes(data)
     assert back.spectrum.a == tuple(a)
     assert spectrum_io.to_bytes(back) == data
+
+
+@st.composite
+def constructed_files(draw):
+    if draw(st.booleans()):
+        beta = BetaValue.from_rational(draw(st.fractions(
+            min_value=Fraction(3, 2), max_value=16, max_denominator=8)))
+    else:
+        beta = BetaValue.exp_of_rational(draw(st.fractions(
+            min_value=1, max_value=3, max_denominator=10)))
+    s = build_spectrum(beta, draw(st.integers(min_value=4, max_value=64)))
+    deletable = [n for n in range(2, s.N_max + 1) if s.count(n)]
+    if deletable and draw(st.booleans()):
+        s = delete_loop(s, draw(st.sampled_from(deletable)))
+    return spectrum_io.SpectrumFile(s)
+
+
+@given(constructed_files())
+@settings(max_examples=40, deadline=None)
+def test_constructed_round_trip_is_lossless(sf):
+    back = spectrum_io.from_bytes(spectrum_io.to_bytes(sf))
+    assert back == sf
+    report = classify(sf.spectrum)
+    assert classify(back.spectrum) == report
+    deleted = sf.spectrum.meta.deleted_loop is not None
+    assert report.verdict is (Verdict.TRANSIENT if deleted else Verdict.POSITIVE_RECURRENT)

@@ -17,7 +17,7 @@ from markovforge import (count_first_returns, count_paths, export_json,
 from markovforge.errors import InsufficientData
 from markovforge.graph import ExplicitGraph
 from markovforge.oracle import (BudgetExceeded, enumerate_first_returns,
-                                enumerate_paths)
+                                enumerate_paths, walk_path_counts)
 
 
 def walk_reference(g, u, v, n, first_return):
@@ -84,6 +84,18 @@ def test_enumeration_budget_is_exact(spec2):
             assert enumerate_(n, steps) == count
             with pytest.raises(BudgetExceeded):
                 enumerate_(n, steps - 1)
+
+
+def test_one_walk_charges_each_level_like_enumerate_paths(spec2):
+    # level n of a single walk is charged exactly the budget a call for
+    # length n needs, so the walk stops where those calls would start failing
+    g = lift_period(realize(spec2, 6), 2)
+    budget = walk_reference(g, g.root, g.root, 9, False)[1]
+    counts = []
+    with pytest.raises(BudgetExceeded):
+        for count in walk_path_counts(g, g.root, g.root, budget):
+            counts.append(count)
+    assert counts == [enumerate_paths(g, g.root, g.root, n, budget) for n in range(10)]
 
 
 def test_table_from_spectrum_base2(spec2):
