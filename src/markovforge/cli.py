@@ -55,6 +55,13 @@ def _emit(data: bytes, out: Optional[str]) -> None:
             fh.write(data)
 
 
+def _save(sf: spectrum_io.SpectrumFile, out: str) -> None:
+    if out == "-":
+        _emit(spectrum_io.to_bytes(sf), out)
+    else:
+        spectrum_io.save(sf, out)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -75,9 +82,8 @@ def cmd_build(args) -> int:
     except (PrecisionExhausted, FloorUndecidable) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECISION
-    sf = spectrum_io.SpectrumFile(s, period_lift=p,
-                                  entropy_target=args.entropy)
-    spectrum_io.save(sf, args.out)
+    _save(spectrum_io.SpectrumFile(s, period_lift=p, entropy_target=args.entropy),
+          args.out)
     return EXIT_OK
 
 
@@ -89,8 +95,8 @@ def cmd_transient_variant(args) -> int:
     except NoDeletableLoop as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_LOOP
-    spectrum_io.save(spectrum_io.SpectrumFile(variant, sf.period_lift,
-                                              sf.entropy_target), args.out)
+    _save(spectrum_io.SpectrumFile(variant, sf.period_lift, sf.entropy_target),
+          args.out)
     return EXIT_OK
 
 
@@ -140,8 +146,8 @@ def cmd_lift(args) -> int:
     if sf.period_lift != 1:
         print("error: spectrum file already carries a period lift", file=sys.stderr)
         return EXIT_BAD_BETA
-    spectrum_io.save(spectrum_io.SpectrumFile(sf.spectrum, args.period,
-                                              sf.entropy_target), args.out)
+    _save(spectrum_io.SpectrumFile(sf.spectrum, args.period, sf.entropy_target),
+          args.out)
     return EXIT_OK
 
 
@@ -194,13 +200,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="period lift p (with --entropy: base becomes e^(h p))")
     b.add_argument("--max-n", type=int, default=DEFAULT_N_MAX)
     b.add_argument("--precision", type=int, default=_default_precision())
-    b.add_argument("--out", required=True)
+    b.add_argument("--out", required=True, help="output path, or - for stdout")
     b.set_defaults(fn=cmd_build)
 
     t = sub.add_parser("transient-variant", help="delete one loop")
     t.add_argument("file")
     t.add_argument("--n0", default="auto")
-    t.add_argument("--out", required=True)
+    t.add_argument("--out", required=True, help="output path, or - for stdout")
     t.set_defaults(fn=cmd_transient_variant)
 
     c = sub.add_parser("classify", help="print the classification report")
@@ -221,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     lf = sub.add_parser("lift", help="record a period lift in the file")
     lf.add_argument("file")
     lf.add_argument("--period", type=int, required=True)
-    lf.add_argument("--out", required=True)
+    lf.add_argument("--out", required=True, help="output path, or - for stdout")
     lf.set_defaults(fn=cmd_lift)
 
     x = sub.add_parser("export", help="export the realized graph")

@@ -1,16 +1,22 @@
-"""Certified interval arithmetic over exact rationals.
+"""Certified interval arithmetic with rational endpoints (ball arithmetic).
 
 Every quantity is an enclosure ``[lo, hi]`` with ``fractions.Fraction``
-endpoints, so enclosures are exact and ordering decisions are decidable
-whenever the interval is tight enough.  Transcendental constants (exp,
-log) come from series with explicit remainder bounds followed by outward
-dyadic rounding; rational inputs stay width zero, which is what makes
-the integer-base construction exact end to end.
+endpoints, and ordering decisions are decidable whenever the interval is
+tight enough.  Exact operands (``lo == hi``) give the exact rational
+result, which is what makes the integer-base construction exact end to
+end.  Any other result is rounded outward onto a dyadic grid of
+``precision_bits + GUARD`` significant bits, relative to its own exponent
+(midpoint-radius "ball" arithmetic, as in Johansson's Arb): each rounding
+moves an endpoint by less than ``2^-(precision_bits + GUARD)`` of its
+magnitude, so the cost of an operation follows the precision, not the
+history of the operands.  The result carries the larger of the operands'
+``precision_bits``.  Transcendental constants (exp, log) come from series
+with explicit remainder bounds.
 
 Every series sum ``sum c x^n`` in the library goes through one evaluator,
-:func:`power_series`: integer Horner at each endpoint of ``x`` with a
-single normalization, exact for rational ``x`` and a certified enclosure
-for an interval ``x >= 0``.
+:func:`power_series`: exact integer Horner for rational ``x``, and a
+certified enclosure for an interval ``x >= 0``, evaluated in fixed point
+at each endpoint.
 
 No binary floats enter or leave this module.
 """
@@ -29,6 +35,8 @@ Rat = Union[int, Fraction]
 
 DEFAULT_PRECISION_BITS = 256
 MAX_PRECISION_BITS = 4096
+# significant bits kept beyond an enclosure's precision_bits when rounding
+GUARD = 64
 
 
 def _frac(v: Rat) -> Fraction:
@@ -39,12 +47,39 @@ def _frac(v: Rat) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
 
 
+def _round(v: Fraction, bits: int, up: bool) -> Fraction:
+    """v rounded down (or up) to ``bits`` significant bits: it moves by less
+    than 2^-bits |v|, and not at all if it is already on that grid."""
+    n, d = v.numerator, v.denominator
+    # with e = bits(n) - bits(d), |v| > 2^(e-1): the step 2^-s = 2^(e-1-bits) fits
+    s = bits + 1 - (abs(n).bit_length() - d.bit_length())
+    if not d & (d - 1) and d.bit_length() <= s + 1:
+        return v
+    num, den = (n << s, d) if s >= 0 else (n, d << -s)
+    m = -(-num // den) if up else num // den
+    return Fraction(m, 1 << s) if s >= 0 else Fraction(m << -s)
+
+
+def _pow_round(v: Fraction, n: int, bits: int, up: bool) -> Fraction:
+    # square-and-multiply for v >= 0, rounding every product the same way:
+    # n roundings in total, counted with the squarings they pass through
+    result, base = Fraction(1), v
+    while True:
+        if n & 1:
+            result = _round(result * base, bits, up)
+        n >>= 1
+        if not n:
+            return result
+        base = _round(base * base, bits, up)
+
+
 @dataclass(frozen=True)
 class CReal:
     """A real number known only through a certified enclosure ``[lo, hi]``.
 
-    ``precision_bits`` records the precision the value was produced at;
-    it is metadata, the endpoints alone carry the certificate.
+    ``precision_bits`` records the precision the value was produced at and
+    sets how finely inexact results computed from it are rounded; the
+    endpoints alone carry the certificate.
     """
 
     lo: Fraction
@@ -92,9 +127,16 @@ class CReal:
 
     # -- arithmetic ------------------------------------------------------
 
+    def _ball(self, other: "CReal", lo: Fraction, hi: Fraction) -> "CReal":
+        # [lo, hi] from self and other: exact if both were, else rounded out
+        bits = max(self.precision_bits, other.precision_bits)
+        if self.is_exact and other.is_exact:
+            return CReal(lo, hi, bits)
+        return CReal(_round(lo, bits + GUARD, False), _round(hi, bits + GUARD, True), bits)
+
     def __add__(self, other: Union["CReal", Rat]) -> "CReal":
         o = _coerce(other, self.precision_bits)
-        return CReal(self.lo + o.lo, self.hi + o.hi, min(self.precision_bits, o.precision_bits))
+        return self._ball(o, self.lo + o.lo, self.hi + o.hi)
 
     __radd__ = __add__
 
@@ -109,15 +151,17 @@ class CReal:
 
     def __mul__(self, other: Union["CReal", Rat]) -> "CReal":
         o = _coerce(other, self.precision_bits)
+        if self.lo >= 0 and o.lo >= 0:
+            return self._ball(o, self.lo * o.lo, self.hi * o.hi)
         products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
-        return CReal(min(products), max(products), min(self.precision_bits, o.precision_bits))
+        return self._ball(o, min(products), max(products))
 
     __rmul__ = __mul__
 
     def inv(self) -> "CReal":
         if self.lo <= 0 <= self.hi:
             raise ZeroDivisionError("enclosure contains 0")
-        return CReal(1 / self.hi, 1 / self.lo, self.precision_bits)
+        return self._ball(self, 1 / self.hi, 1 / self.lo)
 
     def __truediv__(self, other: Union["CReal", Rat]) -> "CReal":
         return self * _coerce(other, self.precision_bits).inv()
@@ -132,17 +176,21 @@ class CReal:
             return (self ** (-n)).inv()
         if n == 0:
             return CReal.exact(1, self.precision_bits)
-        # monotone endpoint powers (one normalization each beats an
-        # interval squaring chain on big rationals)
+        if self.lo >= 0 and not self.is_exact:
+            bits = self.precision_bits + GUARD
+            return CReal(_pow_round(self.lo, n, bits, False),
+                         _pow_round(self.hi, n, bits, True), self.precision_bits)
+        # exact or partly negative bases: exact endpoint powers
         lo_n, hi_n = self.lo ** n, self.hi ** n
         if self.lo >= 0:
-            return CReal(lo_n, hi_n, self.precision_bits)
-        if self.hi <= 0:
-            return CReal(lo_n, hi_n, self.precision_bits) if n % 2 \
-                else CReal(hi_n, lo_n, self.precision_bits)
-        if n % 2:
-            return CReal(lo_n, hi_n, self.precision_bits)
-        return CReal(Fraction(0), max(lo_n, hi_n), self.precision_bits)
+            lo, hi = lo_n, hi_n
+        elif self.hi <= 0:
+            lo, hi = (lo_n, hi_n) if n % 2 else (hi_n, lo_n)
+        elif n % 2:
+            lo, hi = lo_n, hi_n
+        else:
+            lo, hi = Fraction(0), max(lo_n, hi_n)
+        return self._ball(self, lo, hi)
 
     def round_outward(self, bits: int) -> "CReal":
         """Push endpoints to the dyadic grid of step 2^-bits (soundly outward)."""
@@ -173,7 +221,7 @@ def exp_fraction(q: Rat, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
     if q == 0:
         return CReal.exact(1, precision_bits)
     if q < 0:
-        return exp_fraction(-q, precision_bits).inv().round_outward(precision_bits + 16)
+        return exp_fraction(-q, precision_bits).inv()
     halvings = 0
     t = q
     while t > Fraction(1, 2):
@@ -194,7 +242,7 @@ def exp_fraction(q: Rat, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
     enc = CReal(partial, partial + 2 * nxt, precision_bits)
     for _ in range(halvings):
         enc = enc * enc
-    return enc.round_outward(precision_bits + 16)
+    return enc
 
 
 def _atanh_enclosure(t: Fraction, bits: int) -> CReal:
@@ -219,7 +267,7 @@ def _atanh_enclosure(t: Fraction, bits: int) -> CReal:
 @lru_cache(maxsize=None)
 def ln2_enclosure(precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
     # ln 2 = 2 atanh(1/3)
-    return (2 * _atanh_enclosure(Fraction(1, 3), precision_bits + 8)).round_outward(precision_bits + 4)
+    return 2 * _atanh_enclosure(Fraction(1, 3), precision_bits + 8)
 
 
 def log_fraction(x: Rat, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
@@ -242,7 +290,7 @@ def log_fraction(x: Rat, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
         result = 2 * _atanh_enclosure(t, precision_bits + 16)
     if exponent:
         result = result + exponent * ln2_enclosure(precision_bits + 16)
-    return result.round_outward(precision_bits + 8)
+    return result
 
 
 def log_interval(x: CReal, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
@@ -308,13 +356,29 @@ def _horner(terms: list[tuple[int, int]], x: Fraction) -> Fraction:
     return Fraction(acc, q ** last)
 
 
+def _fixed_point(terms: list[tuple[int, int]], x: Fraction, w: int, up: bool) -> Fraction:
+    # sum c x^n with x^n kept on the grid 2^-w, every step rounded down (up)
+    num, den = x.numerator << w, x.denominator
+    X = -(-num // den) if up else num // den
+    p_pow, acc, last = 1 << w, 0, 0
+    for n, c in terms:
+        for _ in range(n - last):
+            p_pow = -(-p_pow * X >> w) if up else p_pow * X >> w
+        last = n
+        acc += c * p_pow
+    return Fraction(acc, 1 << w)
+
+
 def power_series(terms: Iterable[tuple[int, int]],
                  x: Union[CReal, Rat]) -> Union[CReal, Fraction]:
-    """Exact sum of c x^n over (n, c) pairs, n ascending, integer c >= 0.
+    """Sum of c x^n over (n, c) pairs, n ascending, integer c >= 0.
 
-    A rational x gives a Fraction.  A CReal x with x.lo >= 0 gives
-    [P(x.lo), P(x.hi)], which encloses P over x because nonnegative
-    coefficients make P monotone on [0, inf).
+    A rational (or exact) x gives the exact sum.  A CReal x with x.lo >= 0
+    gives an enclosure of [P(x.lo), P(x.hi)], which encloses P over x
+    because nonnegative coefficients make P monotone on [0, inf); each
+    endpoint is summed in fixed point on the grid 2^-w, w = precision_bits
+    + GUARD + the bits of the largest c, rounding down at lo and up at hi.
+    Each x^n is then off by at most 2n max(1, x)^n steps of the grid.
     """
     checked: list[tuple[int, int]] = []
     last = 0
@@ -328,9 +392,12 @@ def power_series(terms: Iterable[tuple[int, int]],
         return _horner(checked, _frac(x))
     if x.lo < 0:
         raise ValueError("power_series needs a nonnegative enclosure")
-    lo = _horner(checked, x.lo)
-    hi = lo if x.is_exact else _horner(checked, x.hi)
-    return CReal(lo, hi, x.precision_bits)
+    if x.is_exact:
+        lo = _horner(checked, x.lo)
+        return CReal(lo, lo, x.precision_bits)
+    w = x.precision_bits + GUARD + max((c.bit_length() for _, c in checked), default=0)
+    return CReal(_fixed_point(checked, x.lo, w, False),
+                 _fixed_point(checked, x.hi, w, True), x.precision_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -120,16 +120,14 @@ def _clamp_unit(r: CReal) -> CReal:
 
 
 def _greedy_digits(x: CReal, B: CReal, num_digits: int) -> tuple[list[int], CReal]:
-    """Greedy digits of x in base B plus the certified final remainder."""
-    grid_bits = B.precision_bits + 64
-    r = _clamp_unit(x)
+    """Greedy digits of x in [0, 1] in base B plus the certified final remainder."""
+    r = x
     digits: list[int] = []
     for _ in range(num_digits):
         y = B * r
         d = certified_floor(y)
         digits.append(d)
-        # outward rounding keeps denominators dyadic and of bounded size
-        r = _clamp_unit((y - d).round_outward(grid_bits))
+        r = _clamp_unit(y - d)
     return digits, r
 
 

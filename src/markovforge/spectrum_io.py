@@ -1,6 +1,8 @@
 """Spectrum file format (version 2).
 
-JSON with big integers as decimal strings.  Of the metadata only what beta
+JSON with big integers as strings: decimal, or hex ("0x1f...") for those of
+more than 4,300 digits, which CPython will not convert to decimal by
+default; a reader takes either.  Of the metadata only what beta
 cannot give back is stored: k, the deleted loop, and delta and tail_at_L,
 whose dyadic endpoints are written exactly ("-0x1a3p-384"), so a load
 returns what was saved.  Version 1 files (40-digit decimal endpoints) are
@@ -20,6 +22,8 @@ from .intervals import BetaValue, CReal
 from .spectrum import DigitTrace, LoopSpectrum, SpectrumMeta
 
 FORMAT_VERSION = 2
+# the smallest integer with more decimal digits than int <-> str allows
+_DECIMAL_LIMIT = 10 ** 4300
 
 
 @dataclass(frozen=True)
@@ -29,6 +33,15 @@ class SpectrumFile:
     spectrum: LoopSpectrum
     period_lift: int = 1
     entropy_target: Optional[str] = None
+
+
+def _int_out(v: int) -> str:
+    return hex(v) if v >= _DECIMAL_LIMIT else str(v)
+
+
+def _int_in(text) -> int:
+    # hex int parsing has no digit limit
+    return int(text, 16) if isinstance(text, str) and text.startswith("0x") else int(text)
 
 
 def _interval_out(x: CReal) -> list[str]:
@@ -65,7 +78,7 @@ def to_dict(sf: SpectrumFile) -> dict:
         "entropy_target": sf.entropy_target,
         "period_lift": sf.period_lift,
         "N_max": s.N_max,
-        "a": [str(v) for v in s.a],
+        "a": [_int_out(v) for v in s.a],
         "finite_support": s.finite_support,
         "meta": None,
         "digit_trace": None,
@@ -82,7 +95,7 @@ def to_dict(sf: SpectrumFile) -> dict:
             "deleted_loop": m.deleted_loop,
         }
     if s.digit_trace is not None:
-        payload["digit_trace"] = {key: [str(v) for v in values]
+        payload["digit_trace"] = {key: [_int_out(v) for v in values]
                                   for key, values in asdict(s.digit_trace).items()}
     return payload
 
@@ -93,7 +106,7 @@ def from_dict(payload: dict) -> SpectrumFile:
         if version not in (1, FORMAT_VERSION):
             raise SpectrumFileError(f"unsupported format_version {version!r}")
         n_max = int(payload["N_max"])
-        a = tuple(int(v) for v in payload["a"])
+        a = tuple(_int_in(v) for v in payload["a"])
         meta = None
         if payload.get("meta") is not None:
             b = payload["beta"]
@@ -111,7 +124,7 @@ def from_dict(payload: dict) -> SpectrumFile:
             )
         t = payload.get("digit_trace")
         trace = None if t is None else DigitTrace(
-            *(tuple(int(v) for v in t[key]) for key in ("b", "d", "d_prime")))
+            *(tuple(_int_in(v) for v in t[key]) for key in ("b", "d", "d_prime")))
         spectrum = LoopSpectrum(a, n_max, meta=meta, digit_trace=trace,
                                 finite_support=bool(payload.get("finite_support", False)))
         return SpectrumFile(spectrum,

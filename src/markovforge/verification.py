@@ -3,6 +3,7 @@ period, and classification-certificate consistency for one spectrum."""
 
 from __future__ import annotations
 
+import gc
 from math import gcd
 from typing import Optional
 
@@ -27,6 +28,30 @@ def run_suite(s: LoopSpectrum, period_lift: int = 1,
     if s.meta is not None:
         results.extend(spectrum_checks(s))
 
+    # the realization and its walks allocate up to millions of long-lived
+    # containers, which the cyclic collector would traverse again and again;
+    # they are freed by reference counting when _oracle_checks returns
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        results.extend(_oracle_checks(s, period_lift, oracle_depth))
+    finally:
+        if collecting:
+            gc.enable()
+
+    # classification certificate consistency
+    try:
+        report = classify(s)
+        ok, detail = _certificate_consistent(s, report)
+        results.append(CheckResult("classification certificates consistent", ok, detail))
+    except TailUnavailable:
+        pass
+    return results
+
+
+def _oracle_checks(s: LoopSpectrum, period_lift: int,
+                   oracle_depth: int) -> list[CheckResult]:
+    results: list[CheckResult] = []
     # oracle equivalence on the truncated realization; the explicit graph
     # spends a(n) n vertices per loop length, so shrink the depth until it
     # fits in memory (large bases reach millions of loops by length 9)
@@ -81,13 +106,6 @@ def run_suite(s: LoopSpectrum, period_lift: int = 1,
             f"structural = {structural}, from counts = {oracle_gcd}, "
             f"expected = {expected}"))
 
-    # classification certificate consistency
-    try:
-        report = classify(s)
-        ok, detail = _certificate_consistent(s, report)
-        results.append(CheckResult("classification certificates consistent", ok, detail))
-    except TailUnavailable:
-        pass
     return results
 
 

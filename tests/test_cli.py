@@ -212,3 +212,33 @@ def test_missing_file_reports_error(capsys):
     code, _, err = run(capsys, "classify", "/no/such/file.json")
     assert code == 1
     assert "error" in err
+
+
+def test_out_dash_writes_spectrum_files_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "build", "--beta", "e^7/10", "--max-n", "16", "--out", "b.json")
+    for argv in (["build", "--beta", "e^7/10", "--max-n", "16"],
+                 ["transient-variant", "b.json"],
+                 ["lift", "b.json", "--period", "2"]):
+        run(capsys, *argv, "--out", "file.json")
+        code, stdout, _ = run(capsys, *argv, "--out", "-")
+        assert code == 0
+        assert stdout.encode("utf-8") == (tmp_path / "file.json").read_bytes(), argv[0]
+    assert not (tmp_path / "-").exists()
+
+
+def test_counts_beyond_the_decimal_limit_are_written_in_hex(tmp_path, capsys):
+    # a(39^2) ~ 10^4452 has more digits than int <-> str allows by default
+    path = tmp_path / "b1000.json"
+    code, _, _ = run(capsys, "build", "--beta", "1000", "--max-n", "1700",
+                     "--out", str(path))
+    assert code == 0
+    data = path.read_bytes()
+    payload = json.loads(data)
+    for key, values in (("a", payload["a"]), ("b", payload["digit_trace"]["b"])):
+        assert [n for n, v in enumerate(values, 1) if v.startswith("0x")] == \
+            [39 * 39, 40 * 40, 41 * 41], key
+    assert payload["a"][38 * 38 - 1].isdigit()
+    back = spectrum_io.from_bytes(data)
+    assert back.spectrum.count(41 * 41) == int(payload["a"][41 * 41 - 1], 16)
+    assert spectrum_io.to_bytes(back) == data

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from markovforge import (BetaValue, CReal, certified_floor, exp_fraction,
                          geometric_tail, log_fraction, power_series)
 from markovforge.errors import FloorUndecidable, NotGreaterThanOne
-from markovforge.intervals import decimal_bounds, ln2_enclosure, log_interval
+from markovforge.intervals import (GUARD, decimal_bounds, ln2_enclosure,
+                                   log_interval)
 
 mpmath.mp.dps = 60
 
@@ -142,6 +143,52 @@ def test_interval_ops_contain_rational_truth(p, q):
         assert (a / b).contains(p / q)
 
 
+@st.composite
+def creals(draw):
+    bits = draw(st.integers(min_value=1, max_value=80))
+    a = draw(fractions_st)
+    if draw(st.booleans()):
+        return CReal.exact(a, bits)
+    b = draw(fractions_st)
+    return CReal(min(a, b), max(a, b), bits)
+
+
+def assert_ball(got, lo, hi, bits, exact, roundings=1):
+    """got encloses [lo, hi] with the larger tag; exact operands give exactly
+    [lo, hi], any other endpoint moves out by at most (1 + 2^-(bits+GUARD))^k
+    - 1 of its magnitude after k roundings (2^-(bits+GUARD) for one op)."""
+    assert got.precision_bits == bits
+    if exact:
+        assert (got.lo, got.hi) == (lo, hi)
+        return
+    tol = (1 + Fraction(1, 1 << (bits + GUARD))) ** roundings - 1
+    assert lo - tol * abs(lo) <= got.lo <= lo
+    assert hi <= got.hi <= hi + tol * abs(hi)
+
+
+@given(creals(), creals(), st.integers(min_value=0, max_value=9))
+@settings(max_examples=150, deadline=None)
+def test_ball_ops_enclose_the_exact_result(x, y, n):
+    bits = max(x.precision_bits, y.precision_bits)
+    exact = x.is_exact and y.is_exact
+    assert_ball(x + y, x.lo + y.lo, x.hi + y.hi, bits, exact)
+    assert_ball(x - y, x.lo - y.hi, x.hi - y.lo, bits, exact)
+    products = [p * q for p in (x.lo, x.hi) for q in (y.lo, y.hi)]
+    assert_ball(x * y, min(products), max(products), bits, exact)
+    if not y.lo <= 0 <= y.hi:
+        assert_ball(y.inv(), 1 / y.hi, 1 / y.lo, y.precision_bits, y.is_exact)
+    powers = (x.lo ** n, x.hi ** n)
+    if x.lo >= 0 or n % 2 or n == 0:
+        lo, hi = powers
+    elif x.hi <= 0:
+        lo, hi = powers[::-1]
+    else:
+        lo, hi = Fraction(0), max(powers)
+    # square-and-multiply rounds n times on a nonnegative base
+    assert_ball(x ** n, lo, hi, x.precision_bits, x.is_exact or n == 0,
+                n if x.lo >= 0 else 1)
+
+
 @given(fractions_st, st.integers(min_value=0, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_pow_contains_truth(p, n):
@@ -200,14 +247,24 @@ def test_power_series_matches_naive_sum_at_rational(terms, x):
     assert got == sum((c * x ** n for n, c in terms), Fraction(0))
 
 
-@given(terms_st, nonneg_st, nonneg_st)
+@given(terms_st, nonneg_st, nonneg_st, st.integers(min_value=1, max_value=96))
 @settings(max_examples=80, deadline=None)
-def test_power_series_matches_naive_sum_at_endpoints(terms, a, b):
-    x = CReal(min(a, b), max(a, b), 96)
+def test_power_series_matches_naive_sum_at_endpoints(terms, a, b, bits):
+    x = CReal(min(a, b), max(a, b), bits)
     got = power_series(terms, x)
-    assert got.precision_bits == 96
-    assert got.lo == sum((c * x.lo ** n for n, c in terms), Fraction(0))
-    assert got.hi == sum((c * x.hi ** n for n, c in terms), Fraction(0))
+    assert got.precision_bits == bits
+    exact_lo = sum((c * x.lo ** n for n, c in terms), Fraction(0))
+    exact_hi = sum((c * x.hi ** n for n, c in terms), Fraction(0))
+    assert got.lo <= exact_lo and exact_hi <= got.hi
+    if x.is_exact:
+        assert got.lo == exact_lo == got.hi
+        return
+    # each x^n is at most 2n max(1, x)^n steps of 2^-w off, and c < 2^cbits
+    cbits = max((c.bit_length() for _, c in terms), default=0)
+    step = Fraction(1, 1 << (bits + GUARD + cbits))
+    big = max(1, x.hi) + step
+    slack = sum((c * 2 * n * big ** n for n, c in terms), Fraction(0)) * step
+    assert exact_lo - got.lo <= slack and got.hi - exact_hi <= slack
 
 
 def test_power_series_edge_cases():

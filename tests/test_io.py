@@ -14,6 +14,7 @@ from markovforge import (BetaValue, CReal, Verdict, build_spectrum, classify,
                          delete_loop, spectrum_checks, user_spectrum)
 from markovforge import spectrum_io
 from markovforge.errors import SpectrumFileError
+from markovforge.verification import run_suite
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,8 +160,8 @@ def constructed_files(draw):
             min_value=Fraction(3, 2), max_value=16, max_denominator=8)))
     else:
         beta = BetaValue.exp_of_rational(draw(st.fractions(
-            min_value=1, max_value=3, max_denominator=10)))
-    s = build_spectrum(beta, draw(st.integers(min_value=4, max_value=64)))
+            min_value=Fraction(1, 20), max_value=3, max_denominator=20)))
+    s = build_spectrum(beta, draw(st.integers(min_value=4, max_value=128)))
     deletable = [n for n in range(2, s.N_max + 1) if s.count(n)]
     if deletable and draw(st.booleans()):
         s = delete_loop(s, draw(st.sampled_from(deletable)))
@@ -176,3 +177,7 @@ def test_constructed_round_trip_is_lossless(sf):
     assert classify(back.spectrum) == report
     deleted = sf.spectrum.meta.deleted_loop is not None
     assert report.verdict is (Verdict.TRANSIENT if deleted else Verdict.POSITIVE_RECURRENT)
+    # the loaded file passes the whole suite; depth 3 keeps the realization
+    # small (a(4) alone is 146,952 loops for e^3)
+    failed = [r for r in run_suite(back.spectrum, oracle_depth=3) if not r.passed]
+    assert not failed, failed
