@@ -1,15 +1,17 @@
 """Explicit finite realizations of loop spectra and the period-p lift.
 
-A spectrum truncation realizes as a "flower" graph: one root vertex, plus
-a(n) vertex-disjoint simple loops of each length n <= N through the root.
-Vertices of the i-th length-n loop are named v_{n}_{i}_{k} for
-k = 1..n-1; the lift by p crosses every vertex with a phase 1..p
-(suffix "@phase") and multiplies every loop length by p.
+A spectrum truncation realizes as a "flower" graph: one root vertex 0, plus
+a(n) vertex-disjoint simple loops of each length n <= N through the root,
+on the vertex indices 0..size-1.  The lift by p crosses every vertex v with
+a phase i = 1..p (index v*p + i-1) and multiplies every loop length by p.
+Names are generated for export only: v_{n}_{i}_{k} is vertex k = 1..n-1 of
+the i-th length-n loop, and a lifted vertex gets the suffix "@phase".
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
@@ -19,53 +21,90 @@ from .spectrum import LoopSpectrum
 
 ROOT = "root"
 
-Arrow = tuple[str, str]
-
 
 @dataclass(frozen=True)
 class ExplicitGraph:
-    """Finite oriented graph with at most one arrow per ordered vertex pair.
+    """Finite oriented graph on the vertices 0..size-1 with at most one arrow
+    per ordered vertex pair; arrow j runs from ``tails[j]`` to ``heads[j]``.
 
-    ``loop_lengths`` caches (pre-lift length, multiplicity) pairs for graphs
-    built by :func:`realize`; it is derived data and excluded from equality.
+    Hand-built and imported graphs keep their vertex ``names``; a realized
+    graph generates them from ``loop_lengths``, its (pre-lift length,
+    multiplicity) pairs, and ``period_lift``.
     """
 
-    root: str
-    vertices: tuple[str, ...]
-    arrows: tuple[Arrow, ...]
+    size: int
+    tails: array = field(hash=False)
+    heads: array = field(hash=False)
+    root: int = 0
     period_lift: int = 1
-    loop_lengths: Optional[tuple[tuple[int, int], ...]] = field(default=None, compare=False)
+    names: Optional[tuple[str, ...]] = None
+    loop_lengths: Optional[tuple[tuple[int, int], ...]] = None
 
-    def __post_init__(self) -> None:
-        if len(set(self.arrows)) != len(self.arrows):
+    @classmethod
+    def from_names(cls, root: str, vertices: tuple[str, ...], arrows: tuple[tuple[str, str], ...],
+                   period_lift: int = 1) -> ExplicitGraph:
+        """Graph on named vertices; names are mapped to indices once."""
+        if len(set(arrows)) != len(arrows):
             raise ValueError("duplicate arrow")
-        if self.root not in self.vertices:
+        index = {v: i for i, v in enumerate(vertices)}
+        if root not in index:
             raise ValueError("root is not a vertex")
+        return cls(len(vertices), array("l", [index[u] for u, _ in arrows]),
+                   array("l", [index[v] for _, v in arrows]),
+                   index[root], period_lift, tuple(vertices))
+
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        """Vertex names by index; generated on every call for a realized graph."""
+        return self.names or _lift_names(_flower_names(self.loop_lengths), self.period_lift)
+
+    @property
+    def arrows(self) -> tuple[tuple[str, str], ...]:
+        """Arrows as (tail name, head name) pairs, in export order."""
+        return self._named_arrows(self.vertices)
+
+    def _named_arrows(self, names: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
+        name = names.__getitem__
+        return tuple(zip(map(name, self.tails), map(name, self.heads)))
+
+    def index(self, v: int | str) -> int:
+        """Index of a vertex given by name, or of the root given by its index;
+        a name lookup in a realized graph generates all its names."""
+        return v if v == self.root else self.vertices.index(v)
 
     def adjacency(self) -> list[list[int]]:
-        """Successor lists indexed by position in ``vertices``.
+        """Successor lists indexed by vertex.
 
         Built on the first call and kept on the instance; it is not a field,
         so equality and hashing are unaffected.  Callers must not mutate it.
+        A repeated arrow raises ValueError.
         """
         adj = self.__dict__.get("_adjacency")
         if adj is None:
-            adj = self._index_lists(reverse=False)
+            adj = self._index_lists(self.tails, self.heads)
+            if any(len(succ) > 1 and len(set(succ)) < len(succ) for succ in adj):
+                raise ValueError("duplicate arrow")
             object.__setattr__(self, "_adjacency", adj)
         return adj
 
     def reverse_adjacency(self) -> list[list[int]]:
         """Predecessor lists indexed like :meth:`adjacency`; built on every call."""
-        return self._index_lists(reverse=True)
+        return self._index_lists(self.heads, self.tails)
 
-    def _index_lists(self, reverse: bool) -> list[list[int]]:
-        index = {v: i for i, v in enumerate(self.vertices)}
-        adj: list[list[int]] = [[] for _ in self.vertices]
-        for u, v in self.arrows:
-            if reverse:
-                u, v = v, u
-            adj[index[u]].append(index[v])
+    def _index_lists(self, tails: array, heads: array) -> list[list[int]]:
+        adj: list[list[int]] = [[] for _ in range(self.size)]
+        for u, v in zip(tails, heads):
+            adj[u].append(v)
         return adj
+
+
+def _flower_names(loop_lengths: tuple[tuple[int, int], ...]) -> list[str]:
+    return [ROOT] + [f"v_{n}_{i}_{k}" for n, mult in loop_lengths
+                     for i in range(1, mult + 1) for k in range(1, n)]
+
+
+def _lift_names(names, p: int) -> tuple[str, ...]:
+    return tuple(f"{v}@{i}" for v in names for i in range(1, p + 1)) if p > 1 else tuple(names)
 
 
 def realize(s: LoopSpectrum, N: Optional[int] = None) -> ExplicitGraph:
@@ -80,27 +119,17 @@ def realize(s: LoopSpectrum, N: Optional[int] = None) -> ExplicitGraph:
         raise ValueError(f"N must be in 1..{s.N_max}")
     if s.count(1) > 1:
         raise ValueError("a(1) > 1 cannot be realized without parallel arrows")
-    vertices = [ROOT]
-    arrows: list[Arrow] = []
-    lengths: list[tuple[int, int]] = []
-    if s.count(1) == 1:
-        arrows.append((ROOT, ROOT))
-        lengths.append((1, 1))
-    for n in range(2, N + 1):
-        mult = s.count(n)
-        if mult == 0:
-            continue
-        lengths.append((n, mult))
-        for i in range(1, mult + 1):
-            prev = ROOT
-            for k in range(1, n):
-                v = f"v_{n}_{i}_{k}"
-                vertices.append(v)
-                arrows.append((prev, v))
-                prev = v
-            arrows.append((prev, ROOT))
-    return ExplicitGraph(ROOT, tuple(vertices), tuple(arrows),
-                         period_lift=1, loop_lengths=tuple(lengths))
+    tails, heads = array("l"), array("l")
+    lengths = tuple((n, s.count(n)) for n in range(1, N + 1) if s.count(n))
+    size = 1
+    for n, mult in lengths:
+        for _ in range(mult):
+            # root -> size -> size+1 -> ... -> size+n-2 -> root
+            loop = range(size, size + n - 1)
+            tails.extend([0, *loop])
+            heads.extend([*loop, 0])
+            size += n - 1
+    return ExplicitGraph(size, tails, heads, loop_lengths=lengths)
 
 
 def vertex_count(s: LoopSpectrum, N: int) -> int:
@@ -116,15 +145,14 @@ def lift_period(g: ExplicitGraph, p: int) -> ExplicitGraph:
         raise ValueError("graph is already lifted")
     if p == 1:
         return g
-    vertices = tuple(f"{v}@{i}" for v in g.vertices for i in range(1, p + 1))
-    arrows: list[Arrow] = []
-    for v in g.vertices:
-        for i in range(1, p):
-            arrows.append((f"{v}@{i}", f"{v}@{i + 1}"))
-    for u, v in g.arrows:
-        arrows.append((f"{u}@{p}", f"{v}@1"))
-    return ExplicitGraph(f"{g.root}@1", vertices, tuple(arrows),
-                         period_lift=p, loop_lengths=g.loop_lengths)
+    # phase steps v@i -> v@i+1 for every vertex, then u@p -> v@1 per arrow
+    steps = [v * p + i for v in range(g.size) for i in range(p - 1)]
+    tails = array("l", steps)
+    tails.extend(u * p + p - 1 for u in g.tails)
+    heads = array("l", [t + 1 for t in steps])
+    heads.extend(v * p for v in g.heads)
+    names = None if g.names is None else _lift_names(g.names, p)
+    return ExplicitGraph(g.size * p, tails, heads, g.root * p, p, names, g.loop_lengths)
 
 
 def period(g: ExplicitGraph) -> int:
@@ -136,7 +164,7 @@ def period(g: ExplicitGraph) -> int:
         return gcd(*lengths)
     # imported graph: fall back to exact first-return counting
     from .oracle import count_first_returns
-    f = count_first_returns(g, g.root, len(g.vertices) + 1)
+    f = count_first_returns(g, g.root, g.size + 1)
     lengths = [n for n, v in enumerate(f, start=1) if v > 0]
     if not lengths:
         raise EmptyLoopSet("no loop through the root in this truncation")
@@ -149,19 +177,19 @@ def period(g: ExplicitGraph) -> int:
 
 
 def export_dot(g: ExplicitGraph) -> bytes:
+    names = g.vertices
     lines = ["digraph loop_system {"]
-    for v in g.vertices:
-        lines.append(f'  "{v}";')
-    for u, v in g.arrows:
-        lines.append(f'  "{u}" -> "{v}";')
+    lines += (f'  "{v}";' for v in names)
+    lines += (f'  "{u}" -> "{v}";' for u, v in g._named_arrows(names))
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def export_json(g: ExplicitGraph) -> bytes:
+    names = g.vertices
     payload = {
-        "vertices": list(g.vertices),
-        "arrows": [[u, v] for u, v in g.arrows],
+        "vertices": list(names),
+        "arrows": [[u, v] for u, v in g._named_arrows(names)],
         "period_lift": g.period_lift,
     }
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
@@ -183,7 +211,7 @@ def import_json(data: bytes) -> ExplicitGraph:
     root = f"{ROOT}@1" if p > 1 else ROOT
     if root not in vertices:
         root = vertices[0]
-    return ExplicitGraph(root, vertices, arrows, period_lift=p)
+    return ExplicitGraph.from_names(root, vertices, arrows, period_lift=p)
 
 
 def is_strongly_connected(g: ExplicitGraph) -> bool:
@@ -192,13 +220,11 @@ def is_strongly_connected(g: ExplicitGraph) -> bool:
     The reverse graph is walked first and dropped, so it never coexists with
     the forward adjacency that the graph keeps.
     """
-    root = g.vertices.index(g.root)
-
     def reaches_all(adj: list[list[int]]) -> bool:
         seen = bytearray(len(adj))
-        seen[root] = 1
+        seen[g.root] = 1
         reached = 1
-        stack = [root]
+        stack = [g.root]
         while stack:
             for w in adj[stack.pop()]:
                 if not seen[w]:

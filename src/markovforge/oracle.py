@@ -72,12 +72,12 @@ def _dp_step(adj: list[list[int]], vec: list[int],
     return nxt, reached
 
 
-def count_paths(g: ExplicitGraph, u: str, v: str, N: int) -> list[int]:
+def count_paths(g: ExplicitGraph, u: int | str, v: int | str, N: int) -> list[int]:
     """Exact counts p_uv(0..N) of length-n paths from u to v."""
     if N < 0:
         raise ValueError("N must be >= 0")
     adj = g.adjacency()
-    src, dst = g.vertices.index(u), g.vertices.index(v)
+    src, dst = g.index(u), g.index(v)
     vec = [0] * len(adj)
     vec[src] = 1
     active = [src]
@@ -88,12 +88,12 @@ def count_paths(g: ExplicitGraph, u: str, v: str, N: int) -> list[int]:
     return out
 
 
-def count_first_returns(g: ExplicitGraph, u: str, N: int) -> list[int]:
+def count_first_returns(g: ExplicitGraph, u: int | str, N: int) -> list[int]:
     """Exact first-return counts f_uu(1..N): loops at u avoiding u internally."""
     if N < 0:
         raise ValueError("N must be >= 0")
     adj = g.adjacency()
-    src = g.vertices.index(u)
+    src = g.index(u)
     out: list[int] = []
     # vec counts paths from u that have not revisited u
     vec = [0] * len(adj)
@@ -140,13 +140,13 @@ def _charge(walked: int, steps: int, budget: int) -> int:
     return walked
 
 
-def walk_path_counts(g: ExplicitGraph, u: str, v: str,
+def walk_path_counts(g: ExplicitGraph, u: int | str, v: int | str,
                      budget: int = ENUMERATION_BUDGET) -> Iterator[int]:
     """Counts of length-n paths from u to v, n = 0, 1, ..., from one walk;
     level n is walked on demand and charged what a call for length n is."""
     adj = g.adjacency()
-    dst = g.vertices.index(v)
-    frontier = [g.vertices.index(u)]
+    dst = g.index(v)
+    frontier = [g.index(u)]
     walked = _charge(0, 1, budget)
     while True:
         yield frontier.count(dst)
@@ -155,7 +155,7 @@ def walk_path_counts(g: ExplicitGraph, u: str, v: str,
         frontier = [x for s in succ for x in s]
 
 
-def enumerate_paths(g: ExplicitGraph, u: str, v: str, n: int,
+def enumerate_paths(g: ExplicitGraph, u: int | str, v: int | str, n: int,
                     budget: int = ENUMERATION_BUDGET) -> int:
     """Count length-n paths from u to v by walking each one."""
     if n < 0:
@@ -163,7 +163,7 @@ def enumerate_paths(g: ExplicitGraph, u: str, v: str, n: int,
     return next(islice(walk_path_counts(g, u, v, budget), n, None))
 
 
-def enumerate_first_returns(g: ExplicitGraph, u: str, n: int,
+def enumerate_first_returns(g: ExplicitGraph, u: int | str, n: int,
                             budget: int = ENUMERATION_BUDGET) -> int:
     """Count length-n first-return loops at u by walking each path.
 
@@ -173,7 +173,7 @@ def enumerate_first_returns(g: ExplicitGraph, u: str, n: int,
     if n < 0:
         raise ValueError("n must be >= 0")
     adj = g.adjacency()
-    src = g.vertices.index(u)
+    src = g.index(u)
     frontier = [src]
     walked = _charge(0, 1, budget)
     for remaining in range(n, 0, -1):

@@ -377,6 +377,24 @@ class CheckResult:
     detail: str = ""
 
 
+_DECIMAL_LIMIT = 10 ** 4300  # the least integer int -> str refuses
+
+
+def int_text(v: int) -> str:
+    """Decimal, or hex ("0x...") for more than 4,300 digits."""
+    return hex(v) if v >= _DECIMAL_LIMIT else str(v)
+
+
+def real_text(x, spec: str) -> str:
+    """``format(float(x), spec)``, or beyond the float range a mantissa in
+    [1, 10) formatted by ``spec`` read as fixed point, then "e+<exponent>"."""
+    try:
+        return format(float(x), spec)
+    except OverflowError:
+        e = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
+        return f"{float(x / 10 ** e):{spec.replace('e', 'f')}}e{e:+d}"
+
+
 def spectrum_checks(s: LoopSpectrum,
                     unit_width_tol: Fraction = Fraction(1, 10 ** 30)) -> list[CheckResult]:
     """Machine-check the defining properties of a constructed spectrum.
@@ -402,12 +420,12 @@ def spectrum_checks(s: LoopSpectrum,
     results.append(CheckResult(
         "unit sum encloses target",
         overlap and width_ok,
-        f"width = {float(enc.width):.3e}, target in enclosure: {overlap}"))
+        f"width = {real_text(enc.width, '.3e')}, target in enclosure: {overlap}"))
 
     results.append(CheckResult(
         "deficit in [0, 1)",
         meta.delta.lo >= 0 and meta.delta.certainly_lt(1),
-        f"delta in [{float(meta.delta.lo):.3e}, {float(meta.delta.hi):.3e}]"))
+        f"delta in [{real_text(meta.delta.lo, '.3e')}, {real_text(meta.delta.hi, '.3e')}]"))
 
     if s.digit_trace is not None:
         results.append(CheckResult("first expansion digit is 0",
@@ -425,7 +443,8 @@ def spectrum_checks(s: LoopSpectrum,
         results.append(CheckResult(
             f"square bound at n = {n}",
             lower_ok and upper_ok,
-            f"a({n}) = {val}, scale in [{float(scale.lo):.6g}, {float(scale.hi):.6g}]"))
+            f"a({n}) = {int_text(val)}, scale in "
+            f"[{real_text(scale.lo, '.6g')}, {real_text(scale.hi, '.6g')}]"))
 
     squares = {m * m for m in range(1, math.isqrt(s.N_max) + 1)}
     bad = [n for n in range(2, s.N_max + 1)
@@ -433,6 +452,6 @@ def spectrum_checks(s: LoopSpectrum,
     results.append(CheckResult(
         "off-square counts bounded by M",
         not bad,
-        f"violations at {bad}" if bad else f"M in [{float(meta.M_bound.lo):.6g}, "
-                                           f"{float(meta.M_bound.hi):.6g}]"))
+        f"violations at {bad}" if bad else f"M in [{real_text(meta.M_bound.lo, '.6g')}, "
+                                           f"{real_text(meta.M_bound.hi, '.6g')}]"))
     return results

@@ -19,11 +19,9 @@ from typing import Optional, Union
 
 from .errors import SpectrumFileError
 from .intervals import BetaValue, CReal
-from .spectrum import DigitTrace, LoopSpectrum, SpectrumMeta
+from .spectrum import DigitTrace, LoopSpectrum, SpectrumMeta, int_text
 
 FORMAT_VERSION = 2
-# the smallest integer with more decimal digits than int <-> str allows
-_DECIMAL_LIMIT = 10 ** 4300
 
 
 @dataclass(frozen=True)
@@ -33,10 +31,6 @@ class SpectrumFile:
     spectrum: LoopSpectrum
     period_lift: int = 1
     entropy_target: Optional[str] = None
-
-
-def _int_out(v: int) -> str:
-    return hex(v) if v >= _DECIMAL_LIMIT else str(v)
 
 
 def _int_in(text) -> int:
@@ -78,7 +72,7 @@ def to_dict(sf: SpectrumFile) -> dict:
         "entropy_target": sf.entropy_target,
         "period_lift": sf.period_lift,
         "N_max": s.N_max,
-        "a": [_int_out(v) for v in s.a],
+        "a": [int_text(v) for v in s.a],
         "finite_support": s.finite_support,
         "meta": None,
         "digit_trace": None,
@@ -95,7 +89,7 @@ def to_dict(sf: SpectrumFile) -> dict:
             "deleted_loop": m.deleted_loop,
         }
     if s.digit_trace is not None:
-        payload["digit_trace"] = {key: [_int_out(v) for v in values]
+        payload["digit_trace"] = {key: [int_text(v) for v in values]
                                   for key, values in asdict(s.digit_trace).items()}
     return payload
 

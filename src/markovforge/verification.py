@@ -52,16 +52,16 @@ def run_suite(s: LoopSpectrum, period_lift: int = 1,
 def _oracle_checks(s: LoopSpectrum, period_lift: int,
                    oracle_depth: int) -> list[CheckResult]:
     results: list[CheckResult] = []
-    # oracle equivalence on the truncated realization; the explicit graph
-    # spends a(n) n vertices per loop length, so shrink the depth until it
+    # oracle equivalence on the truncated realization; the lifted graph
+    # spends p a(n) n vertices per loop length, so shrink the depth until it
     # fits in memory (large bases reach millions of loops by length 9)
-    depth = min(oracle_depth, s.N_max)
-    while depth > 1 and sum(s.count(n) * n for n in range(1, depth + 1)) > REALIZE_VERTEX_BUDGET:
+    depth, budget = min(oracle_depth, s.N_max), REALIZE_VERTEX_BUDGET // period_lift
+    while depth > 1 and sum(s.count(n) * n for n in range(1, depth + 1)) > budget:
         depth -= 1
     g = realize(s, depth)
     results.append(CheckResult("realization strongly connected",
                                is_strongly_connected(g),
-                               f"{len(g.vertices)} vertices"))
+                               f"{g.size} vertices"))
     f_dp = count_first_returns(g, g.root, depth)
     p_dp = count_paths(g, g.root, g.root, depth)
     results.append(CheckResult(

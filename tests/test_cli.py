@@ -193,6 +193,18 @@ def test_verify_passes(tmp_path, capsys):
     assert "[FAIL]" not in stdout
 
 
+def test_verify_prints_values_beyond_the_float_range(tmp_path, capsys):
+    # at n = 41^2 the scale c beta^(m^2-m) is about 1e4925: past the float
+    # range, and as a count past the 4,300 digits int -> str converts
+    path = tmp_path / "b1000.json"
+    run(capsys, "build", "--beta", "1000", "--max-n", "1700", "--out", str(path))
+    code, stdout, _ = run(capsys, "verify", str(path))
+    assert code == 0 and "[FAIL]" not in stdout
+    line = next(t for t in stdout.splitlines() if "square bound at n = 1681:" in t)
+    assert "a(1681) = 0x" in line
+    assert line.endswith("scale in [9.98001e+4925, 9.98001e+4925]")
+
+
 def test_build_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "build", "--beta", "e^7/10", "--max-n", "25", "--out", str(a))

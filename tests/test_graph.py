@@ -1,8 +1,11 @@
 """Graph realization, period lift, and serialization."""
 
 import json
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovforge import (export, export_dot, export_json, import_json,
                          lift_period, period, realize, user_spectrum)
@@ -14,7 +17,7 @@ def test_realize_flower_counts(spec2):
     # a(1)=1 self loop, a(4)=4 loops of length 4: 1 + 4*3 extra vertices,
     # 1 + 4*4 arrows
     g = realize(spec2, 4)
-    assert g.root == ROOT
+    assert g.root == 0 and g.vertices[g.root] == ROOT
     assert len(g.vertices) == 13 == vertex_count(spec2, 4)
     assert len(g.arrows) == 17
     assert is_strongly_connected(g)
@@ -54,7 +57,7 @@ def test_lift_refuses_double_lift(spec2):
 
 def test_duplicate_arrow_rejected():
     with pytest.raises(ValueError):
-        ExplicitGraph(root="u", vertices=("u",), arrows=(("u", "u"), ("u", "u")))
+        ExplicitGraph.from_names("u", ("u",), (("u", "u"), ("u", "u")))
 
 
 def test_dot_export_mentions_every_arrow(spec2):
@@ -92,8 +95,7 @@ def test_import_rejects_malformed():
 
 
 def test_strong_connectivity_detects_sink():
-    g = ExplicitGraph(root="u", vertices=("u", "v"),
-                      arrows=(("u", "u"), ("u", "v")))
+    g = ExplicitGraph.from_names("u", ("u", "v"), (("u", "u"), ("u", "v")))
     assert not is_strongly_connected(g)
 
 
@@ -114,3 +116,45 @@ def test_kept_adjacency_leaves_equality_alone(spec2):
     g.adjacency()
     assert g == h and hash(g) == hash(h)
     assert g != realize(spec2, 4)
+
+
+def named_reference(a, p):
+    """Vertex names and arrows of the lifted flower graph, built as strings."""
+    vertices, arrows = [ROOT], []
+    if a[0] == 1:
+        arrows.append((ROOT, ROOT))
+    for n, mult in enumerate(a[1:], start=2):
+        for i in range(1, mult + 1):
+            prev = ROOT
+            for k in range(1, n):
+                v = f"v_{n}_{i}_{k}"
+                vertices.append(v)
+                arrows.append((prev, v))
+                prev = v
+            arrows.append((prev, ROOT))
+    if p > 1:
+        arrows = ([(f"{v}@{i}", f"{v}@{i + 1}") for v in vertices for i in range(1, p)]
+                  + [(f"{u}@{p}", f"{v}@1") for u, v in arrows])
+        vertices = [f"{v}@{i}" for v in vertices for i in range(1, p + 1)]
+    return tuple(vertices), tuple(arrows)
+
+
+@given(st.integers(0, 1), st.lists(st.integers(0, 3), max_size=9), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_indexed_realization_matches_named_reference(a1, tail, p):
+    s = user_spectrum([a1] + tail)
+    g = lift_period(realize(s), p)
+    assert (g.vertices, g.arrows) == named_reference(s.a, p)
+    assert g.root == 0 and g.size == len(g.vertices)
+    data = export_json(g)
+    assert export_json(import_json(data)) == data
+    name = g.vertices
+    assert sorted((name[i], name[j])
+                  for i, succ in enumerate(g.adjacency()) for j in succ) == sorted(g.arrows)
+
+
+def test_indexed_duplicate_arrow_rejected_by_adjacency():
+    g = ExplicitGraph(2, array("l", [0, 0, 1]), array("l", [1, 1, 0]),
+                      names=("u", "v"))
+    with pytest.raises(ValueError):
+        g.adjacency()

@@ -22,7 +22,9 @@ from markovforge.oracle import (BudgetExceeded, enumerate_first_returns,
 
 def walk_reference(g, u, v, n, first_return):
     """(count, steps) from a recursive walk of every path, one step per
-    vertex visited; with ``first_return`` a step back to u ends the walk."""
+    vertex visited; with ``first_return`` a step back to u ends the walk.
+    The walk runs on vertex names; u and v may also be the root's index."""
+    u, v = (g.vertices[g.index(w)] for w in (u, v))
     succ = {w: [] for w in g.vertices}
     for a, b in g.arrows:
         succ[a].append(b)
@@ -61,9 +63,9 @@ def test_enumeration_matches_dp(spec2):
     lifted = lift_period(realize(spec2, 5), 2)
     imported = import_json(export_json(lifted))
     # not a flower: walks of equal length meet at a and at b
-    chords = ExplicitGraph("u", ("u", "a", "b"),
-                           (("u", "a"), ("u", "b"), ("a", "b"), ("a", "u"),
-                            ("b", "u"), ("b", "a")))
+    chords = ExplicitGraph.from_names("u", ("u", "a", "b"),
+                                      (("u", "a"), ("u", "b"), ("a", "b"),
+                                       ("a", "u"), ("b", "u"), ("b", "a")))
     for g in (flower, lifted, imported, chords):
         p = count_paths(g, g.root, g.root, 10)
         f = count_first_returns(g, g.root, 10)

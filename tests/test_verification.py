@@ -1,6 +1,6 @@
 """End-to-end invariant suite."""
 
-from markovforge import delete_loop, user_spectrum
+from markovforge import delete_loop, graph, lift_period, user_spectrum, verification
 from markovforge.verification import run_suite
 
 
@@ -29,3 +29,30 @@ def test_suite_passes_with_period_lift(spec2):
 def test_suite_handles_user_spectrum():
     results = run_suite(user_spectrum([1, 0, 2]), oracle_depth=8)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def test_lift_is_charged_in_the_vertex_budget(spec2, monkeypatch):
+    # a(n) n summed to depth 12 is 593 and to depth 8 is 17: unlifted, depth 12
+    # fits a budget of 1000, lifted by 3 only depth 8 does
+    monkeypatch.setattr(verification, "REALIZE_VERTEX_BUDGET", 1000)
+    sizes = []
+
+    def lift(g, p):
+        sizes.append(g.size * p)
+        return lift_period(g, p)
+
+    monkeypatch.setattr(verification, "lift_period", lift)
+    results = {r.name: r for r in run_suite(spec2, period_lift=3, oracle_depth=12)}
+    assert all(r.passed for r in results.values())
+    assert results["first returns match spectrum"].detail == "depth 8"
+    assert sizes and max(sizes) <= 1000
+
+
+def test_verification_never_builds_vertex_names(spec_e07, monkeypatch):
+    def no_names(loop_lengths):
+        raise AssertionError("vertex names generated during verification")
+
+    monkeypatch.setattr(graph, "_flower_names", no_names)
+    for p in (1, 2):
+        results = run_suite(spec_e07, period_lift=p)
+        assert all(r.passed for r in results), [r for r in results if not r.passed]
