@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 unreadable or malformed file, 2 invalid base
-(beta <= 1) or bad usage, 3 precision exhausted, 4 no deletable loop,
-5 verification failures, 6 graph too large to realize.
+(beta <= 1) or bad usage, 3 precision exhausted (also beta too close to 1),
+4 no deletable loop, 5 verification failures, 6 graph too large to realize.
 """
 
 from __future__ import annotations
@@ -35,6 +35,22 @@ ENTROPY_TOKENS = {"ln2": 2, "ln3": 3}
 
 def _default_precision() -> int:
     return int(os.environ.get("MARKOVFORGE_PRECISION", "256"))
+
+
+def _int_from(least: int):
+    """argparse type: an integer >= ``least``, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+    return parse
+
+
+def _loop_length(text: str) -> Optional[int]:
+    return None if text == "auto" else _int_from(2)(text)
 
 
 def _beta_from_entropy(entropy: str, p: int) -> BetaValue:
@@ -89,9 +105,8 @@ def cmd_build(args) -> int:
 
 def cmd_transient_variant(args) -> int:
     sf = spectrum_io.load(args.file)
-    n0 = None if args.n0 == "auto" else int(args.n0)
     try:
-        variant = delete_loop(sf.spectrum, n0)
+        variant = delete_loop(sf.spectrum, args.n0)
     except NoDeletableLoop as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_LOOP
@@ -196,22 +211,22 @@ def build_parser() -> argparse.ArgumentParser:
     src = b.add_mutually_exclusive_group(required=True)
     src.add_argument("--beta", help="growth base: rational, decimal, or e^q")
     src.add_argument("--entropy", help="target entropy: decimal, ln2, or ln3")
-    b.add_argument("--period", type=int, default=1,
+    b.add_argument("--period", type=_int_from(1), default=1,
                    help="period lift p (with --entropy: base becomes e^(h p))")
-    b.add_argument("--max-n", type=int, default=DEFAULT_N_MAX)
-    b.add_argument("--precision", type=int, default=_default_precision())
+    b.add_argument("--max-n", type=_int_from(4), default=DEFAULT_N_MAX)
+    b.add_argument("--precision", type=_int_from(1), default=_default_precision())
     b.add_argument("--out", required=True, help="output path, or - for stdout")
     b.set_defaults(fn=cmd_build)
 
     t = sub.add_parser("transient-variant", help="delete one loop")
     t.add_argument("file")
-    t.add_argument("--n0", default="auto")
+    t.add_argument("--n0", type=_loop_length, default="auto")
     t.add_argument("--out", required=True, help="output path, or - for stdout")
     t.set_defaults(fn=cmd_transient_variant)
 
     c = sub.add_parser("classify", help="print the classification report")
     c.add_argument("file")
-    c.add_argument("--precision", type=int, default=_default_precision())
+    c.add_argument("--precision", type=_int_from(1), default=_default_precision())
     c.add_argument("--bits", action="store_true",
                    help="also report entropy in bits")
     c.add_argument("--lambda-window", action="store_true",
@@ -220,26 +235,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("entropy", help="emit growth-rate CSV")
     e.add_argument("file")
-    e.add_argument("--max-n", type=int, default=DEFAULT_N_MAX)
+    e.add_argument("--max-n", type=_int_from(1), default=DEFAULT_N_MAX)
     e.add_argument("--csv", default=None, help="output path (default stdout)")
     e.set_defaults(fn=cmd_entropy)
 
     lf = sub.add_parser("lift", help="record a period lift in the file")
     lf.add_argument("file")
-    lf.add_argument("--period", type=int, required=True)
+    lf.add_argument("--period", type=_int_from(1), required=True)
     lf.add_argument("--out", required=True, help="output path, or - for stdout")
     lf.set_defaults(fn=cmd_lift)
 
     x = sub.add_parser("export", help="export the realized graph")
     x.add_argument("file")
     x.add_argument("--format", choices=("dot", "json"), required=True)
-    x.add_argument("--max-n", type=int, default=DEFAULT_N_MAX)
+    x.add_argument("--max-n", type=_int_from(1), default=DEFAULT_N_MAX)
     x.add_argument("--out", default=None)
     x.set_defaults(fn=cmd_export)
 
     v = sub.add_parser("verify", help="run the invariant suite")
     v.add_argument("file")
-    v.add_argument("--oracle-depth", type=int, default=DEFAULT_ORACLE_DEPTH)
+    v.add_argument("--oracle-depth", type=_int_from(1), default=DEFAULT_ORACLE_DEPTH)
     v.set_defaults(fn=cmd_verify)
     return parser
 

@@ -3,15 +3,15 @@
 Every quantity is an enclosure ``[lo, hi]`` with ``fractions.Fraction``
 endpoints, and ordering decisions are decidable whenever the interval is
 tight enough.  Exact operands (``lo == hi``) give the exact rational
-result, which is what makes the integer-base construction exact end to
-end.  Any other result is rounded outward onto a dyadic grid of
+result.  Any other result is rounded outward onto a dyadic grid of
 ``precision_bits + GUARD`` significant bits, relative to its own exponent
 (midpoint-radius "ball" arithmetic, as in Johansson's Arb): each rounding
 moves an endpoint by less than ``2^-(precision_bits + GUARD)`` of its
 magnitude, so the cost of an operation follows the precision, not the
 history of the operands.  The result carries the larger of the operands'
-``precision_bits``.  Transcendental constants (exp, log) come from series
-with explicit remainder bounds.
+``precision_bits``, and a rational growth base is put on the same grid:
+exact on it (integers, 5/2), a ball like e^q off it.  Transcendental
+constants come from series with explicit remainder bounds.
 
 Every series sum ``sum c x^n`` in the library goes through one evaluator,
 :func:`power_series`: exact integer Horner for rational ``x``, and a
@@ -478,33 +478,29 @@ class BetaValue:
         return BetaValue("exp_rational", f, f"e^{f}")
 
     @property
-    def is_exact_rational(self) -> bool:
-        return self.kind in ("rational", "decimal")
-
-    @property
     def is_integer(self) -> bool:
-        return self.is_exact_rational and self.value.denominator == 1
+        return self.kind != "exp_rational" and self.value.denominator == 1
 
     def eval(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
+        """Enclosure of beta, certified > 1: e^q by :func:`exp_fraction`, a
+        rational rounded outward to ``precision_bits + GUARD`` bits (exact
+        iff on that grid); the precision doubles until it separates from 1."""
         cached = self._cache.get(precision_bits)
         if cached is not None:
             return cached
-        if self.is_exact_rational:
-            if self.value <= 1:
-                raise NotGreaterThanOne(f"beta = {self.value} is not > 1")
-            enc = CReal.exact(self.value, precision_bits)
-        else:
-            if self.value <= 0:
-                raise NotGreaterThanOne(f"beta = e^{self.value} is not > 1")
-            bits = precision_bits
-            enc = exp_fraction(self.value, bits)
-            while enc.lo <= 1 and bits < MAX_PRECISION_BITS:
-                bits = min(bits * 2, MAX_PRECISION_BITS)
-                enc = exp_fraction(self.value, bits)
-            if enc.lo <= 1:
-                raise NotGreaterThanOne(
-                    f"enclosure of e^{self.value} does not separate from 1 "
-                    f"at {MAX_PRECISION_BITS} bits")
+        v, exp = self.value, self.kind == "exp_rational"
+        if v <= (0 if exp else 1):
+            raise NotGreaterThanOne(f"beta = {self.text} is not > 1")
+        bits = precision_bits
+        while True:
+            enc = exp_fraction(v, bits) if exp else CReal(
+                _round(v, bits + GUARD, False), _round(v, bits + GUARD, True), bits)
+            if enc.lo > 1 or bits >= MAX_PRECISION_BITS:
+                break
+            bits = min(bits * 2, MAX_PRECISION_BITS)
+        if enc.lo <= 1:
+            raise NotGreaterThanOne(
+                f"enclosure of {self.text} does not separate from 1 at {MAX_PRECISION_BITS} bits")
         self._cache[precision_bits] = enc
         return enc
 

@@ -141,6 +141,9 @@ def beta_expansion(x: CReal, beta: BetaValue, num_digits: int,
     if x.lo < 0 or not x.certainly_lt(1):
         raise ValueError("x must be certifiably in [0, 1)")
     B = beta.eval(precision_bits)
+    if beta.kind != "exp_rational":
+        # exact: a remainder can land on a digit boundary, which no ball decides
+        B = CReal.exact(beta.value, precision_bits)
     digits, _ = _greedy_digits(x, B, num_digits)
     return tuple(digits)
 
@@ -171,14 +174,12 @@ def _scaled_power(beta: BetaValue, e: int, lg_hi: float) -> RefineFn:
 
 def _series_constants(beta: BetaValue, N_max: int,
                       bits: int) -> tuple[int, CReal, CReal]:
-    """(series_bits, B, L): beta and L = 1/beta as the build's series use
-    them, at a precision that pre-pays the digit loop's beta^N_max."""
+    """(series_bits, B, L): beta and L = 1/B, L rounded outward onto the series
+    grid unless B is exact, at a precision that pre-pays beta^N_max."""
     _, lg_hi = _log2_bounds(beta.eval(bits).hi)
     series_bits = bits + 64 + math.ceil(N_max * lg_hi)
     B = beta.eval(series_bits)
-    L = B.inv()
-    if not beta.is_exact_rational:
-        L = L.round_outward(series_bits)
+    L = B.inv() if B.is_exact else B.inv().round_outward(series_bits)
     return series_bits, B, L
 
 
@@ -186,6 +187,9 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     probe = beta.eval(bits)
     lg_lo, _ = _log2_bounds(probe.lo)
     _, lg_hi = _log2_bounds(probe.hi)
+    if lg_lo <= 0:
+        raise PrecisionExhausted(f"beta = {beta.text} is too close to 1 to bound "
+                                 "log2(beta) away from 0")
     series_bits, B, L = _series_constants(beta, N_max, bits)
     c = (B - 1) ** 2
     # the untracked floor tail (beyond n_ext^2) must be small on the scale

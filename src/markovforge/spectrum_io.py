@@ -121,9 +121,10 @@ def from_dict(payload: dict) -> SpectrumFile:
             *(tuple(_int_in(v) for v in t[key]) for key in ("b", "d", "d_prime")))
         spectrum = LoopSpectrum(a, n_max, meta=meta, digit_trace=trace,
                                 finite_support=bool(payload.get("finite_support", False)))
-        return SpectrumFile(spectrum,
-                            period_lift=int(payload.get("period_lift", 1)),
-                            entropy_target=payload.get("entropy_target"))
+        period_lift = int(payload.get("period_lift", 1))
+        if period_lift < 1:
+            raise ValueError(f"period_lift {period_lift} is below 1")
+        return SpectrumFile(spectrum, period_lift, payload.get("entropy_target"))
     except (KeyError, ValueError, TypeError) as e:
         raise SpectrumFileError(f"malformed spectrum file: {e}") from e
 

@@ -1,9 +1,14 @@
 """Command-line behavior, run in process through cli.main."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import markovforge
 from markovforge import cli, spectrum_io
 from markovforge.errors import PrecisionExhausted
 
@@ -254,3 +259,56 @@ def test_counts_beyond_the_decimal_limit_are_written_in_hex(tmp_path, capsys):
     back = spectrum_io.from_bytes(data)
     assert back.spectrum.count(41 * 41) == int(payload["a"][41 * 41 - 1], 16)
     assert spectrum_io.to_bytes(back) == data
+
+
+NEAR_ONE = "1." + "0" * 119 + "1"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["build", "--beta", "2", "--max-n", "2", "--out", "x.json"], 2),
+    (["build", "--beta", "2", "--precision", "0", "--out", "x.json"], 2),
+    (["build", "--beta", NEAR_ONE, "--out", "x.json"], 3),
+    # log2(beta) ~ 7e-10 lies inside the float pad of its bounds
+    (["build", "--beta", "1.0000000005", "--out", "x.json"], 3),
+    (["build", "--entropy", "1/2000000000", "--out", "x.json"], 3),
+    (["transient-variant", "b.json", "--n0", "x", "--out", "x.json"], 2),
+    (["export", "b.json", "--format", "dot", "--max-n", "0"], 2),
+    (["verify", "b.json", "--oracle-depth", "0"], 2),
+    (["lift", "b.json", "--period", "0", "--out", "x.json"], 2),
+    (["classify", "p0.json"], 1),
+    (["verify", "p0.json"], 1),
+], ids=["build-max-n", "build-precision", "build-near-one", "build-7e-10",
+        "entropy-7e-10", "n0", "export-max-n", "oracle-depth", "lift-period",
+        "classify-period-0", "verify-period-0"])
+def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "build", "--beta", "2", "--max-n", "16", "--out", "b.json")
+    # a file with period_lift 0, as `lift --period 0` used to write
+    payload = json.loads((tmp_path / "b.json").read_text())
+    payload["period_lift"] = 0
+    (tmp_path / "p0.json").write_text(json.dumps(payload))
+    try:
+        got = cli.main(argv)
+    except SystemExit as e:  # argparse usage errors
+        got = e.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("beta", ["1000/999", "1.001"])
+def test_small_entropy_bases_build_and_verify(beta, tmp_path):
+    # entropy ~ 0.001: exact powers of such a rational beta once grew to
+    # millions of bits, and the build ran for minutes
+    env = {**os.environ, "PYTHONPATH": str(Path(markovforge.__file__).parents[1])}
+
+    def markovforge_cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", "import sys; from markovforge.cli import main; sys.exit(main())",
+             *argv], env=env, capture_output=True, text=True, timeout=30)
+
+    path = str(tmp_path / "b.json")
+    assert markovforge_cli("build", "--beta", beta, "--out", path).returncode == 0
+    assert markovforge_cli("verify", path).returncode == 0
+    report = markovforge_cli("classify", path)
+    assert json.loads(report.stdout)["verdict"] == "PositiveRecurrent"

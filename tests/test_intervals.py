@@ -205,6 +205,20 @@ def test_beta_value_forms():
     assert contains_mp(x, mpmath.exp(mpmath.mpf(7) / 10))
 
 
+@pytest.mark.parametrize("text, exact", [
+    ("2", True), ("3", True), ("5/2", True), ("3/2", True),
+    ("7/3", False), ("1.05", False), ("1000/999", False)])
+def test_rational_beta_is_exact_iff_on_the_grid(text, exact):
+    # eval rounds a rational outward to P + GUARD significant bits
+    beta, P = BetaValue.parse(text), 256
+    x = beta.eval(P)
+    assert x.is_exact is exact
+    assert x.precision_bits == P
+    tol = beta.value / 2 ** (P + GUARD)
+    assert 0 <= beta.value - x.lo < tol
+    assert 0 <= x.hi - beta.value < tol
+
+
 def test_beta_must_exceed_one():
     with pytest.raises(NotGreaterThanOne):
         BetaValue.parse("1").eval(64)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from markovforge import (BetaValue, CReal, Verdict, build_spectrum, classify,
@@ -38,12 +38,16 @@ def test_round_trip_constructed(spec_e07, tmp_path):
      "b2_n128.v1.json"),
     ("e^7/10", 64, "7e8615e04d1eb7a5a1632a8e0258e90c5e12124b7050d280f0de646913659fdb",
      "e7_10_n64.v1.json"),
-], ids=["2-128", "e^7/10-64"])
+    ("3", 64, "5e8c50fc536aa63ffb664731fd5fd51251d472ac3a515689785a204faaa05496", None),
+    ("5/2", 64, "43977686a125a21027ae83c5113c71dc2c1ad303a2143c601ffa9e3756eb3cd9", None),
+], ids=["2-128", "e^7/10-64", "3-64", "5/2-64"])
 def test_build_bytes_are_golden(text, n_max, digest, v1_file):
     # the bytes `markovforge build --beta TEXT --max-n N_MAX` writes
     sf = spectrum_io.SpectrumFile(build_spectrum(BetaValue.parse(text), n_max))
     data = spectrum_io.to_bytes(sf)
     assert hashlib.sha256(data).hexdigest() == digest
+    if v1_file is None:
+        return
     # the version 1 file of the same build holds the same counts and inputs
     new, old = json.loads(data), json.loads((DATA / v1_file).read_text())
     for key in ("a", "digit_trace", "N_max", "beta"):
@@ -155,9 +159,17 @@ def test_user_round_trip_random(a):
 
 @st.composite
 def constructed_files(draw):
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["rational", "near_one", "exp"]))
+    if kind == "rational":
         beta = BetaValue.from_rational(draw(st.fractions(
             min_value=Fraction(3, 2), max_value=16, max_denominator=8)))
+    elif kind == "near_one":
+        # beta = 1 + d/q in (1, 3/2] off every dyadic grid, so eval gives a
+        # ball; cost grows with 1/log(beta), about 0.3 s at 1001/1000
+        q = draw(st.integers(min_value=3, max_value=1000))
+        f = 1 + Fraction(draw(st.integers(min_value=1, max_value=q // 2)), q)
+        assume(f.denominator & (f.denominator - 1))
+        beta = BetaValue.from_rational(f)
     else:
         beta = BetaValue.exp_of_rational(draw(st.fractions(
             min_value=Fraction(1, 20), max_value=3, max_denominator=20)))
