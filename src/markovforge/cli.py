@@ -18,7 +18,7 @@ from .classifier import classify, entropy_of_lift, lambda_estimate
 from .errors import (FloorUndecidable, InsufficientData, NoDeletableLoop,
                      NotGreaterThanOne, PrecisionExhausted, SpectrumFileError)
 from .graph import export, lift_period, realize, vertex_count
-from .intervals import BetaValue, decimal_bounds
+from .intervals import DEFAULT_PRECISION_BITS, BetaValue, decimal_bounds
 from .oracle import growth_rate, table_from_spectrum
 from .spectrum import DEFAULT_N_MAX, build_spectrum, delete_loop
 from .verification import DEFAULT_ORACLE_DEPTH, REALIZE_VERTEX_BUDGET, run_suite
@@ -31,10 +31,6 @@ EXIT_VERIFY = 5
 EXIT_TOO_LARGE = 6
 
 ENTROPY_TOKENS = {"ln2": 2, "ln3": 3}
-
-
-def _default_precision() -> int:
-    return int(os.environ.get("MARKOVFORGE_PRECISION", "256"))
 
 
 def _int_from(least: int):
@@ -84,20 +80,13 @@ def _save(sf: spectrum_io.SpectrumFile, out: str) -> None:
 
 
 def cmd_build(args) -> int:
-    try:
-        if args.beta is not None:
-            beta = BetaValue.parse(args.beta)
-            p = 1
-        else:
-            p = args.period
-            beta = _beta_from_entropy(args.entropy, p)
-        s = build_spectrum(beta, N_max=args.max_n, precision_bits=args.precision)
-    except NotGreaterThanOne as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_BETA
-    except (PrecisionExhausted, FloorUndecidable) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PRECISION
+    if args.beta is not None:
+        beta = BetaValue.parse(args.beta)
+        p = 1
+    else:
+        p = args.period
+        beta = _beta_from_entropy(args.entropy, p)
+    s = build_spectrum(beta, N_max=args.max_n, precision_bits=args.precision)
     _save(spectrum_io.SpectrumFile(s, period_lift=p, entropy_target=args.entropy),
           args.out)
     return EXIT_OK
@@ -105,11 +94,7 @@ def cmd_build(args) -> int:
 
 def cmd_transient_variant(args) -> int:
     sf = spectrum_io.load(args.file)
-    try:
-        variant = delete_loop(sf.spectrum, args.n0)
-    except NoDeletableLoop as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NO_LOOP
+    variant = delete_loop(sf.spectrum, args.n0)
     _save(spectrum_io.SpectrumFile(variant, sf.period_lift, sf.entropy_target),
           args.out)
     return EXIT_OK
@@ -201,6 +186,8 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a string default goes through the option's type check, like a typed value
+    precision = os.environ.get("MARKOVFORGE_PRECISION", str(DEFAULT_PRECISION_BITS))
     parser = argparse.ArgumentParser(
         prog="markovforge",
         description="Construct, classify and verify countable loop graphs of "
@@ -214,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--period", type=_int_from(1), default=1,
                    help="period lift p (with --entropy: base becomes e^(h p))")
     b.add_argument("--max-n", type=_int_from(4), default=DEFAULT_N_MAX)
-    b.add_argument("--precision", type=_int_from(1), default=_default_precision())
+    b.add_argument("--precision", type=_int_from(1), default=precision)
     b.add_argument("--out", required=True, help="output path, or - for stdout")
     b.set_defaults(fn=cmd_build)
 
@@ -226,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classify", help="print the classification report")
     c.add_argument("file")
-    c.add_argument("--precision", type=_int_from(1), default=_default_precision())
+    c.add_argument("--precision", type=_int_from(1), default=precision)
     c.add_argument("--bits", action="store_true",
                    help="also report entropy in bits")
     c.add_argument("--lambda-window", action="store_true",
@@ -264,11 +251,15 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (SpectrumFileError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        error, code = e, 1
     except NotGreaterThanOne as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_BETA
+        error, code = e, EXIT_BAD_BETA
+    except (PrecisionExhausted, FloorUndecidable) as e:
+        error, code = e, EXIT_PRECISION
+    except NoDeletableLoop as e:
+        error, code = e, EXIT_NO_LOOP
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -27,9 +27,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Union
 
-from .errors import DivergentTail, FloorUndecidable, NotGreaterThanOne
+from .errors import (DivergentTail, FloorUndecidable, NotGreaterThanOne,
+                     PrecisionExhausted)
 
 Rat = Union[int, Fraction]
 
@@ -306,36 +307,21 @@ def log_interval(x: CReal, precision_bits: int = DEFAULT_PRECISION_BITS) -> CRea
 # certified floor
 # ---------------------------------------------------------------------------
 
-RefineFn = Callable[[int], CReal]
-
-
-def certified_floor(x: CReal,
-                    refine: Optional[RefineFn] = None,
-                    start_bits: int = DEFAULT_PRECISION_BITS,
-                    max_bits: int = MAX_PRECISION_BITS) -> int:
+def certified_floor(x: CReal) -> int:
     """Floor of the real enclosed by ``x``, or FloorUndecidable.
 
-    The result m certifies m <= x < m+1.  When the enclosure straddles an
-    integer and ``refine`` is given, the enclosure is recomputed at doubled
-    precision until it decides or ``max_bits`` is reached.  An exact
-    endpoint pair (width zero) is always decidable.
+    The result m certifies m <= x < m+1.  An exact endpoint pair (width
+    zero) is always decidable; an enclosure that straddles an integer is
+    not, and raising precision is left to the caller.
     """
-    bits = start_bits
-    cur = x
-    while True:
-        fl = math.floor(cur.lo)
-        fh = math.floor(cur.hi)
-        if fl == fh or cur.is_exact:
-            return fl
-        # Note: an hi endpoint sitting exactly on an integer stays undecided
-        # (the true value may equal it or lie below), which floor(hi) > floor(lo)
-        # already captures.
-        if refine is None or bits >= max_bits:
-            raise FloorUndecidable(
-                f"enclosure [{float(cur.lo)!r}, {float(cur.hi)!r}] straddles an "
-                f"integer at {bits} bits")
-        bits = min(bits * 2, max_bits)
-        cur = refine(bits)
+    fl = math.floor(x.lo)
+    # an hi endpoint sitting exactly on an integer stays undecided (the true
+    # value may equal it or lie below), which floor(hi) > floor(lo) captures
+    if fl == math.floor(x.hi) or x.is_exact:
+        return fl
+    raise FloorUndecidable(
+        f"enclosure [{float(x.lo)!r}, {float(x.hi)!r}] straddles an "
+        f"integer at {x.precision_bits} bits")
 
 
 # ---------------------------------------------------------------------------
@@ -484,23 +470,21 @@ class BetaValue:
     def eval(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
         """Enclosure of beta, certified > 1: e^q by :func:`exp_fraction`, a
         rational rounded outward to ``precision_bits + GUARD`` bits (exact
-        iff on that grid); the precision doubles until it separates from 1."""
+        iff on that grid).  PrecisionExhausted if the enclosure does not
+        separate from 1, which only a beta within 2^-precision_bits of 1
+        can cause."""
         cached = self._cache.get(precision_bits)
         if cached is not None:
             return cached
         v, exp = self.value, self.kind == "exp_rational"
         if v <= (0 if exp else 1):
             raise NotGreaterThanOne(f"beta = {self.text} is not > 1")
-        bits = precision_bits
-        while True:
-            enc = exp_fraction(v, bits) if exp else CReal(
-                _round(v, bits + GUARD, False), _round(v, bits + GUARD, True), bits)
-            if enc.lo > 1 or bits >= MAX_PRECISION_BITS:
-                break
-            bits = min(bits * 2, MAX_PRECISION_BITS)
+        bits = precision_bits + GUARD
+        enc = exp_fraction(v, precision_bits) if exp else CReal(
+            _round(v, bits, False), _round(v, bits, True), precision_bits)
         if enc.lo <= 1:
-            raise NotGreaterThanOne(
-                f"enclosure of {self.text} does not separate from 1 at {MAX_PRECISION_BITS} bits")
+            raise PrecisionExhausted(
+                f"enclosure of {self.text} does not separate from 1 at {precision_bits} bits")
         self._cache[precision_bits] = enc
         return enc
 

@@ -27,8 +27,7 @@ from typing import Optional, Sequence
 from .errors import (FloorUndecidable, NoDeletableLoop, PrecisionExhausted,
                      TailUnavailable)
 from .intervals import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, BetaValue,
-                        CReal, RefineFn, certified_floor, geometric_tail,
-                        power_series)
+                        CReal, certified_floor, geometric_tail, power_series)
 
 DEFAULT_N_MAX = 64
 
@@ -160,18 +159,6 @@ def _log2_bounds(x: Fraction) -> tuple[float, float]:
     return v - pad, v + pad
 
 
-def _scaled_power(beta: BetaValue, e: int, lg_hi: float) -> RefineFn:
-    """c beta^e = (beta-1)^2 beta^e to absolute precision about 2^-bb, per bb.
-
-    beta^e has about e log2(beta) bits before the point, so beta is
-    evaluated with that many extra bits; ``lg_hi`` bounds log2(beta) above.
-    """
-    def at_bits(bb: int) -> CReal:
-        Bf = beta.eval(bb + math.ceil(e * lg_hi))
-        return (Bf - 1) ** 2 * Bf ** e
-    return at_bits
-
-
 def _series_constants(beta: BetaValue, N_max: int,
                       bits: int) -> tuple[int, CReal, CReal]:
     """(series_bits, B, L): beta and L = 1/B, L rounded outward onto the series
@@ -197,12 +184,19 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     n_ext = max(math.isqrt(N_max),
                 math.ceil(math.sqrt((series_bits - 32) / lg_lo)))
 
-    # Square-index floors: each floor(c * beta^(m^2-m)) gets its own
-    # evaluation with escalation on a near-integer hit.
+    # Square-index floors floor(c beta^(m^2-m)) from one enclosure of beta
+    # and a running product, beta^((m+1)^2-(m+1)) = beta^(m^2-m) beta^(2m).
+    # The largest power has about (n_ext^2-n_ext) log2(beta) bits before the
+    # point, so beta carries that many extra bits: every scaled value is
+    # then known to about 2^-bits.  A near-integer hit raises
+    # FloorUndecidable, and build_spectrum restarts at doubled precision.
+    Bt = beta.eval(bits + math.ceil((n_ext * n_ext - n_ext) * lg_hi))
+    Bt2 = Bt * Bt
+    scaled, pow2m = (Bt - 1) ** 2 * Bt2, Bt2 * Bt2
     floors: dict[int, int] = {1: 1}
     for m in range(2, n_ext + 1):
-        val = _scaled_power(beta, m * m - m, lg_hi)
-        floors[m * m] = certified_floor(val(bits), refine=val, start_bits=bits)
+        floors[m * m] = certified_floor(scaled)
+        scaled, pow2m = scaled * pow2m, pow2m * Bt2
 
     # floors holds ascending n; those above N_max are summed once, for both
     # the deficit and the stored tail
@@ -253,12 +247,13 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
 
 
 def build_spectrum(beta: BetaValue, N_max: int = DEFAULT_N_MAX,
-                   precision_bits: int = DEFAULT_PRECISION_BITS,
-                   max_precision_bits: int = MAX_PRECISION_BITS) -> LoopSpectrum:
+                   precision_bits: int = DEFAULT_PRECISION_BITS) -> LoopSpectrum:
     """Construct the loop spectrum of the given base, truncated at N_max.
 
-    Deterministic for fixed (beta descriptor, N_max, precision policy).
-    Escalates precision on undecidable floors up to ``max_precision_bits``.
+    Deterministic for fixed (beta descriptor, N_max, precision_bits).  This
+    is the one place precision is raised: an undecidable floor restarts the
+    whole build at doubled precision, up to MAX_PRECISION_BITS, where the
+    FloorUndecidable propagates.
     """
     if N_max < 4:
         raise ValueError("N_max must be >= 4")
@@ -267,9 +262,9 @@ def build_spectrum(beta: BetaValue, N_max: int = DEFAULT_N_MAX,
         try:
             return _build_once(beta, N_max, bits)
         except FloorUndecidable:
-            if bits >= max_precision_bits:
+            if bits >= MAX_PRECISION_BITS:
                 raise
-            bits = min(bits * 2, max_precision_bits)
+            bits = min(bits * 2, MAX_PRECISION_BITS)
 
 
 def delete_loop(s: LoopSpectrum, n0: Optional[int] = None) -> LoopSpectrum:

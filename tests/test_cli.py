@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import markovforge
-from markovforge import cli, spectrum_io
-from markovforge.errors import PrecisionExhausted
+from markovforge import BetaValue, build_spectrum, cli, spectrum, spectrum_io
+from markovforge.errors import FloorUndecidable, PrecisionExhausted
 
 
 def run(capsys, *argv):
@@ -54,6 +55,33 @@ def test_precision_exhausted_exit_code(tmp_path, capsys, monkeypatch):
                        "--out", str(tmp_path / "x.json"))
     assert code == 3
     assert "undecidable" in err
+
+
+def test_undecidable_floor_restarts_the_whole_build(tmp_path, capsys, monkeypatch):
+    # the restart in build_spectrum is the one place precision is raised
+    beta, calls = BetaValue.parse("e^7/10"), []
+
+    def undecidable_first(x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise FloorUndecidable("straddles an integer")
+        return markovforge.certified_floor(x)
+    monkeypatch.setattr(spectrum, "certified_floor", undecidable_first)
+    s = build_spectrum(beta, 25)
+    monkeypatch.undo()
+    assert s.meta.precision_bits == 512
+    assert s.a == build_spectrum(beta, 25, 512).a
+
+    def undecidable(x):
+        calls.append(x)
+        raise FloorUndecidable("straddles an integer")
+    calls.clear()
+    monkeypatch.setattr(spectrum, "certified_floor", undecidable)
+    code, _, err = run(capsys, "build", "--beta", "e^7/10", "--max-n", "25",
+                       "--out", str(tmp_path / "x.json"))
+    # one failed build at each of 256, 512, ..., 4096 bits, then the error
+    assert len(calls) == 5
+    assert code == 3 and "straddles" in err
 
 
 def test_transient_variant_pipeline(tmp_path, capsys):
@@ -219,7 +247,6 @@ def test_build_deterministic(tmp_path, capsys):
 
 def test_precision_env_default(monkeypatch):
     monkeypatch.setenv("MARKOVFORGE_PRECISION", "320")
-    assert cli._default_precision() == 320
     args = cli.build_parser().parse_args(
         ["build", "--beta", "2", "--out", "x"])
     assert args.precision == 320
@@ -277,9 +304,13 @@ NEAR_ONE = "1." + "0" * 119 + "1"
     (["lift", "b.json", "--period", "0", "--out", "x.json"], 2),
     (["classify", "p0.json"], 1),
     (["verify", "p0.json"], 1),
+    (["classify", "near-one.json"], 3),
+    (["MARKOVFORGE_PRECISION=x", "build", "--beta", "2", "--out", "x.json"], 2),
+    (["MARKOVFORGE_PRECISION=0", "classify", "b.json"], 2),
 ], ids=["build-max-n", "build-precision", "build-near-one", "build-7e-10",
         "entropy-7e-10", "n0", "export-max-n", "oracle-depth", "lift-period",
-        "classify-period-0", "verify-period-0"])
+        "classify-period-0", "verify-period-0", "classify-near-one",
+        "precision-env-x", "precision-env-0"])
 def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run(capsys, "build", "--beta", "2", "--max-n", "16", "--out", "b.json")
@@ -287,6 +318,14 @@ def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch
     payload = json.loads((tmp_path / "b.json").read_text())
     payload["period_lift"] = 0
     (tmp_path / "p0.json").write_text(json.dumps(payload))
+    # the same counts with beta edited to 1 + 10^-120
+    payload["period_lift"] = 1
+    payload["beta"] = {"kind": "decimal", "value": str(Fraction(NEAR_ONE)), "text": NEAR_ONE}
+    (tmp_path / "near-one.json").write_text(json.dumps(payload))
+    # leading NAME=value words set the environment, as in a shell
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     try:
         got = cli.main(argv)
     except SystemExit as e:  # argparse usage errors

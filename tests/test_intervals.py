@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from markovforge import (BetaValue, CReal, certified_floor, exp_fraction,
                          geometric_tail, log_fraction, power_series)
-from markovforge.errors import FloorUndecidable, NotGreaterThanOne
+from markovforge.errors import (FloorUndecidable, NotGreaterThanOne,
+                                PrecisionExhausted)
 from markovforge.intervals import (GUARD, decimal_bounds, ln2_enclosure,
                                    log_interval)
 
@@ -100,16 +101,14 @@ def test_log_interval_monotone():
     assert lg.hi - lg.lo < ln3 - ln2 + Fraction(1, 10 ** 20)
 
 
-def test_certified_floor_exact_and_refined():
+def test_certified_floor_exact():
     assert certified_floor(CReal.exact(Fraction(7, 2))) == 3
     assert certified_floor(CReal.exact(-3)) == -3
-    # wide interval plus a refinement callback that sharpens it
-    wide = CReal(Fraction(2, 1), Fraction(3, 1))
-    assert certified_floor(wide, refine=lambda b: CReal.exact(Fraction(5, 2))) == 2
+    assert certified_floor(CReal(Fraction(2), Fraction(5, 2))) == 2
 
 
 def test_certified_floor_undecidable():
-    # an enclosure that straddles an integer and cannot be refined
+    # an enclosure that straddles an integer
     wide = CReal(Fraction(9, 10), Fraction(11, 10))
     with pytest.raises(FloorUndecidable):
         certified_floor(wide)
@@ -226,6 +225,11 @@ def test_beta_must_exceed_one():
         BetaValue.parse("1/2").eval(64)
     with pytest.raises(NotGreaterThanOne):
         BetaValue.parse("e^0").eval(64)
+    # beta = 1 + 2^-400 exceeds 1, but not certifiably at 256 bits
+    near_one = BetaValue.from_rational(1 + Fraction(1, 2 ** 400))
+    with pytest.raises(PrecisionExhausted):
+        near_one.eval(256)
+    assert near_one.eval(512).lo > 1
 
 
 def test_decimal_bounds_outward_and_idempotent():

@@ -190,6 +190,10 @@ def test_rational_bases_build_and_check(p, q):
         return
     s = build_spectrum(BetaValue.parse(f"{p}/{q}"), N_max=25)
     assert s.count(1) == 1
+    # b(m^2) = floor((p/q - 1)^2 (p/q)^e), e = m^2 - m, in integers
+    for m in range(2, 6):
+        e = m * m - m
+        assert s.digit_trace.b[m * m - 1] == (p - q) ** 2 * p ** e // q ** (e + 2)
     assert unit_sum_enclosure(s).contains(1)
     failed = [c for c in spectrum_checks(s) if not c.passed]
     assert not failed, failed
