@@ -25,7 +25,7 @@ def main():
         table = table_from_spectrum(s, args.max_n * p, p)
         depth = 8
         while depth <= args.max_n:
-            est = growth_rate(table.p[:depth * p + 1], window=1, period=p)
+            est = growth_rate(table.p[:depth * p + 1], window=1)
             print(f"{p:>6}  {depth * p:>5}  {est.value:.6f}  "
                   f"{abs(est.value - target):.6f}")
             depth *= 2

@@ -51,10 +51,6 @@ class Radius:
     certified: bool = True
 
     @staticmethod
-    def of(value: CReal, certified: bool = True) -> "Radius":
-        return Radius(value, False, certified)
-
-    @staticmethod
     def unbounded() -> "Radius":
         return Radius(None, True, True)
 
@@ -105,7 +101,7 @@ def radius_L(s: LoopSpectrum, require_certified: bool = False) -> Radius:
     non-certified.
     """
     if s.meta is not None:
-        return Radius.of(s.meta.L)
+        return Radius(s.meta.L)
     if s.finite_support:
         return Radius.unbounded()
     if require_certified:
@@ -145,28 +141,28 @@ def F_eval(s: LoopSpectrum, x: CReal) -> CReal:
     raise TailUnavailable("no certified tail bound beyond the radius L")
 
 
-def _bisect_root(s: LoopSpectrum, precision_bits: int) -> CReal:
+def _bisect_root(s: LoopSpectrum) -> CReal:
     """Certified root of F(x) = 1 for a finite-support spectrum."""
     terms = list(enumerate(s.a, 1))
     # some count is >= 1, so F(1) >= 1
     if power_series(terms, 1) == 1:
-        return CReal.exact(1, precision_bits)
+        return CReal.exact(1)
     lo, hi = Fraction(0), Fraction(1)
-    for _ in range(precision_bits // 2):
+    for _ in range(DEFAULT_PRECISION_BITS // 2):
         mid = (lo + hi) / 2
         v = power_series(terms, mid)
         if v == 1:
-            return CReal.exact(mid, precision_bits)
+            return CReal.exact(mid)
         if v < 1:
             lo = mid
         else:
             hi = mid
-    return CReal(lo, hi, precision_bits)
+    return CReal(lo, hi)
 
 
-def radius_R(s: LoopSpectrum, precision_bits: int = DEFAULT_PRECISION_BITS) -> Radius:
+def radius_R(s: LoopSpectrum) -> Radius:
     """Radius of convergence of sum p(n) z^n."""
-    return classify(s, precision_bits).R
+    return classify(s).R
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +170,7 @@ def radius_R(s: LoopSpectrum, precision_bits: int = DEFAULT_PRECISION_BITS) -> R
 # ---------------------------------------------------------------------------
 
 
-def entropy_enclosure(s: LoopSpectrum,
-                      precision_bits: int = DEFAULT_PRECISION_BITS) -> Optional[CReal]:
+def entropy_enclosure(s: LoopSpectrum) -> Optional[CReal]:
     """Certified enclosure of -log R (natural log units).
 
     For constructed spectra R = 1/beta whether or not a loop was deleted, so
@@ -185,16 +180,14 @@ def entropy_enclosure(s: LoopSpectrum,
     if s.meta is not None:
         beta = s.meta.beta
         if beta.kind == "exp_rational":
-            return CReal.exact(beta.value, precision_bits)
-        return log_fraction(beta.value, precision_bits)
-    r = classify(s, precision_bits).R
-    return None if r.infinite else entropy_for_root(r.value, precision_bits)
+            return CReal.exact(beta.value)
+        return log_fraction(beta.value)
+    return classify(s).entropy
 
 
-def entropy_of_lift(s: LoopSpectrum, period_lift: int,
-                    precision_bits: int = DEFAULT_PRECISION_BITS) -> Optional[CReal]:
+def entropy_of_lift(s: LoopSpectrum, period_lift: int) -> Optional[CReal]:
     """Entropy of the period-p lifted graph: h / p."""
-    base = entropy_enclosure(s, precision_bits)
+    base = entropy_enclosure(s)
     if base is None or period_lift == 1:
         return base
     return base / period_lift
@@ -205,12 +198,12 @@ def entropy_of_lift(s: LoopSpectrum, period_lift: int,
 # ---------------------------------------------------------------------------
 
 
-def classify(s: LoopSpectrum,
-             precision_bits: int = DEFAULT_PRECISION_BITS) -> ClassificationReport:
+def classify(s: LoopSpectrum) -> ClassificationReport:
+    """Verdict, radii and entropy, computed at ``DEFAULT_PRECISION_BITS``."""
     if s.meta is not None:
-        return _classify_constructed(s, precision_bits)
+        return _classify_constructed(s)
     if s.finite_support:
-        return _classify_finite(s, precision_bits)
+        return _classify_finite(s)
     return ClassificationReport(
         Verdict.INDETERMINATE, radius_L(s), Radius(None, False, False),
         None, None, None, None,
@@ -218,11 +211,11 @@ def classify(s: LoopSpectrum,
                "Cauchy-Hadamard estimate of L is available",))
 
 
-def _classify_constructed(s: LoopSpectrum, precision_bits: int) -> ClassificationReport:
-    L = Radius.of(s.meta.L)
+def _classify_constructed(s: LoopSpectrum) -> ClassificationReport:
+    L = Radius(s.meta.L)
     F_at_L = unit_sum_enclosure(s)
     mean = weighted_sum_enclosure(s)
-    entropy = entropy_enclosure(s, precision_bits)
+    entropy = entropy_enclosure(s)
     failure = identity_failure(s, F_at_L)
     n0 = s.meta.deleted_loop
     if failure is not None:
@@ -244,7 +237,7 @@ def _classify_constructed(s: LoopSpectrum, precision_bits: int) -> Classificatio
                                 notes=tuple(notes))
 
 
-def _classify_finite(s: LoopSpectrum, precision_bits: int) -> ClassificationReport:
+def _classify_finite(s: LoopSpectrum) -> ClassificationReport:
     notes: list[str] = []
     if all(v == 0 for v in s.a):
         return ClassificationReport(
@@ -253,13 +246,14 @@ def _classify_finite(s: LoopSpectrum, precision_bits: int) -> ClassificationRepo
             notes=("empty spectrum: no loops at all",))
     L = Radius.unbounded()
     # F is a polynomial with a positive coefficient, so F -> +infinity at L
-    root = _bisect_root(s, precision_bits)
-    R = Radius.of(root)
+    root = _bisect_root(s)
+    R = Radius(root)
     mean = power_series(((n, n * an) for n, an in enumerate(s.a, 1)), root)
-    entropy = entropy_for_root(root, precision_bits)
     if root.is_exact and root.lo == 1:
+        entropy = CReal.exact(0)
         notes.append("F(1) = 1 exactly: R = 1, entropy 0")
     else:
+        entropy = -log_interval(root)
         notes.append("polynomial F: F(L) = +infinity > 1, so R < L")
     has_mme: Optional[bool] = True
     if entropy.lo <= 0:
@@ -271,25 +265,18 @@ def _classify_finite(s: LoopSpectrum, precision_bits: int) -> ClassificationRepo
                                 notes=tuple(notes))
 
 
-def entropy_for_root(root: CReal, precision_bits: int) -> Optional[CReal]:
-    if root.is_exact and root.lo == 1:
-        return CReal.exact(0, precision_bits)
-    return -log_interval(root, precision_bits)
-
-
 # ---------------------------------------------------------------------------
 # lambda estimates (non-certified by nature)
 # ---------------------------------------------------------------------------
 
 
 def lambda_estimate(counts: PathCountTable, R: CReal,
-                    window: int = 16, period: int = 1) -> tuple[tuple[int, float], ...]:
+                    window: int = 16) -> tuple[tuple[int, float], ...]:
     """Trailing window of p(n) R^n values, the candidate limit lambda.
 
     A numeric trend only: positive recurrent systems stabilize at a positive
     value, transient ones decay to 0.  No closed form is available.
     """
     mid = R.mid
-    usable = [n for n in range(1, len(counts.p)) if n % period == 0 and counts.p[n] > 0]
-    tail = usable[-window:] if len(usable) >= window else usable
-    return tuple((n, float(counts.p[n] * mid ** n)) for n in tail)
+    usable = [n for n in range(1, len(counts.p)) if counts.p[n] > 0]
+    return tuple((n, float(counts.p[n] * mid ** n)) for n in usable[-window:])

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 unreadable or malformed file, 2 invalid base
-(beta <= 1) or bad usage, 3 precision exhausted (also beta too close to 1),
-4 no deletable loop, 5 verification failures, 6 graph too large to realize.
+Exit codes: 0 success (also on a closed stdout), 1 unreadable or malformed
+file, 2 invalid base (beta <= 1) or bad usage, 3 precision exhausted (also beta
+too close to 1), 4 no deletable loop, 5 verification failures, 6 graph too
+large to realize or a(1) > 1.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from typing import Optional
 from . import spectrum_io
 from .classifier import classify, entropy_of_lift, lambda_estimate
 from .errors import (FloorUndecidable, InsufficientData, NoDeletableLoop,
-                     NotGreaterThanOne, PrecisionExhausted, SpectrumFileError)
-from .graph import export, lift_period, realize, vertex_count
-from .intervals import DEFAULT_PRECISION_BITS, BetaValue, decimal_bounds
+                     NotGreaterThanOne, PrecisionExhausted, SpectrumFileError,
+                     Unrealizable)
+from .graph import export, realize
+from .intervals import DEFAULT_PRECISION_BITS, BetaValue, decimal_bounds, ln2_enclosure
 from .oracle import growth_rate, table_from_spectrum
 from .spectrum import DEFAULT_N_MAX, build_spectrum, delete_loop
-from .verification import DEFAULT_ORACLE_DEPTH, REALIZE_VERTEX_BUDGET, run_suite
+from .verification import DEFAULT_ORACLE_DEPTH, run_suite
 
 EXIT_OK = 0
 EXIT_BAD_BETA = 2
@@ -33,16 +35,29 @@ EXIT_TOO_LARGE = 6
 ENTROPY_TOKENS = {"ln2": 2, "ln3": 3}
 
 
-def _int_from(least: int):
-    """argparse type: an integer >= ``least``, else a usage error (exit 2)."""
-    def parse(text: str) -> int:
+def _parsed(parse, what: str):
+    """argparse type: ``parse(text)``; a text it rejects is a usage error (exit 2)."""
+    def check(text: str):
         try:
-            if int(text) >= least:
-                return int(text)
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
-    return parse
+            return parse(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+    return check
+
+
+def _int_from(least: int):
+    def parse(text: str) -> int:
+        if int(text) < least:
+            raise ValueError
+        return int(text)
+    return _parsed(parse, f"an integer >= {least}")
+
+
+def _entropy(text: str) -> str:
+    """A token of ENTROPY_TOKENS or a number, kept as written for the file."""
+    if text not in ENTROPY_TOKENS:
+        Fraction(text)
+    return text
 
 
 def _loop_length(text: str) -> Optional[int]:
@@ -80,15 +95,10 @@ def _save(sf: spectrum_io.SpectrumFile, out: str) -> None:
 
 
 def cmd_build(args) -> int:
-    if args.beta is not None:
-        beta = BetaValue.parse(args.beta)
-        p = 1
-    else:
-        p = args.period
-        beta = _beta_from_entropy(args.entropy, p)
+    beta = args.beta or _beta_from_entropy(args.entropy, args.period)
     s = build_spectrum(beta, N_max=args.max_n, precision_bits=args.precision)
-    _save(spectrum_io.SpectrumFile(s, period_lift=p, entropy_target=args.entropy),
-          args.out)
+    _save(spectrum_io.SpectrumFile(s, period_lift=args.period,
+                                   entropy_target=args.entropy), args.out)
     return EXIT_OK
 
 
@@ -102,25 +112,21 @@ def cmd_transient_variant(args) -> int:
 
 def cmd_classify(args) -> int:
     sf = spectrum_io.load(args.file)
-    report = classify(sf.spectrum, precision_bits=args.precision)
+    report = classify(sf.spectrum)
     payload = report.to_dict()
     payload["period_lift"] = sf.period_lift
-    lifted = entropy_of_lift(sf.spectrum, sf.period_lift, args.precision)
+    lifted = entropy_of_lift(sf.spectrum, sf.period_lift)
     payload["lifted_entropy"] = (list(decimal_bounds(lifted))
                                  if lifted is not None else None)
-    if args.bits:
+    if args.bits and lifted is not None:
         # report entropy in bits: divide the natural-log enclosure by ln 2
-        from .intervals import ln2_enclosure
-        if lifted is not None:
-            payload["lifted_entropy_bits"] = list(
-                decimal_bounds(lifted / ln2_enclosure(args.precision)))
+        payload["lifted_entropy_bits"] = list(decimal_bounds(lifted / ln2_enclosure()))
     if args.lambda_window:
         depth = max(64, 2 * sf.spectrum.N_max) * sf.period_lift
         table = table_from_spectrum(sf.spectrum, depth, sf.period_lift)
         if report.R.value is not None:
             payload["lambda_window"] = [
-                [n, v] for n, v in lambda_estimate(table, report.R.value,
-                                                   period=sf.period_lift)]
+                [n, v] for n, v in lambda_estimate(table, report.R.value)]
     import json
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
@@ -128,12 +134,10 @@ def cmd_classify(args) -> int:
 
 def cmd_entropy(args) -> int:
     sf = spectrum_io.load(args.file)
-    depth = args.max_n * sf.period_lift
-    table = table_from_spectrum(sf.spectrum, depth, sf.period_lift)
-    csv = table.to_csv(period=sf.period_lift)
-    _emit(csv.encode("utf-8"), args.csv)
+    table = table_from_spectrum(sf.spectrum, args.max_n * sf.period_lift, sf.period_lift)
+    _emit(table.to_csv().encode("utf-8"), args.csv)
     try:
-        est = growth_rate(table.p, window=8, period=sf.period_lift)
+        est = growth_rate(table.p, window=8)
         print(f"growth estimate at n = {est.samples[-1][0]}: {est.value:.6f}",
               file=sys.stderr)
     except InsufficientData:
@@ -153,15 +157,7 @@ def cmd_lift(args) -> int:
 
 def cmd_export(args) -> int:
     sf = spectrum_io.load(args.file)
-    n = min(args.max_n, sf.spectrum.N_max)
-    size = vertex_count(sf.spectrum, n) * sf.period_lift
-    if size > REALIZE_VERTEX_BUDGET:
-        print(f"error: the graph up to length {n} has {size} vertices, more than "
-              f"{REALIZE_VERTEX_BUDGET}; lower --max-n", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    g = realize(sf.spectrum, n)
-    if sf.period_lift > 1:
-        g = lift_period(g, sf.period_lift)
+    g = realize(sf.spectrum, min(args.max_n, sf.spectrum.N_max), sf.period_lift)
     _emit(export(g, args.format), args.out)
     return EXIT_OK
 
@@ -196,10 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="construct a spectrum file")
     src = b.add_mutually_exclusive_group(required=True)
-    src.add_argument("--beta", help="growth base: rational, decimal, or e^q")
-    src.add_argument("--entropy", help="target entropy: decimal, ln2, or ln3")
+    src.add_argument("--beta", type=_parsed(BetaValue.parse, "a number or e^q"),
+                     help="growth base: rational, decimal, or e^q")
+    src.add_argument("--entropy", type=_parsed(_entropy, "a number, ln2 or ln3"),
+                     help="target entropy: decimal, ln2, or ln3")
     b.add_argument("--period", type=_int_from(1), default=1,
-                   help="period lift p (with --entropy: base becomes e^(h p))")
+                   help="period lift p (with --entropy the base becomes e^(h p); "
+                        "with --beta it stays beta, as after `lift --period p`)")
     b.add_argument("--max-n", type=_int_from(4), default=DEFAULT_N_MAX)
     b.add_argument("--precision", type=_int_from(1), default=precision)
     b.add_argument("--out", required=True, help="output path, or - for stdout")
@@ -213,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("classify", help="print the classification report")
     c.add_argument("file")
-    c.add_argument("--precision", type=_int_from(1), default=precision)
     c.add_argument("--bits", action="store_true",
                    help="also report entropy in bits")
     c.add_argument("--lambda-window", action="store_true",
@@ -249,7 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early; silence the interpreter's own final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (SpectrumFileError, OSError) as e:
         error, code = e, 1
     except NotGreaterThanOne as e:
@@ -258,6 +262,8 @@ def main(argv=None) -> int:
         error, code = e, EXIT_PRECISION
     except NoDeletableLoop as e:
         error, code = e, EXIT_NO_LOOP
+    except Unrealizable as e:
+        error, code = e, EXIT_TOO_LARGE
     print(f"error: {error}", file=sys.stderr)
     return code
 

@@ -25,6 +25,10 @@ class NoDeletableLoop(Exception):
     """No loop of length >= 2 is available for deletion."""
 
 
+class Unrealizable(ValueError):
+    """The explicit graph exceeds the vertex budget or needs parallel arrows."""
+
+
 class EmptyLoopSet(Exception):
     """The graph truncation contains no loop through the root."""
 

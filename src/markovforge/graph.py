@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .errors import EmptyLoopSet
+from .errors import EmptyLoopSet, Unrealizable
 from .spectrum import LoopSpectrum
 
 ROOT = "root"
+REALIZE_VERTEX_BUDGET = 2 * 10 ** 6  # the most vertices realize and lift_period build
 
 
 @dataclass(frozen=True)
@@ -107,18 +108,20 @@ def _lift_names(names, p: int) -> tuple[str, ...]:
     return tuple(f"{v}@{i}" for v in names for i in range(1, p + 1)) if p > 1 else tuple(names)
 
 
-def realize(s: LoopSpectrum, N: Optional[int] = None) -> ExplicitGraph:
-    """Build the flower graph containing every loop of length <= N.
-
-    The root self-loop is present iff a(1) = 1; a(1) > 1 is rejected because
-    parallel arrows are not allowed.
-    """
+def realize(s: LoopSpectrum, N: Optional[int] = None, period_lift: int = 1) -> ExplicitGraph:
+    """Build the flower graph containing every loop of length <= N, lifted by
+    ``period_lift``; the root self-loop is present iff a(1) = 1.  Unrealizable,
+    before anything is built, for a(1) > 1 (parallel arrows) or a lifted graph
+    of more than REALIZE_VERTEX_BUDGET vertices."""
     if N is None:
         N = s.N_max
     if not 1 <= N <= s.N_max:
         raise ValueError(f"N must be in 1..{s.N_max}")
     if s.count(1) > 1:
-        raise ValueError("a(1) > 1 cannot be realized without parallel arrows")
+        raise Unrealizable("a(1) > 1 cannot be realized without parallel arrows")
+    if not fits(s, N, period_lift):
+        raise Unrealizable(f"the graph up to length {N} has {vertex_count(s, N) * period_lift} "
+                           f"vertices, more than {REALIZE_VERTEX_BUDGET}")
     tails, heads = array("l"), array("l")
     lengths = tuple((n, s.count(n)) for n in range(1, N + 1) if s.count(n))
     size = 1
@@ -129,12 +132,17 @@ def realize(s: LoopSpectrum, N: Optional[int] = None) -> ExplicitGraph:
             tails.extend([0, *loop])
             heads.extend([*loop, 0])
             size += n - 1
-    return ExplicitGraph(size, tails, heads, loop_lengths=lengths)
+    return lift_period(ExplicitGraph(size, tails, heads, loop_lengths=lengths), period_lift)
 
 
 def vertex_count(s: LoopSpectrum, N: int) -> int:
     """Number of vertices of ``realize(s, N)``, found without building it."""
     return 1 + sum(s.count(n) * (n - 1) for n in range(2, N + 1))
+
+
+def fits(s: LoopSpectrum, N: int, period_lift: int = 1) -> bool:
+    """Whether ``realize(s, N, period_lift)`` stays within the vertex budget."""
+    return vertex_count(s, N) * period_lift <= REALIZE_VERTEX_BUDGET
 
 
 def lift_period(g: ExplicitGraph, p: int) -> ExplicitGraph:
@@ -145,6 +153,9 @@ def lift_period(g: ExplicitGraph, p: int) -> ExplicitGraph:
         raise ValueError("graph is already lifted")
     if p == 1:
         return g
+    if g.size * p > REALIZE_VERTEX_BUDGET:
+        raise Unrealizable(f"the graph lifted by {p} has {g.size * p} vertices, "
+                           f"more than {REALIZE_VERTEX_BUDGET}")
     # phase steps v@i -> v@i+1 for every vertex, then u@p -> v@1 per arrow
     steps = [v * p + i for v in range(g.size) for i in range(p - 1)]
     tails = array("l", steps)
@@ -159,13 +170,10 @@ def period(g: ExplicitGraph) -> int:
     """gcd of the lengths of all loops through the root."""
     if g.loop_lengths is not None:
         lengths = [n * g.period_lift for n, mult in g.loop_lengths if mult > 0]
-        if not lengths:
-            raise EmptyLoopSet("no loop through the root in this truncation")
-        return gcd(*lengths)
-    # imported graph: fall back to exact first-return counting
-    from .oracle import count_first_returns
-    f = count_first_returns(g, g.root, g.size + 1)
-    lengths = [n for n, v in enumerate(f, start=1) if v > 0]
+    else:  # imported graph: fall back to exact first-return counting
+        from .oracle import count_first_returns
+        f = count_first_returns(g, g.root, g.size + 1)
+        lengths = [n for n, v in enumerate(f, start=1) if v > 0]
     if not lengths:
         raise EmptyLoopSet("no loop through the root in this truncation")
     return gcd(*lengths)

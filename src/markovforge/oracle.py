@@ -32,12 +32,12 @@ class PathCountTable:
     def renewal_consistent(self) -> bool:
         return list(self.p) == renewal_convolve(self.f, len(self.p) - 1)
 
-    def to_csv(self, period: int = 1) -> str:
+    def to_csv(self) -> str:
         lines = ["n,f,p,growth_estimate"]
         for n in range(1, len(self.p)):
             fv = self.f[n - 1] if n <= len(self.f) else 0
             pv = self.p[n]
-            est = f"{_ln_big(pv) / n:.12f}" if pv > 0 and n % period == 0 else ""
+            est = f"{_ln_big(pv) / n:.12f}" if pv > 0 else ""
             lines.append(f"{n},{fv},{pv},{est}")
         return "\n".join(lines) + "\n"
 
@@ -195,7 +195,7 @@ def table_from_spectrum(s: LoopSpectrum, N: int, period_lift: int = 1) -> PathCo
     """Renewal table for the (optionally lifted) loop system of a spectrum.
 
     After a lift by p, first returns are supported on multiples of p with
-    f(n p) = a(n).
+    f(n p) = a(n); by the renewal equation, so are the nonzero p(n).
     """
     p = period_lift
     f = [0] * N
@@ -219,13 +219,13 @@ class GrowthEstimate:
     value: float
 
 
-def growth_rate(p: Sequence[int], window: int, period: int = 1) -> GrowthEstimate:
-    """Exponential growth estimate from the last ``window`` usable counts.
+def growth_rate(p: Sequence[int], window: int) -> GrowthEstimate:
+    """Exponential growth estimate from the last ``window`` counts p(n) > 0.
 
-    Only indices in the residue class n = 0 mod period with p(n) > 0 enter,
-    so periodic zero counts never hit log 0.
+    Zero counts, such as those of a period-p table off the multiples of p,
+    are skipped, so they never hit log 0.
     """
-    usable = [n for n in range(1, len(p)) if n % period == 0 and p[n] > 0]
+    usable = [n for n in range(1, len(p)) if p[n] > 0]
     if len(usable) < window:
         raise InsufficientData(f"need {window} usable counts, have {len(usable)}")
     tail = usable[-window:]

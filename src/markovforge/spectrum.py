@@ -394,8 +394,7 @@ def real_text(x, spec: str) -> str:
         return f"{float(x / 10 ** e):{spec.replace('e', 'f')}}e{e:+d}"
 
 
-def spectrum_checks(s: LoopSpectrum,
-                    unit_width_tol: Fraction = Fraction(1, 10 ** 30)) -> list[CheckResult]:
+def spectrum_checks(s: LoopSpectrum) -> list[CheckResult]:
     """Machine-check the defining properties of a constructed spectrum.
 
     For a deleted-loop variant the checks are applied to the parent counts
@@ -415,7 +414,7 @@ def spectrum_checks(s: LoopSpectrum,
     enc = unit_sum_enclosure(s)
     target = unit_sum_target(s)
     overlap = enc.lo <= target.hi and target.lo <= enc.hi
-    width_ok = enc.width <= unit_width_tol
+    width_ok = enc.width <= Fraction(1, 10 ** 30)
     results.append(CheckResult(
         "unit sum encloses target",
         overlap and width_ok,

@@ -125,7 +125,7 @@ def from_dict(payload: dict) -> SpectrumFile:
         if period_lift < 1:
             raise ValueError(f"period_lift {period_lift} is below 1")
         return SpectrumFile(spectrum, period_lift, payload.get("entropy_target"))
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise SpectrumFileError(f"malformed spectrum file: {e}") from e
 
 

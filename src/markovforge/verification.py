@@ -5,23 +5,20 @@ from __future__ import annotations
 
 import gc
 from math import gcd
-from typing import Optional
 
 from .classifier import Verdict, classify
 from .errors import TailUnavailable
-from .graph import is_strongly_connected, lift_period, period, realize
+from .graph import fits, is_strongly_connected, lift_period, period, realize
 from .oracle import (ENUMERATION_BUDGET, BudgetExceeded, count_first_returns,
                      count_paths, renewal_convolve, table_from_spectrum,
                      walk_path_counts)
 from .spectrum import CheckResult, LoopSpectrum, identity_failure, spectrum_checks
 
 DEFAULT_ORACLE_DEPTH = 12
-REALIZE_VERTEX_BUDGET = 2 * 10 ** 6
 
 
 def run_suite(s: LoopSpectrum, period_lift: int = 1,
-              oracle_depth: int = DEFAULT_ORACLE_DEPTH,
-              precision_bits: Optional[int] = None) -> list[CheckResult]:
+              oracle_depth: int = DEFAULT_ORACLE_DEPTH) -> list[CheckResult]:
     results: list[CheckResult] = []
 
     # construction properties (constructed spectra only)
@@ -52,11 +49,10 @@ def run_suite(s: LoopSpectrum, period_lift: int = 1,
 def _oracle_checks(s: LoopSpectrum, period_lift: int,
                    oracle_depth: int) -> list[CheckResult]:
     results: list[CheckResult] = []
-    # oracle equivalence on the truncated realization; the lifted graph
-    # spends p a(n) n vertices per loop length, so shrink the depth until it
-    # fits in memory (large bases reach millions of loops by length 9)
-    depth, budget = min(oracle_depth, s.N_max), REALIZE_VERTEX_BUDGET // period_lift
-    while depth > 1 and sum(s.count(n) * n for n in range(1, depth + 1)) > budget:
+    # oracle equivalence on the truncated realization; shrink the depth until the
+    # lifted graph fits (large bases reach millions of loops by length 9)
+    depth = min(oracle_depth, s.N_max)
+    while depth > 1 and not fits(s, depth, period_lift):
         depth -= 1
     g = realize(s, depth)
     results.append(CheckResult("realization strongly connected",
@@ -92,7 +88,7 @@ def _oracle_checks(s: LoopSpectrum, period_lift: int,
     results.append(CheckResult("literal enumeration matches DP", enum_ok, enum_detail))
 
     # period
-    lifted = lift_period(g, period_lift) if period_lift > 1 else g
+    lifted = lift_period(g, period_lift)
     realized = [n * period_lift for n in s.support() if n <= depth]
     if realized:
         expected = gcd(*realized)

@@ -160,7 +160,7 @@ def test_criterion_5_periods():
         capped = user_spectrum([min(v, 1) for v in s.a[:9]])
         if period(lift_period(realize(capped), p)) != p:
             failures.append((p, "structural period"))
-        est = growth_rate(table.p, window=4, period=p)
+        est = growth_rate(table.p, window=4)
         if est.samples[-1][0] != 64 * p:
             failures.append((p, "depth"))
         if abs(est.value - ln2) >= 0.05:

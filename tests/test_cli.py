@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import markovforge
-from markovforge import BetaValue, build_spectrum, cli, spectrum, spectrum_io
+from markovforge import BetaValue, build_spectrum, cli, graph, spectrum, spectrum_io
 from markovforge.errors import FloorUndecidable, PrecisionExhausted
 
 
@@ -187,6 +187,25 @@ def test_entropy_flag_builds_exact_base(tmp_path, capsys):
     assert payload["beta"]["value"] == "8"
 
 
+def test_period_with_beta_is_a_lift(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "build", "--beta", "2", "--max-n", "16", "--period", "3", "--out", "p.json")
+    run(capsys, "build", "--beta", "2", "--max-n", "16", "--out", "b.json")
+    run(capsys, "lift", "b.json", "--period", "3", "--out", "l.json")
+    assert (tmp_path / "p.json").read_bytes() == (tmp_path / "l.json").read_bytes()
+    assert json.loads((tmp_path / "p.json").read_text())["period_lift"] == 3
+
+
+def test_truncated_user_spectrum_is_indeterminate(tmp_path, capsys):
+    # no tail bound and no finite support: no radius R, so no entropy either
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"format_version": 2, "N_max": 3, "a": ["1", "0", "2"]}))
+    code, stdout, _ = run(capsys, "classify", str(path))
+    report = json.loads(stdout)
+    assert code == 0 and report["verdict"] == "Indeterminate"
+    assert report["entropy"] is None and report["lifted_entropy"] is None
+
+
 def test_export_formats(tmp_path, capsys):
     base = tmp_path / "b.json"
     run(capsys, "build", "--beta", "2", "--max-n", "9", "--out", str(base))
@@ -202,10 +221,10 @@ def test_export_formats(tmp_path, capsys):
 
 
 def test_export_refuses_oversized_graph(tmp_path, capsys, monkeypatch):
-    # base 8 to length 64 has ~1e53 vertices: refused before realizing
-    def realize_called(*a, **k):
-        raise AssertionError("export realized a graph over the vertex budget")
-    monkeypatch.setattr(cli, "realize", realize_called)
+    # base 8 to length 64 has ~1e53 vertices: refused before any arrow array
+    def array_called(*a, **k):
+        raise AssertionError("export allocated a graph over the vertex budget")
+    monkeypatch.setattr(graph, "array", array_called)
     base = tmp_path / "b8.json"
     out = tmp_path / "g.dot"
     run(capsys, "build", "--beta", "8", "--max-n", "64", "--out", str(base))
@@ -306,11 +325,20 @@ NEAR_ONE = "1." + "0" * 119 + "1"
     (["verify", "p0.json"], 1),
     (["classify", "near-one.json"], 3),
     (["MARKOVFORGE_PRECISION=x", "build", "--beta", "2", "--out", "x.json"], 2),
-    (["MARKOVFORGE_PRECISION=0", "classify", "b.json"], 2),
+    (["MARKOVFORGE_PRECISION=0", "build", "--beta", "2", "--out", "x.json"], 2),
+    (["build", "--beta", "abc", "--out", "x.json"], 2),
+    (["build", "--beta", "1/0", "--out", "x.json"], 2),
+    (["build", "--beta", "e^x", "--out", "x.json"], 2),
+    (["build", "--entropy", "abc", "--out", "x.json"], 2),
+    (["build", "--entropy", "ln5", "--out", "x.json"], 2),
+    (["classify", "div0.json"], 1),
+    (["verify", "a1-2.json"], 6),
+    (["export", "a1-2.json", "--format", "dot"], 6),
 ], ids=["build-max-n", "build-precision", "build-near-one", "build-7e-10",
         "entropy-7e-10", "n0", "export-max-n", "oracle-depth", "lift-period",
         "classify-period-0", "verify-period-0", "classify-near-one",
-        "precision-env-x", "precision-env-0"])
+        "precision-env-x", "precision-env-0", "beta-abc", "beta-1/0", "beta-e^x",
+        "entropy-abc", "entropy-ln5", "beta-value-1/0", "verify-a1-2", "export-a1-2"])
 def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run(capsys, "build", "--beta", "2", "--max-n", "16", "--out", "b.json")
@@ -322,6 +350,11 @@ def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch
     payload["period_lift"] = 1
     payload["beta"] = {"kind": "decimal", "value": str(Fraction(NEAR_ONE)), "text": NEAR_ONE}
     (tmp_path / "near-one.json").write_text(json.dumps(payload))
+    payload["beta"] = {"kind": "rational", "value": "1/0", "text": "1/0"}
+    (tmp_path / "div0.json").write_text(json.dumps(payload))
+    # a user spectrum with two self-loops at the root
+    (tmp_path / "a1-2.json").write_text(json.dumps(
+        {"format_version": 2, "N_max": 3, "a": ["2", "0", "1"], "finite_support": True}))
     # leading NAME=value words set the environment, as in a shell
     while "=" in argv[0]:
         monkeypatch.setenv(*argv[0].split("=", 1))
@@ -333,6 +366,23 @@ def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert got == code
     assert "error" in err and "Traceback" not in err
+
+
+def test_closed_stdout_is_not_an_error(tmp_path):
+    # the reader of a pipe leaves before the report is written
+    path = tmp_path / "b.json"
+    assert cli.main(["build", "--beta", "e^3", "--out", str(path)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(markovforge.__file__).parents[1])}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from markovforge.cli import main; sys.exit(main())",
+             "classify", str(path), "--lambda-window"],
+            env=env, stdout=w, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(w)
+    assert proc.returncode == 0 and proc.stderr == ""
 
 
 @pytest.mark.parametrize("beta", ["1000/999", "1.001"])

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovforge import (export, export_dot, export_json, import_json,
+from markovforge import (export, export_dot, export_json, graph, import_json,
                          lift_period, period, realize, user_spectrum)
+from markovforge.errors import Unrealizable
 from markovforge.graph import (ROOT, ExplicitGraph, is_strongly_connected,
                                vertex_count)
 
@@ -24,8 +25,29 @@ def test_realize_flower_counts(spec2):
 
 
 def test_realize_rejects_multiple_short_loops():
-    with pytest.raises(ValueError):
+    with pytest.raises(Unrealizable):
         realize(user_spectrum([2]))
+
+
+def test_realize_refuses_before_allocating(spec8, monkeypatch):
+    # base 8 to length 64 has ~1e53 vertices
+    def array_called(*a, **k):
+        raise AssertionError("an arrow array was allocated")
+    monkeypatch.setattr(graph, "array", array_called)
+    with pytest.raises(Unrealizable, match="vertices"):
+        realize(spec8, 64)
+    with pytest.raises(Unrealizable, match="parallel"):
+        realize(user_spectrum([2, 0, 5]))
+
+
+def test_lift_is_bounded_by_the_vertex_budget(spec2, monkeypatch):
+    g = realize(spec2, 4)  # 13 vertices
+    monkeypatch.setattr(graph, "REALIZE_VERTEX_BUDGET", 25)
+    for refused in (lambda: lift_period(g, 2), lambda: realize(spec2, 4, 2)):
+        with pytest.raises(Unrealizable, match="26 vertices"):
+            refused()
+    monkeypatch.setattr(graph, "REALIZE_VERTEX_BUDGET", 26)
+    assert realize(spec2, 4, 2) == lift_period(g, 2)
 
 
 def test_period_is_gcd_of_loop_lengths():

@@ -135,6 +135,15 @@ def test_growth_rate_converges_base2(spec2):
     assert est.samples[-1][0] == 64
 
 
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=8), st.integers(1, 4),
+       st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_lifted_counts_vanish_off_the_period(a, p, extra):
+    # growth_rate, lambda_estimate and to_csv rely on this instead of a period
+    t = table_from_spectrum(user_spectrum(a), len(a) * p + extra, p)
+    assert all(n % p == 0 for n, v in enumerate(t.p) if v > 0)
+
+
 def test_growth_rate_needs_data():
     with pytest.raises(InsufficientData):
         growth_rate([1, 0, 0], window=8)

@@ -1,6 +1,9 @@
 """End-to-end invariant suite."""
 
+import pytest
+
 from markovforge import delete_loop, graph, lift_period, user_spectrum, verification
+from markovforge.errors import Unrealizable
 from markovforge.verification import run_suite
 
 
@@ -32,9 +35,9 @@ def test_suite_handles_user_spectrum():
 
 
 def test_lift_is_charged_in_the_vertex_budget(spec2, monkeypatch):
-    # a(n) n summed to depth 12 is 593 and to depth 8 is 17: unlifted, depth 12
-    # fits a budget of 1000, lifted by 3 only depth 8 does
-    monkeypatch.setattr(verification, "REALIZE_VERTEX_BUDGET", 1000)
+    # the graph has 525 vertices at depth 12 (and 9) and 13 at depth 8:
+    # unlifted, depth 12 fits a budget of 1000, lifted by 3 only depth 8 does
+    monkeypatch.setattr(graph, "REALIZE_VERTEX_BUDGET", 1000)
     sizes = []
 
     def lift(g, p):
@@ -46,6 +49,13 @@ def test_lift_is_charged_in_the_vertex_budget(spec2, monkeypatch):
     assert all(r.passed for r in results.values())
     assert results["first returns match spectrum"].detail == "depth 8"
     assert sizes and max(sizes) <= 1000
+
+
+def test_a_lift_past_the_vertex_budget_is_refused(spec2, monkeypatch):
+    # even the one-vertex graph at depth 1 has 2000 vertices once lifted
+    monkeypatch.setattr(graph, "REALIZE_VERTEX_BUDGET", 1000)
+    with pytest.raises(Unrealizable):
+        run_suite(spec2, period_lift=2000)
 
 
 def test_verification_never_builds_vertex_names(spec_e07, monkeypatch):
