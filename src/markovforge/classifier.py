@@ -21,11 +21,11 @@ system is -log R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._frozen import Frozen
 from .errors import NoGrowthModel, TailUnavailable
 from .intervals import (DEFAULT_PRECISION_BITS, CReal, decimal_bounds,
                         log_fraction, log_interval, power_series)
@@ -41,30 +41,29 @@ class Verdict(str, Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class Radius:
+class Radius(Frozen):
     """A radius of convergence: an enclosure, an infinity sentinel, or an
     uncertified estimate."""
 
-    value: Optional[CReal]
-    infinite: bool = False
-    certified: bool = True
+    _fields = ("value", "infinite", "certified")
+
+    def __init__(self, value: Optional[CReal], infinite: bool = False,
+                 certified: bool = True) -> None:
+        self._init(value, infinite, certified)
 
     @staticmethod
     def unbounded() -> "Radius":
         return Radius(None, True, True)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    verdict: Verdict
-    L: Radius
-    R: Radius
-    F_at_L: Optional[CReal]
-    mean_return_bound: Optional[CReal]
-    entropy: Optional[CReal]
-    has_mme: Optional[bool]
-    notes: tuple[str, ...] = ()
+class ClassificationReport(Frozen):
+    _fields = ("verdict", "L", "R", "F_at_L", "mean_return_bound", "entropy",
+               "has_mme", "notes")
+
+    def __init__(self, verdict: Verdict, L: Radius, R: Radius, F_at_L: Optional[CReal],
+                 mean_return_bound: Optional[CReal], entropy: Optional[CReal],
+                 has_mme: Optional[bool], notes: tuple[str, ...] = ()) -> None:
+        self._init(verdict, L, R, F_at_L, mean_return_bound, entropy, has_mme, notes)
 
     def to_dict(self) -> dict:
         def interval(x: Optional[CReal]):

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (also on a closed stdout), 1 unreadable or malformed
 file, 2 invalid base (beta <= 1) or bad usage, 3 precision exhausted (also beta
-too close to 1), 4 no deletable loop, 5 verification failures, 6 graph too
-large to realize or a(1) > 1.
+too close to 1, or a build of more than spectrum.MAX_SQUARE_FLOORS square
+floors), 4 no deletable loop, 5 verification failures, 6 graph too large to
+realize or a(1) > 1.
 """
 
 from __future__ import annotations
@@ -104,9 +105,7 @@ def cmd_build(args) -> int:
 
 def cmd_transient_variant(args) -> int:
     sf = spectrum_io.load(args.file)
-    variant = delete_loop(sf.spectrum, args.n0)
-    _save(spectrum_io.SpectrumFile(variant, sf.period_lift, sf.entropy_target),
-          args.out)
+    _save(sf.replace(spectrum=delete_loop(sf.spectrum, args.n0)), args.out)
     return EXIT_OK
 
 
@@ -150,8 +149,7 @@ def cmd_lift(args) -> int:
     if sf.period_lift != 1:
         print("error: spectrum file already carries a period lift", file=sys.stderr)
         return EXIT_BAD_BETA
-    _save(spectrum_io.SpectrumFile(sf.spectrum, args.period, sf.entropy_target),
-          args.out)
+    _save(sf.replace(period_lift=args.period), args.out)
     return EXIT_OK
 
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
+from ._frozen import Frozen
 from .errors import EmptyLoopSet, Unrealizable
 from .spectrum import LoopSpectrum
 
@@ -23,8 +23,7 @@ ROOT = "root"
 REALIZE_VERTEX_BUDGET = 2 * 10 ** 6  # the most vertices realize and lift_period build
 
 
-@dataclass(frozen=True)
-class ExplicitGraph:
+class ExplicitGraph(Frozen):
     """Finite oriented graph on the vertices 0..size-1 with at most one arrow
     per ordered vertex pair; arrow j runs from ``tails[j]`` to ``heads[j]``.
 
@@ -33,13 +32,13 @@ class ExplicitGraph:
     multiplicity) pairs, and ``period_lift``.
     """
 
-    size: int
-    tails: array = field(hash=False)
-    heads: array = field(hash=False)
-    root: int = 0
-    period_lift: int = 1
-    names: Optional[tuple[str, ...]] = None
-    loop_lengths: Optional[tuple[tuple[int, int], ...]] = None
+    _fields = ("size", "tails", "heads", "root", "period_lift", "names", "loop_lengths")
+    _unhashed = ("tails", "heads")
+
+    def __init__(self, size: int, tails: array, heads: array, root: int = 0,
+                 period_lift: int = 1, names: Optional[tuple[str, ...]] = None,
+                 loop_lengths: Optional[tuple[tuple[int, int], ...]] = None) -> None:
+        self._init(size, tails, heads, root, period_lift, names, loop_lengths)
 
     @classmethod
     def from_names(cls, root: str, vertices: tuple[str, ...], arrows: tuple[tuple[str, str], ...],
@@ -85,7 +84,7 @@ class ExplicitGraph:
             adj = self._index_lists(self.tails, self.heads)
             if any(len(succ) > 1 and len(set(succ)) < len(succ) for succ in adj):
                 raise ValueError("duplicate arrow")
-            object.__setattr__(self, "_adjacency", adj)
+            self.__dict__["_adjacency"] = adj
         return adj
 
     def reverse_adjacency(self) -> list[list[int]]:

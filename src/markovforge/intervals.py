@@ -24,11 +24,11 @@ No binary floats enter or leave this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
+from ._frozen import Frozen
 from .errors import (DivergentTail, FloorUndecidable, NotGreaterThanOne,
                      PrecisionExhausted)
 
@@ -74,8 +74,7 @@ def _pow_round(v: Fraction, n: int, bits: int, up: bool) -> Fraction:
         base = _round(base * base, bits, up)
 
 
-@dataclass(frozen=True)
-class CReal:
+class CReal(Frozen):
     """A real number known only through a certified enclosure ``[lo, hi]``.
 
     ``precision_bits`` records the precision the value was produced at and
@@ -83,17 +82,15 @@ class CReal:
     endpoints alone carry the certificate.
     """
 
-    lo: Fraction
-    hi: Fraction
-    precision_bits: int = DEFAULT_PRECISION_BITS
+    _fields = ("lo", "hi", "precision_bits")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", _frac(self.lo))
-        object.__setattr__(self, "hi", _frac(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"inverted enclosure [{self.lo}, {self.hi}]")
-        if self.precision_bits <= 0:
+    def __init__(self, lo: Rat, hi: Rat, precision_bits: int = DEFAULT_PRECISION_BITS) -> None:
+        lo, hi = _frac(lo), _frac(hi)
+        if lo > hi:
+            raise ValueError(f"inverted enclosure [{lo}, {hi}]")
+        if precision_bits <= 0:
             raise ValueError("precision_bits must be positive")
+        self._init(lo, hi, precision_bits)
 
     @staticmethod
     def exact(v: Rat, precision_bits: int = DEFAULT_PRECISION_BITS) -> "CReal":
@@ -426,24 +423,22 @@ def geometric_tail(ratio: Union[CReal, Rat], first_exponent: int, weight: str = 
 _BETA_KINDS = ("rational", "exp_rational", "decimal")
 
 
-@dataclass(frozen=True)
-class BetaValue:
+class BetaValue(Frozen):
     """A growth base beta > 1 given exactly.
 
     ``kind`` is one of "rational" / "decimal" (value is beta itself, a
     decimal literal being read as an exact rational) or "exp_rational"
-    (value is the exponent q, beta = e^q).
+    (value is the exponent q, beta = e^q).  Enclosures from :meth:`eval`
+    are kept per precision, outside the fields.
     """
 
-    kind: str
-    value: Fraction
-    text: str
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _fields = ("kind", "value", "text")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _BETA_KINDS:
-            raise ValueError(f"unknown beta kind {self.kind!r}")
-        object.__setattr__(self, "value", _frac(self.value))
+    def __init__(self, kind: str, value: Rat, text: str) -> None:
+        if kind not in _BETA_KINDS:
+            raise ValueError(f"unknown beta kind {kind!r}")
+        self._init(kind, _frac(value), text)
+        self.__dict__["_cache"] = {}
 
     @staticmethod
     def parse(text: str) -> "BetaValue":

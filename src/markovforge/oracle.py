@@ -10,10 +10,10 @@ integer-indexed adjacency that :class:`ExplicitGraph` builds once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
+from ._frozen import Frozen
 from .errors import InsufficientData
 from .graph import ExplicitGraph
 from .spectrum import LoopSpectrum
@@ -21,13 +21,13 @@ from .spectrum import LoopSpectrum
 ENUMERATION_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class PathCountTable:
+class PathCountTable(Frozen):
     """f[i] = first-return count f(i+1); p[i] = all-loop count p(i), p(0) = 1."""
 
-    f: tuple[int, ...]
-    p: tuple[int, ...]
-    source: str
+    _fields = ("f", "p", "source")
+
+    def __init__(self, f: tuple[int, ...], p: tuple[int, ...], source: str) -> None:
+        self._init(f, p, source)
 
     def renewal_consistent(self) -> bool:
         return list(self.p) == renewal_convolve(self.f, len(self.p) - 1)
@@ -195,14 +195,18 @@ def table_from_spectrum(s: LoopSpectrum, N: int, period_lift: int = 1) -> PathCo
     """Renewal table for the (optionally lifted) loop system of a spectrum.
 
     After a lift by p, first returns are supported on multiples of p with
-    f(n p) = a(n); by the renewal equation, so are the nonzero p(n).
+    f(n p) = a(n); by the renewal equation, so are the nonzero p(n), with
+    p(n p) the unlifted p(n).  So the unlifted counts are convolved, up to
+    N // p, and spread onto the multiples of p.
     """
-    p = period_lift
-    f = [0] * N
-    for n in range(1, s.N_max + 1):
-        if n * p <= N:
-            f[n * p - 1] = s.count(n)
-    return PathCountTable(tuple(f), tuple(renewal_convolve(f, N)), source="renewal convolution")
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    p, m = period_lift, N // period_lift
+    f0 = list(s.a[:m]) + [0] * (m - s.N_max)
+    f, counts = [0] * N, [0] * (N + 1)
+    f[p - 1::p] = f0
+    counts[::p] = renewal_convolve(f0, m)
+    return PathCountTable(tuple(f), tuple(counts), source="renewal convolution")
 
 
 def table_from_graph(g: ExplicitGraph, N: int) -> PathCountTable:
@@ -211,12 +215,13 @@ def table_from_graph(g: ExplicitGraph, N: int) -> PathCountTable:
     return PathCountTable(tuple(f), tuple(p), source="graph enumeration")
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(Frozen):
     """Trailing (1/n) log p(n) samples; ``value`` is the last one."""
 
-    samples: tuple[tuple[int, float], ...]
-    value: float
+    _fields = ("samples", "value")
+
+    def __init__(self, samples: tuple[tuple[int, float], ...], value: float) -> None:
+        self._init(samples, value)
 
 
 def growth_rate(p: Sequence[int], window: int) -> GrowthEstimate:

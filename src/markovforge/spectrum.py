@@ -19,30 +19,33 @@ restarts at doubled precision whenever a floor is undecidable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._frozen import Frozen
 from .errors import (FloorUndecidable, NoDeletableLoop, PrecisionExhausted,
                      TailUnavailable)
 from .intervals import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, BetaValue,
                         CReal, certified_floor, geometric_tail, power_series)
 
 DEFAULT_N_MAX = 64
+# the most square floors a build computes: 1.00001 needs about 4,500 at the
+# default precision (about 40 s), and the cost grows with their square
+MAX_SQUARE_FLOORS = 5000
 
 
-@dataclass(frozen=True)
-class DigitTrace:
+class DigitTrace(Frozen):
     """Audit trail of the construction; index i corresponds to n = i + 1."""
 
-    b: tuple[int, ...]
-    d: tuple[int, ...]
-    d_prime: tuple[int, ...]
+    _fields = ("b", "d", "d_prime")
+
+    def __init__(self, b: tuple[int, ...], d: tuple[int, ...],
+                 d_prime: tuple[int, ...]) -> None:
+        self._init(b, d, d_prime)
 
 
-@dataclass(frozen=True)
-class SpectrumMeta:
+class SpectrumMeta(Frozen):
     """Certified analytic metadata of a constructed spectrum.
 
     Stored: the build's inputs, the deficit delta, k = floor(beta^2 delta)
@@ -52,13 +55,12 @@ class SpectrumMeta:
     sum a(n) z^n) and M_bound = beta + k (bounds the off-square counts).
     """
 
-    beta: BetaValue
-    precision_bits: int
-    N_max: int
-    delta: CReal
-    k: int
-    tail_at_L: CReal
-    deleted_loop: Optional[int] = None
+    _fields = ("beta", "precision_bits", "N_max", "delta", "k", "tail_at_L",
+               "deleted_loop")
+
+    def __init__(self, beta: BetaValue, precision_bits: int, N_max: int, delta: CReal,
+                 k: int, tail_at_L: CReal, deleted_loop: Optional[int] = None) -> None:
+        self._init(beta, precision_bits, N_max, delta, k, tail_at_L, deleted_loop)
 
     _series = cached_property(
         lambda self: _series_constants(self.beta, self.N_max, self.precision_bits))
@@ -67,8 +69,7 @@ class SpectrumMeta:
     M_bound = cached_property(lambda self: self._series[1] + self.k)
 
 
-@dataclass(frozen=True)
-class LoopSpectrum:
+class LoopSpectrum(Frozen):
     """Truncated loop-count sequence a(1..N_max) with optional metadata.
 
     ``a[i]`` holds a(i+1).  ``meta`` is present for constructed spectra only;
@@ -76,19 +77,18 @@ class LoopSpectrum:
     the whole (polynomial) spectrum or a truncation of something unknown.
     """
 
-    a: tuple[int, ...]
-    N_max: int
-    meta: Optional[SpectrumMeta] = None
-    digit_trace: Optional[DigitTrace] = None
-    finite_support: bool = False
+    _fields = ("a", "N_max", "meta", "digit_trace", "finite_support")
 
-    def __post_init__(self) -> None:
-        if len(self.a) != self.N_max:
+    def __init__(self, a: tuple[int, ...], N_max: int, meta: Optional[SpectrumMeta] = None,
+                 digit_trace: Optional[DigitTrace] = None,
+                 finite_support: bool = False) -> None:
+        if len(a) != N_max:
             raise ValueError("a must have exactly N_max entries")
-        if any(v < 0 for v in self.a):
+        if any(v < 0 for v in a):
             raise ValueError("loop counts must be nonnegative")
-        if self.meta is not None and self.meta.N_max != self.N_max:
+        if meta is not None and meta.N_max != N_max:
             raise ValueError("meta was built for another N_max")
+        self._init(a, N_max, meta, digit_trace, finite_support)
 
     def count(self, n: int) -> int:
         if not 1 <= n <= self.N_max:
@@ -153,9 +153,18 @@ def beta_expansion(x: CReal, beta: BetaValue, num_digits: int,
 
 
 def _log2_bounds(x: Fraction) -> tuple[float, float]:
-    """(lower, upper) float bounds on log2 of a positive rational."""
-    v = math.log2(x.numerator) - math.log2(x.denominator)
-    pad = 1e-9 * (abs(v) + 1)
+    """(lower, upper) float bounds on log2 of a positive rational.
+
+    Between 1/2 and 2 through log1p, so that a log2 x near 0 keeps a small
+    relative error and its pad can be relative too; elsewhere |log2 x| >= 1.
+    """
+    n, d = x.numerator, x.denominator
+    if d < 2 * n < 4 * d:
+        v = math.log1p((n - d) / d) / math.log(2)
+        pad = 1e-9 * abs(v)
+    else:
+        v = math.log2(n) - math.log2(d)
+        pad = 1e-9 * (abs(v) + 1)
     return v - pad, v + pad
 
 
@@ -174,15 +183,19 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     probe = beta.eval(bits)
     lg_lo, _ = _log2_bounds(probe.lo)
     _, lg_hi = _log2_bounds(probe.hi)
-    if lg_lo <= 0:
-        raise PrecisionExhausted(f"beta = {beta.text} is too close to 1 to bound "
-                                 "log2(beta) away from 0")
     series_bits, B, L = _series_constants(beta, N_max, bits)
-    c = (B - 1) ** 2
     # the untracked floor tail (beyond n_ext^2) must be small on the scale
-    # of the series arithmetic
+    # of the series arithmetic: n_ext^2 log2(beta) >= series_bits - 32.
+    # Refused before any floor work when that takes too many floors; the
+    # test is a product, as the quotient overflows for a subnormal lg_lo.
+    if (lg_lo * MAX_SQUARE_FLOORS ** 2 < series_bits - 32
+            or math.isqrt(N_max) > MAX_SQUARE_FLOORS):
+        raise PrecisionExhausted(
+            f"beta = {beta.text} at N_max = {N_max} needs more than {MAX_SQUARE_FLOORS} "
+            f"square floors at {bits} bits")
     n_ext = max(math.isqrt(N_max),
                 math.ceil(math.sqrt((series_bits - 32) / lg_lo)))
+    c = (B - 1) ** 2
 
     # Square-index floors floor(c beta^(m^2-m)) from one enclosure of beta
     # and a running product, beta^((m+1)^2-(m+1)) = beta^(m^2-m) beta^(2m).
@@ -282,9 +295,8 @@ def delete_loop(s: LoopSpectrum, n0: Optional[int] = None) -> LoopSpectrum:
             raise NoDeletableLoop(f"a({n0}) has no loop to delete")
     a = list(s.a)
     a[n0 - 1] -= 1
-    meta = replace(s.meta, deleted_loop=n0) if s.meta is not None else None
-    return LoopSpectrum(tuple(a), s.N_max, meta=meta, digit_trace=s.digit_trace,
-                        finite_support=s.finite_support)
+    meta = s.meta.replace(deleted_loop=n0) if s.meta is not None else None
+    return s.replace(a=tuple(a), meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +381,11 @@ def weighted_sum_enclosure(s: LoopSpectrum) -> CReal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Frozen):
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        self._init(name, passed, detail)
 
 
 _DECIMAL_LIMIT = 10 ** 4300  # the least integer int -> str refuses

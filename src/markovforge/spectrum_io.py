@@ -12,11 +12,11 @@ read, rounded outward onto the grid 2^-precision_bits.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
+from ._frozen import Frozen
 from .errors import SpectrumFileError
 from .intervals import BetaValue, CReal
 from .spectrum import DigitTrace, LoopSpectrum, SpectrumMeta, int_text
@@ -24,13 +24,14 @@ from .spectrum import DigitTrace, LoopSpectrum, SpectrumMeta, int_text
 FORMAT_VERSION = 2
 
 
-@dataclass(frozen=True)
-class SpectrumFile:
+class SpectrumFile(Frozen):
     """A spectrum plus pipeline metadata carried between CLI commands."""
 
-    spectrum: LoopSpectrum
-    period_lift: int = 1
-    entropy_target: Optional[str] = None
+    _fields = ("spectrum", "period_lift", "entropy_target")
+
+    def __init__(self, spectrum: LoopSpectrum, period_lift: int = 1,
+                 entropy_target: Optional[str] = None) -> None:
+        self._init(spectrum, period_lift, entropy_target)
 
 
 def _int_in(text) -> int:
@@ -90,7 +91,7 @@ def to_dict(sf: SpectrumFile) -> dict:
         }
     if s.digit_trace is not None:
         payload["digit_trace"] = {key: [int_text(v) for v in values]
-                                  for key, values in asdict(s.digit_trace).items()}
+                                  for key, values in s.digit_trace.asdict().items()}
     return payload
 
 

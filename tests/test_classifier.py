@@ -6,7 +6,6 @@ supplies that root and the matching entropy to 60 digits.
 """
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -133,7 +132,7 @@ def test_report_serializes(spec2):
 
 
 def test_constructed_verdict_needs_the_digit_trace(spec2):
-    rep = classify(replace(spec2, digit_trace=None))
+    rep = classify(spec2.replace(digit_trace=None))
     assert rep.verdict is Verdict.INDETERMINATE
     assert rep.has_mme is None
 
@@ -143,7 +142,7 @@ def test_extra_loop_is_not_recurrent(spec_e07):
     # root of the finite polynomial alone would ignore the tail
     a = list(spec_e07.a)
     a[1] += 1
-    rep = classify(replace(spec_e07, a=tuple(a)))
+    rep = classify(spec_e07.replace(a=tuple(a)))
     assert rep.verdict is Verdict.INDETERMINATE
     assert rep.F_at_L.certainly_gt(1)
     assert "a(2)" in rep.notes[0]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -314,7 +315,7 @@ NEAR_ONE = "1." + "0" * 119 + "1"
     (["build", "--beta", "2", "--max-n", "2", "--out", "x.json"], 2),
     (["build", "--beta", "2", "--precision", "0", "--out", "x.json"], 2),
     (["build", "--beta", NEAR_ONE, "--out", "x.json"], 3),
-    # log2(beta) ~ 7e-10 lies inside the float pad of its bounds
+    # log2(beta) ~ 7e-10: the build would need about 630,000 square floors
     (["build", "--beta", "1.0000000005", "--out", "x.json"], 3),
     (["build", "--entropy", "1/2000000000", "--out", "x.json"], 3),
     (["transient-variant", "b.json", "--n0", "x", "--out", "x.json"], 2),
@@ -366,6 +367,21 @@ def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert got == code
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--beta", "1.0000000007"],  # log2(beta) just above the old 1e-9 pad
+    ["--beta", "1.000001"],
+    ["--entropy", "1/1000000"],
+    ["--beta", "1.0001", "--precision", "4096"],
+])
+def test_build_refuses_too_many_square_floors(argv, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    start = time.perf_counter()
+    code, _, err = run(capsys, "build", *argv, "--out", str(out))
+    assert time.perf_counter() - start < 5
+    assert code == 3 and f"more than {spectrum.MAX_SQUARE_FLOORS} square floors" in err
+    assert not out.exists()
 
 
 def test_closed_stdout_is_not_an_error(tmp_path):

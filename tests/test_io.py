@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,8 +73,8 @@ def test_long_dyadic_endpoint_round_trips(spec2):
     # int <-> str conversion allows by default
     lo = Fraction((1 << 20_003) + 1, 1 << 20_100)
     hi = lo + Fraction(1, 1 << 20_100)
-    meta = replace(spec2.meta, tail_at_L=CReal(lo, hi, spec2.meta.precision_bits))
-    sf = spectrum_io.SpectrumFile(replace(spec2, meta=meta))
+    meta = spec2.meta.replace(tail_at_L=CReal(lo, hi, spec2.meta.precision_bits))
+    sf = spectrum_io.SpectrumFile(spec2.replace(meta=meta))
     data = spectrum_io.to_bytes(sf)
     back = spectrum_io.from_bytes(data)
     assert back == sf
@@ -85,7 +84,7 @@ def test_long_dyadic_endpoint_round_trips(spec2):
 
 def test_save_refuses_non_dyadic_endpoint(spec2):
     third = CReal.exact(Fraction(1, 3), spec2.meta.precision_bits)
-    sf = spectrum_io.SpectrumFile(replace(spec2, meta=replace(spec2.meta, delta=third)))
+    sf = spectrum_io.SpectrumFile(spec2.replace(meta=spec2.meta.replace(delta=third)))
     with pytest.raises(ValueError):
         spectrum_io.to_bytes(sf)
 

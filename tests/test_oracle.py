@@ -144,6 +144,21 @@ def test_lifted_counts_vanish_off_the_period(a, p, extra):
     assert all(n % p == 0 for n, v in enumerate(t.p) if v > 0)
 
 
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=10), st.sampled_from([1, 2, 3, 7]),
+       st.integers(0, 80))
+@settings(max_examples=80, deadline=None)
+def test_lifted_table_is_the_renewal_of_the_lifted_returns(a, p, N):
+    # the table convolves the unlifted counts and spreads them; the reference
+    # convolves the lifted first returns f(n p) = a(n) over every length
+    f = [0] * N
+    for n, v in enumerate(a, 1):
+        if n * p <= N:
+            f[n * p - 1] = v
+    t = table_from_spectrum(user_spectrum(a), N, p)
+    assert t.f == tuple(f)
+    assert t.p == tuple(renewal_convolve(f, N))
+
+
 def test_growth_rate_needs_data():
     with pytest.raises(InsufficientData):
         growth_rate([1, 0, 0], window=8)
