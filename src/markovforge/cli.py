@@ -120,12 +120,12 @@ def cmd_classify(args) -> int:
     if args.bits and lifted is not None:
         # report entropy in bits: divide the natural-log enclosure by ln 2
         payload["lifted_entropy_bits"] = list(decimal_bounds(lifted / ln2_enclosure()))
-    if args.lambda_window:
-        depth = max(64, 2 * sf.spectrum.N_max) * sf.period_lift
-        table = table_from_spectrum(sf.spectrum, depth, sf.period_lift)
-        if report.R.value is not None:
-            payload["lambda_window"] = [
-                [n, v] for n, v in lambda_estimate(table, report.R.value)]
+    if args.lambda_window and report.R.value is not None:
+        # lifted by p, p(n p) (R^(1/p))^(n p) = p(n) R^n: the unlifted
+        # window, each n relabelled n p
+        table = table_from_spectrum(sf.spectrum, max(64, 2 * sf.spectrum.N_max))
+        payload["lambda_window"] = [
+            [n * sf.period_lift, v] for n, v in lambda_estimate(table, report.R.value)]
     import json
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK

@@ -21,6 +21,8 @@ from .spectrum import LoopSpectrum
 
 ROOT = "root"
 REALIZE_VERTEX_BUDGET = 2 * 10 ** 6  # the most vertices realize and lift_period build
+# (one, hubs): the neighbour form of ExplicitGraph.adjacency
+Neighbours = tuple[array, dict[int, list[int]]]
 
 
 class ExplicitGraph(Frozen):
@@ -72,30 +74,70 @@ class ExplicitGraph(Frozen):
         a name lookup in a realized graph generates all its names."""
         return v if v == self.root else self.vertices.index(v)
 
-    def adjacency(self) -> list[list[int]]:
-        """Successor lists indexed by vertex.
+    def adjacency(self) -> Neighbours:
+        """Successors as ``(one, hubs)``: ``one[v]`` is v's first successor in
+        arrow order, or ``size`` if it has none, and ``hubs`` maps each vertex
+        with several successors to all of them, in arrow order.
 
         Built on the first call and kept on the instance; it is not a field,
         so equality and hashing are unaffected.  Callers must not mutate it.
-        A repeated arrow raises ValueError.
+        A realized graph derives it from ``loop_lengths``; any other graph
+        from its arrows, where a repeated arrow raises ValueError.
         """
-        adj = self.__dict__.get("_adjacency")
-        if adj is None:
-            adj = self._index_lists(self.tails, self.heads)
-            if any(len(succ) > 1 and len(set(succ)) < len(succ) for succ in adj):
-                raise ValueError("duplicate arrow")
-            self.__dict__["_adjacency"] = adj
-        return adj
+        return self._neighbours("_adjacency", False)
 
-    def reverse_adjacency(self) -> list[list[int]]:
-        """Predecessor lists indexed like :meth:`adjacency`; built on every call."""
-        return self._index_lists(self.heads, self.tails)
+    def reverse_adjacency(self) -> Neighbours:
+        """Predecessors in the form of :meth:`adjacency`, kept likewise."""
+        return self._neighbours("_reverse_adjacency", True)
 
-    def _index_lists(self, tails: array, heads: array) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.size)]
-        for u, v in zip(tails, heads):
-            adj[u].append(v)
-        return adj
+    def _neighbours(self, key: str, reverse: bool) -> Neighbours:
+        if key not in self.__dict__:
+            ends = (self.heads, self.tails) if reverse else (self.tails, self.heads)
+            self.__dict__[key] = (_flower_neighbours(self, reverse)
+                                  if self.loop_lengths is not None
+                                  else _arrow_neighbours(self.size, *ends))
+        return self.__dict__[key]
+
+
+def _arrow_neighbours(size: int, tails: array, heads: array) -> Neighbours:
+    one = array("l", [size]) * size
+    hubs: dict[int, list[int]] = {}
+    for u, v in zip(tails, heads):
+        if one[u] == size:
+            one[u] = v
+        else:
+            hubs.setdefault(u, [one[u]]).append(v)
+    if any(len(set(fan)) < len(fan) for fan in hubs.values()):
+        raise ValueError("duplicate arrow")
+    return one, hubs
+
+
+def _flower_neighbours(g: ExplicitGraph, reverse: bool) -> Neighbours:
+    # Lifted by p, every vertex x steps to x+1 (and back to x-1) but where a
+    # loop meets the root: the k-th loop of length n >= 2 enters at
+    # first + k*step from root@p (index p-1) and leaves from last + k*step to
+    # root@1 (index 0); the root self-loop runs from root@p to root@1.
+    p, size = g.period_lift, g.size
+    one = array("l", range(-1, size - 1) if reverse else range(1, size + 1))
+    fan: list[int] = []
+    base = 1
+    for n, mult in g.loop_lengths:
+        if n == 1:
+            fan.append(p - 1 if reverse else 0)
+            continue
+        step = (n - 1) * p
+        first = base * p
+        last, stop = first + step - 1, first + mult * step
+        if reverse:
+            one[first:stop:step] = array("l", [p - 1]) * mult
+            fan += range(last, stop, step)
+        else:
+            one[last:stop:step] = array("l", [0]) * mult
+            fan += range(first, stop, step)
+        base += mult * (n - 1)
+    hub = 0 if reverse else p - 1
+    one[hub] = fan[0] if fan else size
+    return one, ({hub: fan} if len(fan) > 1 else {})
 
 
 def _flower_names(loop_lengths: tuple[tuple[int, int], ...]) -> list[str]:
@@ -121,17 +163,20 @@ def realize(s: LoopSpectrum, N: Optional[int] = None, period_lift: int = 1) -> E
     if not fits(s, N, period_lift):
         raise Unrealizable(f"the graph up to length {N} has {vertex_count(s, N) * period_lift} "
                            f"vertices, more than {REALIZE_VERTEX_BUDGET}")
-    tails, heads = array("l"), array("l")
     lengths = tuple((n, s.count(n)) for n in range(1, N + 1) if s.count(n))
-    size = 1
+    # Listing each loop as the root, then its vertices in order, gives the
+    # tails of its arrows root -> w -> ... -> w+n-2 -> root, and the heads
+    # are that list rotated by one.  The loops of one length lie side by
+    # side, so column j of their tails is a range.
+    tails = array("l", [0]) * sum(n * mult for n, mult in lengths)
+    start, first = 0, 1
     for n, mult in lengths:
-        for _ in range(mult):
-            # root -> size -> size+1 -> ... -> size+n-2 -> root
-            loop = range(size, size + n - 1)
-            tails.extend([0, *loop])
-            heads.extend([*loop, 0])
-            size += n - 1
-    return lift_period(ExplicitGraph(size, tails, heads, loop_lengths=lengths), period_lift)
+        stop, after = start + n * mult, first + mult * (n - 1)
+        for j in range(1, n):
+            tails[start + j:stop:n] = array("l", range(first + j - 1, after, n - 1))
+        start, first = stop, after
+    heads = tails[1:] + tails[:1]
+    return lift_period(ExplicitGraph(first, tails, heads, loop_lengths=lengths), period_lift)
 
 
 def vertex_count(s: LoopSpectrum, N: int) -> int:
@@ -155,14 +200,14 @@ def lift_period(g: ExplicitGraph, p: int) -> ExplicitGraph:
     if g.size * p > REALIZE_VERTEX_BUDGET:
         raise Unrealizable(f"the graph lifted by {p} has {g.size * p} vertices, "
                            f"more than {REALIZE_VERTEX_BUDGET}")
-    # phase steps v@i -> v@i+1 for every vertex, then u@p -> v@1 per arrow
-    steps = [v * p + i for v in range(g.size) for i in range(p - 1)]
-    tails = array("l", steps)
-    tails.extend(u * p + p - 1 for u in g.tails)
-    heads = array("l", [t + 1 for t in steps])
-    heads.extend(v * p for v in g.heads)
+    # phase steps v@i -> v@i+1 for i < p of every vertex, then u@p -> v@1 per arrow
+    size = g.size * p
+    tails, heads = array("l", range(size)), array("l", range(1, size + 1))
+    del tails[p - 1::p], heads[p - 1::p]
+    tails += array("l", map((p - 1).__add__, map(p.__mul__, g.tails)))
+    heads += array("l", map(p.__mul__, g.heads))
     names = None if g.names is None else _lift_names(g.names, p)
-    return ExplicitGraph(g.size * p, tails, heads, g.root * p, p, names, g.loop_lengths)
+    return ExplicitGraph(size, tails, heads, g.root * p, p, names, g.loop_lengths)
 
 
 def period(g: ExplicitGraph) -> int:
@@ -222,22 +267,24 @@ def import_json(data: bytes) -> ExplicitGraph:
 
 
 def is_strongly_connected(g: ExplicitGraph) -> bool:
-    """Reachability in both directions from the root.
+    """Reachability in both directions from the root."""
+    return _reaches_all(g, g.reverse_adjacency()) and _reaches_all(g, g.adjacency())
 
-    The reverse graph is walked first and dropped, so it never coexists with
-    the forward adjacency that the graph keeps.
-    """
-    def reaches_all(adj: list[list[int]]) -> bool:
-        seen = bytearray(len(adj))
-        seen[g.root] = 1
-        reached = 1
-        stack = [g.root]
-        while stack:
-            for w in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = 1
-                    reached += 1
-                    stack.append(w)
-        return reached == len(adj)
 
-    return reaches_all(g.reverse_adjacency()) and reaches_all(g.adjacency())
+def _reaches_all(g: ExplicitGraph, adj: Neighbours) -> bool:
+    """Whether a level-by-level search from the root meets every vertex."""
+    one, hubs = adj
+    seen = bytearray(g.size + 1)
+    seen[g.size] = seen[g.root] = 1  # index size stands for no neighbour
+    level, reached = [g.root], 1
+    while level:
+        ahead = list(map(one.__getitem__, level))
+        for fan in filter(None, map(hubs.get, level)):
+            ahead += fan
+        level = []
+        for w in ahead:
+            if not seen[w]:
+                seen[w] = 1
+                level.append(w)
+        reached += len(level)
+    return reached == g.size

@@ -340,13 +340,22 @@ def _horner(terms: list[tuple[int, int]], x: Fraction) -> Fraction:
 
 
 def _fixed_point(terms: list[tuple[int, int]], x: Fraction, w: int, up: bool) -> Fraction:
-    # sum c x^n with x^n kept on the grid 2^-w, every step rounded down (up)
+    # sum c x^n with x^n kept on the grid 2^-w, every product rounded down (up)
+    def mul(a: int, b: int) -> int:
+        return -(-a * b >> w) if up else a * b >> w
+
     num, den = x.numerator << w, x.denominator
     X = -(-num // den) if up else num // den
     p_pow, acc, last = 1 << w, 0, 0
     for n, c in terms:
-        for _ in range(n - last):
-            p_pow = -(-p_pow * X >> w) if up else p_pow * X >> w
+        # x^n = x^last * x^(n - last), the gap by square-and-multiply
+        gap, base = n - last, X
+        while gap:
+            if gap & 1:
+                p_pow = mul(p_pow, base)
+            gap >>= 1
+            if gap:
+                base = mul(base, base)
         last = n
         acc += c * p_pow
     return Fraction(acc, 1 << w)
@@ -361,7 +370,16 @@ def power_series(terms: Iterable[tuple[int, int]],
     because nonnegative coefficients make P monotone on [0, inf); each
     endpoint is summed in fixed point on the grid 2^-w, w = precision_bits
     + GUARD + the bits of the largest c, rounding down at lo and up at hi.
-    Each x^n is then off by at most 2n max(1, x)^n steps of the grid.
+
+    Error bound: x^n is x^m, the previous term's power, times x^(n - m) by
+    square-and-multiply, each product rounded the same way.  Say a power
+    x^i is off by e steps when it is off by at most e max(1, x)^i steps of
+    the grid.  Spelt out as a tree, x^n has n leaves, each x put on the
+    grid (off by less than 1), and n - 1 products.  A product of factors
+    off by e and e' is off by at most e + e' + 2: e + e' from the factors,
+    1 for its rounding and, rounding up, 1 for the cross term e e' 2^-w
+    (e e' <= 2^w holds for any n < 2^(w/2) / 3).  So x^n is off by less
+    than 3n max(1, x)^n steps.
     """
     checked: list[tuple[int, int]] = []
     last = 0

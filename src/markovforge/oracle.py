@@ -1,16 +1,18 @@
 """Exact path counting: the independent ground truth for everything else.
 
 All counts are arbitrary-size integers.  Three routes are provided and
-cross-checked in the tests: dynamic programming on the adjacency lists,
+cross-checked in the tests: dynamic programming over the predecessors,
 the renewal convolution of first-return counts, and (at desk scale)
 literal enumeration by walking every path.  Graph routes run on the
-integer-indexed adjacency that :class:`ExplicitGraph` builds once.
+compact neighbour form that :class:`ExplicitGraph` builds once per
+direction.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import islice
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from ._frozen import Frozen
@@ -55,35 +57,33 @@ def _ln_big(v: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _dp_step(adj: list[list[int]], vec: list[int],
-             active: list[int]) -> tuple[list[int], list[int]]:
-    """One step of the path-count DP: the next dense count vector and the
-    indices of its nonzero entries, walking only the arrows out of ``active``."""
-    nxt = [0] * len(vec)
-    reached: list[int] = []
-    for w in active:
-        cnt = vec[w]
-        for x in adj[w]:
-            if nxt[x]:
-                nxt[x] += cnt
-            else:
-                nxt[x] = cnt
-                reached.append(x)
-    return nxt, reached
+def _pull_step(g: ExplicitGraph):
+    """The DP step ``vec -> nxt`` with nxt[v] the sum of vec over v's
+    predecessors.  Both vectors end in a 0 at index size, which the
+    predecessor form gives a vertex without predecessors."""
+    one, hubs = g.reverse_adjacency()
+    gather = itemgetter(*one, g.size)
+    sums = [(v, itemgetter(*preds)) for v, preds in hubs.items()]
+
+    def step(vec: list[int]) -> list[int]:
+        nxt = list(gather(vec))
+        for v, preds in sums:
+            nxt[v] = sum(preds(vec))
+        return nxt
+    return step
 
 
 def count_paths(g: ExplicitGraph, u: int | str, v: int | str, N: int) -> list[int]:
     """Exact counts p_uv(0..N) of length-n paths from u to v."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    adj = g.adjacency()
+    step = _pull_step(g)
     src, dst = g.index(u), g.index(v)
-    vec = [0] * len(adj)
+    vec = [0] * (g.size + 1)
     vec[src] = 1
-    active = [src]
     out = [vec[dst]]
     for _ in range(N):
-        vec, active = _dp_step(adj, vec, active)
+        vec = step(vec)
         out.append(vec[dst])
     return out
 
@@ -92,20 +92,18 @@ def count_first_returns(g: ExplicitGraph, u: int | str, N: int) -> list[int]:
     """Exact first-return counts f_uu(1..N): loops at u avoiding u internally."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    adj = g.adjacency()
+    step = _pull_step(g)
     src = g.index(u)
     out: list[int] = []
     # vec counts paths from u that have not revisited u
-    vec = [0] * len(adj)
+    vec = [0] * (g.size + 1)
     vec[src] = 1
-    active = [src]
-    for _ in range(N):
-        vec, active = _dp_step(adj, vec, active)
-        returned = vec[src]
-        out.append(returned)
-        if returned:
-            vec[src] = 0
-            active.remove(src)
+    while len(out) < N:
+        vec = step(vec)
+        out.append(vec[src])
+        vec[src] = 0
+        if not any(vec):  # every path has returned or died
+            out += [0] * (N - len(out))
     return out
 
 
@@ -127,10 +125,11 @@ class BudgetExceeded(Exception):
 
 
 # The enumerators walk level by level: the frontier holds one vertex per walk
-# and is never merged by endpoint (merging would make them the DP again).  A
-# walk step is one vertex visited, the start included; each level's steps are
-# charged before the level is built, and BudgetExceeded is raised as soon as
-# more than ``budget`` steps would be walked.
+# and is never merged by endpoint (merging would make them the DP again); a
+# hub fans out and a dead end drops.  A walk step is one vertex visited, the
+# start included; each level's steps are charged before the level is built,
+# and BudgetExceeded is raised as soon as more than ``budget`` steps would be
+# walked.
 
 
 def _charge(walked: int, steps: int, budget: int) -> int:
@@ -140,19 +139,44 @@ def _charge(walked: int, steps: int, budget: int) -> int:
     return walked
 
 
+def _walker(g: ExplicitGraph):
+    """``ahead(frontier)``: the next level before it is built, as every walk's
+    step to its first neighbour (to ``size`` from a dead end), the lists of
+    the other steps of the walks at hubs, and the number of steps."""
+    one, hubs = g.adjacency()
+    one = one.tolist()  # a list hands out its ints; an array makes one per read
+    more = {v: fan[1:] for v, fan in hubs.items()}
+
+    def ahead(frontier: list[int]) -> tuple[list[int], list[list[int]], int]:
+        firsts = list(map(one.__getitem__, frontier))
+        fans = list(filter(None, map(more.get, frontier)))
+        return firsts, fans, len(firsts) - firsts.count(g.size) + sum(map(len, fans))
+    return ahead
+
+
+def _level(firsts: list[int], fans: list[list[int]], *dropped: int) -> list[int]:
+    """The next level from :func:`_walker`'s parts, less the steps to ``dropped``."""
+    for fan in fans:
+        firsts += fan
+    for x in dropped:
+        if x in firsts:
+            firsts = list(filter(x.__ne__, firsts))
+    return firsts
+
+
 def walk_path_counts(g: ExplicitGraph, u: int | str, v: int | str,
                      budget: int = ENUMERATION_BUDGET) -> Iterator[int]:
     """Counts of length-n paths from u to v, n = 0, 1, ..., from one walk;
     level n is walked on demand and charged what a call for length n is."""
-    adj = g.adjacency()
+    ahead = _walker(g)
     dst = g.index(v)
     frontier = [g.index(u)]
     walked = _charge(0, 1, budget)
     while True:
         yield frontier.count(dst)
-        succ = [adj[w] for w in frontier]
-        walked = _charge(walked, sum(map(len, succ)), budget)
-        frontier = [x for s in succ for x in s]
+        firsts, fans, steps = ahead(frontier)
+        walked = _charge(walked, steps, budget)
+        frontier = _level(firsts, fans, g.size)
 
 
 def enumerate_paths(g: ExplicitGraph, u: int | str, v: int | str, n: int,
@@ -172,17 +196,17 @@ def enumerate_first_returns(g: ExplicitGraph, u: int | str, n: int,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    adj = g.adjacency()
+    ahead = _walker(g)
     src = g.index(u)
     frontier = [src]
     walked = _charge(0, 1, budget)
     for remaining in range(n, 0, -1):
-        succ = [adj[w] for w in frontier]
-        back = sum(s.count(src) for s in succ)
-        walked = _charge(walked, sum(map(len, succ)) - back, budget)
+        firsts, fans, steps = ahead(frontier)
+        back = firsts.count(src) + sum(fan.count(src) for fan in fans)
+        walked = _charge(walked, steps - back, budget)
         if remaining == 1:
             return back
-        frontier = [x for s in succ for x in s if x != src]
+        frontier = _level(firsts, fans, src, g.size)
     return 1  # n == 0: the empty path at u
 
 

@@ -3,7 +3,6 @@ period, and classification-certificate consistency for one spectrum."""
 
 from __future__ import annotations
 
-import gc
 from math import gcd
 
 from .classifier import Verdict, classify
@@ -25,16 +24,7 @@ def run_suite(s: LoopSpectrum, period_lift: int = 1,
     if s.meta is not None:
         results.extend(spectrum_checks(s))
 
-    # the realization and its walks allocate up to millions of long-lived
-    # containers, which the cyclic collector would traverse again and again;
-    # they are freed by reference counting when _oracle_checks returns
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        results.extend(_oracle_checks(s, period_lift, oracle_depth))
-    finally:
-        if collecting:
-            gc.enable()
+    results.extend(_oracle_checks(s, period_lift, oracle_depth))
 
     # classification certificate consistency
     try:

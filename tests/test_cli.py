@@ -417,3 +417,31 @@ def test_small_entropy_bases_build_and_verify(beta, tmp_path):
     assert markovforge_cli("verify", path).returncode == 0
     report = markovforge_cli("classify", path)
     assert json.loads(report.stdout)["verdict"] == "PositiveRecurrent"
+
+
+def test_lifted_lambda_window_is_the_unlifted_one_relabelled(tmp_path, capsys):
+    # p(n p) (R^(1/p))^(n p) = p(n) R^n: a lift only relabels the window
+    path = tmp_path / "b2.json"
+    assert run(capsys, "build", "--beta", "2", "--out", str(path))[0] == 0
+    windows = {}
+    for p in (1, 2, 3):
+        lifted = tmp_path / f"b2_p{p}.json"
+        assert run(capsys, "lift", str(path), "--period", str(p), "--out", str(lifted))[0] == 0
+        code, out, _ = run(capsys, "classify", str(lifted), "--lambda-window")
+        assert code == 0
+        windows[p] = json.loads(out)["lambda_window"]
+    assert len(windows[1]) == 16
+    for p in (2, 3):
+        assert windows[p] == [[n * p, v] for n, v in windows[1]]
+    n, v = windows[3][-1]
+    assert n == 384 and abs(v - 0.1612) < 1e-4  # positive recurrent: no decay to 0
+
+
+def test_lambda_window_cost_does_not_grow_with_the_lift(tmp_path, capsys):
+    path, lifted = tmp_path / "b2.json", tmp_path / "b2_lifted.json"
+    run(capsys, "build", "--beta", "2", "--max-n", "16", "--out", str(path))
+    run(capsys, "lift", str(path), "--period", str(10 ** 6), "--out", str(lifted))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", str(lifted), "--lambda-window")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["lambda_window"][-1][0] == 64 * 10 ** 6

@@ -121,16 +121,22 @@ def test_strong_connectivity_detects_sink():
     assert not is_strongly_connected(g)
 
 
+def neighbour_pairs(form, size):
+    """(v, w) for every neighbour w of v in a form ``(one, hubs)``."""
+    one, hubs = form
+    return [(v, w) for v in range(size)
+            for w in hubs.get(v, [one[v]] if one[v] < size else [])]
+
+
 def test_adjacency_built_once_by_index(spec2):
     g = realize(spec2, 4)
-    adj = g.adjacency()
-    assert adj is g.adjacency()
+    adj, radj = g.adjacency(), g.reverse_adjacency()
+    assert adj is g.adjacency() and radj is g.reverse_adjacency()
     name = g.vertices
     assert sorted((name[i], name[j])
-                  for i, succ in enumerate(adj) for j in succ) == sorted(g.arrows)
+                  for i, j in neighbour_pairs(adj, g.size)) == sorted(g.arrows)
     assert sorted((name[j], name[i])
-                  for i, pred in enumerate(g.reverse_adjacency())
-                  for j in pred) == sorted(g.arrows)
+                  for i, j in neighbour_pairs(radj, g.size)) == sorted(g.arrows)
 
 
 def test_kept_adjacency_leaves_equality_alone(spec2):
@@ -169,10 +175,16 @@ def test_indexed_realization_matches_named_reference(a1, tail, p):
     assert (g.vertices, g.arrows) == named_reference(s.a, p)
     assert g.root == 0 and g.size == len(g.vertices)
     data = export_json(g)
-    assert export_json(import_json(data)) == data
+    imported = import_json(data)
+    assert export_json(imported) == data
+    # the form built from loop_lengths is the one the arrows give, hub order included
+    assert g.adjacency() == imported.adjacency()
+    assert g.reverse_adjacency() == imported.reverse_adjacency()
     name = g.vertices
     assert sorted((name[i], name[j])
-                  for i, succ in enumerate(g.adjacency()) for j in succ) == sorted(g.arrows)
+                  for i, j in neighbour_pairs(g.adjacency(), g.size)) == sorted(g.arrows)
+    assert sorted((name[j], name[i])
+                  for i, j in neighbour_pairs(g.reverse_adjacency(), g.size)) == sorted(g.arrows)
 
 
 def test_indexed_duplicate_arrow_rejected_by_adjacency():
@@ -180,3 +192,5 @@ def test_indexed_duplicate_arrow_rejected_by_adjacency():
                       names=("u", "v"))
     with pytest.raises(ValueError):
         g.adjacency()
+    with pytest.raises(ValueError):
+        g.reverse_adjacency()

@@ -100,6 +100,35 @@ def test_one_walk_charges_each_level_like_enumerate_paths(spec2):
     assert counts == [enumerate_paths(g, g.root, g.root, n, budget) for n in range(10)]
 
 
+def hand_built(root):
+    """Not a flower: a is a hub that is not the root and has a self-loop, b
+    has in-degree 3 and d is a dead end."""
+    return ExplicitGraph.from_names(root, ("u", "a", "b", "c", "d"),
+                                    (("u", "a"), ("u", "b"), ("a", "a"), ("a", "b"),
+                                     ("a", "c"), ("a", "d"), ("c", "b"), ("b", "u"),
+                                     ("c", "u")))
+
+
+@pytest.mark.parametrize("root", ["u", "a"])
+def test_hand_built_graph_matches_brute_force(root):
+    g = hand_built(root)
+    p = count_paths(g, root, root, 8)
+    f = count_first_returns(g, root, 8)
+    assert renewal_convolve(f, 8) == p
+    for n in range(9):
+        for v in g.vertices:
+            count, steps = walk_reference(g, root, v, n, False)
+            assert count_paths(g, root, v, 8)[n] == count
+            assert enumerate_paths(g, root, v, n, steps) == count
+            with pytest.raises(BudgetExceeded):
+                enumerate_paths(g, root, v, n, steps - 1)
+        count, steps = walk_reference(g, root, root, n, True)
+        assert (f[n - 1] if n else 1) == count
+        assert enumerate_first_returns(g, root, n, steps) == count
+        with pytest.raises(BudgetExceeded):
+            enumerate_first_returns(g, root, n, steps - 1)
+
+
 def test_table_from_spectrum_base2(spec2):
     t = table_from_spectrum(spec2, 16)
     assert t.p[0] == 1

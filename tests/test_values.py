@@ -64,7 +64,7 @@ def test_explicit_graph_compares_its_arrows_but_does_not_hash_them():
     other = ExplicitGraph(2, array("l", [0, 1, 1]), array("l", [1, 0, 1]))
     assert g == same and hash(g) == hash(same)
     assert g != other and hash(g) == hash(other)
-    g.adjacency()  # the cached successor lists are not a field
+    g.adjacency()  # the kept neighbour form is not a field
     assert g == same and hash(g) == hash(same)
 
 
