@@ -4,8 +4,10 @@ A spectrum truncation realizes as a "flower" graph: one root vertex 0, plus
 a(n) vertex-disjoint simple loops of each length n <= N through the root,
 on the vertex indices 0..size-1.  The lift by p crosses every vertex v with
 a phase i = 1..p (index v*p + i-1) and multiplies every loop length by p.
-Names are generated for export only: v_{n}_{i}_{k} is vertex k = 1..n-1 of
-the i-th length-n loop, and a lifted vertex gets the suffix "@phase".
+A realized or lifted graph is stored as its loop lengths; its arrows are
+derived for export only, and so are its names: v_{n}_{i}_{k} is vertex
+k = 1..n-1 of the i-th length-n loop, and a lifted vertex gets the suffix
+"@phase".
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import EmptyLoopSet, Unrealizable
 from .spectrum import LoopSpectrum
 
 ROOT = "root"
-REALIZE_VERTEX_BUDGET = 2 * 10 ** 6  # the most vertices realize and lift_period build
+REALIZE_VERTEX_BUDGET = 2 * 10 ** 6  # the most vertices realize and lift_period accept
 # (one, hubs): the neighbour form of ExplicitGraph.adjacency
 Neighbours = tuple[array, dict[int, list[int]]]
 
@@ -29,15 +31,17 @@ class ExplicitGraph(Frozen):
     """Finite oriented graph on the vertices 0..size-1 with at most one arrow
     per ordered vertex pair; arrow j runs from ``tails[j]`` to ``heads[j]``.
 
-    Hand-built and imported graphs keep their vertex ``names``; a realized
-    graph generates them from ``loop_lengths``, its (pre-lift length,
-    multiplicity) pairs, and ``period_lift``.
+    Hand-built and imported graphs store their arrows and vertex ``names``.
+    A realized graph stores ``tails = heads = names = None``: its
+    ``loop_lengths``, the (pre-lift length, multiplicity) pairs, with
+    ``size``, ``root`` and ``period_lift`` determine its arrows and names,
+    which are generated when asked for and not kept.
     """
 
     _fields = ("size", "tails", "heads", "root", "period_lift", "names", "loop_lengths")
     _unhashed = ("tails", "heads")
 
-    def __init__(self, size: int, tails: array, heads: array, root: int = 0,
+    def __init__(self, size: int, tails: Optional[array], heads: Optional[array], root: int = 0,
                  period_lift: int = 1, names: Optional[tuple[str, ...]] = None,
                  loop_lengths: Optional[tuple[tuple[int, int], ...]] = None) -> None:
         self._init(size, tails, heads, root, period_lift, names, loop_lengths)
@@ -62,12 +66,22 @@ class ExplicitGraph(Frozen):
 
     @property
     def arrows(self) -> tuple[tuple[str, str], ...]:
-        """Arrows as (tail name, head name) pairs, in export order."""
+        """Arrows as (tail name, head name) pairs, in export order; derived on
+        every call for a realized graph."""
         return self._named_arrows(self.vertices)
 
     def _named_arrows(self, names: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
         name = names.__getitem__
-        return tuple(zip(map(name, self.tails), map(name, self.heads)))
+        tails, heads = self._arrow_arrays()
+        return tuple(zip(map(name, tails), map(name, heads)))
+
+    def _arrow_arrays(self) -> tuple[array, array]:
+        """(tails, heads): stored, or derived from ``loop_lengths``."""
+        if self.loop_lengths is None:
+            return self.tails, self.heads
+        tails, heads = _flower_arrows(self.loop_lengths)
+        p = self.period_lift
+        return (tails, heads) if p == 1 else _lift_arrows(self.size // p, tails, heads, p)
 
     def index(self, v: int | str) -> int:
         """Index of a vertex given by name, or of the root given by its index;
@@ -140,6 +154,31 @@ def _flower_neighbours(g: ExplicitGraph, reverse: bool) -> Neighbours:
     return one, ({hub: fan} if len(fan) > 1 else {})
 
 
+def _flower_arrows(loop_lengths: tuple[tuple[int, int], ...]) -> tuple[array, array]:
+    # Listing each loop as the root, then its vertices in order, gives the
+    # tails of its arrows root -> w -> ... -> w+n-2 -> root, and the heads
+    # are that list rotated by one.  The loops of one length lie side by
+    # side, so column j of their tails is a range.
+    tails = array("l", [0]) * sum(n * mult for n, mult in loop_lengths)
+    start, first = 0, 1
+    for n, mult in loop_lengths:
+        stop, after = start + n * mult, first + mult * (n - 1)
+        for j in range(1, n):
+            tails[start + j:stop:n] = array("l", range(first + j - 1, after, n - 1))
+        start, first = stop, after
+    return tails, tails[1:] + tails[:1]
+
+
+def _lift_arrows(size: int, tails: array, heads: array, p: int) -> tuple[array, array]:
+    """The arrows of a graph on ``size`` vertices lifted by p: the phase steps
+    v@i -> v@i+1 for i < p of every vertex, then u@p -> v@1 per arrow."""
+    lifted_tails, lifted_heads = array("l", range(size * p)), array("l", range(1, size * p + 1))
+    del lifted_tails[p - 1::p], lifted_heads[p - 1::p]
+    lifted_tails += array("l", map((p - 1).__add__, map(p.__mul__, tails)))
+    lifted_heads += array("l", map(p.__mul__, heads))
+    return lifted_tails, lifted_heads
+
+
 def _flower_names(loop_lengths: tuple[tuple[int, int], ...]) -> list[str]:
     return [ROOT] + [f"v_{n}_{i}_{k}" for n, mult in loop_lengths
                      for i in range(1, mult + 1) for k in range(1, n)]
@@ -164,19 +203,8 @@ def realize(s: LoopSpectrum, N: Optional[int] = None, period_lift: int = 1) -> E
         raise Unrealizable(f"the graph up to length {N} has {vertex_count(s, N) * period_lift} "
                            f"vertices, more than {REALIZE_VERTEX_BUDGET}")
     lengths = tuple((n, s.count(n)) for n in range(1, N + 1) if s.count(n))
-    # Listing each loop as the root, then its vertices in order, gives the
-    # tails of its arrows root -> w -> ... -> w+n-2 -> root, and the heads
-    # are that list rotated by one.  The loops of one length lie side by
-    # side, so column j of their tails is a range.
-    tails = array("l", [0]) * sum(n * mult for n, mult in lengths)
-    start, first = 0, 1
-    for n, mult in lengths:
-        stop, after = start + n * mult, first + mult * (n - 1)
-        for j in range(1, n):
-            tails[start + j:stop:n] = array("l", range(first + j - 1, after, n - 1))
-        start, first = stop, after
-    heads = tails[1:] + tails[:1]
-    return lift_period(ExplicitGraph(first, tails, heads, loop_lengths=lengths), period_lift)
+    return lift_period(ExplicitGraph(vertex_count(s, N), None, None, loop_lengths=lengths),
+                       period_lift)
 
 
 def vertex_count(s: LoopSpectrum, N: int) -> int:
@@ -190,7 +218,8 @@ def fits(s: LoopSpectrum, N: int, period_lift: int = 1) -> bool:
 
 
 def lift_period(g: ExplicitGraph, p: int) -> ExplicitGraph:
-    """Cross every vertex with p phases; every loop length is multiplied by p."""
+    """Cross every vertex with p phases; every loop length is multiplied by p.
+    A realized graph lifts in O(1), to its loop lengths with ``period_lift`` p."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if g.period_lift != 1:
@@ -200,14 +229,11 @@ def lift_period(g: ExplicitGraph, p: int) -> ExplicitGraph:
     if g.size * p > REALIZE_VERTEX_BUDGET:
         raise Unrealizable(f"the graph lifted by {p} has {g.size * p} vertices, "
                            f"more than {REALIZE_VERTEX_BUDGET}")
-    # phase steps v@i -> v@i+1 for i < p of every vertex, then u@p -> v@1 per arrow
-    size = g.size * p
-    tails, heads = array("l", range(size)), array("l", range(1, size + 1))
-    del tails[p - 1::p], heads[p - 1::p]
-    tails += array("l", map((p - 1).__add__, map(p.__mul__, g.tails)))
-    heads += array("l", map(p.__mul__, g.heads))
+    if g.loop_lengths is not None:
+        return ExplicitGraph(g.size * p, None, None, g.root * p, p, None, g.loop_lengths)
     names = None if g.names is None else _lift_names(g.names, p)
-    return ExplicitGraph(size, tails, heads, g.root * p, p, names, g.loop_lengths)
+    return ExplicitGraph(g.size * p, *_lift_arrows(g.size, g.tails, g.heads, p),
+                         g.root * p, p, names)
 
 
 def period(g: ExplicitGraph) -> int:

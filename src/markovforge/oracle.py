@@ -58,18 +58,19 @@ def _ln_big(v: int) -> float:
 
 
 def _pull_step(g: ExplicitGraph):
-    """The DP step ``vec -> nxt`` with nxt[v] the sum of vec over v's
-    predecessors.  Both vectors end in a 0 at index size, which the
-    predecessor form gives a vertex without predecessors."""
+    """The DP step, in place: vec[v] becomes the sum of vec over v's
+    predecessors.  vec ends in a 0 at index size, which the predecessor
+    form gives a vertex without predecessors."""
     one, hubs = g.reverse_adjacency()
     gather = itemgetter(*one, g.size)
     sums = [(v, itemgetter(*preds)) for v, preds in hubs.items()]
 
-    def step(vec: list[int]) -> list[int]:
-        nxt = list(gather(vec))
-        for v, preds in sums:
-            nxt[v] = sum(preds(vec))
-        return nxt
+    def step(vec: list[int]) -> None:
+        # the hub sums read the old vector, so they are taken before the gather
+        totals = [sum(preds(vec)) for _, preds in sums]
+        vec[:] = gather(vec)
+        for (v, _), total in zip(sums, totals):
+            vec[v] = total
     return step
 
 
@@ -83,7 +84,7 @@ def count_paths(g: ExplicitGraph, u: int | str, v: int | str, N: int) -> list[in
     vec[src] = 1
     out = [vec[dst]]
     for _ in range(N):
-        vec = step(vec)
+        step(vec)
         out.append(vec[dst])
     return out
 
@@ -99,7 +100,7 @@ def count_first_returns(g: ExplicitGraph, u: int | str, N: int) -> list[int]:
     vec = [0] * (g.size + 1)
     vec[src] = 1
     while len(out) < N:
-        vec = step(vec)
+        step(vec)
         out.append(vec[src])
         vec[src] = 0
         if not any(vec):  # every path has returned or died

@@ -1,6 +1,8 @@
 """Graph realization, period lift, and serialization."""
 
+import hashlib
 import json
+import tracemalloc
 from array import array
 
 import pytest
@@ -12,6 +14,8 @@ from markovforge import (export, export_dot, export_json, graph, import_json,
 from markovforge.errors import Unrealizable
 from markovforge.graph import (ROOT, ExplicitGraph, is_strongly_connected,
                                vertex_count)
+
+from conftest import built
 
 
 def test_realize_flower_counts(spec2):
@@ -48,6 +52,42 @@ def test_lift_is_bounded_by_the_vertex_budget(spec2, monkeypatch):
             refused()
     monkeypatch.setattr(graph, "REALIZE_VERTEX_BUDGET", 26)
     assert realize(spec2, 4, 2) == lift_period(g, 2)
+
+
+def test_realize_and_lift_allocate_no_arrows():
+    # 399,001 vertices at depth 8: one arrow array alone would take 3.2 MB
+    s = user_spectrum([1] + [0] * 6 + [57_000])
+    tracemalloc.start()
+    try:
+        g = realize(s, 8)
+        realize_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        lifted = lift_period(g, 4)
+        lift_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.size == 399_001 and lifted.size == 4 * g.size
+    assert realize_peak < 10 ** 6 and lift_peak < 10 ** 6
+    with pytest.raises(Unrealizable, match="2394006 vertices"):
+        lift_period(g, 6)
+
+
+# SHA-256 of export bytes before realized graphs stopped storing their arrows
+EXPORT_DIGESTS = {
+    ("2", 16, 16, 1, "dot"): "aabea7067f493005977e6309843dbcd3818beee51ee36e11cb13b1cd828f9c96",
+    ("2", 16, 16, 1, "json"): "cbf1e322f6d0f9027dee6643809412ba87478ec16f3636ca0a2f72b8285cbf11",
+    ("2", 16, 16, 2, "dot"): "8e91aa8f75afc8ba030593f7feca91b4ad35c6d32203f90cef305d6393aef46d",
+    ("2", 16, 16, 2, "json"): "e356b09decb9c236334391013009b2950aad3730bdcb486bf1eb9ca420d17e5e",
+    ("3", 64, 12, 3, "dot"): "6cbfc4a6efbfafca659f3cd264ee3709c1e105a458e8b5b1e9d161e8ae44cb74",
+    ("3", 64, 12, 3, "json"): "149c8e8f74647af10216c3a2ecfd48b755d81d1e48224595c5a492f4e752e244",
+}
+
+
+@pytest.mark.parametrize("case", EXPORT_DIGESTS, ids=lambda c: "{}@{}-N{}-p{}-{}".format(*c))
+def test_export_bytes_are_unchanged(case):
+    text, N_max, N, p, fmt = case
+    data = export(realize(built(text, N_max), N, p), fmt)
+    assert hashlib.sha256(data).hexdigest() == EXPORT_DIGESTS[case]
 
 
 def test_period_is_gcd_of_loop_lengths():
@@ -172,11 +212,14 @@ def named_reference(a, p):
 def test_indexed_realization_matches_named_reference(a1, tail, p):
     s = user_spectrum([a1] + tail)
     g = lift_period(realize(s), p)
+    direct = realize(s, s.N_max, p)
+    assert direct == g and hash(direct) == hash(g)
     assert (g.vertices, g.arrows) == named_reference(s.a, p)
     assert g.root == 0 and g.size == len(g.vertices)
     data = export_json(g)
     imported = import_json(data)
     assert export_json(imported) == data
+    assert imported.arrows == g.arrows
     # the form built from loop_lengths is the one the arrows give, hub order included
     assert g.adjacency() == imported.adjacency()
     assert g.reverse_adjacency() == imported.reverse_adjacency()

@@ -109,9 +109,20 @@ def hand_built(root):
                                      ("c", "u")))
 
 
-@pytest.mark.parametrize("root", ["u", "a"])
-def test_hand_built_graph_matches_brute_force(root):
-    g = hand_built(root)
+def mutual_hubs():
+    """a and b each have several predecessors, each other among them, and a
+    has a self-loop: a DP step that summed at a hub after overwriting the
+    vector would read the new counts."""
+    return ExplicitGraph.from_names("u", ("u", "a", "b"),
+                                    (("u", "a"), ("u", "b"), ("a", "a"), ("a", "b"),
+                                     ("b", "a"), ("b", "u")))
+
+
+@pytest.mark.parametrize("g", [pytest.param(hand_built("u"), id="u"),
+                               pytest.param(hand_built("a"), id="a"),
+                               pytest.param(mutual_hubs(), id="mutual_hubs")])
+def test_hand_built_graph_matches_brute_force(g):
+    root = g.vertices[g.root]
     p = count_paths(g, root, root, 8)
     f = count_first_returns(g, root, 8)
     assert renewal_convolve(f, 8) == p
