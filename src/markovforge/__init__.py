@@ -10,7 +10,7 @@ from .intervals import (BetaValue, CReal, certified_floor, exp_fraction,
                         geometric_tail, log_fraction, power_series)
 from .oracle import (GrowthEstimate, PathCountTable, count_first_returns,
                      count_paths, growth_rate, renewal_convolve,
-                     table_from_graph, table_from_spectrum)
+                     table_from_spectrum)
 from .spectrum import (DigitTrace, LoopSpectrum, SpectrumMeta, beta_expansion,
                        build_spectrum, delete_loop, spectrum_checks,
                        spectrum_tail_bounds, unit_sum_enclosure,

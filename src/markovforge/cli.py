@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import BinaryIO, Callable, Optional
 
 from . import spectrum_io
 from .classifier import classify, entropy_of_lift, lambda_estimate
@@ -75,17 +75,19 @@ def _beta_from_entropy(entropy: str, p: int) -> BetaValue:
     return BetaValue.exp_of_rational(h * p)
 
 
-def _emit(data: bytes, out: Optional[str]) -> None:
+def _emit(write: Callable[[BinaryIO], object], out: Optional[str]) -> None:
+    """``write(fh)`` to stdout for ``out`` None or ``-``, else to the file
+    ``out``, opened only here: a command that fails before creates none."""
     if out is None or out == "-":
-        sys.stdout.buffer.write(data)
+        write(sys.stdout.buffer)
     else:
         with open(out, "wb") as fh:
-            fh.write(data)
+            write(fh)
 
 
 def _save(sf: spectrum_io.SpectrumFile, out: str) -> None:
     if out == "-":
-        _emit(spectrum_io.to_bytes(sf), out)
+        sys.stdout.buffer.write(spectrum_io.to_bytes(sf))
     else:
         spectrum_io.save(sf, out)
 
@@ -134,7 +136,7 @@ def cmd_classify(args) -> int:
 def cmd_entropy(args) -> int:
     sf = spectrum_io.load(args.file)
     table = table_from_spectrum(sf.spectrum, args.max_n * sf.period_lift, sf.period_lift)
-    _emit(table.to_csv().encode("utf-8"), args.csv)
+    _emit(lambda fh: fh.write(table.to_csv().encode("utf-8")), args.csv)
     try:
         est = growth_rate(table.p, window=8)
         print(f"growth estimate at n = {est.samples[-1][0]}: {est.value:.6f}",
@@ -156,7 +158,7 @@ def cmd_lift(args) -> int:
 def cmd_export(args) -> int:
     sf = spectrum_io.load(args.file)
     g = realize(sf.spectrum, min(args.max_n, sf.spectrum.N_max), sf.period_lift)
-    _emit(export(g, args.format), args.out)
+    _emit(lambda fh: export(g, args.format, fh), args.out)
     return EXIT_OK
 
 

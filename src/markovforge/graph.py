@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 from array import array
+from itertools import islice
 from math import gcd
-from typing import Optional
+from typing import BinaryIO, Iterator, Optional
 
 from ._frozen import Frozen
 from .errors import EmptyLoopSet, Unrealizable
@@ -24,7 +25,7 @@ from .spectrum import LoopSpectrum
 ROOT = "root"
 REALIZE_VERTEX_BUDGET = 2 * 10 ** 6  # the most vertices realize and lift_period accept
 # (one, hubs): the neighbour form of ExplicitGraph.adjacency
-Neighbours = tuple[array, dict[int, list[int]]]
+Neighbours = tuple[list[int], dict[int, list[int]]]
 
 
 class ExplicitGraph(Frozen):
@@ -68,10 +69,7 @@ class ExplicitGraph(Frozen):
     def arrows(self) -> tuple[tuple[str, str], ...]:
         """Arrows as (tail name, head name) pairs, in export order; derived on
         every call for a realized graph."""
-        return self._named_arrows(self.vertices)
-
-    def _named_arrows(self, names: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
-        name = names.__getitem__
+        name = self.vertices.__getitem__
         tails, heads = self._arrow_arrays()
         return tuple(zip(map(name, tails), map(name, heads)))
 
@@ -93,64 +91,73 @@ class ExplicitGraph(Frozen):
         arrow order, or ``size`` if it has none, and ``hubs`` maps each vertex
         with several successors to all of them, in arrow order.
 
-        Built on the first call and kept on the instance; it is not a field,
-        so equality and hashing are unaffected.  Callers must not mutate it.
-        A realized graph derives it from ``loop_lengths``; any other graph
-        from its arrows, where a repeated arrow raises ValueError.
+        Built, with the predecessor form, on the first call of either and
+        kept on the instance; it is not a field, so equality and hashing are
+        unaffected.  Callers must not mutate it.  Both forms are lists whose
+        entries are the ints of one list of the indices 0..size, so reading
+        them allocates nothing.  A realized graph derives them from
+        ``loop_lengths``; any other graph from its arrows, where a repeated
+        arrow raises ValueError.
         """
-        return self._neighbours("_adjacency", False)
+        return self._kept("_forms", self._forms)[0]
 
     def reverse_adjacency(self) -> Neighbours:
         """Predecessors in the form of :meth:`adjacency`, kept likewise."""
-        return self._neighbours("_reverse_adjacency", True)
+        return self._kept("_forms", self._forms)[1]
 
-    def _neighbours(self, key: str, reverse: bool) -> Neighbours:
+    def _kept(self, key: str, make):
+        """``make()``, called once and kept on the instance outside the fields."""
         if key not in self.__dict__:
-            ends = (self.heads, self.tails) if reverse else (self.tails, self.heads)
-            self.__dict__[key] = (_flower_neighbours(self, reverse)
-                                  if self.loop_lengths is not None
-                                  else _arrow_neighbours(self.size, *ends))
+            self.__dict__[key] = make()
         return self.__dict__[key]
 
+    def _forms(self) -> tuple[Neighbours, Neighbours]:
+        ids = list(range(self.size + 1))
+        if self.loop_lengths is not None:
+            return _flower_neighbours(self, ids, False), _flower_neighbours(self, ids, True)
+        return (_arrow_neighbours(ids, self.tails, self.heads),
+                _arrow_neighbours(ids, self.heads, self.tails))
 
-def _arrow_neighbours(size: int, tails: array, heads: array) -> Neighbours:
-    one = array("l", [size]) * size
+
+def _arrow_neighbours(ids: list[int], tails: array, heads: array) -> Neighbours:
+    size = ids[-1]
+    one = [size] * size
     hubs: dict[int, list[int]] = {}
     for u, v in zip(tails, heads):
         if one[u] == size:
-            one[u] = v
+            one[u] = ids[v]
         else:
-            hubs.setdefault(u, [one[u]]).append(v)
+            hubs.setdefault(u, [one[u]]).append(ids[v])
     if any(len(set(fan)) < len(fan) for fan in hubs.values()):
         raise ValueError("duplicate arrow")
     return one, hubs
 
 
-def _flower_neighbours(g: ExplicitGraph, reverse: bool) -> Neighbours:
+def _flower_neighbours(g: ExplicitGraph, ids: list[int], reverse: bool) -> Neighbours:
     # Lifted by p, every vertex x steps to x+1 (and back to x-1) but where a
     # loop meets the root: the k-th loop of length n >= 2 enters at
     # first + k*step from root@p (index p-1) and leaves from last + k*step to
     # root@1 (index 0); the root self-loop runs from root@p to root@1.
     p, size = g.period_lift, g.size
-    one = array("l", range(-1, size - 1) if reverse else range(1, size + 1))
+    one = ids[-1:] + ids[:-2] if reverse else ids[1:]
     fan: list[int] = []
     base = 1
     for n, mult in g.loop_lengths:
         if n == 1:
-            fan.append(p - 1 if reverse else 0)
+            fan.append(ids[p - 1 if reverse else 0])
             continue
         step = (n - 1) * p
         first = base * p
         last, stop = first + step - 1, first + mult * step
         if reverse:
-            one[first:stop:step] = array("l", [p - 1]) * mult
-            fan += range(last, stop, step)
+            one[first:stop:step] = [ids[p - 1]] * mult
+            fan += ids[last:stop:step]
         else:
-            one[last:stop:step] = array("l", [0]) * mult
-            fan += range(first, stop, step)
+            one[last:stop:step] = [ids[0]] * mult
+            fan += ids[first:stop:step]
         base += mult * (n - 1)
     hub = 0 if reverse else p - 1
-    one[hub] = fan[0] if fan else size
+    one[hub] = fan[0] if fan else ids[size]
     return one, ({hub: fan} if len(fan) > 1 else {})
 
 
@@ -254,31 +261,70 @@ def period(g: ExplicitGraph) -> int:
 # ---------------------------------------------------------------------------
 
 
-def export_dot(g: ExplicitGraph) -> bytes:
+def _dot_lines(g: ExplicitGraph) -> Iterator[str]:
     names = g.vertices
-    lines = ["digraph loop_system {"]
-    lines += (f'  "{v}";' for v in names)
-    lines += (f'  "{u}" -> "{v}";' for u, v in g._named_arrows(names))
-    lines.append("}")
+    name = names.__getitem__
+    tails, heads = g._arrow_arrays()
+    yield "digraph loop_system {"
+    yield from map('  "{}";'.format, names)
+    yield from map('  "{}" -> "{}";'.format, map(name, tails), map(name, heads))
+    yield "}"
+
+
+def _json_lines(g: ExplicitGraph) -> Iterator[str]:
+    # the layout of json.dumps(payload, indent=2, sort_keys=True), written
+    # item by item; json.dumps quotes and escapes each name
+    names = g.vertices
+    name = names.__getitem__
+    quoted = json.dumps
+    tails, heads = g._arrow_arrays()
+    arrows = map("    [\n      {},\n      {}\n    ]".format,
+                 map(quoted, map(name, tails)), map(quoted, map(name, heads)))
+    yield "{"
+    yield from _json_list("arrows", arrows, ",")
+    yield f'  "period_lift": {g.period_lift},'
+    yield from _json_list("vertices", map("    {}".format, map(quoted, names)), "")
+    yield "}"
+
+
+def _json_list(key: str, items: Iterator[str], end: str) -> Iterator[str]:
+    """The lines of ``"key": [items]`` in a payload dumped with indent 2,
+    each item but the last followed by a comma, the list by ``end``."""
+    last = next(items, None)
+    if last is None:
+        yield f'  "{key}": []{end}'
+        return
+    yield f'  "{key}": ['
+    for item in items:
+        yield last + ","
+        last = item
+    yield last
+    yield "  ]" + end
+
+
+_EXPORT_LINES = {"dot": _dot_lines, "json": _json_lines}
+
+
+def _encoded(lines) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def export_dot(g: ExplicitGraph) -> bytes:
+    return _encoded(_dot_lines(g))
+
+
 def export_json(g: ExplicitGraph) -> bytes:
-    names = g.vertices
-    payload = {
-        "vertices": list(names),
-        "arrows": [[u, v] for u, v in g._named_arrows(names)],
-        "period_lift": g.period_lift,
-    }
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return _encoded(_json_lines(g))
 
 
-def export(g: ExplicitGraph, fmt: str) -> bytes:
-    if fmt == "dot":
-        return export_dot(g)
-    if fmt == "json":
-        return export_json(g)
-    raise ValueError(f"unknown export format {fmt!r}")
+def export(g: ExplicitGraph, fmt: str, fh: BinaryIO) -> None:
+    """Write ``g`` as DOT or JSON to the binary file ``fh``, a thousand
+    lines per write; only the names and arrow arrays are held meanwhile."""
+    if fmt not in _EXPORT_LINES:
+        raise ValueError(f"unknown export format {fmt!r}")
+    lines = _EXPORT_LINES[fmt](g)
+    while chunk := list(islice(lines, 1024)):
+        fh.write(_encoded(chunk))
 
 
 def import_json(data: bytes) -> ExplicitGraph:

@@ -31,9 +31,6 @@ class PathCountTable(Frozen):
     def __init__(self, f: tuple[int, ...], p: tuple[int, ...], source: str) -> None:
         self._init(f, p, source)
 
-    def renewal_consistent(self) -> bool:
-        return list(self.p) == renewal_convolve(self.f, len(self.p) - 1)
-
     def to_csv(self) -> str:
         lines = ["n,f,p,growth_estimate"]
         for n in range(1, len(self.p)):
@@ -60,7 +57,11 @@ def _ln_big(v: int) -> float:
 def _pull_step(g: ExplicitGraph):
     """The DP step, in place: vec[v] becomes the sum of vec over v's
     predecessors.  vec ends in a 0 at index size, which the predecessor
-    form gives a vertex without predecessors."""
+    form gives a vertex without predecessors.  Built once per graph."""
+    return g._kept("_pull_step", lambda: _make_pull_step(g))
+
+
+def _make_pull_step(g: ExplicitGraph):
     one, hubs = g.reverse_adjacency()
     gather = itemgetter(*one, g.size)
     sums = [(v, itemgetter(*preds)) for v, preds in hubs.items()]
@@ -145,7 +146,6 @@ def _walker(g: ExplicitGraph):
     step to its first neighbour (to ``size`` from a dead end), the lists of
     the other steps of the walks at hubs, and the number of steps."""
     one, hubs = g.adjacency()
-    one = one.tolist()  # a list hands out its ints; an array makes one per read
     more = {v: fan[1:] for v, fan in hubs.items()}
 
     def ahead(frontier: list[int]) -> tuple[list[int], list[list[int]], int]:
@@ -232,12 +232,6 @@ def table_from_spectrum(s: LoopSpectrum, N: int, period_lift: int = 1) -> PathCo
     f[p - 1::p] = f0
     counts[::p] = renewal_convolve(f0, m)
     return PathCountTable(tuple(f), tuple(counts), source="renewal convolution")
-
-
-def table_from_graph(g: ExplicitGraph, N: int) -> PathCountTable:
-    f = count_first_returns(g, g.root, N)
-    p = count_paths(g, g.root, g.root, N)
-    return PathCountTable(tuple(f), tuple(p), source="graph enumeration")
 
 
 class GrowthEstimate(Frozen):

@@ -385,20 +385,22 @@ def test_build_refuses_too_many_square_floors(argv, tmp_path, capsys):
 
 
 def test_closed_stdout_is_not_an_error(tmp_path):
-    # the reader of a pipe leaves before the report is written
+    # the reader of a pipe leaves before the report or the graph is written
     path = tmp_path / "b.json"
     assert cli.main(["build", "--beta", "e^3", "--out", str(path)]) == 0
     env = {**os.environ, "PYTHONPATH": str(Path(markovforge.__file__).parents[1])}
-    r, w = os.pipe()
-    os.close(r)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from markovforge.cli import main; sys.exit(main())",
-             "classify", str(path), "--lambda-window"],
-            env=env, stdout=w, stderr=subprocess.PIPE, text=True, timeout=60)
-    finally:
-        os.close(w)
-    assert proc.returncode == 0 and proc.stderr == ""
+    for argv in (["classify", str(path), "--lambda-window"],
+                 ["export", str(path), "--format", "json", "--max-n", "5", "--out", "-"]):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from markovforge.cli import main; sys.exit(main())", *argv],
+                env=env, stdout=w, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(w)
+        assert proc.returncode == 0 and proc.stderr == "", argv
 
 
 @pytest.mark.parametrize("beta", ["1000/999", "1.001"])

@@ -1,12 +1,14 @@
 """Graph realization, period lift, and serialization."""
 
 import hashlib
+import io
 import json
 import tracemalloc
+import types
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovforge import (export, export_dot, export_json, graph, import_json,
@@ -72,6 +74,48 @@ def test_realize_and_lift_allocate_no_arrows():
         lift_period(g, 6)
 
 
+def test_export_streams_in_bounded_memory():
+    # 98,001 vertices at depth 8, whose names take 7.5 MB
+    g = realize(user_spectrum([1] + [0] * 6 + [14_000]), 8)
+    sink = types.SimpleNamespace(write=len)  # discards every chunk
+    for fmt in ("dot", "json"):
+        tracemalloc.start()
+        try:
+            export(g, fmt, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # streamed, 9.3 MB for either format; built whole first, 34 MB (DOT)
+        # and 57 MB (JSON)
+        assert peak < 20 * 10 ** 6, (fmt, peak)
+
+
+NAME_CHARS = st.one_of(st.sampled_from('"\\é→😀'), st.characters())
+
+
+@st.composite
+def named_graphs(draw):
+    """(names, arrows, period_lift) of a graph whose names need escaping."""
+    names = draw(st.lists(st.text(NAME_CHARS, min_size=1, max_size=4),
+                          min_size=1, max_size=6, unique=True))
+    arrows = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                           max_size=10, unique=True))
+    return names, arrows, draw(st.integers(1, 3))
+
+
+@given(named_graphs())
+@example((["root"], [], 1))  # no arrows
+@settings(max_examples=60, deadline=None)
+def test_export_layout_with_any_names(parts):
+    names, arrows, p = parts
+    payload = {"vertices": names, "arrows": [list(a) for a in arrows], "period_lift": p}
+    g = import_json(json.dumps(payload).encode())
+    assert export_json(g) == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    lines = (["digraph loop_system {"] + [f'  "{v}";' for v in names]
+             + [f'  "{u}" -> "{v}";' for u, v in arrows] + ["}"])
+    assert export_dot(g) == ("\n".join(lines) + "\n").encode()
+
+
 # SHA-256 of export bytes before realized graphs stopped storing their arrows
 EXPORT_DIGESTS = {
     ("2", 16, 16, 1, "dot"): "aabea7067f493005977e6309843dbcd3818beee51ee36e11cb13b1cd828f9c96",
@@ -86,8 +130,11 @@ EXPORT_DIGESTS = {
 @pytest.mark.parametrize("case", EXPORT_DIGESTS, ids=lambda c: "{}@{}-N{}-p{}-{}".format(*c))
 def test_export_bytes_are_unchanged(case):
     text, N_max, N, p, fmt = case
-    data = export(realize(built(text, N_max), N, p), fmt)
-    assert hashlib.sha256(data).hexdigest() == EXPORT_DIGESTS[case]
+    g = realize(built(text, N_max), N, p)
+    out = io.BytesIO()
+    export(g, fmt, out)
+    assert hashlib.sha256(out.getvalue()).hexdigest() == EXPORT_DIGESTS[case]
+    assert out.getvalue() == (export_dot if fmt == "dot" else export_json)(g)
 
 
 def test_period_is_gcd_of_loop_lengths():
@@ -143,10 +190,14 @@ def test_json_round_trip(spec2):
 
 def test_export_dispatch(spec2):
     g = realize(spec2, 4)
-    assert export(g, "dot") == export_dot(g)
-    assert export(g, "json") == export_json(g)
+    for fmt, whole in (("dot", export_dot), ("json", export_json)):
+        out = io.BytesIO()
+        export(g, fmt, out)
+        assert out.getvalue() == whole(g)
+    out = io.BytesIO()
     with pytest.raises(ValueError):
-        export(g, "gml")
+        export(g, "gml", out)
+    assert out.getvalue() == b""
 
 
 def test_import_rejects_malformed():

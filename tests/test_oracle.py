@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from markovforge import (count_first_returns, count_paths, export_json,
                          growth_rate, import_json, lift_period, realize,
-                         renewal_convolve, table_from_graph,
-                         table_from_spectrum, user_spectrum)
+                         renewal_convolve, table_from_spectrum,
+                         user_spectrum)
 from markovforge.errors import InsufficientData
 from markovforge.graph import ExplicitGraph
 from markovforge.oracle import (BudgetExceeded, enumerate_first_returns,
@@ -144,12 +144,14 @@ def test_table_from_spectrum_base2(spec2):
     t = table_from_spectrum(spec2, 16)
     assert t.p[0] == 1
     assert t.p[:9] == (1, 1, 1, 1, 5, 9, 13, 17, 37)
-    assert t.renewal_consistent()
+    assert list(t.p) == renewal_convolve(t.f, 16)
 
 
 def test_table_from_graph_agrees(spec2):
     g = realize(spec2, 12)
-    assert table_from_graph(g, 12).p == table_from_spectrum(spec2, 12).p
+    p = count_paths(g, g.root, g.root, 12)
+    assert p == renewal_convolve(count_first_returns(g, g.root, 12), 12)
+    assert tuple(p) == table_from_spectrum(spec2, 12).p
 
 
 def test_period_lift_spreads_counts(spec2):
