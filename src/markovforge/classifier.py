@@ -23,10 +23,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from ._frozen import Frozen
-from .errors import NoGrowthModel, TailUnavailable
 from .intervals import (DEFAULT_PRECISION_BITS, CReal, decimal_bounds,
                         log_fraction, log_interval, power_series)
 from .oracle import PathCountTable, _ln_big
@@ -87,11 +86,11 @@ class ClassificationReport(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# radii and series evaluation
+# radii
 # ---------------------------------------------------------------------------
 
 
-def radius_L(s: LoopSpectrum, require_certified: bool = False) -> Radius:
+def radius_L(s: LoopSpectrum) -> Radius:
     """Radius of convergence of sum a(n) z^n.
 
     Constructed spectra have the closed form L = 1/beta, certified.  A
@@ -103,8 +102,6 @@ def radius_L(s: LoopSpectrum, require_certified: bool = False) -> Radius:
         return Radius(s.meta.L)
     if s.finite_support:
         return Radius.unbounded()
-    if require_certified:
-        raise NoGrowthModel("user spectrum without a declared growth model")
     # in log space: a count above ~1e308 does not fit a float
     ln_root = max((_ln_big(v) / n for n, v in enumerate(s.a, start=1) if v > 0),
                   default=None)
@@ -114,30 +111,6 @@ def radius_L(s: LoopSpectrum, require_certified: bool = False) -> Radius:
     k = int(ln_root / math.log(2))
     est = Fraction(math.exp(k * math.log(2) - ln_root)).limit_denominator(10 ** 18) / 2 ** k
     return Radius(CReal.exact(est), certified=False)
-
-
-def F_eval(s: LoopSpectrum, x: CReal) -> CReal:
-    """Certified enclosure of F(x) = sum_{n>=1} a(n) x^n.
-
-    For constructed spectra the tail is available at x = L exactly (the
-    stored enclosure) and, for certified x <= L, via geometric scaling of
-    that enclosure.  Finite-support spectra are evaluated exactly.
-    """
-    if x.lo < 0:
-        raise ValueError("x must be nonnegative")
-    if s.finite_support:
-        return power_series(enumerate(s.a, 1), x)
-    if s.meta is None:
-        raise TailUnavailable("user spectrum truncation has no tail bound")
-    L = s.meta.L
-    if x.lo == L.lo and x.hi == L.hi:
-        return unit_sum_enclosure(s)
-    if x.hi <= L.lo:
-        ratio = x.hi / L.lo  # <= 1
-        scaled_hi = s.meta.tail_at_L.hi * ratio ** (s.N_max + 1)
-        return (power_series(enumerate(s.a, 1), x)
-                + CReal(Fraction(0), scaled_hi, x.precision_bits))
-    raise TailUnavailable("no certified tail bound beyond the radius L")
 
 
 def _bisect_root(s: LoopSpectrum) -> CReal:
@@ -157,11 +130,6 @@ def _bisect_root(s: LoopSpectrum) -> CReal:
         else:
             hi = mid
     return CReal(lo, hi)
-
-
-def radius_R(s: LoopSpectrum) -> Radius:
-    """Radius of convergence of sum p(n) z^n."""
-    return classify(s).R
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +237,12 @@ def _classify_finite(s: LoopSpectrum) -> ClassificationReport:
 # ---------------------------------------------------------------------------
 
 
-def lambda_estimate(counts: PathCountTable, R: CReal,
-                    window: int = 16) -> tuple[tuple[int, float], ...]:
-    """Trailing window of p(n) R^n values, the candidate limit lambda.
+def lambda_estimate(counts: PathCountTable, R: CReal) -> tuple[tuple[int, float], ...]:
+    """The last 16 nonzero values p(n) R^n, the candidate limit lambda.
 
     A numeric trend only: positive recurrent systems stabilize at a positive
     value, transient ones decay to 0.  No closed form is available.
     """
     mid = R.mid
     usable = [n for n in range(1, len(counts.p)) if counts.p[n] > 0]
-    return tuple((n, float(counts.p[n] * mid ** n)) for n in usable[-window:])
+    return tuple((n, float(counts.p[n] * mid ** n)) for n in usable[-16:])

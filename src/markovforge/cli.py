@@ -3,8 +3,9 @@
 Exit codes: 0 success (also on a closed stdout), 1 unreadable or malformed
 file, 2 invalid base (beta <= 1) or bad usage, 3 precision exhausted (also beta
 too close to 1, or a build of more than spectrum.MAX_SQUARE_FLOORS square
-floors), 4 no deletable loop, 5 verification failures, 6 graph too large to
-realize or a(1) > 1.
+floors or of more than spectrum.MAX_SERIES_BITS bits for beta^N_max), 4 no
+deletable loop, 5 verification failures, 6 graph too large to realize or
+a(1) > 1.
 """
 
 from __future__ import annotations

@@ -41,9 +41,5 @@ class TailUnavailable(Exception):
     """No certified tail bound exists for this spectrum/evaluation point."""
 
 
-class NoGrowthModel(Exception):
-    """A certified radius was requested for a spectrum without analytic metadata."""
-
-
 class SpectrumFileError(Exception):
     """Malformed or unsupported spectrum file."""

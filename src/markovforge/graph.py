@@ -81,11 +81,6 @@ class ExplicitGraph(Frozen):
         p = self.period_lift
         return (tails, heads) if p == 1 else _lift_arrows(self.size // p, tails, heads, p)
 
-    def index(self, v: int | str) -> int:
-        """Index of a vertex given by name, or of the root given by its index;
-        a name lookup in a realized graph generates all its names."""
-        return v if v == self.root else self.vertices.index(v)
-
     def adjacency(self) -> Neighbours:
         """Successors as ``(one, hubs)``: ``one[v]`` is v's first successor in
         arrow order, or ``size`` if it has none, and ``hubs`` maps each vertex

@@ -3,9 +3,9 @@
 All counts are arbitrary-size integers.  Three routes are provided and
 cross-checked in the tests: dynamic programming over the predecessors,
 the renewal convolution of first-return counts, and (at desk scale)
-literal enumeration by walking every path.  Graph routes run on the
-compact neighbour form that :class:`ExplicitGraph` builds once per
-direction.
+literal enumeration by walking every path.  Graph routes take vertices
+by index and run on the compact neighbour form that :class:`ExplicitGraph`
+builds once per direction.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ ENUMERATION_BUDGET = 10 ** 6
 class PathCountTable(Frozen):
     """f[i] = first-return count f(i+1); p[i] = all-loop count p(i), p(0) = 1."""
 
-    _fields = ("f", "p", "source")
+    _fields = ("f", "p")
 
-    def __init__(self, f: tuple[int, ...], p: tuple[int, ...], source: str) -> None:
-        self._init(f, p, source)
+    def __init__(self, f: tuple[int, ...], p: tuple[int, ...]) -> None:
+        self._init(f, p)
 
     def to_csv(self) -> str:
         lines = ["n,f,p,growth_estimate"]
@@ -75,35 +75,33 @@ def _make_pull_step(g: ExplicitGraph):
     return step
 
 
-def count_paths(g: ExplicitGraph, u: int | str, v: int | str, N: int) -> list[int]:
+def count_paths(g: ExplicitGraph, u: int, v: int, N: int) -> list[int]:
     """Exact counts p_uv(0..N) of length-n paths from u to v."""
     if N < 0:
         raise ValueError("N must be >= 0")
     step = _pull_step(g)
-    src, dst = g.index(u), g.index(v)
     vec = [0] * (g.size + 1)
-    vec[src] = 1
-    out = [vec[dst]]
+    vec[u] = 1
+    out = [vec[v]]
     for _ in range(N):
         step(vec)
-        out.append(vec[dst])
+        out.append(vec[v])
     return out
 
 
-def count_first_returns(g: ExplicitGraph, u: int | str, N: int) -> list[int]:
+def count_first_returns(g: ExplicitGraph, u: int, N: int) -> list[int]:
     """Exact first-return counts f_uu(1..N): loops at u avoiding u internally."""
     if N < 0:
         raise ValueError("N must be >= 0")
     step = _pull_step(g)
-    src = g.index(u)
     out: list[int] = []
     # vec counts paths from u that have not revisited u
     vec = [0] * (g.size + 1)
-    vec[src] = 1
+    vec[u] = 1
     while len(out) < N:
         step(vec)
-        out.append(vec[src])
-        vec[src] = 0
+        out.append(vec[u])
+        vec[u] = 0
         if not any(vec):  # every path has returned or died
             out += [0] * (N - len(out))
     return out
@@ -165,22 +163,21 @@ def _level(firsts: list[int], fans: list[list[int]], *dropped: int) -> list[int]
     return firsts
 
 
-def walk_path_counts(g: ExplicitGraph, u: int | str, v: int | str,
+def walk_path_counts(g: ExplicitGraph, u: int, v: int,
                      budget: int = ENUMERATION_BUDGET) -> Iterator[int]:
     """Counts of length-n paths from u to v, n = 0, 1, ..., from one walk;
     level n is walked on demand and charged what a call for length n is."""
     ahead = _walker(g)
-    dst = g.index(v)
-    frontier = [g.index(u)]
+    frontier = [u]
     walked = _charge(0, 1, budget)
     while True:
-        yield frontier.count(dst)
+        yield frontier.count(v)
         firsts, fans, steps = ahead(frontier)
         walked = _charge(walked, steps, budget)
         frontier = _level(firsts, fans, g.size)
 
 
-def enumerate_paths(g: ExplicitGraph, u: int | str, v: int | str, n: int,
+def enumerate_paths(g: ExplicitGraph, u: int, v: int, n: int,
                     budget: int = ENUMERATION_BUDGET) -> int:
     """Count length-n paths from u to v by walking each one."""
     if n < 0:
@@ -188,7 +185,7 @@ def enumerate_paths(g: ExplicitGraph, u: int | str, v: int | str, n: int,
     return next(islice(walk_path_counts(g, u, v, budget), n, None))
 
 
-def enumerate_first_returns(g: ExplicitGraph, u: int | str, n: int,
+def enumerate_first_returns(g: ExplicitGraph, u: int, n: int,
                             budget: int = ENUMERATION_BUDGET) -> int:
     """Count length-n first-return loops at u by walking each path.
 
@@ -198,16 +195,15 @@ def enumerate_first_returns(g: ExplicitGraph, u: int | str, n: int,
     if n < 0:
         raise ValueError("n must be >= 0")
     ahead = _walker(g)
-    src = g.index(u)
-    frontier = [src]
+    frontier = [u]
     walked = _charge(0, 1, budget)
     for remaining in range(n, 0, -1):
         firsts, fans, steps = ahead(frontier)
-        back = firsts.count(src) + sum(fan.count(src) for fan in fans)
+        back = firsts.count(u) + sum(fan.count(u) for fan in fans)
         walked = _charge(walked, steps - back, budget)
         if remaining == 1:
             return back
-        frontier = _level(firsts, fans, src, g.size)
+        frontier = _level(firsts, fans, u, g.size)
     return 1  # n == 0: the empty path at u
 
 
@@ -231,7 +227,7 @@ def table_from_spectrum(s: LoopSpectrum, N: int, period_lift: int = 1) -> PathCo
     f, counts = [0] * N, [0] * (N + 1)
     f[p - 1::p] = f0
     counts[::p] = renewal_convolve(f0, m)
-    return PathCountTable(tuple(f), tuple(counts), source="renewal convolution")
+    return PathCountTable(tuple(f), tuple(counts))
 
 
 class GrowthEstimate(Frozen):

@@ -33,6 +33,9 @@ DEFAULT_N_MAX = 64
 # the most square floors a build computes: 1.00001 needs about 4,500 at the
 # default precision (about 40 s), and the cost grows with their square
 MAX_SQUARE_FLOORS = 5000
+# the most bits N_max log2(beta) a build gives beta^N_max: base 1000 at
+# N_max = 1700 takes 16,942; at the bound e^3 builds in about 50 s
+MAX_SERIES_BITS = 20_000
 
 
 class DigitTrace(Frozen):
@@ -62,11 +65,11 @@ class SpectrumMeta(Frozen):
                  k: int, tail_at_L: CReal, deleted_loop: Optional[int] = None) -> None:
         self._init(beta, precision_bits, N_max, delta, k, tail_at_L, deleted_loop)
 
-    _series = cached_property(
-        lambda self: _series_constants(self.beta, self.N_max, self.precision_bits))
-    c = cached_property(lambda self: (self._series[1] - 1) ** 2)
-    L = cached_property(lambda self: self._series[2])
-    M_bound = cached_property(lambda self: self._series[1] + self.k)
+    _series = cached_property(lambda self: _series_constants(
+        self.beta, _series_bits(self.beta, self.N_max, self.precision_bits)))
+    c = cached_property(lambda self: (self._series[0] - 1) ** 2)
+    L = cached_property(lambda self: self._series[1])
+    M_bound = cached_property(lambda self: self._series[0] + self.k)
 
 
 class LoopSpectrum(Frozen):
@@ -94,10 +97,6 @@ class LoopSpectrum(Frozen):
         if not 1 <= n <= self.N_max:
             raise IndexError(f"n={n} outside 1..{self.N_max}")
         return self.a[n - 1]
-
-    @property
-    def is_constructed(self) -> bool:
-        return self.meta is not None
 
     def support(self) -> list[int]:
         return [n for n in range(1, self.N_max + 1) if self.a[n - 1] > 0]
@@ -130,23 +129,6 @@ def _greedy_digits(x: CReal, B: CReal, num_digits: int) -> tuple[list[int], CRea
     return digits, r
 
 
-def beta_expansion(x: CReal, beta: BetaValue, num_digits: int,
-                   precision_bits: int = DEFAULT_PRECISION_BITS) -> tuple[int, ...]:
-    """Greedy expansion digits d(1..num_digits) of x in base beta.
-
-    Requires a certified 0 <= x < 1.  FloorUndecidable propagates when the
-    enclosure of some partial remainder straddles a digit boundary.
-    """
-    if x.lo < 0 or not x.certainly_lt(1):
-        raise ValueError("x must be certifiably in [0, 1)")
-    B = beta.eval(precision_bits)
-    if beta.kind != "exp_rational":
-        # exact: a remainder can land on a digit boundary, which no ball decides
-        B = CReal.exact(beta.value, precision_bits)
-    digits, _ = _greedy_digits(x, B, num_digits)
-    return tuple(digits)
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -168,31 +150,38 @@ def _log2_bounds(x: Fraction) -> tuple[float, float]:
     return v - pad, v + pad
 
 
-def _series_constants(beta: BetaValue, N_max: int,
-                      bits: int) -> tuple[int, CReal, CReal]:
-    """(series_bits, B, L): beta and L = 1/B, L rounded outward onto the series
-    grid unless B is exact, at a precision that pre-pays beta^N_max."""
-    _, lg_hi = _log2_bounds(beta.eval(bits).hi)
-    series_bits = bits + 64 + math.ceil(N_max * lg_hi)
+def _series_bits(beta: BetaValue, N_max: int, bits: int) -> int:
+    """The precision of the series arithmetic, which pre-pays beta^N_max."""
+    return bits + 64 + math.ceil(N_max * _log2_bounds(beta.eval(bits).hi)[1])
+
+
+def _series_constants(beta: BetaValue, series_bits: int) -> tuple[CReal, CReal]:
+    """(B, L): beta and L = 1/B, L rounded outward onto the series grid
+    unless B is exact."""
     B = beta.eval(series_bits)
-    L = B.inv() if B.is_exact else B.inv().round_outward(series_bits)
-    return series_bits, B, L
+    return B, B.inv() if B.is_exact else B.inv().round_outward(series_bits)
 
 
 def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     probe = beta.eval(bits)
     lg_lo, _ = _log2_bounds(probe.lo)
     _, lg_hi = _log2_bounds(probe.hi)
-    series_bits, B, L = _series_constants(beta, N_max, bits)
-    # the untracked floor tail (beyond n_ext^2) must be small on the scale
-    # of the series arithmetic: n_ext^2 log2(beta) >= series_bits - 32.
-    # Refused before any floor work when that takes too many floors; the
-    # test is a product, as the quotient overflows for a subnormal lg_lo.
+    # Refused before beta is evaluated beyond ``bits``: beta^N_max takes
+    # N_max log2(beta) bits, and the build's time grows with them; and the
+    # untracked floor tail (beyond n_ext^2) must be small on the scale of
+    # the series arithmetic, n_ext^2 log2(beta) >= series_bits - 32.  The
+    # tests are products, as a quotient overflows for a subnormal log2, and
+    # the first is exact, as N_max may exceed the float range.
+    if N_max * Fraction(lg_hi) > MAX_SERIES_BITS:
+        raise PrecisionExhausted(f"beta = {beta.text} at N_max = {N_max} needs more "
+                                 f"than {MAX_SERIES_BITS} bits for beta^N_max")
+    series_bits = _series_bits(beta, N_max, bits)
     if (lg_lo * MAX_SQUARE_FLOORS ** 2 < series_bits - 32
             or math.isqrt(N_max) > MAX_SQUARE_FLOORS):
         raise PrecisionExhausted(
             f"beta = {beta.text} at N_max = {N_max} needs more than {MAX_SQUARE_FLOORS} "
             f"square floors at {bits} bits")
+    B, L = _series_constants(beta, series_bits)
     n_ext = max(math.isqrt(N_max),
                 math.ceil(math.sqrt((series_bits - 32) / lg_lo)))
     c = (B - 1) ** 2
@@ -345,24 +334,21 @@ def identity_failure(s: LoopSpectrum, unit_sum: CReal) -> Optional[str]:
     return None
 
 
-def spectrum_tail_bounds(s: LoopSpectrum, from_n: int, weight: str = "1") -> CReal:
-    """Certified upper bound on sum_{n >= from_n} w(n) a(n) L^n, w in {1, n}.
+def spectrum_tail_bounds(s: LoopSpectrum, from_n: int) -> CReal:
+    """Certified upper bound on sum_{n >= from_n} n a(n) L^n.
 
     Uses the comparison series: off-square counts are at most M, square
     counts at most c beta^(m^2-m) + M, so the tail is dominated by
-    M * sum w(n) beta^-n  +  c * sum w(m^2) beta^-m  (m ranging over square roots).
+    M * sum n beta^-n  +  c * sum m^2 beta^-m  (m ranging over square roots).
     """
-    if weight not in ("1", "n"):
-        raise ValueError("weight must be '1' or 'n'")
     if s.meta is None:
         raise TailUnavailable("spectrum has no analytic metadata")
     if from_n < 1:
         raise ValueError("from_n must be >= 1")
     meta = s.meta
     m0 = math.isqrt(from_n - 1) + 1  # smallest m with m^2 >= from_n
-    square_weight = "1" if weight == "1" else "n2"
-    bound = (meta.M_bound * geometric_tail(meta.L, from_n, weight)
-             + meta.c * geometric_tail(meta.L, m0, square_weight))
+    bound = (meta.M_bound * geometric_tail(meta.L, from_n, "n")
+             + meta.c * geometric_tail(meta.L, m0, "n2"))
     return CReal(Fraction(0), bound.hi, meta.precision_bits)
 
 
@@ -372,7 +358,7 @@ def weighted_sum_enclosure(s: LoopSpectrum) -> CReal:
         raise TailUnavailable("spectrum has no analytic metadata")
     L = s.meta.L
     partial = power_series(((n, n * an) for n, an in enumerate(s.a, 1)), L)
-    tail = spectrum_tail_bounds(s, s.N_max + 1, "n")
+    tail = spectrum_tail_bounds(s, s.N_max + 1)
     return CReal(partial.lo, (partial + tail).hi, L.precision_bits)
 
 

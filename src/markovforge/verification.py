@@ -6,8 +6,8 @@ from __future__ import annotations
 from math import gcd
 
 from .classifier import Verdict, classify
-from .errors import TailUnavailable
-from .graph import fits, is_strongly_connected, lift_period, period, realize
+from .errors import Unrealizable
+from .graph import fits, is_strongly_connected, realize
 from .oracle import (ENUMERATION_BUDGET, BudgetExceeded, count_first_returns,
                      count_paths, renewal_convolve, table_from_spectrum,
                      walk_path_counts)
@@ -26,13 +26,8 @@ def run_suite(s: LoopSpectrum, period_lift: int = 1,
 
     results.extend(_oracle_checks(s, period_lift, oracle_depth))
 
-    # classification certificate consistency
-    try:
-        report = classify(s)
-        ok, detail = _certificate_consistent(s, report)
-        results.append(CheckResult("classification certificates consistent", ok, detail))
-    except TailUnavailable:
-        pass
+    ok, detail = _certificate_consistent(s, classify(s))
+    results.append(CheckResult("classification certificates consistent", ok, detail))
     return results
 
 
@@ -42,7 +37,9 @@ def _oracle_checks(s: LoopSpectrum, period_lift: int,
     # oracle equivalence on the truncated realization; shrink the depth until the
     # lifted graph fits (large bases reach millions of loops by length 9)
     depth = min(oracle_depth, s.N_max)
-    while depth > 1 and not fits(s, depth, period_lift):
+    while not fits(s, depth, period_lift):
+        if depth == 1:
+            raise Unrealizable(f"lifted by {period_lift}, no depth fits the vertex budget")
         depth -= 1
     g = realize(s, depth)
     results.append(CheckResult("realization strongly connected",
@@ -77,12 +74,11 @@ def _oracle_checks(s: LoopSpectrum, period_lift: int,
         enum_detail = f"walked all paths up to length {checked_to}"
     results.append(CheckResult("literal enumeration matches DP", enum_ok, enum_detail))
 
-    # period
-    lifted = lift_period(g, period_lift)
+    # period: the graph's, from its first returns, against the spectrum's
     realized = [n * period_lift for n in s.support() if n <= depth]
     if realized:
         expected = gcd(*realized)
-        structural = period(lifted)
+        structural = period_lift * gcd(*(n for n, v in enumerate(f_dp, 1) if v))
         table = table_from_spectrum(s, depth * period_lift, period_lift)
         from_counts = [n for n, v in enumerate(table.p) if n > 0 and v > 0]
         oracle_gcd = gcd(*from_counts) if from_counts else None

@@ -9,13 +9,10 @@ import math
 from fractions import Fraction
 
 import mpmath
-import pytest
 
-from markovforge import (F_eval, Verdict, classify, delete_loop,
-                         entropy_enclosure, entropy_of_lift, lambda_estimate,
-                         radius_L, radius_R, table_from_spectrum,
-                         user_spectrum)
-from markovforge.errors import NoGrowthModel
+from markovforge import (Verdict, classify, delete_loop, entropy_enclosure,
+                         entropy_of_lift, lambda_estimate, radius_L,
+                         table_from_spectrum, user_spectrum)
 
 mpmath.mp.dps = 60
 
@@ -79,8 +76,6 @@ def test_truncation_estimate_not_certified(spec2):
     r = radius_L(trunc)
     assert not r.certified
     assert abs(float(r.value.lo) - 0.5) < 0.1
-    with pytest.raises(NoGrowthModel):
-        radius_L(trunc, require_certified=True)
 
 
 def test_truncation_estimate_survives_huge_counts():
@@ -95,15 +90,8 @@ def test_truncation_estimate_survives_huge_counts():
 
 def test_radius_helpers(spec2):
     assert radius_L(spec2).value.lo == Fraction(1, 2)
-    assert radius_R(spec2).value.hi == Fraction(1, 2)
-    assert radius_R(user_spectrum([1])).value.contains(1)
-
-
-def test_F_eval_inside_disk(spec2):
-    from markovforge.intervals import CReal
-    val = F_eval(spec2, CReal.exact(Fraction(1, 4)))
-    # dominated by the self loop: 1/4 + 4/256 + tiny square terms
-    assert Fraction(1, 4) < val.lo < val.hi < Fraction(3, 10)
+    assert classify(spec2).R.value.hi == Fraction(1, 2)
+    assert classify(user_spectrum([1])).R.value.contains(1)
 
 
 def test_entropy_of_lift(spec2):
@@ -116,11 +104,11 @@ def test_entropy_of_lift(spec2):
 def test_lambda_estimate_base2(spec2):
     rep = classify(spec2)
     t = table_from_spectrum(spec2, 64)
-    window = lambda_estimate(t, rep.R.value, window=8)
+    window = lambda_estimate(t, rep.R.value)
     # positive recurrent with mean return 6, so p(n) 2^-n tends to 1/6
     for n, v in window:
         assert abs(v - 1 / 6) < 0.05
-    assert window[-1][0] == 64
+    assert [n for n, _ in window] == list(range(49, 65))
 
 
 def test_report_serializes(spec2):

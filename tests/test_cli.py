@@ -314,6 +314,7 @@ NEAR_ONE = "1." + "0" * 119 + "1"
 @pytest.mark.parametrize("argv, code", [
     (["build", "--beta", "2", "--max-n", "2", "--out", "x.json"], 2),
     (["build", "--beta", "2", "--precision", "0", "--out", "x.json"], 2),
+    (["build", "--beta", "2", "--max-n", "1" + "0" * 400, "--out", "x.json"], 3),
     (["build", "--beta", NEAR_ONE, "--out", "x.json"], 3),
     # log2(beta) ~ 7e-10: the build would need about 630,000 square floors
     (["build", "--beta", "1.0000000005", "--out", "x.json"], 3),
@@ -335,8 +336,8 @@ NEAR_ONE = "1." + "0" * 119 + "1"
     (["classify", "div0.json"], 1),
     (["verify", "a1-2.json"], 6),
     (["export", "a1-2.json", "--format", "dot"], 6),
-], ids=["build-max-n", "build-precision", "build-near-one", "build-7e-10",
-        "entropy-7e-10", "n0", "export-max-n", "oracle-depth", "lift-period",
+], ids=["build-max-n", "build-precision", "build-huge-max-n", "build-near-one",
+        "build-7e-10", "entropy-7e-10", "n0", "export-max-n", "oracle-depth", "lift-period",
         "classify-period-0", "verify-period-0", "classify-near-one",
         "precision-env-x", "precision-env-0", "beta-abc", "beta-1/0", "beta-e^x",
         "entropy-abc", "entropy-ln5", "beta-value-1/0", "verify-a1-2", "export-a1-2"])
@@ -382,6 +383,20 @@ def test_build_refuses_too_many_square_floors(argv, tmp_path, capsys):
     assert time.perf_counter() - start < 5
     assert code == 3 and f"more than {spectrum.MAX_SQUARE_FLOORS} square floors" in err
     assert not out.exists()
+
+
+def test_build_refuses_a_long_beta_power(tmp_path, capsys, monkeypatch):
+    # e^3 at N_max = 64 needs 277 bits for beta^N_max, at 16 only 70
+    monkeypatch.setattr(spectrum, "MAX_SERIES_BITS", 100)
+    asked, evaluate = [], BetaValue.eval
+    monkeypatch.setattr(BetaValue, "eval",
+                        lambda beta, bits: asked.append(bits) or evaluate(beta, bits))
+    out = tmp_path / "x.json"
+    code, _, err = run(capsys, "build", "--beta", "e^3", "--out", str(out))
+    assert code == 3 and "more than 100 bits for beta^N_max" in err
+    assert not out.exists() and set(asked) == {cli.DEFAULT_PRECISION_BITS}
+    code, _, _ = run(capsys, "build", "--beta", "e^3", "--max-n", "16", "--out", str(out))
+    assert code == 0 and out.exists()
 
 
 def test_closed_stdout_is_not_an_error(tmp_path):

@@ -21,13 +21,13 @@ from markovforge.oracle import (BudgetExceeded, enumerate_first_returns,
 
 
 def walk_reference(g, u, v, n, first_return):
-    """(count, steps) from a recursive walk of every path, one step per
-    vertex visited; with ``first_return`` a step back to u ends the walk.
-    The walk runs on vertex names; u and v may also be the root's index."""
-    u, v = (g.vertices[g.index(w)] for w in (u, v))
-    succ = {w: [] for w in g.vertices}
+    """(count, steps) from a recursive walk of every path between the vertex
+    indices u and v, one step per vertex visited; with ``first_return`` a
+    step back to u ends the walk.  The successors come from the named arrows."""
+    index = {w: i for i, w in enumerate(g.vertices)}
+    succ = [[] for _ in g.vertices]
     for a, b in g.arrows:
-        succ[a].append(b)
+        succ[index[a]].append(index[b])
     steps = 0
 
     def walk(w, remaining):
@@ -76,7 +76,7 @@ def test_enumeration_matches_dp(spec2):
 
 def test_enumeration_budget_is_exact(spec2):
     g = lift_period(realize(spec2, 6), 2)
-    off_root = g.vertices[5]
+    off_root = 5
     cases = [(lambda n, b: enumerate_paths(g, g.root, g.root, n, b), g.root, False),
              (lambda n, b: enumerate_paths(g, g.root, off_root, n, b), off_root, False),
              (lambda n, b: enumerate_first_returns(g, g.root, n, b), g.root, True)]
@@ -122,22 +122,23 @@ def mutual_hubs():
                                pytest.param(hand_built("a"), id="a"),
                                pytest.param(mutual_hubs(), id="mutual_hubs")])
 def test_hand_built_graph_matches_brute_force(g):
-    root = g.vertices[g.root]
-    p = count_paths(g, root, root, 8)
-    f = count_first_returns(g, root, 8)
-    assert renewal_convolve(f, 8) == p
-    for n in range(9):
-        for v in g.vertices:
-            count, steps = walk_reference(g, root, v, n, False)
-            assert count_paths(g, root, v, 8)[n] == count
-            assert enumerate_paths(g, root, v, n, steps) == count
+    # every vertex, by its index, as the end of a path from the root and as
+    # the vertex of the first returns
+    p = count_paths(g, g.root, g.root, 8)
+    assert renewal_convolve(count_first_returns(g, g.root, 8), 8) == p
+    for v in range(g.size):
+        f = count_first_returns(g, v, 8)
+        for n in range(9):
+            count, steps = walk_reference(g, g.root, v, n, False)
+            assert count_paths(g, g.root, v, 8)[n] == count
+            assert enumerate_paths(g, g.root, v, n, steps) == count
             with pytest.raises(BudgetExceeded):
-                enumerate_paths(g, root, v, n, steps - 1)
-        count, steps = walk_reference(g, root, root, n, True)
-        assert (f[n - 1] if n else 1) == count
-        assert enumerate_first_returns(g, root, n, steps) == count
-        with pytest.raises(BudgetExceeded):
-            enumerate_first_returns(g, root, n, steps - 1)
+                enumerate_paths(g, g.root, v, n, steps - 1)
+            count, steps = walk_reference(g, v, v, n, True)
+            assert (f[n - 1] if n else 1) == count
+            assert enumerate_first_returns(g, v, n, steps) == count
+            with pytest.raises(BudgetExceeded):
+                enumerate_first_returns(g, v, n, steps - 1)
 
 
 def test_table_from_spectrum_base2(spec2):

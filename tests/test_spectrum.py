@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovforge import (BetaValue, CReal, beta_expansion, build_spectrum,
-                         delete_loop, spectrum_checks, spectrum_tail_bounds,
+from markovforge import (BetaValue, CReal, build_spectrum, delete_loop,
+                         spectrum_checks, spectrum_tail_bounds,
                          unit_sum_enclosure, unit_sum_target, user_spectrum,
                          weighted_sum_enclosure)
 from markovforge.errors import NoDeletableLoop
+from markovforge.spectrum import _greedy_digits
 
 
 def test_base2_exact_counts(spec2):
@@ -118,7 +119,7 @@ def test_weighted_sum_base2(spec2):
 
 def test_tail_bounds_dominate_true_tail(spec2):
     for from_n in (17, 30, 50):
-        true_tail = sum(Fraction(spec2.count(n), 2 ** n)
+        true_tail = sum(Fraction(n * spec2.count(n), 2 ** n)
                         for n in range(from_n, 65))
         bound = spectrum_tail_bounds(spec2, from_n)
         assert bound.hi >= true_tail
@@ -145,22 +146,19 @@ def _mp_greedy(x, beta, num_digits):
 @settings(max_examples=40, deadline=None)
 def test_beta_expansion_matches_mpmath(x, beta):
     num = 24
-    got = beta_expansion(CReal.exact(x), BetaValue.from_rational(beta), num)
-    want = _mp_greedy(x, beta, num)
-    assert list(got) == want
+    got, _ = _greedy_digits(CReal.exact(x), CReal.exact(beta), num)
+    assert got == _mp_greedy(x, beta, num)
 
 
 def test_beta_expansion_digit_range():
-    x = CReal.exact(Fraction(17, 31))
-    beta = BetaValue.from_rational(Fraction(5, 2))
-    digits = beta_expansion(x, beta, 30)
+    digits, _ = _greedy_digits(CReal.exact(Fraction(17, 31)), CReal.exact(Fraction(5, 2)), 30)
     assert all(0 <= d <= 2 for d in digits)
 
 
 def test_expansion_partial_sums_stay_below_x():
     x = Fraction(17, 31)
     beta = Fraction(5, 2)
-    digits = beta_expansion(CReal.exact(x), BetaValue.from_rational(beta), 30)
+    digits, _ = _greedy_digits(CReal.exact(x), CReal.exact(beta), 30)
     partial = Fraction(0)
     for i, d in enumerate(digits, start=1):
         partial += Fraction(d) / beta ** i
@@ -178,7 +176,7 @@ def test_user_spectrum_wraps_counts():
     s = user_spectrum([1, 4, 0, 2])
     assert s.a == (1, 4, 0, 2)
     assert s.support() == [1, 2, 4]
-    assert not s.is_constructed
+    assert s.meta is None
     assert s.finite_support
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from markovforge import delete_loop, graph, lift_period, user_spectrum, verification
+from markovforge import delete_loop, graph, user_spectrum, verification
 from markovforge.errors import Unrealizable
 from markovforge.verification import run_suite
 
@@ -38,17 +38,10 @@ def test_lift_is_charged_in_the_vertex_budget(spec2, monkeypatch):
     # the graph has 525 vertices at depth 12 (and 9) and 13 at depth 8:
     # unlifted, depth 12 fits a budget of 1000, lifted by 3 only depth 8 does
     monkeypatch.setattr(graph, "REALIZE_VERTEX_BUDGET", 1000)
-    sizes = []
-
-    def lift(g, p):
-        sizes.append(g.size * p)
-        return lift_period(g, p)
-
-    monkeypatch.setattr(verification, "lift_period", lift)
+    assert graph.vertex_count(spec2, 8) * 3 <= 1000 < graph.vertex_count(spec2, 9) * 3
     results = {r.name: r for r in run_suite(spec2, period_lift=3, oracle_depth=12)}
     assert all(r.passed for r in results.values())
     assert results["first returns match spectrum"].detail == "depth 8"
-    assert sizes and max(sizes) <= 1000
 
 
 def test_a_lift_past_the_vertex_budget_is_refused(spec2, monkeypatch):
@@ -66,3 +59,13 @@ def test_verification_never_builds_vertex_names(spec_e07, monkeypatch):
     for p in (1, 2):
         results = run_suite(spec_e07, period_lift=p)
         assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def test_period_check_reads_the_realized_graph(spec2, monkeypatch):
+    # a realization with loops of lengths 2 and 4 only has period 2, which
+    # the base-2 spectrum (a self-loop at the root) does not
+    wrong = graph.realize(user_spectrum([0, 1, 0, 1]))
+    monkeypatch.setattr(verification, "realize", lambda s, depth: wrong)
+    results = {r.name: r for r in run_suite(spec2, oracle_depth=4)}
+    check = results["period (structural vs oracle)"]
+    assert not check.passed and "structural = 2," in check.detail
