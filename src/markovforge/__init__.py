@@ -11,7 +11,7 @@ from .intervals import (BetaValue, CReal, certified_floor, exp_fraction,
 from .oracle import (GrowthEstimate, PathCountTable, count_first_returns,
                      count_paths, growth_rate, renewal_convolve,
                      table_from_spectrum)
-from .spectrum import (DigitTrace, LoopSpectrum, SpectrumMeta, build_spectrum,
+from .spectrum import (LoopSpectrum, SpectrumMeta, build_spectrum,
                        delete_loop, spectrum_checks, spectrum_tail_bounds,
                        unit_sum_enclosure, unit_sum_target, user_spectrum,
                        weighted_sum_enclosure)

@@ -38,24 +38,16 @@ MAX_SQUARE_FLOORS = 5000
 MAX_SERIES_BITS = 20_000
 
 
-class DigitTrace(Frozen):
-    """Audit trail of the construction; index i corresponds to n = i + 1."""
-
-    _fields = ("b", "d", "d_prime")
-
-    def __init__(self, b: tuple[int, ...], d: tuple[int, ...],
-                 d_prime: tuple[int, ...]) -> None:
-        self._init(b, d, d_prime)
-
-
 class SpectrumMeta(Frozen):
     """Certified analytic metadata of a constructed spectrum.
 
     Stored: the build's inputs, the deficit delta, k = floor(beta^2 delta)
     and tail_at_L (sum_{n > N_max} a(n) L^n), both enclosures on the dyadic
     grid of the build's series arithmetic.  Derived on first use as the build
-    derived them: c = (beta-1)^2 (square counts), L = 1/beta (the radius of
-    sum a(n) z^n) and M_bound = beta + k (bounds the off-square counts).
+    derived them: c = (beta-1)^2, L = 1/beta (the radius of sum a(n) z^n),
+    M_bound = beta + k (bounds each count above its square floor) and
+    square_floors, b(m^2) = floor(c beta^(m^2-m)) for m^2 <= N_max from the
+    build's own enclosure of beta, or None if one is undecidable there.
     """
 
     _fields = ("beta", "precision_bits", "N_max", "delta", "k", "tail_at_L",
@@ -63,6 +55,9 @@ class SpectrumMeta(Frozen):
 
     def __init__(self, beta: BetaValue, precision_bits: int, N_max: int, delta: CReal,
                  k: int, tail_at_L: CReal, deleted_loop: Optional[int] = None) -> None:
+        if k < 0 or beta.value <= (0 if beta.kind == "exp_rational" else 1):
+            raise ValueError(f"M_bound = beta + k needs beta > 1 and k >= 0, "
+                             f"not beta = {beta.text}, k = {k}")
         self._init(beta, precision_bits, N_max, delta, k, tail_at_L, deleted_loop)
 
     _series = cached_property(lambda self: _series_constants(
@@ -70,6 +65,14 @@ class SpectrumMeta(Frozen):
     c = cached_property(lambda self: (self._series[0] - 1) ** 2)
     L = cached_property(lambda self: self._series[1])
     M_bound = cached_property(lambda self: self._series[0] + self.k)
+
+    @cached_property
+    def square_floors(self) -> Optional[dict[int, int]]:
+        try:
+            Bt = _floor_plan(self.beta, self.N_max, self.precision_bits)[2]
+            return _square_floors(Bt, math.isqrt(self.N_max))
+        except (FloorUndecidable, PrecisionExhausted):
+            return None
 
 
 class LoopSpectrum(Frozen):
@@ -80,10 +83,9 @@ class LoopSpectrum(Frozen):
     the whole (polynomial) spectrum or a truncation of something unknown.
     """
 
-    _fields = ("a", "N_max", "meta", "digit_trace", "finite_support")
+    _fields = ("a", "N_max", "meta", "finite_support")
 
     def __init__(self, a: tuple[int, ...], N_max: int, meta: Optional[SpectrumMeta] = None,
-                 digit_trace: Optional[DigitTrace] = None,
                  finite_support: bool = False) -> None:
         if len(a) != N_max:
             raise ValueError("a must have exactly N_max entries")
@@ -91,7 +93,7 @@ class LoopSpectrum(Frozen):
             raise ValueError("loop counts must be nonnegative")
         if meta is not None and meta.N_max != N_max:
             raise ValueError("meta was built for another N_max")
-        self._init(a, N_max, meta, digit_trace, finite_support)
+        self._init(a, N_max, meta, finite_support)
 
     def count(self, n: int) -> int:
         if not 1 <= n <= self.N_max:
@@ -162,7 +164,11 @@ def _series_constants(beta: BetaValue, series_bits: int) -> tuple[CReal, CReal]:
     return B, B.inv() if B.is_exact else B.inv().round_outward(series_bits)
 
 
-def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
+def _floor_plan(beta: BetaValue, N_max: int, bits: int) -> tuple[int, int, CReal]:
+    """(series_bits, n_ext, Bt) of a build: the precision of its series
+    arithmetic, how many square floors it tracks and the one enclosure of
+    beta they all come from.  Refuses, with PrecisionExhausted, a build
+    that needs too many bits or floors."""
     probe = beta.eval(bits)
     lg_lo, _ = _log2_bounds(probe.lo)
     _, lg_hi = _log2_bounds(probe.hi)
@@ -181,24 +187,31 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
         raise PrecisionExhausted(
             f"beta = {beta.text} at N_max = {N_max} needs more than {MAX_SQUARE_FLOORS} "
             f"square floors at {bits} bits")
-    B, L = _series_constants(beta, series_bits)
     n_ext = max(math.isqrt(N_max),
                 math.ceil(math.sqrt((series_bits - 32) / lg_lo)))
-    c = (B - 1) ** 2
-
-    # Square-index floors floor(c beta^(m^2-m)) from one enclosure of beta
-    # and a running product, beta^((m+1)^2-(m+1)) = beta^(m^2-m) beta^(2m).
     # The largest power has about (n_ext^2-n_ext) log2(beta) bits before the
     # point, so beta carries that many extra bits: every scaled value is
-    # then known to about 2^-bits.  A near-integer hit raises
-    # FloorUndecidable, and build_spectrum restarts at doubled precision.
-    Bt = beta.eval(bits + math.ceil((n_ext * n_ext - n_ext) * lg_hi))
+    # then known to about 2^-bits.
+    return series_bits, n_ext, beta.eval(bits + math.ceil((n_ext * n_ext - n_ext) * lg_hi))
+
+
+def _square_floors(Bt: CReal, m_max: int) -> dict[int, int]:
+    """{m^2: floor((Bt-1)^2 Bt^(m^2-m))} for m = 1..m_max by a running product,
+    Bt^((m+1)^2-(m+1)) = Bt^(m^2-m) Bt^(2m); FloorUndecidable on a near-integer."""
     Bt2 = Bt * Bt
     scaled, pow2m = (Bt - 1) ** 2 * Bt2, Bt2 * Bt2
-    floors: dict[int, int] = {1: 1}
-    for m in range(2, n_ext + 1):
+    floors = {1: 1}
+    for m in range(2, m_max + 1):
         floors[m * m] = certified_floor(scaled)
         scaled, pow2m = scaled * pow2m, pow2m * Bt2
+    return floors
+
+
+def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
+    series_bits, n_ext, Bt = _floor_plan(beta, N_max, bits)
+    B, L = _series_constants(beta, series_bits)
+    c = (B - 1) ** 2
+    floors = _square_floors(Bt, n_ext)
 
     # floors holds ascending n; those above N_max are summed once, for both
     # the deficit and the stored tail
@@ -230,11 +243,7 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     if digits[0] != 0:
         raise RuntimeError("first expansion digit is nonzero; this indicates a "
                            "precision bug, the remainder is below 1/beta by design")
-    trace = DigitTrace(
-        b=tuple(floors.get(n, 0) for n in range(1, N_max + 1)),
-        d=tuple(digits),
-        d_prime=(0, digits[1] + k, *digits[2:]),  # the k units live in the n = 2 slot
-    )
+    digits[1] += k  # the k units live in the n = 2 slot
 
     # stored on the series grid, where a file holds them exactly; the digits
     # above came from the unrounded deficit
@@ -244,8 +253,8 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     meta = SpectrumMeta(beta=beta, precision_bits=bits, N_max=N_max,
                         delta=on_grid(delta), k=k,
                         tail_at_L=on_grid(tracked_tail + far_tail + remainder * L ** N_max))
-    a = tuple(b + dp for b, dp in zip(trace.b, trace.d_prime))
-    return LoopSpectrum(a, N_max, meta=meta, digit_trace=trace)
+    a = tuple(floors.get(n, 0) + d for n, d in enumerate(digits, 1))
+    return LoopSpectrum(a, N_max, meta=meta)
 
 
 def build_spectrum(beta: BetaValue, N_max: int = DEFAULT_N_MAX,
@@ -317,18 +326,21 @@ def identity_failure(s: LoopSpectrum, unit_sum: CReal) -> Optional[str]:
     """Why the construction identity does not certify s, or None if it does.
 
     sum a(n) L^n = 1 (1 - L^n0 after deleting a loop of length n0) holds when
-    the counts are the digit trace's, a(n) = b(n) + d'(n) (one less at n0),
-    and ``unit_sum`` (from :func:`unit_sum_enclosure`) meets that target.
+    each count is its square floor b(n), recomputed from beta, plus a greedy
+    digit: a(n) + [n = n0] - b(n) >= 0, and = 0 at n = 1; and ``unit_sum``
+    (from :func:`unit_sum_enclosure`) meets that target.
     """
-    target = unit_sum_target(s)
-    t, n0 = s.digit_trace, s.meta.deleted_loop
-    if t is None or not len(t.b) == len(t.d_prime) == s.N_max:
-        return "no digit trace of a(1..N_max) to check the counts against"
+    floors, n0 = s.meta.square_floors, s.meta.deleted_loop
     if n0 is not None and not 2 <= n0 <= s.N_max:
         return f"deleted loop length {n0} outside 2..{s.N_max}"
-    for n, (an, b, dp) in enumerate(zip(s.a, t.b, t.d_prime), 1):
-        if an != b + dp - (n == n0):
-            return f"a({n}) = {an} disagrees with the digit trace ({b + dp - (n == n0)})"
+    if floors is None:
+        return f"a square floor is undecidable at {s.meta.precision_bits} bits"
+    if s.a[0] != 1:
+        return f"a(1) = {int_text(s.a[0])}, not 1"
+    n = next((n for n, b in floors.items() if s.a[n - 1] + (n == n0) < b), None)
+    if n is not None:
+        return f"a({n}) lies below its square floor b({n})"
+    target = unit_sum_target(s)
     if unit_sum.hi < target.lo or target.hi < unit_sum.lo:
         return "the unit-sum enclosure misses its target"
     return None
@@ -423,30 +435,19 @@ def spectrum_checks(s: LoopSpectrum) -> list[CheckResult]:
         meta.delta.lo >= 0 and meta.delta.certainly_lt(1),
         f"delta in [{real_text(meta.delta.lo, '.3e')}, {real_text(meta.delta.hi, '.3e')}]"))
 
-    if s.digit_trace is not None:
-        results.append(CheckResult("first expansion digit is 0",
-                                   s.digit_trace.d[0] == 0,
-                                   f"d(1) = {s.digit_trace.d[0]}"))
-
-    for m in range(2, math.isqrt(s.N_max) + 1):
-        n = m * m
-        # the series precision pre-pays beta^N_max, so scaling stays tight
-        scale = meta.c / meta.L ** (n - m)
-        val = parent_count(n)
-        # lower bound certified up to the floor defect: a(m^2) > c beta^(m^2-m) - 1
-        lower_ok = Fraction(val + 1) > scale.hi
-        upper_ok = Fraction(val) <= (scale + meta.M_bound).lo
-        results.append(CheckResult(
-            f"square bound at n = {n}",
-            lower_ok and upper_ok,
-            f"a({n}) = {int_text(val)}, scale in "
-            f"[{real_text(scale.lo, '.6g')}, {real_text(scale.hi, '.6g')}]"))
-
-    squares = {m * m for m in range(1, math.isqrt(s.N_max) + 1)}
-    bad = [n for n in range(2, s.N_max + 1)
-           if n not in squares and not Fraction(parent_count(n)) <= meta.M_bound.lo]
+    # the counts' half of the identity; the unit sum is checked above
+    failure = identity_failure(s, target)
     results.append(CheckResult(
-        "off-square counts bounded by M",
+        "square floors recomputed from beta", failure is None,
+        failure or f"a(n) >= b(n) at every n = m^2 <= {s.N_max}, "
+                   f"at {meta.precision_bits} bits"))
+
+    # with a(m^2) >= b(m^2) > c beta^(m^2-m) - 1 this gives both square bounds
+    floors = meta.square_floors or {}
+    bad = [n for n in range(2, s.N_max + 1)
+           if not Fraction(parent_count(n) - floors.get(n, 0)) <= meta.M_bound.lo]
+    results.append(CheckResult(
+        "counts above the square floors bounded by M",
         not bad,
         f"violations at {bad}" if bad else f"M in [{real_text(meta.M_bound.lo, '.6g')}, "
                                            f"{real_text(meta.M_bound.hi, '.6g')}]"))

@@ -1,12 +1,15 @@
-"""Spectrum file format (version 2).
+"""Spectrum file format (version 3).
 
 JSON with big integers as strings: decimal, or hex ("0x1f...") for those of
 more than 4,300 digits, which CPython will not convert to decimal by
-default; a reader takes either.  Of the metadata only what beta
-cannot give back is stored: k, the deleted loop, and delta and tail_at_L,
-whose dyadic endpoints are written exactly ("-0x1a3p-384"), so a load
-returns what was saved.  Version 1 files (40-digit decimal endpoints) are
-read, rounded outward onto the grid 2^-precision_bits.
+default; a reader takes either.  A constructed spectrum stores its counts
+a(1..N_max), its base and, of the metadata, only what beta cannot give
+back: k, the deleted loop, and delta and tail_at_L, whose dyadic endpoints
+are written exactly ("-0x1a3p-384"), so a load returns what was saved.  The
+square floors are recomputed from beta (SpectrumMeta.square_floors).
+Versions 1 and 2 are read; the digit trace they hold is ignored, and the
+40-digit decimal endpoints of version 1 are rounded outward onto the grid
+2^-precision_bits.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from typing import Optional, Union
 from ._frozen import Frozen
 from .errors import SpectrumFileError
 from .intervals import BetaValue, CReal
-from .spectrum import DigitTrace, LoopSpectrum, SpectrumMeta, int_text
+from .spectrum import LoopSpectrum, SpectrumMeta, int_text
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class SpectrumFile(Frozen):
@@ -76,7 +79,6 @@ def to_dict(sf: SpectrumFile) -> dict:
         "a": [int_text(v) for v in s.a],
         "finite_support": s.finite_support,
         "meta": None,
-        "digit_trace": None,
     }
     if s.meta is not None:
         m = s.meta
@@ -89,16 +91,13 @@ def to_dict(sf: SpectrumFile) -> dict:
             "tail_at_L": _interval_out(m.tail_at_L),
             "deleted_loop": m.deleted_loop,
         }
-    if s.digit_trace is not None:
-        payload["digit_trace"] = {key: [int_text(v) for v in values]
-                                  for key, values in s.digit_trace.asdict().items()}
     return payload
 
 
 def from_dict(payload: dict) -> SpectrumFile:
     try:
         version = payload["format_version"]
-        if version not in (1, FORMAT_VERSION):
+        if version not in (1, 2, FORMAT_VERSION):
             raise SpectrumFileError(f"unsupported format_version {version!r}")
         n_max = int(payload["N_max"])
         a = tuple(_int_in(v) for v in payload["a"])
@@ -117,10 +116,7 @@ def from_dict(payload: dict) -> SpectrumFile:
                 tail_at_L=_interval_in(m["tail_at_L"], bits, version),
                 deleted_loop=None if m["deleted_loop"] is None else int(m["deleted_loop"]),
             )
-        t = payload.get("digit_trace")
-        trace = None if t is None else DigitTrace(
-            *(tuple(_int_in(v) for v in t[key]) for key in ("b", "d", "d_prime")))
-        spectrum = LoopSpectrum(a, n_max, meta=meta, digit_trace=trace,
+        spectrum = LoopSpectrum(a, n_max, meta=meta,
                                 finite_support=bool(payload.get("finite_support", False)))
         period_lift = int(payload.get("period_lift", 1))
         if period_lift < 1:

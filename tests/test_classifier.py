@@ -119,10 +119,14 @@ def test_report_serializes(spec2):
     assert d["R"]["certified"] is True
 
 
-def test_constructed_verdict_needs_the_digit_trace(spec2):
-    rep = classify(spec2.replace(digit_trace=None))
+def test_constructed_verdict_needs_the_square_floors(spec2):
+    # one loop fewer than the square floor b(4) = 4, recomputed from beta
+    a = list(spec2.a)
+    a[3] = spec2.meta.square_floors[4] - 1
+    rep = classify(spec2.replace(a=tuple(a)))
     assert rep.verdict is Verdict.INDETERMINATE
     assert rep.has_mme is None
+    assert "a(4) lies below its square floor b(4)" in rep.notes[0]
 
 
 def test_extra_loop_is_not_recurrent(spec_e07):
@@ -133,4 +137,4 @@ def test_extra_loop_is_not_recurrent(spec_e07):
     rep = classify(spec_e07.replace(a=tuple(a)))
     assert rep.verdict is Verdict.INDETERMINATE
     assert rep.F_at_L.certainly_gt(1)
-    assert "a(2)" in rep.notes[0]
+    assert "unit-sum enclosure misses its target" in rep.notes[0]

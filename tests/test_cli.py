@@ -110,7 +110,10 @@ def test_edited_count_is_indeterminate(spec_e07, tmp_path, capsys, n, edit):
     assert code == 0
     report = json.loads(stdout)
     assert report["verdict"] == "Indeterminate"
-    assert any(f"a({n})" in note for note in report["notes"])
+    # a count above its square floor moves the unit sum off its target; one
+    # below the floor recomputed from beta is named
+    reason = "unit-sum enclosure misses its target" if edit > 0 else f"a({n}) lies below"
+    assert any(reason in note for note in report["notes"])
 
 
 def test_negative_count_is_malformed(spec_e07, tmp_path, capsys):
@@ -247,15 +250,13 @@ def test_verify_passes(tmp_path, capsys):
 
 
 def test_verify_prints_values_beyond_the_float_range(tmp_path, capsys):
-    # at n = 41^2 the scale c beta^(m^2-m) is about 1e4925: past the float
-    # range, and as a count past the 4,300 digits int -> str converts
-    path = tmp_path / "b1000.json"
-    run(capsys, "build", "--beta", "1000", "--max-n", "1700", "--out", str(path))
+    # beta = 2^1025 gives M = beta + k (k = 0) past the float range
+    path = tmp_path / "big.json"
+    run(capsys, "build", "--beta", str(2 ** 1025), "--max-n", "4", "--out", str(path))
     code, stdout, _ = run(capsys, "verify", str(path))
     assert code == 0 and "[FAIL]" not in stdout
-    line = next(t for t in stdout.splitlines() if "square bound at n = 1681:" in t)
-    assert "a(1681) = 0x" in line
-    assert line.endswith("scale in [9.98001e+4925, 9.98001e+4925]")
+    line = next(t for t in stdout.splitlines() if "bounded by M:" in t)
+    assert line.endswith("M in [3.59539e+308, 3.59539e+308]")
 
 
 def test_build_deterministic(tmp_path, capsys):
@@ -299,12 +300,14 @@ def test_counts_beyond_the_decimal_limit_are_written_in_hex(tmp_path, capsys):
     assert code == 0
     data = path.read_bytes()
     payload = json.loads(data)
-    for key, values in (("a", payload["a"]), ("b", payload["digit_trace"]["b"])):
-        assert [n for n, v in enumerate(values, 1) if v.startswith("0x")] == \
-            [39 * 39, 40 * 40, 41 * 41], key
+    assert [n for n, v in enumerate(payload["a"], 1) if v.startswith("0x")] == \
+        [39 * 39, 40 * 40, 41 * 41]
     assert payload["a"][38 * 38 - 1].isdigit()
     back = spectrum_io.from_bytes(data)
     assert back.spectrum.count(41 * 41) == int(payload["a"][41 * 41 - 1], 16)
+    # integer beta: delta = 0, so each such count is its recomputed floor
+    for n in (39 * 39, 40 * 40, 41 * 41):
+        assert back.spectrum.count(n) == back.spectrum.meta.square_floors[n]
     assert spectrum_io.to_bytes(back) == data
 
 
@@ -334,13 +337,16 @@ NEAR_ONE = "1." + "0" * 119 + "1"
     (["build", "--entropy", "abc", "--out", "x.json"], 2),
     (["build", "--entropy", "ln5", "--out", "x.json"], 2),
     (["classify", "div0.json"], 1),
+    (["classify", "half.json"], 1),
+    (["classify", "k-negative.json"], 1),
     (["verify", "a1-2.json"], 6),
     (["export", "a1-2.json", "--format", "dot"], 6),
 ], ids=["build-max-n", "build-precision", "build-huge-max-n", "build-near-one",
         "build-7e-10", "entropy-7e-10", "n0", "export-max-n", "oracle-depth", "lift-period",
         "classify-period-0", "verify-period-0", "classify-near-one",
         "precision-env-x", "precision-env-0", "beta-abc", "beta-1/0", "beta-e^x",
-        "entropy-abc", "entropy-ln5", "beta-value-1/0", "verify-a1-2", "export-a1-2"])
+        "entropy-abc", "entropy-ln5", "beta-value-1/0", "stored-beta-1/2", "stored-k-negative",
+        "verify-a1-2", "export-a1-2"])
 def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run(capsys, "build", "--beta", "2", "--max-n", "16", "--out", "b.json")
@@ -354,6 +360,13 @@ def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch
     (tmp_path / "near-one.json").write_text(json.dumps(payload))
     payload["beta"] = {"kind": "rational", "value": "1/0", "text": "1/0"}
     (tmp_path / "div0.json").write_text(json.dumps(payload))
+    payload["beta"] = {"kind": "rational", "value": "1/2", "text": "1/2"}
+    (tmp_path / "half.json").write_text(json.dumps(payload))
+    # base 2 with k = -1000: M = beta + k would fall below beta, and the
+    # mean-return bound below the true 6
+    payload["beta"] = {"kind": "rational", "value": "2", "text": "2"}
+    payload["meta"]["k"] = -1000
+    (tmp_path / "k-negative.json").write_text(json.dumps(payload))
     # a user spectrum with two self-loops at the root
     (tmp_path / "a1-2.json").write_text(json.dumps(
         {"format_version": 2, "N_max": 3, "a": ["2", "0", "1"], "finite_support": True}))

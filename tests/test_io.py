@@ -13,6 +13,7 @@ from markovforge import (BetaValue, CReal, Verdict, build_spectrum, classify,
                          delete_loop, spectrum_checks, user_spectrum)
 from markovforge import spectrum_io
 from markovforge.errors import SpectrumFileError
+from markovforge.spectrum import int_text
 from markovforge.verification import run_suite
 
 DATA = Path(__file__).parent / "data"
@@ -32,40 +33,81 @@ def test_round_trip_constructed(spec_e07, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-@pytest.mark.parametrize("text, n_max, digest, v1_file", [
-    ("2", 128, "38705cfbc7ba99a3fa58887c41f0d844b812ffc4ad795b9e7d72421669f5e812",
+def _with_digit_trace(data: bytes) -> bytes:
+    """The bytes the version 2 writer gave the same spectrum: the version 3
+    payload plus the digit trace b, d, d' it stored, rebuilt from the square
+    floors, with d'(n) = a(n) - b(n) and d = d' but for d(2) = d'(2) - k."""
+    payload = json.loads(data)
+    s = spectrum_io.from_dict(payload).spectrum
+    b = [s.meta.square_floors.get(n, 0) for n in range(1, s.N_max + 1)]
+    d_prime = [an - bn for an, bn in zip(s.a, b)]
+    d = [d_prime[0], d_prime[1] - s.meta.k, *d_prime[2:]]
+    payload["format_version"] = 2
+    payload["digit_trace"] = {key: [int_text(v) for v in values]
+                              for key, values in (("b", b), ("d", d), ("d_prime", d_prime))}
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("text, n_max, digest, v2_digest, v1_file", [
+    ("2", 128, "087adbfe0709532ff790fa996d5f7707171e29d6b4f364aef709db27b4ba0986",
+     "38705cfbc7ba99a3fa58887c41f0d844b812ffc4ad795b9e7d72421669f5e812",
      "b2_n128.v1.json"),
-    ("e^7/10", 64, "7e8615e04d1eb7a5a1632a8e0258e90c5e12124b7050d280f0de646913659fdb",
+    ("e^7/10", 64, "7a34877a0cd364d598bb7aeb7a956fd6be7534c1c7d00f45f8a2206a45a2a9fe",
+     "7e8615e04d1eb7a5a1632a8e0258e90c5e12124b7050d280f0de646913659fdb",
      "e7_10_n64.v1.json"),
-    ("3", 64, "5e8c50fc536aa63ffb664731fd5fd51251d472ac3a515689785a204faaa05496", None),
-    ("5/2", 64, "43977686a125a21027ae83c5113c71dc2c1ad303a2143c601ffa9e3756eb3cd9", None),
+    ("3", 64, "ef6989433fd5d36b1004e80e7a0a6f6b50cc602767ec50d38792a9cd56cdb9a2",
+     "5e8c50fc536aa63ffb664731fd5fd51251d472ac3a515689785a204faaa05496", None),
+    ("5/2", 64, "d85f25b1cc3017bf889a4d86f4759e3d8f0fd3b2a0a14bb8bc8781748e833f77",
+     "43977686a125a21027ae83c5113c71dc2c1ad303a2143c601ffa9e3756eb3cd9", None),
 ], ids=["2-128", "e^7/10-64", "3-64", "5/2-64"])
-def test_build_bytes_are_golden(text, n_max, digest, v1_file):
+def test_build_bytes_are_golden(text, n_max, digest, v2_digest, v1_file):
     # the bytes `markovforge build --beta TEXT --max-n N_MAX` writes
     sf = spectrum_io.SpectrumFile(build_spectrum(BetaValue.parse(text), n_max))
     data = spectrum_io.to_bytes(sf)
     assert hashlib.sha256(data).hexdigest() == digest
+    # and, with the trace put back, the bytes the version 2 writer gave
+    assert hashlib.sha256(_with_digit_trace(data)).hexdigest() == v2_digest
     if v1_file is None:
         return
-    # the version 1 file of the same build holds the same counts and inputs
+    # the version 1 file of the same build holds the same counts and inputs,
+    # and its stored square floors are the ones recomputed from beta
     new, old = json.loads(data), json.loads((DATA / v1_file).read_text())
-    for key in ("a", "digit_trace", "N_max", "beta"):
+    for key in ("a", "N_max", "beta"):
         assert new[key] == old[key], key
     for key in ("k", "precision_bits"):
         assert new["meta"][key] == old["meta"][key], key
+    floors = sf.spectrum.meta.square_floors
+    assert old["digit_trace"]["b"] == [str(floors.get(n, 0)) for n in range(1, n_max + 1)]
 
 
-def test_v1_deep_deletion_loads_classifies_and_resaves_as_v2():
+def test_v1_deep_deletion_loads_classifies_and_resaves_as_v3():
     # written by the version 1 writer: e^3, N_max 64, the loop at n0 = 64
     # deleted; its 40-digit tail is far wider than L^64 ~ 4e-84
     sf = spectrum_io.from_bytes((DATA / "e3_n64_deleted64.v1.json").read_bytes())
     assert sf.spectrum.meta.deleted_loop == 64
     assert classify(sf.spectrum).verdict is Verdict.TRANSIENT
-    v2 = spectrum_io.to_bytes(sf)
-    assert json.loads(v2)["format_version"] == 2
-    back = spectrum_io.from_bytes(v2)
+    v3 = spectrum_io.to_bytes(sf)
+    assert json.loads(v3)["format_version"] == 3
+    back = spectrum_io.from_bytes(v3)
     assert back == sf
-    assert spectrum_io.to_bytes(back) == v2
+    assert spectrum_io.to_bytes(back) == v3
+
+
+def test_v2_variant_loads_classifies_and_resaves_as_v3(spec_e07):
+    # written by the version 2 writer: `build --beta e^7/10` (N_max 64), then
+    # `transient-variant`, which deleted the loop at n0 = 4
+    data = (DATA / "e7_10_n64_deleted4.v2.json").read_bytes()
+    sf = spectrum_io.from_bytes(data)
+    fresh = delete_loop(spec_e07, 4)
+    assert sf.spectrum == fresh
+    assert classify(sf.spectrum) == classify(fresh)
+    assert classify(sf.spectrum).verdict is Verdict.TRANSIENT
+    failed = [r for r in run_suite(sf.spectrum) if not r.passed]
+    assert not failed, failed
+    v2, v3 = json.loads(data), json.loads(spectrum_io.to_bytes(sf))
+    assert v3["format_version"] == 3 and "digit_trace" not in v3
+    del v2["digit_trace"]
+    assert {**v2, "format_version": 3} == v3
 
 
 def test_long_dyadic_endpoint_round_trips(spec2):
@@ -138,9 +180,16 @@ def test_rejects_garbage(spec2):
             {"format_version": 1, "a": "oops"}).encode())
     for key, value in [("tail_at_L", ["0x1p", "0x0p+0"]), ("tail_at_L", ["1.5", "2"]),
                        ("delta", ["0x1p+1p+2", "0x1p+0"]), ("delta", ["0xgp+0", "0x1p+0"]),
-                       ("deleted_loop", "four")]:
+                       ("deleted_loop", "four"), ("k", -1)]:
         payload = spectrum_io.to_dict(spectrum_io.SpectrumFile(spec2))
         payload["meta"][key] = value
+        with pytest.raises(SpectrumFileError):
+            spectrum_io.from_bytes(json.dumps(payload).encode())
+    # a stored base must exceed 1, as beta + k bounds the counts
+    for kind, value in [("rational", "1/2"), ("rational", "1"), ("exp_rational", "-1"),
+                        ("exp_rational", "0")]:
+        payload = spectrum_io.to_dict(spectrum_io.SpectrumFile(spec2))
+        payload["beta"] = {"kind": kind, "value": value, "text": value}
         with pytest.raises(SpectrumFileError):
             spectrum_io.from_bytes(json.dumps(payload).encode())
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovforge import (BetaValue, CReal, build_spectrum, delete_loop,
-                         spectrum_checks, spectrum_tail_bounds,
+                         power_series, spectrum_checks, spectrum_tail_bounds,
                          unit_sum_enclosure, unit_sum_target, user_spectrum,
                          weighted_sum_enclosure)
 from markovforge.errors import NoDeletableLoop
@@ -62,10 +62,15 @@ def test_construction_checks_pass(all_spectra):
 
 
 def test_digit_trace_shape(spec_e07):
-    tr = spec_e07.digit_trace
-    assert tr.d[0] == 0  # first greedy digit is forced to zero
-    assert tr.d_prime[1] == tr.d[1] + spec_e07.meta.k
-    assert all(v >= 0 for v in tr.d_prime)
+    # a(n) - b(n) are the digits d'(n) = (0, d(2) + k, d(3), ...): nonnegative,
+    # 0 at n = 1, and they expand the deficit up to the truncation at N_max
+    meta = spec_e07.meta
+    d_prime = [an - meta.square_floors.get(n, 0) for n, an in enumerate(spec_e07.a, 1)]
+    assert d_prime[0] == 0
+    assert all(v >= 0 for v in d_prime)
+    expansion = power_series(enumerate(d_prime, 1), meta.L)
+    assert expansion.hi <= meta.delta.hi
+    assert meta.delta.lo <= expansion.lo + meta.L.hi ** spec_e07.N_max
 
 
 def test_e07_leading_counts(spec_e07):
@@ -190,7 +195,7 @@ def test_rational_bases_build_and_check(p, q):
     # b(m^2) = floor((p/q - 1)^2 (p/q)^e), e = m^2 - m, in integers
     for m in range(2, 6):
         e = m * m - m
-        assert s.digit_trace.b[m * m - 1] == (p - q) ** 2 * p ** e // q ** (e + 2)
+        assert s.meta.square_floors[m * m] == (p - q) ** 2 * p ** e // q ** (e + 2)
     assert unit_sum_enclosure(s).contains(1)
     failed = [c for c in spectrum_checks(s) if not c.passed]
     assert not failed, failed
