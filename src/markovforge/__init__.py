@@ -1,19 +1,64 @@
 """Countable loop graphs of prescribed Gurevich entropy and period, with
-certified Vere-Jones classification."""
+certified Vere-Jones classification.
 
-from .classifier import (ClassificationReport, Radius, Verdict, classify,
-                         entropy_enclosure, entropy_of_lift, lambda_estimate,
-                         radius_L)
-from .graph import (ExplicitGraph, export, export_dot, export_json,
-                    import_json, lift_period, period, realize)
+The layers ``classifier``, ``graph``, ``oracle`` and ``verification`` are
+put in ``sys.modules`` here but run only when one of their attributes is
+first read (``importlib.util.LazyLoader``), so a command compiles just the
+layers it calls.  Each is also bound as an attribute of this package:
+``from . import graph`` then finds it without reading its ``__spec__``,
+which would run it.  Their names re-exported here resolve through the
+module ``__getattr__``.
+"""
+
+import importlib.util as _util
+import sys as _sys
+
 from .intervals import (BetaValue, CReal, certified_floor, exp_fraction,
                         geometric_tail, log_fraction, power_series)
-from .oracle import (GrowthEstimate, PathCountTable, count_first_returns,
-                     count_paths, growth_rate, renewal_convolve,
-                     table_from_spectrum)
 from .spectrum import (LoopSpectrum, SpectrumMeta, build_spectrum,
                        delete_loop, spectrum_checks, spectrum_tail_bounds,
                        unit_sum_enclosure, unit_sum_target, user_spectrum,
                        weighted_sum_enclosure)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "classifier": ("ClassificationReport", "Radius", "Verdict", "classify",
+                   "entropy_enclosure", "entropy_of_lift", "lambda_estimate",
+                   "radius_L"),
+    "graph": ("ExplicitGraph", "export", "export_dot", "export_json",
+              "import_json", "lift_period", "period", "realize"),
+    "oracle": ("GrowthEstimate", "PathCountTable", "count_first_returns",
+               "count_paths", "growth_rate", "renewal_convolve",
+               "table_from_spectrum"),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+# the eager names, the three layers above and their names; ``verification``
+# stays out, as it did while nothing here imported it
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + list(_EXPORTS) + list(_LAYER_OF))
+
+
+def _lazy(layer: str):
+    name = f"{__name__}.{layer}"
+    spec = _util.find_spec(name)
+    spec.loader = _util.LazyLoader(spec.loader)
+    module = _util.module_from_spec(spec)
+    _sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+classifier = _lazy("classifier")
+graph = _lazy("graph")
+oracle = _lazy("oracle")
+verification = _lazy("verification")
+
+
+def __getattr__(name: str):
+    if name in _LAYER_OF:
+        return getattr(globals()[_LAYER_OF[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -23,14 +23,16 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ._frozen import Frozen
-from .intervals import (DEFAULT_PRECISION_BITS, CReal, decimal_bounds,
+from .intervals import (DEFAULT_PRECISION_BITS, CReal, _ln_big, decimal_bounds,
                         log_fraction, log_interval, power_series)
-from .oracle import PathCountTable, _ln_big
 from .spectrum import (LoopSpectrum, identity_failure, unit_sum_enclosure,
                        weighted_sum_enclosure)
+
+if TYPE_CHECKING:
+    from .oracle import PathCountTable
 
 
 class Verdict(str, Enum):

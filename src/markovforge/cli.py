@@ -16,16 +16,14 @@ import sys
 from fractions import Fraction
 from typing import BinaryIO, Callable, Optional
 
-from . import spectrum_io
-from .classifier import classify, entropy_of_lift, lambda_estimate
+# the layers classifier, graph, oracle and verification run on first use
+# (see __init__), so each command compiles only those it calls
+from . import classifier, graph, oracle, spectrum_io, verification
 from .errors import (FloorUndecidable, InsufficientData, NoDeletableLoop,
                      NotGreaterThanOne, PrecisionExhausted, SpectrumFileError,
                      Unrealizable)
-from .graph import export, realize
 from .intervals import DEFAULT_PRECISION_BITS, BetaValue, decimal_bounds, ln2_enclosure
-from .oracle import growth_rate, table_from_spectrum
 from .spectrum import DEFAULT_N_MAX, build_spectrum, delete_loop
-from .verification import DEFAULT_ORACLE_DEPTH, run_suite
 
 EXIT_OK = 0
 EXIT_BAD_BETA = 2
@@ -114,10 +112,10 @@ def cmd_transient_variant(args) -> int:
 
 def cmd_classify(args) -> int:
     sf = spectrum_io.load(args.file)
-    report = classify(sf.spectrum)
+    report = classifier.classify(sf.spectrum)
     payload = report.to_dict()
     payload["period_lift"] = sf.period_lift
-    lifted = entropy_of_lift(sf.spectrum, sf.period_lift)
+    lifted = classifier.entropy_of_lift(sf.spectrum, sf.period_lift)
     payload["lifted_entropy"] = (list(decimal_bounds(lifted))
                                  if lifted is not None else None)
     if args.bits and lifted is not None:
@@ -126,9 +124,9 @@ def cmd_classify(args) -> int:
     if args.lambda_window and report.R.value is not None:
         # lifted by p, p(n p) (R^(1/p))^(n p) = p(n) R^n: the unlifted
         # window, each n relabelled n p
-        table = table_from_spectrum(sf.spectrum, max(64, 2 * sf.spectrum.N_max))
-        payload["lambda_window"] = [
-            [n * sf.period_lift, v] for n, v in lambda_estimate(table, report.R.value)]
+        table = oracle.table_from_spectrum(sf.spectrum, max(64, 2 * sf.spectrum.N_max))
+        payload["lambda_window"] = [[n * sf.period_lift, v] for n, v
+                                    in classifier.lambda_estimate(table, report.R.value)]
     import json
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
@@ -136,10 +134,12 @@ def cmd_classify(args) -> int:
 
 def cmd_entropy(args) -> int:
     sf = spectrum_io.load(args.file)
-    table = table_from_spectrum(sf.spectrum, args.max_n * sf.period_lift, sf.period_lift)
-    _emit(lambda fh: fh.write(table.to_csv().encode("utf-8")), args.csv)
+    # the unlifted table; its rows are spread onto the multiples of the lift
+    # as they are written
+    table = oracle.table_from_spectrum(sf.spectrum, args.max_n)
+    _emit(lambda fh: oracle.write_csv(table, fh, sf.period_lift), args.csv)
     try:
-        est = growth_rate(table.p, window=8)
+        est = oracle.growth_rate(table.p, window=8, period_lift=sf.period_lift)
         print(f"growth estimate at n = {est.samples[-1][0]}: {est.value:.6f}",
               file=sys.stderr)
     except InsufficientData:
@@ -158,15 +158,15 @@ def cmd_lift(args) -> int:
 
 def cmd_export(args) -> int:
     sf = spectrum_io.load(args.file)
-    g = realize(sf.spectrum, min(args.max_n, sf.spectrum.N_max), sf.period_lift)
-    _emit(lambda fh: export(g, args.format, fh), args.out)
+    g = graph.realize(sf.spectrum, min(args.max_n, sf.spectrum.N_max), sf.period_lift)
+    _emit(lambda fh: graph.export(g, args.format, fh), args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     sf = spectrum_io.load(args.file)
-    results = run_suite(sf.spectrum, period_lift=sf.period_lift,
-                        oracle_depth=args.oracle_depth)
+    results = verification.run_suite(sf.spectrum, period_lift=sf.period_lift,
+                                     oracle_depth=int(args.oracle_depth))
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -180,6 +180,18 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+
+class _OracleDepthDefault:
+    """``verify --oracle-depth``'s default, verification.DEFAULT_ORACLE_DEPTH,
+    read when ``--help`` shows it or ``verify`` uses it: building the parser
+    runs no layer."""
+
+    def __int__(self) -> int:
+        return verification.DEFAULT_ORACLE_DEPTH
+
+    def __str__(self) -> str:
+        return str(int(self))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the invariant suite")
     v.add_argument("file")
-    v.add_argument("--oracle-depth", type=_int_from(1), default=DEFAULT_ORACLE_DEPTH)
+    v.add_argument("--oracle-depth", type=_int_from(1), default=_OracleDepthDefault(),
+                   help="longest paths the exact oracles compare (default %(default)s)")
     v.set_defaults(fn=cmd_verify)
     return parser
 

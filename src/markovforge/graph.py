@@ -325,6 +325,11 @@ def export(g: ExplicitGraph, fmt: str, fh: BinaryIO) -> None:
 def import_json(data: bytes) -> ExplicitGraph:
     payload = json.loads(data.decode("utf-8"))
     vertices = tuple(payload["vertices"])
+    try:
+        "".join(map(str, vertices)).encode("utf-8")
+    except UnicodeEncodeError:
+        # a JSON escape can give a lone surrogate, which export cannot write
+        raise ValueError("a vertex name holds a lone surrogate") from None
     arrows = tuple((u, v) for u, v in payload["arrows"])
     p = int(payload.get("period_lift", 1))
     root = f"{ROOT}@1" if p > 1 else ROOT

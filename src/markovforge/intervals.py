@@ -18,7 +18,8 @@ Every series sum ``sum c x^n`` in the library goes through one evaluator,
 certified enclosure for an interval ``x >= 0``, evaluated in fixed point
 at each endpoint.
 
-No binary floats enter or leave this module.
+No binary float enters this module, and only :func:`_ln_big`, the log of
+a count for the uncertified estimates, returns one.
 """
 
 from __future__ import annotations
@@ -521,3 +522,11 @@ def decimal_bounds(x: CReal, digits: int = DECIMAL_DIGITS) -> tuple[str, str]:
     lo = math.floor(x.lo * scale)
     hi = math.ceil(x.hi * scale)
     return _format_scaled(lo, digits), _format_scaled(hi, digits)
+
+
+def _ln_big(v: int) -> float:
+    """Natural log of a positive big integer without float overflow."""
+    if v <= 0:
+        raise ValueError("positive integer required")
+    shift = max(0, v.bit_length() - 53)
+    return math.log(v >> shift) + shift * math.log(2)

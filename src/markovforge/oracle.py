@@ -10,15 +10,17 @@ builds once per direction.
 
 from __future__ import annotations
 
-import math
 from itertools import islice
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterator, Sequence
 
 from ._frozen import Frozen
 from .errors import InsufficientData
-from .graph import ExplicitGraph
+from .intervals import _ln_big
 from .spectrum import LoopSpectrum
+
+if TYPE_CHECKING:
+    from .graph import ExplicitGraph
 
 ENUMERATION_BUDGET = 10 ** 6
 
@@ -30,23 +32,6 @@ class PathCountTable(Frozen):
 
     def __init__(self, f: tuple[int, ...], p: tuple[int, ...]) -> None:
         self._init(f, p)
-
-    def to_csv(self) -> str:
-        lines = ["n,f,p,growth_estimate"]
-        for n in range(1, len(self.p)):
-            fv = self.f[n - 1] if n <= len(self.f) else 0
-            pv = self.p[n]
-            est = f"{_ln_big(pv) / n:.12f}" if pv > 0 else ""
-            lines.append(f"{n},{fv},{pv},{est}")
-        return "\n".join(lines) + "\n"
-
-
-def _ln_big(v: int) -> float:
-    """Natural log of a positive big integer without float overflow."""
-    if v <= 0:
-        raise ValueError("positive integer required")
-    shift = max(0, v.bit_length() - 53)
-    return math.log(v >> shift) + shift * math.log(2)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +224,35 @@ class GrowthEstimate(Frozen):
         self._init(samples, value)
 
 
-def growth_rate(p: Sequence[int], window: int) -> GrowthEstimate:
+def growth_rate(p: Sequence[int], window: int, period_lift: int = 1) -> GrowthEstimate:
     """Exponential growth estimate from the last ``window`` counts p(n) > 0.
 
     Zero counts, such as those of a period-p table off the multiples of p,
-    are skipped, so they never hit log 0.
+    are skipped, so they never hit log 0.  With ``period_lift`` p, ``p``
+    holds the unlifted counts, and each sample is that of the lifted
+    table: (n p, log p(n) / (n p)).
     """
     usable = [n for n in range(1, len(p)) if p[n] > 0]
     if len(usable) < window:
         raise InsufficientData(f"need {window} usable counts, have {len(usable)}")
-    tail = usable[-window:]
-    samples = tuple((n, _ln_big(p[n]) / n) for n in tail)
+    lifted = ((n * period_lift, p[n]) for n in usable[-window:])
+    samples = tuple((n, _ln_big(v) / n) for n, v in lifted)
     return GrowthEstimate(samples, samples[-1][1])
+
+
+def _csv_lines(table: PathCountTable, period_lift: int) -> Iterator[str]:
+    yield "n,f,p,growth_estimate"
+    for m, (fv, pv) in enumerate(zip(table.f, table.p[1:]), 1):
+        n = m * period_lift
+        yield from map("{},0,0,".format, range(n - period_lift + 1, n))
+        yield f"{n},{fv},{pv},{_ln_big(pv) / n:.12f}" if pv > 0 else f"{n},{fv},{pv},"
+
+
+def write_csv(table: PathCountTable, fh: BinaryIO, period_lift: int = 1) -> None:
+    """Write the rows ``n,f,p,growth_estimate`` of ``table`` lifted by p to
+    the binary file ``fh``, a thousand lines per write.  ``table`` holds
+    the unlifted counts, spread onto n = m p row by row: the lifted table,
+    p times longer, is never built."""
+    lines = _csv_lines(table, period_lift)
+    while chunk := list(islice(lines, 1024)):
+        fh.write(("\n".join(chunk) + "\n").encode("utf-8"))

@@ -1,5 +1,6 @@
 """Command-line behavior, run in process through cli.main."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import markovforge
-from markovforge import BetaValue, build_spectrum, cli, graph, spectrum, spectrum_io
+from markovforge import (BetaValue, build_spectrum, cli, graph, spectrum, spectrum_io,
+                         verification)
 from markovforge.errors import FloorUndecidable, PrecisionExhausted
 
 
@@ -163,6 +165,18 @@ def test_entropy_short_table_still_written(tmp_path, capsys):
     assert "growth estimate" not in err
 
 
+def test_lifted_entropy_csv_is_unchanged_by_streaming(tmp_path, capsys):
+    # the bytes and growth line written when the lifted table was built whole
+    base, lifted, csv = tmp_path / "b.json", tmp_path / "b_p3.json", tmp_path / "p3.csv"
+    run(capsys, "build", "--beta", "2", "--max-n", "16", "--out", str(base))
+    run(capsys, "lift", str(base), "--period", "3", "--out", str(lifted))
+    code, _, err = run(capsys, "entropy", str(lifted), "--max-n", "400", "--csv", str(csv))
+    assert code == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "f1a7c61c43007d536044222afdd368a756d9ccc8a9b18cc4559c2910c50718b9")
+    assert err == "growth estimate at n = 1200: 0.224501\n"
+
+
 def test_lift_and_lifted_entropy(tmp_path, capsys):
     base = tmp_path / "b.json"
     lifted = tmp_path / "l.json"
@@ -247,6 +261,17 @@ def test_verify_passes(tmp_path, capsys):
     assert code == 0
     assert "[PASS]" in stdout
     assert "[FAIL]" not in stdout
+
+
+def test_verify_oracle_depth_defaults_to_the_layer_constant(tmp_path, capsys, monkeypatch):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    assert "(default 12)" in " ".join(capsys.readouterr().out.split())
+    base = tmp_path / "b.json"
+    run(capsys, "build", "--beta", "2", "--max-n", "16", "--out", str(base))
+    monkeypatch.setattr(verification, "DEFAULT_ORACLE_DEPTH", 5)
+    code, stdout, _ = run(capsys, "verify", str(base))
+    assert code == 0 and "first returns match spectrum: depth 5" in stdout
 
 
 def test_verify_prints_values_beyond_the_float_range(tmp_path, capsys):

@@ -6,6 +6,9 @@ the first values are worked out by hand:
 p = 1, 1, 1, 1, 5, 9, 13, 17, 37.
 """
 
+import hashlib
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +19,11 @@ from markovforge import (count_first_returns, count_paths, export_json,
                          user_spectrum)
 from markovforge.errors import InsufficientData
 from markovforge.graph import ExplicitGraph
+from markovforge.intervals import _ln_big
 from markovforge.oracle import (BudgetExceeded, enumerate_first_returns,
-                                enumerate_paths, walk_path_counts)
+                                enumerate_paths, walk_path_counts, write_csv)
+
+from conftest import built
 
 
 def walk_reference(g, u, v, n, first_return):
@@ -162,12 +168,44 @@ def test_period_lift_spreads_counts(spec2):
     assert [t.p[3 * n] for n in range(9)] == list(base.p)
 
 
+def csv_bytes(table, p=1):
+    out = io.BytesIO()
+    write_csv(table, out, p)
+    return out.getvalue()
+
+
 def test_csv_has_growth_column(spec2):
-    t = table_from_spectrum(spec2, 8)
-    lines = t.to_csv().splitlines()
+    lines = csv_bytes(table_from_spectrum(spec2, 8)).decode().splitlines()
     assert lines[0] == "n,f,p,growth_estimate"
     assert lines[4].startswith("4,4,5,")
     assert len(lines) == 9
+
+
+class Writes(list):
+    """A binary sink that keeps each write separately."""
+
+    def write(self, data):
+        self.append(data)
+
+
+def test_lifted_csv_streams_the_unlifted_table():
+    # base 2, N_max 16, lifted by 3, --max-n 400: 1,200 rows, whose bytes and
+    # growth line are those the lifted table, built whole, gave
+    s = built("2", 16)
+    table = table_from_spectrum(s, 400)
+    writes = Writes()
+    write_csv(table, writes, 3)
+    data = b"".join(writes)
+    assert hashlib.sha256(data).hexdigest() == (
+        "f1a7c61c43007d536044222afdd368a756d9ccc8a9b18cc4559c2910c50718b9")
+    assert [w.count(b"\n") for w in writes] == [1024, 177]
+    lifted = table_from_spectrum(s, 1200, 3)
+    assert data.decode().splitlines()[1:] == [
+        f"{n},{lifted.f[n - 1]},{v}," + (f"{_ln_big(v) / n:.12f}" if v else "")
+        for n, v in enumerate(lifted.p) if n > 0]
+    est = growth_rate(table.p, window=8, period_lift=3)
+    assert est == growth_rate(lifted.p, window=8)
+    assert f"{est.samples[-1][0]}: {est.value:.6f}" == "1200: 0.224501"
 
 
 def test_growth_rate_converges_base2(spec2):
@@ -182,7 +220,7 @@ def test_growth_rate_converges_base2(spec2):
        st.integers(0, 12))
 @settings(max_examples=60, deadline=None)
 def test_lifted_counts_vanish_off_the_period(a, p, extra):
-    # growth_rate, lambda_estimate and to_csv rely on this instead of a period
+    # growth_rate and lambda_estimate rely on this instead of a period
     t = table_from_spectrum(user_spectrum(a), len(a) * p + extra, p)
     assert all(n % p == 0 for n, v in enumerate(t.p) if v > 0)
 

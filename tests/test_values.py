@@ -1,6 +1,7 @@
 """The immutable value classes and what importing the CLI loads."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 import markovforge
 from markovforge import (BetaValue, CReal, ExplicitGraph, GrowthEstimate, LoopSpectrum,
                          PathCountTable, SpectrumMeta, classify, user_spectrum)
-from markovforge.spectrum_io import SpectrumFile
+from markovforge.spectrum_io import SpectrumFile, save
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
@@ -41,6 +42,66 @@ def test_trace_targets_resolve_after_importing_the_cli():
         owner_name, _, fn_name = attr.rpartition(".")
         owner = getattr(module, owner_name, None) if owner_name else module
         assert callable(getattr(owner, fn_name, None)), f"{module_name}.{attr}"
+
+
+# what the parent module exported before its layers were loaded on first use
+PUBLIC_NAMES = (
+    "BetaValue", "CReal", "ClassificationReport", "ExplicitGraph", "GrowthEstimate",
+    "LoopSpectrum", "PathCountTable", "Radius", "SpectrumMeta", "Verdict",
+    "build_spectrum", "certified_floor", "classifier", "classify",
+    "count_first_returns", "count_paths", "delete_loop", "entropy_enclosure",
+    "entropy_of_lift", "errors", "exp_fraction", "export", "export_dot",
+    "export_json", "geometric_tail", "graph", "growth_rate", "import_json",
+    "intervals", "lambda_estimate", "lift_period", "log_fraction", "oracle",
+    "period", "power_series", "radius_L", "realize", "renewal_convolve",
+    "spectrum", "spectrum_checks", "spectrum_tail_bounds", "table_from_spectrum",
+    "unit_sum_enclosure", "unit_sum_target", "user_spectrum",
+    "weighted_sum_enclosure")
+
+
+def test_public_names_are_unchanged_and_resolve():
+    assert markovforge.__all__ == list(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        namespace = {}
+        exec(f"from markovforge import {name}", namespace)
+        assert namespace[name] is getattr(markovforge, name)
+        assert name in dir(markovforge)
+    # bound for the CLI, but not exported: the parent module never imported it
+    assert "verification" not in markovforge.__all__
+    with pytest.raises(AttributeError, match="no_such_name"):
+        markovforge.no_such_name
+    with pytest.raises(ImportError):
+        exec("from markovforge import no_such_name", {})
+
+
+LAYERS = ("classifier", "graph", "oracle", "verification")
+LAYER_PROBE = """
+import json, sys, types
+import markovforge.cli
+code = markovforge.cli.main(sys.argv[1:])
+# reading any attribute of a lazy module runs it: probe the type alone
+print(json.dumps([code, [layer for layer in {layers!r}
+                         if type(sys.modules["markovforge." + layer]) is types.ModuleType]]),
+      file=sys.stderr)
+""".format(layers=LAYERS)
+
+
+@pytest.mark.parametrize("argv, layers", [
+    ("build --beta 2 --max-n 8 --out x.json", []),
+    ("transient-variant b2.json --out t.json", []),
+    ("lift b2.json --period 3 --out l.json", []),
+    ("classify b2.json", ["classifier"]),
+    ("classify b2.json --lambda-window", ["classifier", "oracle"]),
+    ("entropy b2.json --csv e.csv", ["oracle"]),
+    ("export b2.json --format dot --max-n 8 --out g.dot", ["graph"]),
+    ("verify b2.json", list(LAYERS)),
+])
+def test_each_command_runs_only_the_layers_it_calls(argv, layers, spec2, tmp_path):
+    save(SpectrumFile(spec2), tmp_path / "b2.json")
+    env = {**os.environ, "PYTHONPATH": str(Path(markovforge.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", LAYER_PROBE, *argv.split()], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert json.loads(proc.stderr.splitlines()[-1]) == [0, layers], proc.stderr
 
 
 def test_fields_cannot_be_assigned_or_deleted(spec2):
