@@ -54,7 +54,7 @@ def _int_from(least: int):
 
 
 def _entropy(text: str) -> str:
-    """A token of ENTROPY_TOKENS or a number, kept as written for the file."""
+    """A token of ENTROPY_TOKENS or a number, kept as written."""
     if text not in ENTROPY_TOKENS:
         Fraction(text)
     return text
@@ -99,8 +99,7 @@ def _save(sf: spectrum_io.SpectrumFile, out: str) -> None:
 def cmd_build(args) -> int:
     beta = args.beta or _beta_from_entropy(args.entropy, args.period)
     s = build_spectrum(beta, N_max=args.max_n, precision_bits=args.precision)
-    _save(spectrum_io.SpectrumFile(s, period_lift=args.period,
-                                   entropy_target=args.entropy), args.out)
+    _save(spectrum_io.SpectrumFile(s, period_lift=args.period), args.out)
     return EXIT_OK
 
 

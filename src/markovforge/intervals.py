@@ -191,6 +191,12 @@ class CReal(Frozen):
             lo, hi = Fraction(0), max(lo_n, hi_n)
         return self._ball(self, lo, hi)
 
+    def rounded(self, bits: int) -> "CReal":
+        """At precision ``bits``, endpoints rounded outward to ``bits + GUARD``
+        significant bits: unchanged if already on that grid."""
+        b = bits + GUARD
+        return CReal(_round(self.lo, b, False), _round(self.hi, b, True), bits)
+
     def round_outward(self, bits: int) -> "CReal":
         """Push endpoints to the dyadic grid of step 2^-bits (soundly outward)."""
         scale = 1 << bits
@@ -493,9 +499,8 @@ class BetaValue(Frozen):
         v, exp = self.value, self.kind == "exp_rational"
         if v <= (0 if exp else 1):
             raise NotGreaterThanOne(f"beta = {self.text} is not > 1")
-        bits = precision_bits + GUARD
-        enc = exp_fraction(v, precision_bits) if exp else CReal(
-            _round(v, bits, False), _round(v, bits, True), precision_bits)
+        enc = (exp_fraction(v, precision_bits) if exp
+               else CReal.exact(v).rounded(precision_bits))
         if enc.lo <= 1:
             raise PrecisionExhausted(
                 f"enclosure of {self.text} does not separate from 1 at {precision_bits} bits")

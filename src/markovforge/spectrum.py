@@ -30,8 +30,8 @@ from .intervals import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, BetaValue,
                         CReal, certified_floor, geometric_tail, power_series)
 
 DEFAULT_N_MAX = 64
-# the most square floors a build computes: 1.00001 needs about 4,500 at the
-# default precision (about 40 s), and the cost grows with their square
+# the most square floors a build computes: 1.00001 needs 4,476 at the default
+# precision (a 0.7 s build on a 2-vCPU Xeon); the cost grows with their square
 MAX_SQUARE_FLOORS = 5000
 # the most bits N_max log2(beta) a build gives beta^N_max: base 1000 at
 # N_max = 1700 takes 16,942; at the bound e^3 builds in about 50 s
@@ -41,36 +41,41 @@ MAX_SERIES_BITS = 20_000
 class SpectrumMeta(Frozen):
     """Certified analytic metadata of a constructed spectrum.
 
-    Stored: the build's inputs, the deficit delta, k = floor(beta^2 delta)
-    and tail_at_L (sum_{n > N_max} a(n) L^n), both enclosures on the dyadic
-    grid of the build's series arithmetic.  Derived on first use as the build
-    derived them: c = (beta-1)^2, L = 1/beta (the radius of sum a(n) z^n),
-    M_bound = beta + k (bounds each count above its square floor) and
-    square_floors, b(m^2) = floor(c beta^(m^2-m)) for m^2 <= N_max from the
-    build's own enclosure of beta, or None if one is undecidable there.
+    Stored: the build's inputs, k = floor(beta^2 delta) and tail_at_L
+    (sum_{n > N_max} a(n) L^n), on the dyadic grid of the build's series
+    arithmetic.  Derived on first use as the build derived them: B and
+    L = 1/B (the radius of sum a(n) z^n), c = (B-1)^2, M_bound = B + k
+    (bounds each count above its square floor), square_floors, b(m^2) =
+    floor(c beta^(m^2-m)) for m^2 <= N_max, and the deficit delta, both
+    None if a floor is undecidable at precision_bits.
     """
 
-    _fields = ("beta", "precision_bits", "N_max", "delta", "k", "tail_at_L",
-               "deleted_loop")
+    _fields = ("beta", "precision_bits", "N_max", "k", "tail_at_L", "deleted_loop")
 
-    def __init__(self, beta: BetaValue, precision_bits: int, N_max: int, delta: CReal,
-                 k: int, tail_at_L: CReal, deleted_loop: Optional[int] = None) -> None:
+    def __init__(self, beta: BetaValue, precision_bits: int, N_max: int, k: int,
+                 tail_at_L: CReal, deleted_loop: Optional[int] = None) -> None:
         if k < 0 or beta.value <= (0 if beta.kind == "exp_rational" else 1):
             raise ValueError(f"M_bound = beta + k needs beta > 1 and k >= 0, "
                              f"not beta = {beta.text}, k = {k}")
-        self._init(beta, precision_bits, N_max, delta, k, tail_at_L, deleted_loop)
+        self._init(beta, precision_bits, N_max, k, tail_at_L, deleted_loop)
 
-    _series = cached_property(lambda self: _series_constants(
-        self.beta, _series_bits(self.beta, self.N_max, self.precision_bits)))
-    c = cached_property(lambda self: (self._series[0] - 1) ** 2)
-    L = cached_property(lambda self: self._series[1])
-    M_bound = cached_property(lambda self: self._series[0] + self.k)
+    _plan = cached_property(lambda self: _build_plan(self.beta, self.N_max, self.precision_bits))
+    B = cached_property(lambda self: self._plan[3])
+    c = cached_property(lambda self: (self.B - 1) ** 2)
+    L = cached_property(lambda self: self._plan[4])
+    M_bound = cached_property(lambda self: self.B + self.k)
 
     @cached_property
     def square_floors(self) -> Optional[dict[int, int]]:
         try:
-            Bt = _floor_plan(self.beta, self.N_max, self.precision_bits)[2]
-            return _square_floors(Bt, math.isqrt(self.N_max))
+            return _square_floors(self._plan[2], math.isqrt(self.N_max))
+        except (FloorUndecidable, PrecisionExhausted):
+            return None
+
+    @cached_property
+    def delta(self) -> Optional[CReal]:
+        try:
+            return _deficit(self.beta, self.N_max, self.precision_bits, self._plan)[2]
         except (FloorUndecidable, PrecisionExhausted):
             return None
 
@@ -152,23 +157,12 @@ def _log2_bounds(x: Fraction) -> tuple[float, float]:
     return v - pad, v + pad
 
 
-def _series_bits(beta: BetaValue, N_max: int, bits: int) -> int:
-    """The precision of the series arithmetic, which pre-pays beta^N_max."""
-    return bits + 64 + math.ceil(N_max * _log2_bounds(beta.eval(bits).hi)[1])
-
-
-def _series_constants(beta: BetaValue, series_bits: int) -> tuple[CReal, CReal]:
-    """(B, L): beta and L = 1/B, L rounded outward onto the series grid
-    unless B is exact."""
-    B = beta.eval(series_bits)
-    return B, B.inv() if B.is_exact else B.inv().round_outward(series_bits)
-
-
-def _floor_plan(beta: BetaValue, N_max: int, bits: int) -> tuple[int, int, CReal]:
-    """(series_bits, n_ext, Bt) of a build: the precision of its series
-    arithmetic, how many square floors it tracks and the one enclosure of
-    beta they all come from.  Refuses, with PrecisionExhausted, a build
-    that needs too many bits or floors."""
+def _build_plan(beta: BetaValue, N_max: int, bits: int) -> tuple:
+    """(series_bits, n_ext, Bt, B, L) of a build: the precision of its series
+    arithmetic, how many square floors it tracks, the one enclosure of beta
+    they all come from, and beta and L = 1/beta taken from it on the series
+    grid.  Refuses, with PrecisionExhausted, a build that needs too many
+    bits or floors."""
     probe = beta.eval(bits)
     lg_lo, _ = _log2_bounds(probe.lo)
     _, lg_hi = _log2_bounds(probe.hi)
@@ -181,7 +175,7 @@ def _floor_plan(beta: BetaValue, N_max: int, bits: int) -> tuple[int, int, CReal
     if N_max * Fraction(lg_hi) > MAX_SERIES_BITS:
         raise PrecisionExhausted(f"beta = {beta.text} at N_max = {N_max} needs more "
                                  f"than {MAX_SERIES_BITS} bits for beta^N_max")
-    series_bits = _series_bits(beta, N_max, bits)
+    series_bits = bits + 64 + math.ceil(N_max * lg_hi)
     if (lg_lo * MAX_SQUARE_FLOORS ** 2 < series_bits - 32
             or math.isqrt(N_max) > MAX_SQUARE_FLOORS):
         raise PrecisionExhausted(
@@ -190,9 +184,12 @@ def _floor_plan(beta: BetaValue, N_max: int, bits: int) -> tuple[int, int, CReal
     n_ext = max(math.isqrt(N_max),
                 math.ceil(math.sqrt((series_bits - 32) / lg_lo)))
     # The largest power has about (n_ext^2-n_ext) log2(beta) bits before the
-    # point, so beta carries that many extra bits: every scaled value is
-    # then known to about 2^-bits.
-    return series_bits, n_ext, beta.eval(bits + math.ceil((n_ext * n_ext - n_ext) * lg_hi))
+    # point, so Bt carries that many extra bits (every scaled value is then
+    # known to about 2^-bits), and at least series_bits, as B is read from it.
+    Bt = beta.eval(max(series_bits, bits + math.ceil((n_ext * n_ext - n_ext) * lg_hi)))
+    B = Bt.rounded(series_bits)
+    return (series_bits, n_ext, Bt, B,
+            B.inv() if B.is_exact else B.inv().round_outward(series_bits))
 
 
 def _square_floors(Bt: CReal, m_max: int) -> dict[int, int]:
@@ -207,9 +204,12 @@ def _square_floors(Bt: CReal, m_max: int) -> dict[int, int]:
     return floors
 
 
-def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
-    series_bits, n_ext, Bt = _floor_plan(beta, N_max, bits)
-    B, L = _series_constants(beta, series_bits)
+def _deficit(beta: BetaValue, N_max: int, bits: int, plan: tuple) -> tuple:
+    """(floors, delta, delta_grid, floor_tail) of a build with this plan: the
+    square floors b(m^2) for m <= n_ext, the deficit delta = 1 - sum b(n) L^n
+    clamped at 0, delta rounded outward onto the series grid, and floor_tail,
+    the part of that sum beyond N_max."""
+    series_bits, n_ext, Bt, B, L = plan
     c = (B - 1) ** 2
     floors = _square_floors(Bt, n_ext)
 
@@ -217,7 +217,6 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     # the deficit and the stored tail
     head = power_series(((n, b) for n, b in floors.items() if n <= N_max), L)
     tracked_tail = power_series(((n, b) for n, b in floors.items() if n > N_max), L)
-    partial = head + tracked_tail
 
     # tail of the floor series beyond n_ext^2: each floor lies in
     # (c beta^(m^2-m) - 1, c beta^(m^2-m)], so the tail is within
@@ -231,28 +230,31 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
         upper = (c * geo).hi
         far_tail = CReal(max(Fraction(0), (c * geo).lo - slack.hi), upper, bits)
 
-    delta = 1 - (partial + far_tail)
+    delta = 1 - (head + tracked_tail + far_tail)
     delta = CReal(max(delta.lo, Fraction(0)), max(delta.hi, Fraction(0)), bits)
+    return floors, delta, delta.round_outward(series_bits), tracked_tail + far_tail
+
+
+def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
+    plan = _build_plan(beta, N_max, bits)
+    series_bits, _, _, B, L = plan
+    floors, delta, delta_grid, floor_tail = _deficit(beta, N_max, bits, plan)
     if not delta.certainly_lt(1):
         raise PrecisionExhausted(
             f"deficit enclosure [{delta.lo}, {delta.hi}] does not separate from 1")
 
-    k = certified_floor(B * B * delta)
-    x0 = _clamp_unit(delta - k * (L * L))
+    k = certified_floor(B * B * delta_grid)  # as verify decides it again
+    x0 = _clamp_unit(delta - k * (L * L))  # the digits expand the unrounded deficit
     digits, remainder = _greedy_digits(x0, B, N_max)
     if digits[0] != 0:
         raise RuntimeError("first expansion digit is nonzero; this indicates a "
                            "precision bug, the remainder is below 1/beta by design")
     digits[1] += k  # the k units live in the n = 2 slot
 
-    # stored on the series grid, where a file holds them exactly; the digits
-    # above came from the unrounded deficit
-    def on_grid(x: CReal) -> CReal:
-        return CReal(x.lo, x.hi, bits).round_outward(series_bits)
-
-    meta = SpectrumMeta(beta=beta, precision_bits=bits, N_max=N_max,
-                        delta=on_grid(delta), k=k,
-                        tail_at_L=on_grid(tracked_tail + far_tail + remainder * L ** N_max))
+    tail = floor_tail + remainder * L ** N_max
+    tail = CReal(tail.lo, tail.hi, bits).round_outward(series_bits)
+    meta = SpectrumMeta(beta, bits, N_max, k, tail)
+    meta.__dict__.update(_plan=plan, delta=delta_grid)  # the meta keeps this derivation
     a = tuple(floors.get(n, 0) + d for n, d in enumerate(digits, 1))
     return LoopSpectrum(a, N_max, meta=meta)
 
@@ -430,10 +432,15 @@ def spectrum_checks(s: LoopSpectrum) -> list[CheckResult]:
         overlap and width_ok,
         f"width = {real_text(enc.width, '.3e')}, target in enclosure: {overlap}"))
 
+    # k = floor(beta^2 delta) is certified when k <= B^2 delta < k + 1
+    delta = meta.delta
+    scaled = meta.B * meta.B * delta if delta is not None else None
     results.append(CheckResult(
-        "deficit in [0, 1)",
-        meta.delta.lo >= 0 and meta.delta.certainly_lt(1),
-        f"delta in [{real_text(meta.delta.lo, '.3e')}, {real_text(meta.delta.hi, '.3e')}]"))
+        "deficit in [0, 1) and k = floor(beta^2 delta)",
+        scaled is not None and delta.lo >= 0 and delta.certainly_lt(1)
+        and meta.k <= scaled.lo and scaled.certainly_lt(meta.k + 1),
+        f"delta in [{real_text(delta.lo, '.3e')}, {real_text(delta.hi, '.3e')}], k = {meta.k}"
+        if delta is not None else f"a square floor is undecidable at {meta.precision_bits} bits"))
 
     # the counts' half of the identity; the unit sum is checked above
     failure = identity_failure(s, target)

@@ -1,13 +1,14 @@
-"""Spectrum file format (version 3).
+"""Spectrum file format (version 4).
 
 JSON with big integers as strings: decimal, or hex ("0x1f...") for those of
 more than 4,300 digits, which CPython will not convert to decimal by
 default; a reader takes either.  A constructed spectrum stores its counts
-a(1..N_max), its base and, of the metadata, only what beta cannot give
-back: k, the deleted loop, and delta and tail_at_L, whose dyadic endpoints
-are written exactly ("-0x1a3p-384"), so a load returns what was saved.  The
-square floors are recomputed from beta (SpectrumMeta.square_floors).
-Versions 1 and 2 are read; the digit trace they hold is ignored, and the
+a(1..N_max), its base and, of the metadata, only what beta, N_max and the
+precision cannot give back: k, the deleted loop, and tail_at_L, whose
+dyadic endpoints are written exactly ("-0x1a3p-384"), so a load returns
+what was saved.  The square floors and the deficit delta are recomputed
+from beta (SpectrumMeta).  Versions 1 to 3 are read; the delta, the
+entropy_target and the digit trace they may hold are ignored, and the
 40-digit decimal endpoints of version 1 are rounded outward onto the grid
 2^-precision_bits.
 """
@@ -17,24 +18,23 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from ._frozen import Frozen
 from .errors import SpectrumFileError
 from .intervals import BetaValue, CReal
 from .spectrum import LoopSpectrum, SpectrumMeta, int_text
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class SpectrumFile(Frozen):
-    """A spectrum plus pipeline metadata carried between CLI commands."""
+    """A spectrum plus the period lift carried between CLI commands."""
 
-    _fields = ("spectrum", "period_lift", "entropy_target")
+    _fields = ("spectrum", "period_lift")
 
-    def __init__(self, spectrum: LoopSpectrum, period_lift: int = 1,
-                 entropy_target: Optional[str] = None) -> None:
-        self._init(spectrum, period_lift, entropy_target)
+    def __init__(self, spectrum: LoopSpectrum, period_lift: int = 1) -> None:
+        self._init(spectrum, period_lift)
 
 
 def _int_in(text) -> int:
@@ -73,7 +73,6 @@ def to_dict(sf: SpectrumFile) -> dict:
     payload = {
         "format_version": FORMAT_VERSION,
         "beta": None,
-        "entropy_target": sf.entropy_target,
         "period_lift": sf.period_lift,
         "N_max": s.N_max,
         "a": [int_text(v) for v in s.a],
@@ -84,44 +83,33 @@ def to_dict(sf: SpectrumFile) -> dict:
         m = s.meta
         payload["beta"] = {"kind": m.beta.kind, "value": str(m.beta.value),
                            "text": m.beta.text}
-        payload["meta"] = {
-            "precision_bits": m.precision_bits,
-            "delta": _interval_out(m.delta),
-            "k": m.k,
-            "tail_at_L": _interval_out(m.tail_at_L),
-            "deleted_loop": m.deleted_loop,
-        }
+        payload["meta"] = {"precision_bits": m.precision_bits, "k": m.k,
+                           "tail_at_L": _interval_out(m.tail_at_L),
+                           "deleted_loop": m.deleted_loop}
     return payload
 
 
 def from_dict(payload: dict) -> SpectrumFile:
     try:
         version = payload["format_version"]
-        if version not in (1, 2, FORMAT_VERSION):
+        if version not in (1, 2, 3, FORMAT_VERSION):
             raise SpectrumFileError(f"unsupported format_version {version!r}")
         n_max = int(payload["N_max"])
         a = tuple(_int_in(v) for v in payload["a"])
         meta = None
         if payload.get("meta") is not None:
-            b = payload["beta"]
-            beta = BetaValue(b["kind"], Fraction(b["value"]), b["text"])
-            m = payload["meta"]
+            b, m = payload["beta"], payload["meta"]
             bits = int(m["precision_bits"])
             meta = SpectrumMeta(
-                beta=beta,
-                precision_bits=bits,
-                N_max=n_max,
-                delta=_interval_in(m["delta"], bits, version),
-                k=int(m["k"]),
-                tail_at_L=_interval_in(m["tail_at_L"], bits, version),
-                deleted_loop=None if m["deleted_loop"] is None else int(m["deleted_loop"]),
-            )
+                BetaValue(b["kind"], Fraction(b["value"]), b["text"]), bits, n_max,
+                int(m["k"]), _interval_in(m["tail_at_L"], bits, version),
+                None if m["deleted_loop"] is None else int(m["deleted_loop"]))
         spectrum = LoopSpectrum(a, n_max, meta=meta,
                                 finite_support=bool(payload.get("finite_support", False)))
         period_lift = int(payload.get("period_lift", 1))
         if period_lift < 1:
             raise ValueError(f"period_lift {period_lift} is below 1")
-        return SpectrumFile(spectrum, period_lift, payload.get("entropy_target"))
+        return SpectrumFile(spectrum, period_lift)
     except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise SpectrumFileError(f"malformed spectrum file: {e}") from e
 

@@ -263,6 +263,20 @@ def test_verify_passes(tmp_path, capsys):
     assert "[FAIL]" not in stdout
 
 
+def test_verify_checks_the_stored_k(tmp_path, capsys):
+    # base 2 has delta = 0, so k = floor(beta^2 delta) = 0; a stored k of 7
+    # fails the deficit check alone, as M = beta + k still bounds the counts
+    path = tmp_path / "b2.json"
+    run(capsys, "build", "--beta", "2", "--out", str(path))
+    payload = json.loads(path.read_text())
+    payload["meta"]["k"] = 7
+    path.write_text(json.dumps(payload))
+    code, stdout, _ = run(capsys, "verify", str(path))
+    assert code == 5 and stdout.count("[FAIL]") == 1
+    assert ("[FAIL] deficit in [0, 1) and k = floor(beta^2 delta): "
+            "delta in [0.000e+00, 0.000e+00], k = 7") in stdout
+
+
 def test_verify_oracle_depth_defaults_to_the_layer_constant(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit):
         cli.main(["verify", "--help"])
@@ -354,6 +368,7 @@ NEAR_ONE = "1." + "0" * 119 + "1"
     (["classify", "p0.json"], 1),
     (["verify", "p0.json"], 1),
     (["classify", "near-one.json"], 3),
+    (["classify", "too-many-floors.json"], 3),
     (["MARKOVFORGE_PRECISION=x", "build", "--beta", "2", "--out", "x.json"], 2),
     (["MARKOVFORGE_PRECISION=0", "build", "--beta", "2", "--out", "x.json"], 2),
     (["build", "--beta", "abc", "--out", "x.json"], 2),
@@ -369,6 +384,7 @@ NEAR_ONE = "1." + "0" * 119 + "1"
 ], ids=["build-max-n", "build-precision", "build-huge-max-n", "build-near-one",
         "build-7e-10", "entropy-7e-10", "n0", "export-max-n", "oracle-depth", "lift-period",
         "classify-period-0", "verify-period-0", "classify-near-one",
+        "classify-too-many-floors",
         "precision-env-x", "precision-env-0", "beta-abc", "beta-1/0", "beta-e^x",
         "entropy-abc", "entropy-ln5", "beta-value-1/0", "stored-beta-1/2", "stored-k-negative",
         "verify-a1-2", "export-a1-2"])
@@ -383,6 +399,10 @@ def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch
     payload["period_lift"] = 1
     payload["beta"] = {"kind": "decimal", "value": str(Fraction(NEAR_ONE)), "text": NEAR_ONE}
     (tmp_path / "near-one.json").write_text(json.dumps(payload))
+    # or to 1.0000001, which L, taken from the build's plan, refuses as the
+    # build does: N_max 16 would need more than MAX_SQUARE_FLOORS floors
+    payload["beta"] = {"kind": "decimal", "value": "10000001/10000000", "text": "1.0000001"}
+    (tmp_path / "too-many-floors.json").write_text(json.dumps(payload))
     payload["beta"] = {"kind": "rational", "value": "1/0", "text": "1/0"}
     (tmp_path / "div0.json").write_text(json.dumps(payload))
     payload["beta"] = {"kind": "rational", "value": "1/2", "text": "1/2"}

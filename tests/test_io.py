@@ -20,17 +20,28 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_round_trip_constructed(spec_e07, tmp_path):
-    sf = spectrum_io.SpectrumFile(spec_e07, period_lift=2, entropy_target="0.35")
+    sf = spectrum_io.SpectrumFile(spec_e07, period_lift=2)
     path = tmp_path / "s.json"
     spectrum_io.save(sf, path)
     back = spectrum_io.load(path)
     assert back.spectrum.a == spec_e07.a
     assert back.period_lift == 2
-    assert back.entropy_target == "0.35"
     # a second save of the loaded object must be byte identical
     path2 = tmp_path / "s2.json"
     spectrum_io.save(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _with_delta(data: bytes) -> bytes:
+    """The bytes the version 3 writer gave the same spectrum: the version 4
+    payload plus the deficit delta, derived again, and entropy_target null,
+    which a `build --beta` stored."""
+    payload = json.loads(data)
+    s = spectrum_io.from_dict(payload).spectrum
+    payload["format_version"] = 3
+    payload["entropy_target"] = None
+    payload["meta"]["delta"] = spectrum_io._interval_out(s.meta.delta)
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _with_digit_trace(data: bytes) -> bytes:
@@ -48,25 +59,32 @@ def _with_digit_trace(data: bytes) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-@pytest.mark.parametrize("text, n_max, digest, v2_digest, v1_file", [
-    ("2", 128, "087adbfe0709532ff790fa996d5f7707171e29d6b4f364aef709db27b4ba0986",
+@pytest.mark.parametrize("text, n_max, digest, v3_digest, v2_digest, v1_file", [
+    ("2", 128, "b272cc1cec282e118ae4445519995f518e1817beced7d4ce2d8b8c06e2b7f954",
+     "087adbfe0709532ff790fa996d5f7707171e29d6b4f364aef709db27b4ba0986",
      "38705cfbc7ba99a3fa58887c41f0d844b812ffc4ad795b9e7d72421669f5e812",
      "b2_n128.v1.json"),
-    ("e^7/10", 64, "7a34877a0cd364d598bb7aeb7a956fd6be7534c1c7d00f45f8a2206a45a2a9fe",
+    ("e^7/10", 64, "262de4745420e3ca6a742fcda5d88300ef5347489d4a3e83ac78694dfedb7150",
+     "7a34877a0cd364d598bb7aeb7a956fd6be7534c1c7d00f45f8a2206a45a2a9fe",
      "7e8615e04d1eb7a5a1632a8e0258e90c5e12124b7050d280f0de646913659fdb",
      "e7_10_n64.v1.json"),
-    ("3", 64, "ef6989433fd5d36b1004e80e7a0a6f6b50cc602767ec50d38792a9cd56cdb9a2",
+    ("3", 64, "83bda17387af03133949c4778d32e848cb62465a4f5792b4038ec41cd316f7eb",
+     "ef6989433fd5d36b1004e80e7a0a6f6b50cc602767ec50d38792a9cd56cdb9a2",
      "5e8c50fc536aa63ffb664731fd5fd51251d472ac3a515689785a204faaa05496", None),
-    ("5/2", 64, "d85f25b1cc3017bf889a4d86f4759e3d8f0fd3b2a0a14bb8bc8781748e833f77",
+    ("5/2", 64, "a72bf9e21dc11c86eace22805bd784df6dc6bf74a57def02059d0a8d8120600e",
+     "d85f25b1cc3017bf889a4d86f4759e3d8f0fd3b2a0a14bb8bc8781748e833f77",
      "43977686a125a21027ae83c5113c71dc2c1ad303a2143c601ffa9e3756eb3cd9", None),
 ], ids=["2-128", "e^7/10-64", "3-64", "5/2-64"])
-def test_build_bytes_are_golden(text, n_max, digest, v2_digest, v1_file):
+def test_build_bytes_are_golden(text, n_max, digest, v3_digest, v2_digest, v1_file):
     # the bytes `markovforge build --beta TEXT --max-n N_MAX` writes
     sf = spectrum_io.SpectrumFile(build_spectrum(BetaValue.parse(text), n_max))
     data = spectrum_io.to_bytes(sf)
     assert hashlib.sha256(data).hexdigest() == digest
-    # and, with the trace put back, the bytes the version 2 writer gave
-    assert hashlib.sha256(_with_digit_trace(data)).hexdigest() == v2_digest
+    # with the derived delta put back, the bytes the version 3 writer gave,
+    # and with the trace put back as well, those of the version 2 writer
+    v3 = _with_delta(data)
+    assert hashlib.sha256(v3).hexdigest() == v3_digest
+    assert hashlib.sha256(_with_digit_trace(v3)).hexdigest() == v2_digest
     if v1_file is None:
         return
     # the version 1 file of the same build holds the same counts and inputs,
@@ -80,20 +98,20 @@ def test_build_bytes_are_golden(text, n_max, digest, v2_digest, v1_file):
     assert old["digit_trace"]["b"] == [str(floors.get(n, 0)) for n in range(1, n_max + 1)]
 
 
-def test_v1_deep_deletion_loads_classifies_and_resaves_as_v3():
+def test_v1_deep_deletion_loads_classifies_and_resaves_as_current():
     # written by the version 1 writer: e^3, N_max 64, the loop at n0 = 64
     # deleted; its 40-digit tail is far wider than L^64 ~ 4e-84
     sf = spectrum_io.from_bytes((DATA / "e3_n64_deleted64.v1.json").read_bytes())
     assert sf.spectrum.meta.deleted_loop == 64
     assert classify(sf.spectrum).verdict is Verdict.TRANSIENT
-    v3 = spectrum_io.to_bytes(sf)
-    assert json.loads(v3)["format_version"] == 3
-    back = spectrum_io.from_bytes(v3)
+    data = spectrum_io.to_bytes(sf)
+    assert json.loads(data)["format_version"] == spectrum_io.FORMAT_VERSION
+    back = spectrum_io.from_bytes(data)
     assert back == sf
-    assert spectrum_io.to_bytes(back) == v3
+    assert spectrum_io.to_bytes(back) == data
 
 
-def test_v2_variant_loads_classifies_and_resaves_as_v3(spec_e07):
+def test_v2_variant_loads_classifies_and_resaves_as_current(spec_e07):
     # written by the version 2 writer: `build --beta e^7/10` (N_max 64), then
     # `transient-variant`, which deleted the loop at n0 = 4
     data = (DATA / "e7_10_n64_deleted4.v2.json").read_bytes()
@@ -104,10 +122,27 @@ def test_v2_variant_loads_classifies_and_resaves_as_v3(spec_e07):
     assert classify(sf.spectrum).verdict is Verdict.TRANSIENT
     failed = [r for r in run_suite(sf.spectrum) if not r.passed]
     assert not failed, failed
-    v2, v3 = json.loads(data), json.loads(spectrum_io.to_bytes(sf))
-    assert v3["format_version"] == 3 and "digit_trace" not in v3
-    del v2["digit_trace"]
-    assert {**v2, "format_version": 3} == v3
+    v2, v4 = json.loads(data), json.loads(spectrum_io.to_bytes(sf))
+    assert v4["format_version"] == 4 and "digit_trace" not in v4
+    del v2["digit_trace"], v2["entropy_target"], v2["meta"]["delta"]
+    assert {**v2, "format_version": 4} == v4
+
+
+def test_v3_lifted_variant_loads_classifies_and_resaves_as_current():
+    # written by the version 3 writer: `build --entropy ln2 --period 3`
+    # (beta = 8, N_max 64), then `transient-variant`, which deleted the loop
+    # at n0 = 4; it stores entropy_target "ln2" and a delta
+    data = (DATA / "b8_ln2p3_n64_deleted4.v3.json").read_bytes()
+    sf = spectrum_io.from_bytes(data)
+    assert sf.period_lift == 3 and sf.spectrum.meta.deleted_loop == 4
+    assert sf.spectrum == delete_loop(build_spectrum(BetaValue.from_rational(8)), 4)
+    assert classify(sf.spectrum).verdict is Verdict.TRANSIENT
+    failed = [r for r in run_suite(sf.spectrum, period_lift=3) if not r.passed]
+    assert not failed, failed
+    v3, v4 = json.loads(data), json.loads(spectrum_io.to_bytes(sf))
+    assert v3["entropy_target"] == "ln2" and "delta" in v3["meta"]
+    del v3["entropy_target"], v3["meta"]["delta"]
+    assert {**v3, "format_version": 4} == v4
 
 
 def test_long_dyadic_endpoint_round_trips(spec2):
@@ -126,7 +161,7 @@ def test_long_dyadic_endpoint_round_trips(spec2):
 
 def test_save_refuses_non_dyadic_endpoint(spec2):
     third = CReal.exact(Fraction(1, 3), spec2.meta.precision_bits)
-    sf = spectrum_io.SpectrumFile(spec2.replace(meta=spec2.meta.replace(delta=third)))
+    sf = spectrum_io.SpectrumFile(spec2.replace(meta=spec2.meta.replace(tail_at_L=third)))
     with pytest.raises(ValueError):
         spectrum_io.to_bytes(sf)
 
@@ -179,7 +214,8 @@ def test_rejects_garbage(spec2):
         spectrum_io.from_bytes(json.dumps(
             {"format_version": 1, "a": "oops"}).encode())
     for key, value in [("tail_at_L", ["0x1p", "0x0p+0"]), ("tail_at_L", ["1.5", "2"]),
-                       ("delta", ["0x1p+1p+2", "0x1p+0"]), ("delta", ["0xgp+0", "0x1p+0"]),
+                       ("tail_at_L", ["0x1p+1p+2", "0x1p+0"]),
+                       ("tail_at_L", ["0xgp+0", "0x1p+0"]),
                        ("deleted_loop", "four"), ("k", -1)]:
         payload = spectrum_io.to_dict(spectrum_io.SpectrumFile(spec2))
         payload["meta"][key] = value
@@ -233,6 +269,8 @@ def constructed_files(draw):
 def test_constructed_round_trip_is_lossless(sf):
     back = spectrum_io.from_bytes(spectrum_io.to_bytes(sf))
     assert back == sf
+    # delta is derived, not a field: the loaded file derives the build's own
+    assert back.spectrum.meta.delta == sf.spectrum.meta.delta
     report = classify(sf.spectrum)
     assert classify(back.spectrum) == report
     deleted = sf.spectrum.meta.deleted_loop is not None
