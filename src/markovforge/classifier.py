@@ -198,10 +198,6 @@ def _classify_constructed(s: LoopSpectrum) -> ClassificationReport:
         verdict, R, has_mme = Verdict.POSITIVE_RECURRENT, L, True
         notes = ["F(L) = 1 by the construction identity; mean return is "
                  "certifiably finite"]
-        if entropy is not None and entropy.lo <= 0:
-            has_mme = None
-            notes.append("entropy not certified positive; existence of a maximal-"
-                         "entropy measure is outside the theorem's hypotheses")
     return ClassificationReport(verdict, L, R, F_at_L, mean, entropy, has_mme,
                                 notes=tuple(notes))
 

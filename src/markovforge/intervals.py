@@ -62,19 +62,6 @@ def _round(v: Fraction, bits: int, up: bool) -> Fraction:
     return Fraction(m, 1 << s) if s >= 0 else Fraction(m << -s)
 
 
-def _pow_round(v: Fraction, n: int, bits: int, up: bool) -> Fraction:
-    # square-and-multiply for v >= 0, rounding every product the same way:
-    # n roundings in total, counted with the squarings they pass through
-    result, base = Fraction(1), v
-    while True:
-        if n & 1:
-            result = _round(result * base, bits, up)
-        n >>= 1
-        if not n:
-            return result
-        base = _round(base * base, bits, up)
-
-
 class CReal(Frozen):
     """A real number known only through a certified enclosure ``[lo, hi]``.
 
@@ -176,9 +163,15 @@ class CReal(Frozen):
         if n == 0:
             return CReal.exact(1, self.precision_bits)
         if self.lo >= 0 and not self.is_exact:
-            bits = self.precision_bits + GUARD
-            return CReal(_pow_round(self.lo, n, bits, False),
-                         _pow_round(self.hi, n, bits, True), self.precision_bits)
+            # square-and-multiply, each product rounded outward by __mul__
+            result, base = CReal.exact(1, self.precision_bits), self
+            while n:
+                if n & 1:
+                    result = result * base
+                n >>= 1
+                if n:
+                    base = base * base
+            return result
         # exact or partly negative bases: exact endpoint powers
         lo_n, hi_n = self.lo ** n, self.hi ** n
         if self.lo >= 0:
@@ -223,8 +216,6 @@ def exp_fraction(q: Rat, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
     remainder after the k-th term is below twice the next term.
     """
     q = _frac(q)
-    if q == 0:
-        return CReal.exact(1, precision_bits)
     if q < 0:
         return exp_fraction(-q, precision_bits).inv()
     halvings = 0
@@ -252,8 +243,6 @@ def exp_fraction(q: Rat, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
 
 def _atanh_enclosure(t: Fraction, bits: int) -> CReal:
     """Enclosure of atanh(t) for 0 <= t < 1 via the odd-power series."""
-    if t == 0:
-        return CReal.exact(0, bits)
     target = Fraction(1, 1 << bits)
     t2 = t * t
     partial = Fraction(0)
@@ -453,8 +442,7 @@ class BetaValue(Frozen):
 
     ``kind`` is one of "rational" / "decimal" (value is beta itself, a
     decimal literal being read as an exact rational) or "exp_rational"
-    (value is the exponent q, beta = e^q).  Enclosures from :meth:`eval`
-    are kept per precision, outside the fields.
+    (value is the exponent q, beta = e^q).
     """
 
     _fields = ("kind", "value", "text")
@@ -463,7 +451,6 @@ class BetaValue(Frozen):
         if kind not in _BETA_KINDS:
             raise ValueError(f"unknown beta kind {kind!r}")
         self._init(kind, _frac(value), text)
-        self.__dict__["_cache"] = {}
 
     @staticmethod
     def parse(text: str) -> "BetaValue":
@@ -487,24 +474,23 @@ class BetaValue(Frozen):
     def is_integer(self) -> bool:
         return self.kind != "exp_rational" and self.value.denominator == 1
 
+    def require_above_one(self) -> None:
+        """NotGreaterThanOne unless beta > 1, decided exactly: q > 0 for e^q."""
+        if self.value <= (0 if self.kind == "exp_rational" else 1):
+            raise NotGreaterThanOne(f"beta = {self.text} is not > 1")
+
     def eval(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
         """Enclosure of beta, certified > 1: e^q by :func:`exp_fraction`, a
         rational rounded outward to ``precision_bits + GUARD`` bits (exact
         iff on that grid).  PrecisionExhausted if the enclosure does not
         separate from 1, which only a beta within 2^-precision_bits of 1
         can cause."""
-        cached = self._cache.get(precision_bits)
-        if cached is not None:
-            return cached
-        v, exp = self.value, self.kind == "exp_rational"
-        if v <= (0 if exp else 1):
-            raise NotGreaterThanOne(f"beta = {self.text} is not > 1")
-        enc = (exp_fraction(v, precision_bits) if exp
-               else CReal.exact(v).rounded(precision_bits))
+        self.require_above_one()
+        enc = (exp_fraction(self.value, precision_bits) if self.kind == "exp_rational"
+               else CReal.exact(self.value).rounded(precision_bits))
         if enc.lo <= 1:
             raise PrecisionExhausted(
                 f"enclosure of {self.text} does not separate from 1 at {precision_bits} bits")
-        self._cache[precision_bits] = enc
         return enc
 
 

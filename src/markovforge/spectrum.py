@@ -141,19 +141,21 @@ def _greedy_digits(x: CReal, B: CReal, num_digits: int) -> tuple[list[int], CRea
 # ---------------------------------------------------------------------------
 
 
-def _log2_bounds(x: Fraction) -> tuple[float, float]:
-    """(lower, upper) float bounds on log2 of a positive rational.
+def _log2_bounds(beta: BetaValue) -> tuple[float, float]:
+    """(lower, upper) float bounds on log2 beta > 1, read from the descriptor:
+    q log2 e for e^q, else the exact rational.
 
-    Between 1/2 and 2 through log1p, so that a log2 x near 0 keeps a small
-    relative error and its pad can be relative too; elsewhere |log2 x| >= 1.
+    A rational below 2 goes through log1p, so that a log2 beta near 0 keeps
+    a small relative error and its pad can be relative too.
     """
-    n, d = x.numerator, x.denominator
-    if d < 2 * n < 4 * d:
+    n, d = beta.value.numerator, beta.value.denominator
+    if beta.kind == "exp_rational":
+        v = n / d / math.log(2)
+    elif n < 2 * d:
         v = math.log1p((n - d) / d) / math.log(2)
-        pad = 1e-9 * abs(v)
     else:
         v = math.log2(n) - math.log2(d)
-        pad = 1e-9 * (abs(v) + 1)
+    pad = 1e-9 * (v if v < 1 else v + 1)
     return v - pad, v + pad
 
 
@@ -161,20 +163,24 @@ def _build_plan(beta: BetaValue, N_max: int, bits: int) -> tuple:
     """(series_bits, n_ext, Bt, B, L) of a build: the precision of its series
     arithmetic, how many square floors it tracks, the one enclosure of beta
     they all come from, and beta and L = 1/beta taken from it on the series
-    grid.  Refuses, with PrecisionExhausted, a build that needs too many
-    bits or floors."""
-    probe = beta.eval(bits)
-    lg_lo, _ = _log2_bounds(probe.lo)
-    _, lg_hi = _log2_bounds(probe.hi)
-    # Refused before beta is evaluated beyond ``bits``: beta^N_max takes
-    # N_max log2(beta) bits, and the build's time grows with them; and the
-    # untracked floor tail (beyond n_ext^2) must be small on the scale of
-    # the series arithmetic, n_ext^2 log2(beta) >= series_bits - 32.  The
-    # tests are products, as a quotient overflows for a subnormal log2, and
-    # the first is exact, as N_max may exceed the float range.
+    grid.  Refuses, before beta is evaluated, a beta <= 1 with
+    NotGreaterThanOne and, with PrecisionExhausted, a build that needs too
+    many bits or floors."""
+    beta.require_above_one()
+    # Refused from log2(beta) alone: beta^N_max takes N_max log2(beta) bits,
+    # and the build's time grows with them; and the untracked floor tail
+    # (beyond n_ext^2) must be small on the scale of the series arithmetic,
+    # n_ext^2 log2(beta) >= series_bits - 32.  The tests are products, as a
+    # quotient overflows for a subnormal log2, and the first is exact, as
+    # N_max may exceed the float range.  A huge q of e^q would too, so
+    # N_max q > MAX_SERIES_BITS, which implies the first, goes before it.
+    too_long = PrecisionExhausted(f"beta = {beta.text} at N_max = {N_max} needs more "
+                                  f"than {MAX_SERIES_BITS} bits for beta^N_max")
+    if beta.kind == "exp_rational" and N_max * beta.value > MAX_SERIES_BITS:
+        raise too_long
+    lg_lo, lg_hi = _log2_bounds(beta)
     if N_max * Fraction(lg_hi) > MAX_SERIES_BITS:
-        raise PrecisionExhausted(f"beta = {beta.text} at N_max = {N_max} needs more "
-                                 f"than {MAX_SERIES_BITS} bits for beta^N_max")
+        raise too_long
     series_bits = bits + 64 + math.ceil(N_max * lg_hi)
     if (lg_lo * MAX_SQUARE_FLOORS ** 2 < series_bits - 32
             or math.isqrt(N_max) > MAX_SQUARE_FLOORS):

@@ -16,6 +16,8 @@ from markovforge import (BetaValue, build_spectrum, cli, graph, spectrum, spectr
                          verification)
 from markovforge.errors import FloorUndecidable, PrecisionExhausted
 
+from conftest import built
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -116,6 +118,37 @@ def test_edited_count_is_indeterminate(spec_e07, tmp_path, capsys, n, edit):
     # below the floor recomputed from beta is named
     reason = "unit-sum enclosure misses its target" if edit > 0 else f"a({n}) lies below"
     assert any(reason in note for note in report["notes"])
+
+
+def _undecidable_floors(payload, monkeypatch):
+    def undecidable(x):
+        raise FloorUndecidable("straddles an integer")
+    monkeypatch.setattr(spectrum, "certified_floor", undecidable)
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda payload, _: payload["meta"].update(deleted_loop=65),
+     "deleted loop length 65 outside 2..64"),
+    # square_floors and delta are both None
+    (_undecidable_floors, "a square floor is undecidable at 256 bits"),
+    # not a(1) = 2, which needs parallel arrows: realize refuses it
+    (lambda payload, _: payload.update(a=["0"] + payload["a"][1:]), "a(1) = 0, not 1"),
+], ids=["deleted-loop-65", "undecidable-floor", "a1-0"])
+def test_identity_failure_is_indeterminate_and_fails_verify(
+        edit, reason, spec_e07, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "e07.json"
+    payload = spectrum_io.to_dict(spectrum_io.SpectrumFile(spec_e07))
+    edit(payload, monkeypatch)
+    path.write_text(json.dumps(payload))
+    code, stdout, _ = run(capsys, "classify", str(path))
+    report = json.loads(stdout)
+    assert code == 0 and report["verdict"] == "Indeterminate"
+    assert report["notes"] == [f"construction identity not certified: {reason}"]
+    code, stdout, _ = run(capsys, "verify", str(path))
+    assert code == 5
+    assert f"[FAIL] square floors recomputed from beta: {reason}\n" in stdout
+    assert ("[PASS] classification certificates consistent: indeterminate "
+            "verdicts carry no certificate\n") in stdout
 
 
 def test_negative_count_is_malformed(spec_e07, tmp_path, capsys):
@@ -369,6 +402,10 @@ NEAR_ONE = "1." + "0" * 119 + "1"
     (["verify", "p0.json"], 1),
     (["classify", "near-one.json"], 3),
     (["classify", "too-many-floors.json"], 3),
+    # beta = e^(10^12): refused from the descriptor, never evaluated
+    (["build", "--beta", "e^1000000000000", "--out", "x.json"], 3),
+    (["build", "--entropy", "1000", "--period", "1000000000", "--out", "x.json"], 3),
+    (["classify", "e-huge.json"], 3),
     (["MARKOVFORGE_PRECISION=x", "build", "--beta", "2", "--out", "x.json"], 2),
     (["MARKOVFORGE_PRECISION=0", "build", "--beta", "2", "--out", "x.json"], 2),
     (["build", "--beta", "abc", "--out", "x.json"], 2),
@@ -384,7 +421,7 @@ NEAR_ONE = "1." + "0" * 119 + "1"
 ], ids=["build-max-n", "build-precision", "build-huge-max-n", "build-near-one",
         "build-7e-10", "entropy-7e-10", "n0", "export-max-n", "oracle-depth", "lift-period",
         "classify-period-0", "verify-period-0", "classify-near-one",
-        "classify-too-many-floors",
+        "classify-too-many-floors", "build-e-huge", "entropy-huge-period", "classify-e-huge",
         "precision-env-x", "precision-env-0", "beta-abc", "beta-1/0", "beta-e^x",
         "entropy-abc", "entropy-ln5", "beta-value-1/0", "stored-beta-1/2", "stored-k-negative",
         "verify-a1-2", "export-a1-2"])
@@ -412,6 +449,11 @@ def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch
     payload["beta"] = {"kind": "rational", "value": "2", "text": "2"}
     payload["meta"]["k"] = -1000
     (tmp_path / "k-negative.json").write_text(json.dumps(payload))
+    # e^3 at N_max 64 with its base edited to e^(10^12)
+    payload = spectrum_io.to_dict(spectrum_io.SpectrumFile(built("e^3")))
+    payload["beta"] = {"kind": "exp_rational", "value": "1000000000000",
+                       "text": "e^1000000000000"}
+    (tmp_path / "e-huge.json").write_text(json.dumps(payload))
     # a user spectrum with two self-loops at the root
     (tmp_path / "a1-2.json").write_text(json.dumps(
         {"format_version": 2, "N_max": 3, "a": ["2", "0", "1"], "finite_support": True}))
@@ -426,6 +468,7 @@ def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert got == code
     assert "error" in err and "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -452,7 +495,8 @@ def test_build_refuses_a_long_beta_power(tmp_path, capsys, monkeypatch):
     out = tmp_path / "x.json"
     code, _, err = run(capsys, "build", "--beta", "e^3", "--out", str(out))
     assert code == 3 and "more than 100 bits for beta^N_max" in err
-    assert not out.exists() and set(asked) == {cli.DEFAULT_PRECISION_BITS}
+    # refused from the descriptor: beta is never evaluated
+    assert not out.exists() and not asked
     code, _, _ = run(capsys, "build", "--beta", "e^3", "--max-n", "16", "--out", str(out))
     assert code == 0 and out.exists()
 

@@ -146,15 +146,6 @@ def test_explicit_graph_compares_its_arrows_but_does_not_hash_them():
     assert g == same and hash(g) == hash(same)
 
 
-def test_beta_cache_is_outside_equality():
-    used, fresh = BetaValue.parse("e^3"), BetaValue.parse("e^3")
-    used.eval(128)
-    assert used._cache and not fresh._cache
-    assert used == fresh and hash(used) == hash(fresh)
-    assert "_cache" not in repr(used) and "_cache" not in used.asdict()
-    assert not used.replace()._cache
-
-
 def test_replace_runs_the_checks(spec2):
     with pytest.raises(ValueError):
         spec2.replace(a=spec2.a[:-1])

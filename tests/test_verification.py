@@ -69,3 +69,18 @@ def test_period_check_reads_the_realized_graph(spec2, monkeypatch):
     results = {r.name: r for r in run_suite(spec2, oracle_depth=4)}
     check = results["period (structural vs oracle)"]
     assert not check.passed and "structural = 2," in check.detail
+
+
+def test_enumeration_mismatch_fails_its_check(spec2, monkeypatch):
+    walk = verification.walk_path_counts
+
+    def one_wrong(g, source, target, budget):
+        # the true counts, one path too many at n = 3
+        for n, count in enumerate(walk(g, source, target, budget)):
+            yield count + (n == 3)
+    monkeypatch.setattr(verification, "walk_path_counts", one_wrong)
+    results = {r.name: r for r in run_suite(spec2, oracle_depth=8)}
+    check = results["literal enumeration matches DP"]
+    assert not check.passed and check.detail == "mismatch at n = 3"
+    failed = [name for name, r in results.items() if not r.passed]
+    assert failed == ["literal enumeration matches DP"]
