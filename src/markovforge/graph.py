@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 from array import array
-from itertools import islice
+from itertools import filterfalse, islice
 from math import gcd
-from typing import BinaryIO, Iterator, Optional
+from typing import BinaryIO, Iterable, Iterator, Optional
 
 from ._frozen import Frozen
 from .errors import EmptyLoopSet, Unrealizable
@@ -340,23 +340,36 @@ def import_json(data: bytes) -> ExplicitGraph:
 
 def is_strongly_connected(g: ExplicitGraph) -> bool:
     """Reachability in both directions from the root."""
-    return _reaches_all(g, g.reverse_adjacency()) and _reaches_all(g, g.adjacency())
+    succ, pred = g.adjacency(), g.reverse_adjacency()
+    return _reaches_all(g, pred, succ[1]) and _reaches_all(g, succ, pred[1])
 
 
-def _reaches_all(g: ExplicitGraph, adj: Neighbours) -> bool:
-    """Whether a level-by-level search from the root meets every vertex."""
+def _reaches_all(g: ExplicitGraph, adj: Neighbours, joins: Iterable[int]) -> bool:
+    """Whether a level-by-level search from the root along ``adj`` meets
+    every vertex; ``joins`` holds the vertices with several arrows in, in
+    the direction searched (the hubs of the other form).
+
+    Any other vertex has at most one predecessor in the search, which is on
+    one level only, so it enters ``ahead`` at most once and needs no test
+    against the met set.  Only the joins, the root and the index ``size``,
+    which stands for no neighbour, are tested, and dropped once met, by one
+    filter per level.  So a level costs list passes, plus one count per hub
+    of ``adj`` and one per join.  A realized or lifted graph has one of
+    each; only hand-built graphs have more.
+    """
     one, hubs = adj
-    seen = bytearray(g.size + 1)
-    seen[g.size] = seen[g.root] = 1  # index size stands for no neighbour
+    watched = list(dict.fromkeys([*joins, g.root, g.size]))
+    met = {g.root, g.size}
     level, reached = [g.root], 1
     while level:
         ahead = list(map(one.__getitem__, level))
-        for fan in filter(None, map(hubs.get, level)):
-            ahead += fan
-        level = []
-        for w in ahead:
-            if not seen[w]:
-                seen[w] = 1
-                level.append(w)
+        for v, fan in hubs.items():
+            if v in level:
+                ahead += fan[1:]  # fan[0] is one[v]
+        if here := [x for x in watched if x in ahead]:
+            ahead = list(filterfalse(set(here).__contains__, ahead))
+            ahead += (x for x in here if x not in met)
+            met.update(here)
+        level = ahead
         reached += len(level)
     return reached == g.size

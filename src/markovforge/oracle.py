@@ -125,23 +125,35 @@ def _charge(walked: int, steps: int, budget: int) -> int:
 
 
 def _walker(g: ExplicitGraph):
-    """``ahead(frontier)``: the next level before it is built, as every walk's
-    step to its first neighbour (to ``size`` from a dead end), the lists of
-    the other steps of the walks at hubs, and the number of steps."""
+    """``(ahead, ends)``.  ``ahead(frontier)`` gives the next level before it
+    is built: every walk's step to its first neighbour (to ``size`` from a
+    dead end), the other steps of each hub's walks as (fan, walks) pairs,
+    and the number of steps.  ``ends`` is ``(size,)`` if ``g`` has a dead
+    end, else empty: the steps to drop from every level.
+
+    The walks at each hub are counted by one scan of the frontier, and the
+    steps of a graph without a dead end are never scanned for one.  So a
+    level costs list passes plus one count per hub.  A realized or lifted
+    graph has one hub; only hand-built graphs have more.
+    """
     one, hubs = g.adjacency()
-    more = {v: fan[1:] for v, fan in hubs.items()}
+    more = [(v, fan[1:]) for v, fan in hubs.items()]
+    ends = (g.size,) if g.size in one else ()
 
-    def ahead(frontier: list[int]) -> tuple[list[int], list[list[int]], int]:
+    def ahead(frontier: list[int]) -> tuple[list[int], list[tuple[list[int], int]], int]:
         firsts = list(map(one.__getitem__, frontier))
-        fans = list(filter(None, map(more.get, frontier)))
-        return firsts, fans, len(firsts) - firsts.count(g.size) + sum(map(len, fans))
-    return ahead
+        fans = [(fan, k) for v, fan in more if (k := frontier.count(v))]
+        steps = len(firsts) + sum(len(fan) * k for fan, k in fans)
+        for x in ends:
+            steps -= firsts.count(x)
+        return firsts, fans, steps
+    return ahead, ends
 
 
-def _level(firsts: list[int], fans: list[list[int]], *dropped: int) -> list[int]:
+def _level(firsts: list[int], fans: list[tuple[list[int], int]], *dropped: int) -> list[int]:
     """The next level from :func:`_walker`'s parts, less the steps to ``dropped``."""
-    for fan in fans:
-        firsts += fan
+    for fan, k in fans:
+        firsts += fan * k
     for x in dropped:
         if x in firsts:
             firsts = list(filter(x.__ne__, firsts))
@@ -152,14 +164,14 @@ def walk_path_counts(g: ExplicitGraph, u: int, v: int,
                      budget: int = ENUMERATION_BUDGET) -> Iterator[int]:
     """Counts of length-n paths from u to v, n = 0, 1, ..., from one walk;
     level n is walked on demand and charged what a call for length n is."""
-    ahead = _walker(g)
+    ahead, ends = _walker(g)
     frontier = [u]
     walked = _charge(0, 1, budget)
     while True:
         yield frontier.count(v)
         firsts, fans, steps = ahead(frontier)
         walked = _charge(walked, steps, budget)
-        frontier = _level(firsts, fans, g.size)
+        frontier = _level(firsts, fans, *ends)
 
 
 def enumerate_paths(g: ExplicitGraph, u: int, v: int, n: int,
@@ -179,16 +191,16 @@ def enumerate_first_returns(g: ExplicitGraph, u: int, n: int,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    ahead = _walker(g)
+    ahead, ends = _walker(g)
     frontier = [u]
     walked = _charge(0, 1, budget)
     for remaining in range(n, 0, -1):
         firsts, fans, steps = ahead(frontier)
-        back = firsts.count(u) + sum(fan.count(u) for fan in fans)
+        back = firsts.count(u) + sum(fan.count(u) * k for fan, k in fans)
         walked = _charge(walked, steps - back, budget)
         if remaining == 1:
             return back
-        frontier = _level(firsts, fans, u, g.size)
+        frontier = _level(firsts, fans, u, *ends)
     return 1  # n == 0: the empty path at u
 
 

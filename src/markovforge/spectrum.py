@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ._frozen import Frozen
-from .errors import (FloorUndecidable, NoDeletableLoop, PrecisionExhausted,
-                     TailUnavailable)
+from .errors import (FloorUndecidable, NoDeletableLoop, NotGreaterThanOne,
+                     PrecisionExhausted, TailUnavailable)
 from .intervals import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, BetaValue,
                         CReal, certified_floor, geometric_tail, power_series)
 
@@ -54,9 +54,12 @@ class SpectrumMeta(Frozen):
 
     def __init__(self, beta: BetaValue, precision_bits: int, N_max: int, k: int,
                  tail_at_L: CReal, deleted_loop: Optional[int] = None) -> None:
-        if k < 0 or beta.value <= (0 if beta.kind == "exp_rational" else 1):
-            raise ValueError(f"M_bound = beta + k needs beta > 1 and k >= 0, "
-                             f"not beta = {beta.text}, k = {k}")
+        try:
+            beta.require_above_one()
+        except NotGreaterThanOne as e:  # a file error, as a bad k is
+            raise ValueError(*e.args) from None
+        if k < 0:
+            raise ValueError(f"M_bound = beta + k needs k >= 0, not k = {k}")
         self._init(beta, precision_bits, N_max, k, tail_at_L, deleted_loop)
 
     _plan = cached_property(lambda self: _build_plan(self.beta, self.N_max, self.precision_bits))

@@ -296,6 +296,25 @@ def test_verify_passes(tmp_path, capsys):
     assert "[FAIL]" not in stdout
 
 
+@pytest.mark.parametrize("beta, lift, digest", [
+    ("2", None, "ed005fce5960c98a6530903d7d9ce7b75a117d83db57689bac5a2d9f53af6c66"),
+    ("3", 3, "168845f975ad9d140e70a73e99d6627434f26e849b3f470f738aae3989881fea"),
+    ("5/2", None, "c306ae487b84956b49bb24452ad4d49f77d76145cf5bdff5d2385258cab305c9"),
+], ids=["2", "3-deleted-lifted", "5/2"])
+def test_verify_stdout_is_pinned(beta, lift, digest, tmp_path, capsys):
+    # every line, "realization strongly connected: N vertices" and "walked
+    # all paths up to length k" among them, as the per-vertex search and walk
+    # printed it; 3 has its first loop deleted and is lifted by 3
+    path = tmp_path / "s.json"
+    run(capsys, "build", "--beta", beta, "--max-n", "128", "--out", str(path))
+    if lift:
+        run(capsys, "transient-variant", str(path), "--out", str(path))
+        run(capsys, "lift", str(path), "--period", str(lift), "--out", str(path))
+    code, stdout, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+
 def test_verify_checks_the_stored_k(tmp_path, capsys):
     # base 2 has delta = 0, so k = floor(beta^2 delta) = 0; a stored k of 7
     # fails the deficit check alone, as M = beta + k still bounds the counts

@@ -14,6 +14,7 @@ import pytest
 import markovforge
 from markovforge import (BetaValue, CReal, ExplicitGraph, GrowthEstimate, LoopSpectrum,
                          PathCountTable, SpectrumMeta, classify, user_spectrum)
+from markovforge.errors import NotGreaterThanOne
 from markovforge.spectrum_io import SpectrumFile, save
 
 
@@ -159,3 +160,21 @@ def test_replace_runs_the_checks(spec2):
         user_spectrum([1]).replace(size=1)
     assert isinstance(spec2.meta, SpectrumMeta) and isinstance(spec2, LoopSpectrum)
     assert spec2.meta.replace(k=spec2.meta.k).L == spec2.meta.L
+
+
+@pytest.mark.parametrize("text", ["1", "1/2", "1.0", "e^0", "e^-1/2", "1.0001", "e^1/1000"])
+def test_spectrum_meta_takes_the_bases_require_above_one_takes(text):
+    # one rule for beta > 1; the metadata refuses with a ValueError, a file error
+    beta = BetaValue.parse(text)
+    try:
+        beta.require_above_one()
+        above_one = True
+    except NotGreaterThanOne:
+        above_one = False
+    try:
+        SpectrumMeta(beta, 256, 4, 0, CReal.exact(0))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == above_one
+    assert above_one == (text in ("1.0001", "e^1/1000"))

@@ -1,0 +1,214 @@
+"""The reachability search and the literal walk against the loops they
+replaced, which are kept here as the reference.
+
+The reference loops test a met set for every vertex the search meets and
+look up every walk's vertex in a dict of hub fans; the loops in ``src``
+scan each level once per hub and once per vertex with several arrows in.
+They must agree on every graph: the verdict of the search, the counts of
+the walk and the level at which a budget stops it.
+"""
+
+from itertools import islice
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from markovforge import realize, user_spectrum
+from markovforge.graph import ExplicitGraph, is_strongly_connected, vertex_count
+from markovforge.oracle import (BudgetExceeded, _charge, enumerate_first_returns,
+                                walk_path_counts)
+
+from conftest import BETA_TEXTS, built
+
+BUDGETS = (1, 10, 100, 10 ** 4)
+MOST_LEVELS = 16
+MOST_VERTICES = 3000
+
+
+# ---------------------------------------------------------------------------
+# the reference loops
+# ---------------------------------------------------------------------------
+
+
+def reference_is_strongly_connected(g):
+    return (reference_reaches_all(g, g.reverse_adjacency())
+            and reference_reaches_all(g, g.adjacency()))
+
+
+def reference_reaches_all(g, adj):
+    one, hubs = adj
+    seen = bytearray(g.size + 1)
+    seen[g.size] = seen[g.root] = 1  # index size stands for no neighbour
+    level, reached = [g.root], 1
+    while level:
+        ahead = list(map(one.__getitem__, level))
+        for fan in filter(None, map(hubs.get, level)):
+            ahead += fan
+        level = []
+        for w in ahead:
+            if not seen[w]:
+                seen[w] = 1
+                level.append(w)
+        reached += len(level)
+    return reached == g.size
+
+
+def reference_walker(g):
+    one, hubs = g.adjacency()
+    more = {v: fan[1:] for v, fan in hubs.items()}
+
+    def ahead(frontier):
+        firsts = list(map(one.__getitem__, frontier))
+        fans = list(filter(None, map(more.get, frontier)))
+        return firsts, fans, len(firsts) - firsts.count(g.size) + sum(map(len, fans))
+    return ahead
+
+
+def reference_level(firsts, fans, *dropped):
+    for fan in fans:
+        firsts += fan
+    for x in dropped:
+        if x in firsts:
+            firsts = list(filter(x.__ne__, firsts))
+    return firsts
+
+
+def reference_walk_path_counts(g, u, v, budget):
+    ahead = reference_walker(g)
+    frontier = [u]
+    walked = _charge(0, 1, budget)
+    while True:
+        yield frontier.count(v)
+        firsts, fans, steps = ahead(frontier)
+        walked = _charge(walked, steps, budget)
+        frontier = reference_level(firsts, fans, g.size)
+
+
+def reference_enumerate_first_returns(g, u, n, budget):
+    ahead = reference_walker(g)
+    frontier = [u]
+    walked = _charge(0, 1, budget)
+    for remaining in range(n, 0, -1):
+        firsts, fans, steps = ahead(frontier)
+        back = firsts.count(u) + sum(fan.count(u) for fan in fans)
+        walked = _charge(walked, steps - back, budget)
+        if remaining == 1:
+            return back
+        frontier = reference_level(firsts, fans, u, g.size)
+    return 1
+
+
+# ---------------------------------------------------------------------------
+# what is compared
+# ---------------------------------------------------------------------------
+
+
+def walked(walk, g, u, v, budget):
+    """The counts a walk yields, at most MOST_LEVELS of them, and whether it
+    raised BudgetExceeded after the last."""
+    counts = []
+    try:
+        for count in islice(walk(g, u, v, budget), MOST_LEVELS):
+            counts.append(count)
+    except BudgetExceeded:
+        return counts, True
+    return counts, False
+
+
+def first_returns(enumerate_, g, u, budget):
+    """f(n) for n < MOST_LEVELS, None where the budget stops the walk."""
+    out = []
+    for n in range(MOST_LEVELS):
+        try:
+            out.append(enumerate_(g, u, n, budget))
+        except BudgetExceeded:
+            out.append(None)
+    return out
+
+
+def assert_matches_reference(g, u, v):
+    assert is_strongly_connected(g) == reference_is_strongly_connected(g)
+    for budget in BUDGETS:
+        assert (walked(walk_path_counts, g, u, v, budget)
+                == walked(reference_walk_path_counts, g, u, v, budget))
+        assert (first_returns(enumerate_first_returns, g, u, budget)
+                == first_returns(reference_enumerate_first_returns, g, u, budget))
+
+
+# ---------------------------------------------------------------------------
+# the graphs
+# ---------------------------------------------------------------------------
+
+SPECTRA = st.one_of(
+    st.sampled_from(BETA_TEXTS).map(built),
+    st.tuples(st.integers(0, 1), st.lists(st.integers(0, 3), max_size=7))
+    .map(lambda t: user_spectrum([t[0], *t[1]])))
+
+
+@st.composite
+def realized(draw):
+    """(graph, u, v): a realization, lifted by 1, 2 or 3, of at most
+    MOST_VERTICES vertices, and two of its vertices."""
+    s, p = draw(SPECTRA), draw(st.sampled_from((1, 2, 3)))
+    deepest = 1
+    while deepest < s.N_max and vertex_count(s, deepest + 1) * p <= MOST_VERTICES:
+        deepest += 1
+    g = realize(s, draw(st.integers(1, deepest)), p)
+    vertex = st.integers(0, g.size - 1)
+    return g, draw(vertex), draw(vertex)
+
+
+@st.composite
+def hand_built(draw):
+    """(graph, u, v): a graph of up to 7 named vertices with any arrows (dead
+    ends, hubs, vertices with several arrows in and parts the root cannot
+    reach or be reached from), any root, and two of its vertices."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    names = tuple(f"v{i}" for i in range(n))
+    arrows = draw(st.lists(st.tuples(vertex, vertex), unique=True, max_size=3 * n))
+    g = ExplicitGraph.from_names(names[draw(vertex)], names,
+                                 tuple((names[a], names[b]) for a, b in arrows))
+    return g, draw(vertex), draw(vertex)
+
+
+def every_feature():
+    """r and a and x are hubs; a, b and c have several arrows in; d is a dead
+    end; r has one arrow in; x and y cannot be reached from r."""
+    return ExplicitGraph.from_names(
+        "r", ("r", "a", "b", "c", "d", "x", "y"),
+        (("r", "a"), ("r", "b"), ("a", "b"), ("a", "c"), ("a", "r"), ("b", "c"),
+         ("c", "d"), ("x", "y"), ("x", "a"), ("y", "x")))
+
+
+@given(realized())
+@settings(max_examples=60, deadline=None)
+def test_realized_graphs_match_the_reference(case):
+    assert_matches_reference(*case)
+
+
+@given(hand_built())
+@settings(max_examples=150, deadline=None)
+def test_hand_built_graphs_match_the_reference(case):
+    assert_matches_reference(*case)
+
+
+def test_a_graph_with_every_feature_matches_the_reference():
+    g = every_feature()
+    one, hubs = g.adjacency()
+    assert len(hubs) == 3 and len(g.reverse_adjacency()[1]) == 3
+    assert g.size in one and one.count(g.size) == 1
+    assert not is_strongly_connected(g)
+    for u in range(g.size):
+        for v in range(g.size):
+            assert_matches_reference(g, u, v)
+
+
+@pytest.mark.parametrize("text, p", [("3", 1), ("3", 3), ("e^7/10", 2)])
+def test_realized_graph_walks_match_the_reference_to_the_default_budget(text, p):
+    # the budget verify walks under, on graphs of the verify depth
+    g = realize(built(text), 8, p)
+    assert is_strongly_connected(g)
+    counts = walked(walk_path_counts, g, g.root, g.root, 10 ** 6)
+    assert counts == walked(reference_walk_path_counts, g, g.root, g.root, 10 ** 6)
