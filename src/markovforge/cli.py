@@ -22,7 +22,7 @@ from . import classifier, graph, oracle, spectrum_io, verification
 from .errors import (FloorUndecidable, InsufficientData, NoDeletableLoop,
                      NotGreaterThanOne, PrecisionExhausted, SpectrumFileError,
                      Unrealizable)
-from .intervals import DEFAULT_PRECISION_BITS, BetaValue, decimal_bounds, ln2_enclosure
+from .intervals import BetaValue, decimal_bounds, ln2_enclosure
 from .spectrum import DEFAULT_N_MAX, build_spectrum, delete_loop
 
 EXIT_OK = 0
@@ -98,7 +98,7 @@ def _save(sf: spectrum_io.SpectrumFile, out: str) -> None:
 
 def cmd_build(args) -> int:
     beta = args.beta or _beta_from_entropy(args.entropy, args.period)
-    s = build_spectrum(beta, N_max=args.max_n, precision_bits=args.precision)
+    s = build_spectrum(beta, N_max=args.max_n)
     _save(spectrum_io.SpectrumFile(s, period_lift=args.period), args.out)
     return EXIT_OK
 
@@ -164,8 +164,7 @@ def cmd_export(args) -> int:
 
 def cmd_verify(args) -> int:
     sf = spectrum_io.load(args.file)
-    results = verification.run_suite(sf.spectrum, period_lift=sf.period_lift,
-                                     oracle_depth=int(args.oracle_depth))
+    results = verification.run_suite(sf.spectrum, period_lift=sf.period_lift)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -181,21 +180,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _OracleDepthDefault:
-    """``verify --oracle-depth``'s default, verification.DEFAULT_ORACLE_DEPTH,
-    read when ``--help`` shows it or ``verify`` uses it: building the parser
-    runs no layer."""
-
-    def __int__(self) -> int:
-        return verification.DEFAULT_ORACLE_DEPTH
-
-    def __str__(self) -> str:
-        return str(int(self))
-
-
 def build_parser() -> argparse.ArgumentParser:
-    # a string default goes through the option's type check, like a typed value
-    precision = os.environ.get("MARKOVFORGE_PRECISION", str(DEFAULT_PRECISION_BITS))
     parser = argparse.ArgumentParser(
         prog="markovforge",
         description="Construct, classify and verify countable loop graphs of "
@@ -212,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="period lift p (with --entropy the base becomes e^(h p); "
                         "with --beta it stays beta, as after `lift --period p`)")
     b.add_argument("--max-n", type=_int_from(4), default=DEFAULT_N_MAX)
-    b.add_argument("--precision", type=_int_from(1), default=precision)
     b.add_argument("--out", required=True, help="output path, or - for stdout")
     b.set_defaults(fn=cmd_build)
 
@@ -251,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the invariant suite")
     v.add_argument("file")
-    v.add_argument("--oracle-depth", type=_int_from(1), default=_OracleDepthDefault(),
-                   help="longest paths the exact oracles compare (default %(default)s)")
     v.set_defaults(fn=cmd_verify)
     return parser
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterator, Sequence
 from ._frozen import Frozen
 from .errors import InsufficientData
 from .intervals import _ln_big
-from .spectrum import LoopSpectrum
+from .spectrum import LoopSpectrum, int_text
 
 if TYPE_CHECKING:
     from .graph import ExplicitGraph
@@ -215,15 +215,16 @@ def table_from_spectrum(s: LoopSpectrum, N: int, period_lift: int = 1) -> PathCo
     After a lift by p, first returns are supported on multiples of p with
     f(n p) = a(n); by the renewal equation, so are the nonzero p(n), with
     p(n p) the unlifted p(n).  So the unlifted counts are convolved, up to
-    N // p, and spread onto the multiples of p.
+    N // p, and spread onto the multiples of p.  Past N_max the counts are
+    zero: only the stored ones enter the convolution.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     p, m = period_lift, N // period_lift
-    f0 = list(s.a[:m]) + [0] * (m - s.N_max)
+    a = s.a[:m]
     f, counts = [0] * N, [0] * (N + 1)
-    f[p - 1::p] = f0
-    counts[::p] = renewal_convolve(f0, m)
+    f[p - 1:len(a) * p:p] = a
+    counts[::p] = renewal_convolve(a, m)
     return PathCountTable(tuple(f), tuple(counts))
 
 
@@ -257,14 +258,16 @@ def _csv_lines(table: PathCountTable, period_lift: int) -> Iterator[str]:
     for m, (fv, pv) in enumerate(zip(table.f, table.p[1:]), 1):
         n = m * period_lift
         yield from map("{},0,0,".format, range(n - period_lift + 1, n))
-        yield f"{n},{fv},{pv},{_ln_big(pv) / n:.12f}" if pv > 0 else f"{n},{fv},{pv},"
+        row = f"{n},{int_text(fv)},{int_text(pv)},"
+        yield f"{row}{_ln_big(pv) / n:.12f}" if pv > 0 else row
 
 
 def write_csv(table: PathCountTable, fh: BinaryIO, period_lift: int = 1) -> None:
     """Write the rows ``n,f,p,growth_estimate`` of ``table`` lifted by p to
     the binary file ``fh``, a thousand lines per write.  ``table`` holds
     the unlifted counts, spread onto n = m p row by row: the lifted table,
-    p times longer, is never built."""
+    p times longer, is never built.  Counts are written by
+    :func:`spectrum.int_text`, in hex past 4,300 digits."""
     lines = _csv_lines(table, period_lift)
     while chunk := list(islice(lines, 1024)):
         fh.write(("\n".join(chunk) + "\n").encode("utf-8"))

@@ -172,6 +172,12 @@ def test_transient_variant_twice_fails(tmp_path, capsys):
                        "--out", str(tmp_path / "t2.json"))
     assert code == 4
     assert "error" in err
+    # nor can a length without a loop lose one: base 2 has a(3) = 0
+    code, _, err = run(capsys, "transient-variant", str(base), "--n0", "3",
+                       "--out", str(tmp_path / "t3.json"))
+    assert code == cli.EXIT_NO_LOOP == 4
+    assert "a(3) has no loop to delete" in err
+    assert not (tmp_path / "t3.json").exists()
 
 
 def test_entropy_csv(tmp_path, capsys):
@@ -236,6 +242,10 @@ def test_entropy_flag_builds_exact_base(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["beta"]["kind"] == "rational"
     assert payload["beta"]["value"] == "8"
+    # log 8 / 3 is ln 2: one bit, enclosed to 40 digits
+    code, stdout, _ = run(capsys, "classify", str(out), "--bits")
+    assert code == 0
+    assert json.loads(stdout)["lifted_entropy_bits"] == ["0." + "9" * 40, "1." + "0" * 39 + "1"]
 
 
 def test_period_with_beta_is_a_lift(tmp_path, capsys, monkeypatch):
@@ -290,7 +300,7 @@ def test_export_refuses_oversized_graph(tmp_path, capsys, monkeypatch):
 def test_verify_passes(tmp_path, capsys):
     base = tmp_path / "b.json"
     run(capsys, "build", "--beta", "2", "--max-n", "16", "--out", str(base))
-    code, stdout, _ = run(capsys, "verify", str(base), "--oracle-depth", "10")
+    code, stdout, _ = run(capsys, "verify", str(base))
     assert code == 0
     assert "[PASS]" in stdout
     assert "[FAIL]" not in stdout
@@ -329,17 +339,6 @@ def test_verify_checks_the_stored_k(tmp_path, capsys):
             "delta in [0.000e+00, 0.000e+00], k = 7") in stdout
 
 
-def test_verify_oracle_depth_defaults_to_the_layer_constant(tmp_path, capsys, monkeypatch):
-    with pytest.raises(SystemExit):
-        cli.main(["verify", "--help"])
-    assert "(default 12)" in " ".join(capsys.readouterr().out.split())
-    base = tmp_path / "b.json"
-    run(capsys, "build", "--beta", "2", "--max-n", "16", "--out", str(base))
-    monkeypatch.setattr(verification, "DEFAULT_ORACLE_DEPTH", 5)
-    code, stdout, _ = run(capsys, "verify", str(base))
-    assert code == 0 and "first returns match spectrum: depth 5" in stdout
-
-
 def test_verify_prints_values_beyond_the_float_range(tmp_path, capsys):
     # beta = 2^1025 gives M = beta + k (k = 0) past the float range
     path = tmp_path / "big.json"
@@ -350,18 +349,13 @@ def test_verify_prints_values_beyond_the_float_range(tmp_path, capsys):
     assert line.endswith("M in [3.59539e+308, 3.59539e+308]")
 
 
-def test_build_deterministic(tmp_path, capsys):
+def test_build_deterministic(tmp_path, capsys, monkeypatch):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "build", "--beta", "e^7/10", "--max-n", "25", "--out", str(a))
+    # the program picks its precision itself: no environment variable sets it
+    monkeypatch.setenv("MARKOVFORGE_PRECISION", "320")
     run(capsys, "build", "--beta", "e^7/10", "--max-n", "25", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_precision_env_default(monkeypatch):
-    monkeypatch.setenv("MARKOVFORGE_PRECISION", "320")
-    args = cli.build_parser().parse_args(
-        ["build", "--beta", "2", "--out", "x"])
-    assert args.precision == 320
 
 
 def test_missing_file_reports_error(capsys):
@@ -400,6 +394,18 @@ def test_counts_beyond_the_decimal_limit_are_written_in_hex(tmp_path, capsys):
     for n in (39 * 39, 40 * 40, 41 * 41):
         assert back.spectrum.count(n) == back.spectrum.meta.square_floors[n]
     assert spectrum_io.to_bytes(back) == data
+    # entropy writes them so too: p(n) ~ 1000^n passes 4,300 digits at n = 1,434
+    csv = tmp_path / "b1000.csv"
+    code, _, err = run(capsys, "entropy", str(path), "--max-n", "1700", "--csv", str(csv))
+    assert code == 0 and "Traceback" not in err
+    rows = [r.split(",") for r in csv.read_text().splitlines()[1:]]
+    assert len(rows) == 1700
+    assert [n for n, (_, _, p, _) in enumerate(rows, 1) if not p.isdigit()] == \
+        list(range(1434, 1701))
+    assert all(p.startswith("0x") for _, _, p, _ in rows[1433:])
+    assert [n for n, (_, f, _, _) in enumerate(rows, 1) if f.startswith("0x")] == \
+        [39 * 39, 40 * 40, 41 * 41]
+    assert int(rows[41 * 41 - 1][1], 16) == back.spectrum.count(41 * 41)
 
 
 NEAR_ONE = "1." + "0" * 119 + "1"
@@ -407,7 +413,8 @@ NEAR_ONE = "1." + "0" * 119 + "1"
 
 @pytest.mark.parametrize("argv, code", [
     (["build", "--beta", "2", "--max-n", "2", "--out", "x.json"], 2),
-    (["build", "--beta", "2", "--precision", "0", "--out", "x.json"], 2),
+    # the precision and the oracle depth are not options
+    (["build", "--beta", "2", "--precision", "512", "--out", "x.json"], 2),
     (["build", "--beta", "2", "--max-n", "1" + "0" * 400, "--out", "x.json"], 3),
     (["build", "--beta", NEAR_ONE, "--out", "x.json"], 3),
     # log2(beta) ~ 7e-10: the build would need about 630,000 square floors
@@ -415,7 +422,7 @@ NEAR_ONE = "1." + "0" * 119 + "1"
     (["build", "--entropy", "1/2000000000", "--out", "x.json"], 3),
     (["transient-variant", "b.json", "--n0", "x", "--out", "x.json"], 2),
     (["export", "b.json", "--format", "dot", "--max-n", "0"], 2),
-    (["verify", "b.json", "--oracle-depth", "0"], 2),
+    (["verify", "b.json", "--oracle-depth", "10"], 2),
     (["lift", "b.json", "--period", "0", "--out", "x.json"], 2),
     (["classify", "p0.json"], 1),
     (["verify", "p0.json"], 1),
@@ -425,8 +432,6 @@ NEAR_ONE = "1." + "0" * 119 + "1"
     (["build", "--beta", "e^1000000000000", "--out", "x.json"], 3),
     (["build", "--entropy", "1000", "--period", "1000000000", "--out", "x.json"], 3),
     (["classify", "e-huge.json"], 3),
-    (["MARKOVFORGE_PRECISION=x", "build", "--beta", "2", "--out", "x.json"], 2),
-    (["MARKOVFORGE_PRECISION=0", "build", "--beta", "2", "--out", "x.json"], 2),
     (["build", "--beta", "abc", "--out", "x.json"], 2),
     (["build", "--beta", "1/0", "--out", "x.json"], 2),
     (["build", "--beta", "e^x", "--out", "x.json"], 2),
@@ -441,7 +446,7 @@ NEAR_ONE = "1." + "0" * 119 + "1"
         "build-7e-10", "entropy-7e-10", "n0", "export-max-n", "oracle-depth", "lift-period",
         "classify-period-0", "verify-period-0", "classify-near-one",
         "classify-too-many-floors", "build-e-huge", "entropy-huge-period", "classify-e-huge",
-        "precision-env-x", "precision-env-0", "beta-abc", "beta-1/0", "beta-e^x",
+        "beta-abc", "beta-1/0", "beta-e^x",
         "entropy-abc", "entropy-ln5", "beta-value-1/0", "stored-beta-1/2", "stored-k-negative",
         "verify-a1-2", "export-a1-2"])
 def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch):
@@ -476,10 +481,6 @@ def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch
     # a user spectrum with two self-loops at the root
     (tmp_path / "a1-2.json").write_text(json.dumps(
         {"format_version": 2, "N_max": 3, "a": ["2", "0", "1"], "finite_support": True}))
-    # leading NAME=value words set the environment, as in a shell
-    while "=" in argv[0]:
-        monkeypatch.setenv(*argv[0].split("=", 1))
-        argv = argv[1:]
     try:
         got = cli.main(argv)
     except SystemExit as e:  # argparse usage errors
@@ -494,7 +495,6 @@ def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch
     ["--beta", "1.0000000007"],  # log2(beta) just above the old 1e-9 pad
     ["--beta", "1.000001"],
     ["--entropy", "1/1000000"],
-    ["--beta", "1.0001", "--precision", "4096"],
 ])
 def test_build_refuses_too_many_square_floors(argv, tmp_path, capsys):
     out = tmp_path / "x.json"

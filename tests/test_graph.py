@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from markovforge import (export, export_dot, export_json, graph, import_json,
                          lift_period, period, realize, user_spectrum)
-from markovforge.errors import Unrealizable
+from markovforge.errors import EmptyLoopSet, Unrealizable
 from markovforge.graph import (ROOT, ExplicitGraph, is_strongly_connected,
                                vertex_count)
 
@@ -28,6 +28,9 @@ def test_realize_flower_counts(spec2):
     assert len(g.vertices) == 13 == vertex_count(spec2, 4)
     assert len(g.arrows) == 17
     assert is_strongly_connected(g)
+    for depth in (0, spec2.N_max + 1):
+        with pytest.raises(ValueError, match="N must be in"):
+            realize(spec2, depth)
 
 
 def test_realize_rejects_multiple_short_loops():
@@ -142,6 +145,11 @@ def test_period_is_gcd_of_loop_lengths():
     assert period(realize(user_spectrum([1, 0, 0, 1]))) == 1
     assert period(realize(user_spectrum([0, 1, 0, 1]))) == 2
     assert period(realize(user_spectrum([0, 0, 1, 0, 0, 1]))) == 3
+    # an imported graph has no loop lengths: its first returns give them
+    for a, p in (([1, 0, 0, 1], 1), ([0, 1, 0, 1], 2), ([0, 0, 1, 0, 0, 1], 3)):
+        assert period(import_json(export_json(realize(user_spectrum(a))))) == p
+    with pytest.raises(EmptyLoopSet):
+        period(ExplicitGraph.from_names("u", ("u", "v"), (("u", "v"),)))
 
 
 def test_lift_multiplies_period(spec2):
@@ -152,6 +160,12 @@ def test_lift_multiplies_period(spec2):
     assert lifted.period_lift == 3
     assert period(lifted) == 3
     assert is_strongly_connected(lifted)
+    # a hand-built graph lifts its named arrows: the 2-cycle becomes a 6-cycle
+    cycle = ExplicitGraph.from_names("u", ("u", "v"), (("u", "v"), ("v", "u")))
+    lifted = lift_period(cycle, 3)
+    assert lifted.vertices == ("u@1", "u@2", "u@3", "v@1", "v@2", "v@3")
+    assert len(lifted.arrows) == 6 and lifted.root == 0
+    assert period(lifted) == 6 and is_strongly_connected(lifted)
 
 
 def test_lift_identity(spec2):
@@ -163,6 +177,8 @@ def test_lift_refuses_double_lift(spec2):
     lifted = lift_period(realize(spec2, 4), 2)
     with pytest.raises(ValueError):
         lift_period(lifted, 3)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        lift_period(realize(spec2, 4), 0)
 
 
 def test_duplicate_arrow_rejected():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from markovforge import (BetaValue, CReal, certified_floor, exp_fraction,
                          geometric_tail, log_fraction, power_series)
-from markovforge.errors import (FloorUndecidable, NotGreaterThanOne,
+from markovforge.errors import (DivergentTail, FloorUndecidable, NotGreaterThanOne,
                                 PrecisionExhausted)
 from markovforge.intervals import (GUARD, decimal_bounds, ln2_enclosure,
                                    log_interval)
@@ -45,6 +45,7 @@ def test_arithmetic_is_exact_on_rationals():
     assert (a * b).hi == Fraction(5, 21)
     assert (a - b).lo == Fraction(-8, 21)
     assert (b / a).lo == Fraction(15, 7)
+    assert (1 / a).lo == (1 / a).hi == 3
 
 
 def test_pow_negative_interval():
@@ -53,6 +54,13 @@ def test_pow_negative_interval():
     assert sq.lo == 0 and sq.hi == 9
     cube = x ** 3
     assert cube.lo == -8 and cube.hi == 27
+    # a negative power inverts, which an enclosure of 0 cannot
+    assert (CReal(Fraction(2), Fraction(4)) ** -2).hi == Fraction(1, 4)
+    for zero_inside in (lambda: x.inv(), lambda: x ** -1, lambda: 1 / x):
+        with pytest.raises(ZeroDivisionError, match="contains 0"):
+            zero_inside()
+    with pytest.raises(TypeError, match="integer powers"):
+        x ** Fraction(1, 2)
 
 
 def test_certified_comparisons():
@@ -89,6 +97,9 @@ def test_log_known_values():
     assert contains_mp(l3, mpmath.log(3))
     lhalf = log_fraction(Fraction(1, 2), 256)
     assert contains_mp(lhalf, -mpmath.log(2))
+    for nonpositive in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="positive"):
+            log_fraction(nonpositive)
 
 
 def test_log_interval_monotone():
@@ -99,6 +110,8 @@ def test_log_interval_monotone():
     eps = Fraction(1, 10 ** 30)
     assert lg.lo <= ln2 + eps and lg.hi >= ln3 - eps
     assert lg.hi - lg.lo < ln3 - ln2 + Fraction(1, 10 ** 20)
+    with pytest.raises(ValueError, match="positive"):
+        log_interval(CReal(Fraction(0), Fraction(1)))
 
 
 def test_certified_floor_exact():
@@ -128,6 +141,13 @@ def test_geometric_tail_dominates_partial_sums(r, s, weight):
     assert tail.hi >= partial
     # and it cannot exceed the partial sum plus the remaining tail
     assert tail.lo <= partial + geometric_tail(r, s + 40, weight).hi
+    with pytest.raises(ValueError, match="weight"):
+        geometric_tail(r, s, "n3")
+    with pytest.raises(ValueError, match="nonnegative"):
+        geometric_tail(r, -1 - s, weight)
+    for ratio in (-r, 1 + r, CReal(r, Fraction(1))):
+        with pytest.raises(DivergentTail):
+            geometric_tail(ratio, s, weight)
 
 
 @given(fractions_st, fractions_st)

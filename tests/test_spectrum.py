@@ -7,6 +7,7 @@ a(m^2) = 4 * 3^(m^2 - m); base 8 gives c = 49.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,9 @@ from markovforge import (BetaValue, CReal, build_spectrum, delete_loop,
                          power_series, spectrum_checks, spectrum_tail_bounds,
                          unit_sum_enclosure, unit_sum_target, user_spectrum,
                          weighted_sum_enclosure)
-from markovforge.errors import NoDeletableLoop
-from markovforge.spectrum import _greedy_digits
+from markovforge.errors import (NoDeletableLoop, NotGreaterThanOne, PrecisionExhausted,
+                                TailUnavailable)
+from markovforge.spectrum import MAX_SQUARE_FLOORS, _greedy_digits
 
 
 def test_base2_exact_counts(spec2):
@@ -101,9 +103,11 @@ def test_delete_loop_refuses_twice(spec2):
         delete_loop(d)
 
 
-def test_delete_loop_needs_a_loop():
+def test_delete_loop_needs_a_loop(spec2):
     with pytest.raises(NoDeletableLoop):
         delete_loop(user_spectrum([1]))
+    with pytest.raises(NoDeletableLoop, match="length >= 2"):
+        delete_loop(spec2, 1)
 
 
 def test_unit_sum_target_after_deletion(spec2):
@@ -129,6 +133,8 @@ def test_tail_bounds_dominate_true_tail(spec2):
         bound = spectrum_tail_bounds(spec2, from_n)
         assert bound.hi >= true_tail
         assert bound.lo >= 0
+    with pytest.raises(ValueError, match="from_n"):
+        spectrum_tail_bounds(spec2, 0)
 
 
 def _mp_greedy(x, beta, num_digits):
@@ -172,9 +178,19 @@ def test_expansion_partial_sums_stay_below_x():
 
 
 def test_build_rejects_small_base():
-    from markovforge.errors import NotGreaterThanOne
     with pytest.raises(NotGreaterThanOne):
         build_spectrum(BetaValue.parse("1"))
+    with pytest.raises(ValueError, match="N_max must be >= 4"):
+        build_spectrum(BetaValue.parse("2"), N_max=3)
+
+
+def test_build_refuses_too_many_square_floors_at_4096_bits():
+    # about sqrt(precision / log2 beta) floors: 1.0001 builds at 256 bits, not
+    # at 4096, where it is refused before any floor is formed
+    start = time.perf_counter()
+    with pytest.raises(PrecisionExhausted, match=f"more than {MAX_SQUARE_FLOORS} square floors"):
+        build_spectrum(BetaValue.parse("1.0001"), precision_bits=4096)
+    assert time.perf_counter() - start < 5
 
 
 def test_user_spectrum_wraps_counts():
@@ -183,6 +199,11 @@ def test_user_spectrum_wraps_counts():
     assert s.support() == [1, 2, 4]
     assert s.meta is None
     assert s.finite_support
+    # every certified sum and check needs the metadata of a built spectrum
+    for needs_meta in (unit_sum_enclosure, unit_sum_target, weighted_sum_enclosure,
+                       spectrum_checks, lambda s: spectrum_tail_bounds(s, 1)):
+        with pytest.raises(TailUnavailable):
+            needs_meta(s)
 
 
 @given(st.integers(min_value=2, max_value=9), st.integers(min_value=2, max_value=5))
