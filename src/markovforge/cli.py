@@ -14,14 +14,13 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import BinaryIO, Callable, Optional
+from typing import BinaryIO, Callable, Optional, TypeVar
 
 # the layers classifier, graph, oracle and verification run on first use
 # (see __init__), so each command compiles only those it calls
 from . import classifier, graph, oracle, spectrum_io, verification
-from .errors import (FloorUndecidable, InsufficientData, NoDeletableLoop,
-                     NotGreaterThanOne, PrecisionExhausted, SpectrumFileError,
-                     Unrealizable)
+from .errors import (FloorUndecidable, NoDeletableLoop, NotGreaterThanOne,
+                     PrecisionExhausted, SpectrumFileError, Unrealizable)
 from .intervals import BetaValue, decimal_bounds, ln2_enclosure
 from .spectrum import DEFAULT_N_MAX, build_spectrum, delete_loop
 
@@ -31,6 +30,8 @@ EXIT_PRECISION = 3
 EXIT_NO_LOOP = 4
 EXIT_VERIFY = 5
 EXIT_TOO_LARGE = 6
+
+T = TypeVar("T")
 
 ENTROPY_TOKENS = {"ln2": 2, "ln3": 3}
 
@@ -74,14 +75,13 @@ def _beta_from_entropy(entropy: str, p: int) -> BetaValue:
     return BetaValue.exp_of_rational(h * p)
 
 
-def _emit(write: Callable[[BinaryIO], object], out: Optional[str]) -> None:
+def _emit(write: Callable[[BinaryIO], T], out: Optional[str]) -> T:
     """``write(fh)`` to stdout for ``out`` None or ``-``, else to the file
     ``out``, opened only here: a command that fails before creates none."""
     if out is None or out == "-":
-        write(sys.stdout.buffer)
-    else:
-        with open(out, "wb") as fh:
-            write(fh)
+        return write(sys.stdout.buffer)
+    with open(out, "wb") as fh:
+        return write(fh)
 
 
 def _save(sf: spectrum_io.SpectrumFile, out: str) -> None:
@@ -133,16 +133,11 @@ def cmd_classify(args) -> int:
 
 def cmd_entropy(args) -> int:
     sf = spectrum_io.load(args.file)
-    # the unlifted table; its rows are spread onto the multiples of the lift
-    # as they are written
-    table = oracle.table_from_spectrum(sf.spectrum, args.max_n)
-    _emit(lambda fh: oracle.write_csv(table, fh, sf.period_lift), args.csv)
-    try:
-        est = oracle.growth_rate(table.p, window=8, period_lift=sf.period_lift)
+    est = _emit(lambda fh: oracle.write_csv(sf.spectrum, args.max_n, fh, sf.period_lift),
+                args.csv)
+    if est is not None:
         print(f"growth estimate at n = {est.samples[-1][0]}: {est.value:.6f}",
               file=sys.stderr)
-    except InsufficientData:
-        pass
     return EXIT_OK
 
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 from array import array
-from itertools import filterfalse, islice
+from itertools import chain, compress, filterfalse, islice
 from math import gcd
+from operator import ne
 from typing import BinaryIO, Iterable, Iterator, Optional
 
 from ._frozen import Frozen
@@ -26,6 +27,9 @@ ROOT = "root"
 REALIZE_VERTEX_BUDGET = 2 * 10 ** 6  # the most vertices realize and lift_period accept
 # (one, hubs): the neighbour form of ExplicitGraph.adjacency
 Neighbours = tuple[list[int], dict[int, list[int]]]
+# (start, count, step, w) and (copies, sums): see ExplicitGraph.predecessor_runs
+Run = tuple[int, int, int, int]
+Runs = tuple[list[Run], list[Run]]
 
 
 class ExplicitGraph(Frozen):
@@ -113,6 +117,26 @@ class ExplicitGraph(Frozen):
         return (_arrow_neighbours(ids, self.tails, self.heads),
                 _arrow_neighbours(ids, self.heads, self.tails))
 
+    def predecessor_runs(self) -> Runs:
+        """``(copies, sums)``: the predecessors of each vertex v > 0 whose
+        only predecessor is not v - 1, and of vertex 0 if it has any, kept
+        like the neighbour forms.  ``copies`` holds runs (start, count,
+        step, w): the vertices start + j*step, j < count, have the one
+        predecessor w, or none for w = ``size``.  ``sums`` holds runs
+        (start, count, step, v) of all the predecessors of v, in arrow
+        order, for each v with several and for the root of a realized graph.
+
+        A realized graph derives them from ``loop_lengths``, a run per loop
+        length, and builds no neighbour form; any other graph from a scan of
+        :meth:`reverse_adjacency`.
+        """
+        return self._kept("_runs", self._runs)
+
+    def _runs(self) -> Runs:
+        if self.loop_lengths is not None:
+            return _flower_runs(self, True)
+        return _scanned_runs(*self.reverse_adjacency())
+
 
 def _arrow_neighbours(ids: list[int], tails: array, heads: array) -> Neighbours:
     size = ids[-1]
@@ -128,32 +152,67 @@ def _arrow_neighbours(ids: list[int], tails: array, heads: array) -> Neighbours:
     return one, hubs
 
 
-def _flower_neighbours(g: ExplicitGraph, ids: list[int], reverse: bool) -> Neighbours:
+def _flower_runs(g: ExplicitGraph, reverse: bool) -> Runs:
+    """The runs of :meth:`ExplicitGraph.predecessor_runs` of a realized
+    graph or, with ``reverse`` false, the like runs of its successors,
+    which are otherwise v + 1."""
     # Lifted by p, every vertex x steps to x+1 (and back to x-1) but where a
     # loop meets the root: the k-th loop of length n >= 2 enters at
     # first + k*step from root@p (index p-1) and leaves from last + k*step to
     # root@1 (index 0); the root self-loop runs from root@p to root@1.
-    p, size = g.period_lift, g.size
-    one = ids[-1:] + ids[:-2] if reverse else ids[1:]
-    fan: list[int] = []
+    p = g.period_lift
+    hub, other = (0, p - 1) if reverse else (p - 1, 0)
+    copies, sums = [], []
     base = 1
     for n, mult in g.loop_lengths:
         if n == 1:
-            fan.append(ids[p - 1 if reverse else 0])
+            sums.append((other, 1, 1, hub))
             continue
         step = (n - 1) * p
         first = base * p
-        last, stop = first + step - 1, first + mult * step
-        if reverse:
-            one[first:stop:step] = [ids[p - 1]] * mult
-            fan += ids[last:stop:step]
-        else:
-            one[last:stop:step] = [ids[0]] * mult
-            fan += ids[first:stop:step]
+        near, far = (first, first + step - 1) if reverse else (first + step - 1, first)
+        copies.append((near, mult, step, other))
+        sums.append((far, mult, step, hub))
         base += mult * (n - 1)
-    hub = 0 if reverse else p - 1
-    one[hub] = fan[0] if fan else ids[size]
-    return one, ({hub: fan} if len(fan) > 1 else {})
+    return copies, sums
+
+
+def _flower_neighbours(g: ExplicitGraph, ids: list[int], reverse: bool) -> Neighbours:
+    # a hub without neighbours is vertex 0 (reverse) or the last vertex, so
+    # the shift already gives it size
+    copies, sums = _flower_runs(g, reverse)
+    one = ids[-1:] + ids[:-2] if reverse else ids[1:]
+    for start, count, step, w in copies:
+        one[start:start + count * step:step] = [ids[w]] * count
+    fans: dict[int, list[int]] = {}
+    for start, count, step, v in sums:
+        fans.setdefault(v, []).extend(ids[start:start + count * step:step])
+    for v, fan in fans.items():
+        one[v] = fan[0]
+    return one, {v: fan for v, fan in fans.items() if len(fan) > 1}
+
+
+def _scanned_runs(one: list[int], hubs: dict[int, list[int]]) -> Runs:
+    size = len(one)
+    copies: list[Run] = []
+    sums: list[Run] = []
+    for v in compress(range(size), map(ne, one, chain((size,), range(size - 1)))):
+        if v not in hubs:
+            _extend(copies, v, one[v])
+    for v, fan in hubs.items():
+        for u in fan:
+            _extend(sums, u, v)
+    return copies, sums
+
+
+def _extend(runs: list[Run], v: int, w: int) -> None:
+    """Append v, with w, to the last of ``runs`` if it continues it, else as a new run."""
+    if runs:
+        start, count, step, last = runs[-1]
+        if last == w and v > start and (count == 1 or v == start + count * step):
+            runs[-1] = (start, count + 1, (v - start) // count, w)
+            return
+    runs.append((v, 1, 1, w))
 
 
 def _flower_arrows(loop_lengths: tuple[tuple[int, int], ...]) -> tuple[array, array]:

@@ -4,15 +4,16 @@ All counts are arbitrary-size integers.  Three routes are provided and
 cross-checked in the tests: dynamic programming over the predecessors,
 the renewal convolution of first-return counts, and (at desk scale)
 literal enumeration by walking every path.  Graph routes take vertices
-by index and run on the compact neighbour form that :class:`ExplicitGraph`
-builds once per direction.
+by index.  The DP steps on the predecessor runs, and the enumeration on
+the compact neighbour form, that :class:`ExplicitGraph` builds once.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from operator import itemgetter
-from typing import TYPE_CHECKING, BinaryIO, Iterator, Sequence
+from collections import deque
+from itertools import chain, islice, repeat
+from operator import mul
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Optional, Sequence
 
 from ._frozen import Frozen
 from .errors import InsufficientData
@@ -39,65 +40,89 @@ class PathCountTable(Frozen):
 # ---------------------------------------------------------------------------
 
 
-def _pull_step(g: ExplicitGraph):
-    """The DP step, in place: vec[v] becomes the sum of vec over v's
-    predecessors.  vec ends in a 0 at index size, which the predecessor
-    form gives a vertex without predecessors.  Built once per graph."""
-    return g._kept("_pull_step", lambda: _make_pull_step(g))
+def _pull(g: ExplicitGraph, u: int) -> Iterator[tuple[list[int], int]]:
+    """The pull DP from the vector that is 1 at u, stepped on a ring of
+    size + 1 cells: after t steps vertex x's count is
+    ``ring[(x - t) % (size + 1)]``, and (ring, t) is yielded for t = 1, 2,
+    ...  The caller may change counts between steps.
+
+    Turning the ring by one cell moves every count to the next vertex,
+    which is the step of every vertex whose one predecessor is v - 1, and
+    the count of index ``size``, always 0, to vertex 0.  The runs of
+    :meth:`ExplicitGraph.predecessor_runs` then write the other vertices'
+    counts, read before the turn, by slices: a step costs slice passes over
+    the runs, not Python work per vertex.
+    """
+    copies, sums = g.predecessor_runs()
+    m = g.size + 1
+    ring = [0] * m
+    ring[u] = 1
+    t = 0
+    while True:
+        sources = [ring[(w - t) % m] for *_, w in copies]
+        totals: dict[int, int] = {}
+        for start, count, step, v in sums:
+            totals[v] = totals.get(v, 0) + sum(sum(ring[cells]) for cells, _ in
+                                               _arcs(start, count, step, t, m))
+        t += 1
+        for (start, count, step, _), x in zip(copies, sources):
+            for cells, k in _arcs(start, count, step, t, m):
+                ring[cells] = [x] * k
+        for v, total in totals.items():
+            ring[(v - t) % m] = total
+        ring[(-1 - t) % m] = 0  # index size
+        yield ring, t
 
 
-def _make_pull_step(g: ExplicitGraph):
-    one, hubs = g.reverse_adjacency()
-    gather = itemgetter(*one, g.size)
-    sums = [(v, itemgetter(*preds)) for v, preds in hubs.items()]
-
-    def step(vec: list[int]) -> None:
-        # the hub sums read the old vector, so they are taken before the gather
-        totals = [sum(preds(vec)) for _, preds in sums]
-        vec[:] = gather(vec)
-        for (v, _), total in zip(sums, totals):
-            vec[v] = total
-    return step
+def _arcs(start: int, count: int, step: int, t: int, m: int) -> tuple[tuple[slice, int], ...]:
+    """The two slices, with their lengths, of the ring of :func:`_pull`
+    that hold the vertices start + j*step, j < count, after t steps; the
+    second is empty unless they wrap past the ring's end."""
+    s = (start - t) % m
+    k = min(count, (m - 1 - s) // step + 1)  # the cells before the ring's end
+    w = s + k * step - m
+    return ((slice(s, s + k * step, step), k),
+            (slice(w, w + (count - k) * step, step), count - k))
 
 
 def count_paths(g: ExplicitGraph, u: int, v: int, N: int) -> list[int]:
     """Exact counts p_uv(0..N) of length-n paths from u to v."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    step = _pull_step(g)
-    vec = [0] * (g.size + 1)
-    vec[u] = 1
-    out = [vec[v]]
-    for _ in range(N):
-        step(vec)
-        out.append(vec[v])
-    return out
+    m = g.size + 1
+    return [int(u == v)] + [ring[(v - t) % m] for ring, t in islice(_pull(g, u), N)]
 
 
 def count_first_returns(g: ExplicitGraph, u: int, N: int) -> list[int]:
     """Exact first-return counts f_uu(1..N): loops at u avoiding u internally."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    step = _pull_step(g)
     out: list[int] = []
-    # vec counts paths from u that have not revisited u
-    vec = [0] * (g.size + 1)
-    vec[u] = 1
-    while len(out) < N:
-        step(vec)
-        out.append(vec[u])
-        vec[u] = 0
-        if not any(vec):  # every path has returned or died
-            out += [0] * (N - len(out))
+    m = g.size + 1
+    # the ring counts paths from u that have not revisited u
+    for ring, t in islice(_pull(g, u), N):
+        out.append(ring[(u - t) % m])
+        ring[(u - t) % m] = 0
+        if not any(ring):  # every path has returned or died
+            return out + [0] * (N - len(out))
     return out
 
 
 def renewal_convolve(f: Sequence[int], N: int) -> list[int]:
     """p(0..N) from first-return counts via p(n) = sum_k f(k) p(n-k), p(0) = 1."""
-    p = [1]
-    for n in range(1, N + 1):
-        p.append(sum(f[k - 1] * p[n - k] for k in range(1, min(n, len(f)) + 1)))
-    return p
+    return [1, *islice(_renewal(f[:N]), N)]
+
+
+def _renewal(a: Sequence[int]) -> Iterator[int]:
+    """p(1), p(2), ... from the first-return counts a(1..len(a)), zero past
+    them, holding only the last len(a) counts."""
+    backwards = a[::-1]
+    window = deque([0] * len(a), maxlen=len(a))
+    window.append(1)  # p(0)
+    while True:
+        v = sum(map(mul, backwards, window))
+        window.append(v)
+        yield v
 
 
 # ---------------------------------------------------------------------------
@@ -237,37 +262,60 @@ class GrowthEstimate(Frozen):
         self._init(samples, value)
 
 
-def growth_rate(p: Sequence[int], window: int, period_lift: int = 1) -> GrowthEstimate:
-    """Exponential growth estimate from the last ``window`` counts p(n) > 0.
+def growth_rate(p: Iterable[int], window: int, period_lift: int = 1) -> GrowthEstimate:
+    """Exponential growth estimate from the last ``window`` counts p(n) > 0
+    of p(0), p(1), ...
 
     Zero counts, such as those of a period-p table off the multiples of p,
     are skipped, so they never hit log 0.  With ``period_lift`` p, ``p``
     holds the unlifted counts, and each sample is that of the lifted
     table: (n p, log p(n) / (n p)).
     """
-    usable = [n for n in range(1, len(p)) if p[n] > 0]
-    if len(usable) < window:
-        raise InsufficientData(f"need {window} usable counts, have {len(usable)}")
-    lifted = ((n * period_lift, p[n]) for n in usable[-window:])
-    samples = tuple((n, _ln_big(v) / n) for n, v in lifted)
+    positive = deque(((n, v) for n, v in enumerate(p) if n and v > 0), maxlen=window)
+    if len(positive) < window:
+        raise InsufficientData(f"need {window} usable counts, have {len(positive)}")
+    return _estimate(positive, period_lift)
+
+
+def _estimate(positive: Iterable[tuple[int, int]], period_lift: int) -> GrowthEstimate:
+    samples = tuple((n * period_lift, _ln_big(v) / (n * period_lift)) for n, v in positive)
     return GrowthEstimate(samples, samples[-1][1])
 
 
-def _csv_lines(table: PathCountTable, period_lift: int) -> Iterator[str]:
+def _csv_lines(rows: Iterable[tuple[int, int]], period_lift: int,
+               positive: deque) -> Iterator[str]:
     yield "n,f,p,growth_estimate"
-    for m, (fv, pv) in enumerate(zip(table.f, table.p[1:]), 1):
+    for m, (fv, pv) in enumerate(rows, 1):
         n = m * period_lift
         yield from map("{},0,0,".format, range(n - period_lift + 1, n))
         row = f"{n},{int_text(fv)},{int_text(pv)},"
-        yield f"{row}{_ln_big(pv) / n:.12f}" if pv > 0 else row
+        if pv > 0:
+            positive.append((m, pv))
+            row += f"{_ln_big(pv) / n:.12f}"
+        yield row
 
 
-def write_csv(table: PathCountTable, fh: BinaryIO, period_lift: int = 1) -> None:
-    """Write the rows ``n,f,p,growth_estimate`` of ``table`` lifted by p to
-    the binary file ``fh``, a thousand lines per write.  ``table`` holds
-    the unlifted counts, spread onto n = m p row by row: the lifted table,
-    p times longer, is never built.  Counts are written by
-    :func:`spectrum.int_text`, in hex past 4,300 digits."""
-    lines = _csv_lines(table, period_lift)
-    while chunk := list(islice(lines, 1024)):
-        fh.write(("\n".join(chunk) + "\n").encode("utf-8"))
+def write_csv(s: LoopSpectrum, N: int, fh: BinaryIO,
+              period_lift: int = 1) -> Optional[GrowthEstimate]:
+    """Write the rows ``n,f,p,growth_estimate`` of ``table_from_spectrum(s,
+    N)`` lifted by p to the binary file ``fh``, a thousand lines per write
+    (fewer once they average a kilobyte, so a write stays near a
+    megabyte), and return ``growth_rate`` of its counts with window 8, or None if fewer
+    than 8 are positive.
+
+    No table is built: each unlifted row is computed as it is written, from
+    a window of the last N_max counts, and spread onto n = m p.  Counts are
+    written by :func:`spectrum.int_text`, in hex past 4,300 digits.
+    """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    a = s.a[:N]
+    positive: deque = deque(maxlen=8)
+    lines = _csv_lines(zip(chain(a, repeat(0)), islice(_renewal(a), N)), period_lift, positive)
+    most = 1024
+    while chunk := list(islice(lines, most)):
+        data = ("\n".join(chunk) + "\n").encode("utf-8")
+        fh.write(data)
+        most = min(1024, 1 + (len(chunk) << 20) // len(data))
+        del chunk, data  # not held while the next chunk is built
+    return _estimate(positive, period_lift) if len(positive) == 8 else None

@@ -16,6 +16,7 @@ from markovforge import (export, export_dot, export_json, graph, import_json,
 from markovforge.errors import EmptyLoopSet, Unrealizable
 from markovforge.graph import (ROOT, ExplicitGraph, is_strongly_connected,
                                vertex_count)
+from markovforge.oracle import count_first_returns, count_paths
 
 from conftest import built
 
@@ -75,6 +76,26 @@ def test_realize_and_lift_allocate_no_arrows():
     assert realize_peak < 10 ** 6 and lift_peak < 10 ** 6
     with pytest.raises(Unrealizable, match="2394006 vertices"):
         lift_period(g, 6)
+
+
+def test_the_dp_on_a_realization_builds_no_neighbour_form(monkeypatch):
+    # 399,001 vertices at depth 8: the DP's ring of counts takes 3.2 MB; the
+    # gather it replaced built the neighbour forms and tuples over the ids,
+    # more than 20 MB
+    g = realize(user_spectrum([1] + [0] * 6 + [57_000]), 8)
+
+    def forms_built(self):
+        raise AssertionError("a neighbour form was built")
+    monkeypatch.setattr(ExplicitGraph, "_forms", forms_built)
+    for dp, counts in ((lambda: count_paths(g, g.root, g.root, 8), [1] * 8 + [57_001]),
+                       (lambda: count_first_returns(g, g.root, 8), [1] + [0] * 6 + [57_000])):
+        tracemalloc.start()
+        try:
+            assert dp() == counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * (g.size + 1), peak
 
 
 def test_export_streams_in_bounded_memory():

@@ -192,14 +192,14 @@ def test_period_lift_spreads_counts(spec2):
     assert [t.p[3 * n] for n in range(9)] == list(base.p)
 
 
-def csv_bytes(table, p=1):
+def csv_bytes(s, N, p=1):
     out = io.BytesIO()
-    write_csv(table, out, p)
+    write_csv(s, N, out, p)
     return out.getvalue()
 
 
 def test_csv_has_growth_column(spec2):
-    lines = csv_bytes(table_from_spectrum(spec2, 8)).decode().splitlines()
+    lines = csv_bytes(spec2, 8).decode().splitlines()
     assert lines[0] == "n,f,p,growth_estimate"
     assert lines[4].startswith("4,4,5,")
     assert len(lines) == 9
@@ -216,9 +216,8 @@ def test_lifted_csv_streams_the_unlifted_table():
     # base 2, N_max 16, lifted by 3, --max-n 400: 1,200 rows, whose bytes and
     # growth line are those the lifted table, built whole, gave
     s = built("2", 16)
-    table = table_from_spectrum(s, 400)
     writes = Writes()
-    write_csv(table, writes, 3)
+    est = write_csv(s, 400, writes, 3)
     data = b"".join(writes)
     assert hashlib.sha256(data).hexdigest() == (
         "f1a7c61c43007d536044222afdd368a756d9ccc8a9b18cc4559c2910c50718b9")
@@ -227,7 +226,7 @@ def test_lifted_csv_streams_the_unlifted_table():
     assert data.decode().splitlines()[1:] == [
         f"{n},{lifted.f[n - 1]},{v}," + (f"{_ln_big(v) / n:.12f}" if v else "")
         for n, v in enumerate(lifted.p) if n > 0]
-    est = growth_rate(table.p, window=8, period_lift=3)
+    assert est == growth_rate(table_from_spectrum(s, 400).p, window=8, period_lift=3)
     assert est == growth_rate(lifted.p, window=8)
     assert f"{est.samples[-1][0]}: {est.value:.6f}" == "1200: 0.224501"
 

@@ -1,5 +1,6 @@
 """The reachability search and the literal walk against the loops they
-replaced, which are kept here as the reference.
+replaced, which are kept here as the reference, and the DP against the
+reference walk.
 
 The reference loops test a met set for every vertex the search meets and
 look up every walk's vertex in a dict of hub fans; the loops in ``src``
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 from markovforge import realize, user_spectrum
 from markovforge.graph import ExplicitGraph, is_strongly_connected, vertex_count
-from markovforge.oracle import (BudgetExceeded, _charge, enumerate_first_returns,
-                                walk_path_counts)
+from markovforge.oracle import (BudgetExceeded, _charge, count_first_returns, count_paths,
+                                enumerate_first_returns, walk_path_counts)
 
 from conftest import BETA_TEXTS, built
 
@@ -134,6 +135,13 @@ def assert_matches_reference(g, u, v):
                 == walked(reference_walk_path_counts, g, u, v, budget))
         assert (first_returns(enumerate_first_returns, g, u, budget)
                 == first_returns(reference_enumerate_first_returns, g, u, budget))
+    # the DP steps on the graph's predecessor runs: strided ones from a
+    # realization, scanned ones from a hand-built graph
+    counts, _ = walked(reference_walk_path_counts, g, u, v, BUDGETS[-1])
+    assert count_paths(g, u, v, MOST_LEVELS - 1)[:len(counts)] == counts
+    returns = first_returns(reference_enumerate_first_returns, g, u, BUDGETS[-1])[1:]
+    f = count_first_returns(g, u, MOST_LEVELS - 1)
+    assert all(r is None or r == x for x, r in zip(f, returns))
 
 
 # ---------------------------------------------------------------------------
