@@ -16,14 +16,13 @@ import sys as _sys
 from .intervals import (BetaValue, CReal, certified_floor, exp_fraction,
                         geometric_tail, log_fraction, power_series)
 from .spectrum import (LoopSpectrum, SpectrumMeta, build_spectrum,
-                       delete_loop, spectrum_checks, spectrum_tail_bounds,
-                       unit_sum_enclosure, unit_sum_target, user_spectrum,
-                       weighted_sum_enclosure)
+                       delete_loop, spectrum_checks, unit_sum_enclosure,
+                       unit_sum_target, user_spectrum, weighted_sum_enclosure)
 
 _EXPORTS = {
     "classifier": ("ClassificationReport", "Radius", "Verdict", "classify",
-                   "entropy_enclosure", "entropy_of_lift", "lambda_estimate",
-                   "radius_L"),
+                   "entropy_enclosure", "entropy_of_lift", "radius_L",
+                   "renewal_limit"),
     "graph": ("ExplicitGraph", "export", "export_dot", "export_json",
               "import_json", "lift_period", "period", "realize"),
     "oracle": ("GrowthEstimate", "PathCountTable", "count_first_returns",

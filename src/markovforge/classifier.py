@@ -23,16 +23,13 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from ._frozen import Frozen
-from .intervals import (DEFAULT_PRECISION_BITS, CReal, _ln_big, decimal_bounds,
-                        log_fraction, log_interval, power_series)
+from .intervals import (DEFAULT_PRECISION_BITS, CReal, _horner, _ln_big,
+                        decimal_bounds, log_fraction, log_interval, power_series)
 from .spectrum import (LoopSpectrum, identity_failure, unit_sum_enclosure,
                        weighted_sum_enclosure)
-
-if TYPE_CHECKING:
-    from .oracle import PathCountTable
 
 
 class Verdict(str, Enum):
@@ -58,6 +55,10 @@ class Radius(Frozen):
 
 
 class ClassificationReport(Frozen):
+    """Verdict and certificates of a loop spectrum.  ``L``, ``R``, ``F_at_L``
+    and ``mean_return_bound`` (sum n a(n) R^n) are the unlifted system's: a
+    file's period lift changes none of them."""
+
     _fields = ("verdict", "L", "R", "F_at_L", "mean_return_bound", "entropy",
                "has_mme", "notes")
 
@@ -117,21 +118,20 @@ def radius_L(s: LoopSpectrum) -> Radius:
 
 def _bisect_root(s: LoopSpectrum) -> CReal:
     """Certified root of F(x) = 1 for a finite-support spectrum."""
-    terms = list(enumerate(s.a, 1))
+    terms = [(n, c) for n, c in enumerate(s.a, 1) if c]
     # some count is >= 1, so F(1) >= 1
     if power_series(terms, 1) == 1:
         return CReal.exact(1)
-    lo, hi = Fraction(0), Fraction(1)
-    for _ in range(DEFAULT_PRECISION_BITS // 2):
-        mid = (lo + hi) / 2
-        v = power_series(terms, mid)
-        if v == 1:
-            return CReal.exact(mid)
-        if v < 1:
-            lo = mid
-        else:
-            hi = mid
-    return CReal(lo, hi)
+    # the root lies in [a, a + 1] / 2^j; F at the dyadic midpoint m / 2^j is
+    # the integer ratio num / den, compared with 1 without reducing it
+    a = 0
+    for j in range(1, DEFAULT_PRECISION_BITS // 2 + 1):
+        m = 2 * a + 1
+        num, den = _horner(terms, m, 1 << j)
+        if num == den:
+            return CReal.exact(Fraction(m, 1 << j))
+        a = m if num < den else 2 * a
+    return CReal(Fraction(a, 1 << j), Fraction(a + 1, 1 << j))
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +231,19 @@ def _classify_finite(s: LoopSpectrum) -> ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# lambda estimates (non-certified by nature)
+# the renewal limit
 # ---------------------------------------------------------------------------
 
 
-def lambda_estimate(counts: PathCountTable, R: CReal) -> tuple[tuple[int, float], ...]:
-    """The last 16 nonzero values p(n) R^n, the candidate limit lambda.
-
-    A numeric trend only: positive recurrent systems stabilize at a positive
-    value, transient ones decay to 0.  No closed form is available.
-    """
-    mid = R.mid
-    usable = [n for n in range(1, len(counts.p)) if counts.p[n] > 0]
-    return tuple((n, float(counts.p[n] * mid ** n)) for n in usable[-16:])
+def renewal_limit(s: LoopSpectrum, report: ClassificationReport) -> Optional[CReal]:
+    """Enclosure of lambda = lim p(n) R^n over the multiples of d, the gcd of
+    the loop lengths (d = 1 when a(1) = 1), or None for an indeterminate
+    report.  By the renewal theorem (Erdos, Feller and Pollard 1949) lambda =
+    d / mu for F(R) = 1 with a finite mean return mu, else 0.  A period lift
+    by p maps p(n) R^n to p(n p) (R^(1/p))^(n p), the same limit."""
+    if report.verdict is Verdict.INDETERMINATE:
+        return None
+    if report.verdict is not Verdict.POSITIVE_RECURRENT:
+        return CReal.exact(0)
+    d = 1 if s.meta is not None else math.gcd(*s.support())
+    return d / report.mean_return_bound

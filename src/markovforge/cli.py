@@ -114,18 +114,19 @@ def cmd_classify(args) -> int:
     report = classifier.classify(sf.spectrum)
     payload = report.to_dict()
     payload["period_lift"] = sf.period_lift
-    lifted = classifier.entropy_of_lift(sf.spectrum, sf.period_lift)
+    # entropy_of_lift would classify a user spectrum a second time
+    lifted = report.entropy
+    if lifted is not None and sf.period_lift != 1:
+        lifted = lifted / sf.period_lift
     payload["lifted_entropy"] = (list(decimal_bounds(lifted))
                                  if lifted is not None else None)
     if args.bits and lifted is not None:
         # report entropy in bits: divide the natural-log enclosure by ln 2
         payload["lifted_entropy_bits"] = list(decimal_bounds(lifted / ln2_enclosure()))
-    if args.lambda_window and report.R.value is not None:
-        # lifted by p, p(n p) (R^(1/p))^(n p) = p(n) R^n: the unlifted
-        # window, each n relabelled n p
-        table = oracle.table_from_spectrum(sf.spectrum, max(64, 2 * sf.spectrum.N_max))
-        payload["lambda_window"] = [[n * sf.period_lift, v] for n, v
-                                    in classifier.lambda_estimate(table, report.R.value)]
+    if args.lambda_window:
+        # a period lift leaves the limit alone
+        limit = classifier.renewal_limit(sf.spectrum, report)
+        payload["lambda_window"] = list(decimal_bounds(limit)) if limit is not None else None
     import json
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--bits", action="store_true",
                    help="also report entropy in bits")
     c.add_argument("--lambda-window", action="store_true",
-                   help="include the p(n) R^n trailing window")
+                   help="include the certified renewal limit lim p(n) R^n")
     c.set_defaults(fn=cmd_classify)
 
     e = sub.add_parser("entropy", help="emit growth-rate CSV")

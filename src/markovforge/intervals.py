@@ -92,10 +92,6 @@ class CReal(Frozen):
         return self.hi - self.lo
 
     @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
@@ -322,9 +318,8 @@ def certified_floor(x: CReal) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _horner(terms: list[tuple[int, int]], x: Fraction) -> Fraction:
-    # S = sum c p^n q^(D-n) in integers, one normalization for S / q^D
-    p, q = x.numerator, x.denominator
+def _horner(terms: list[tuple[int, int]], p: int, q: int) -> tuple[int, int]:
+    # (S, q^D) with S = sum c p^n q^(D-n) in integers: sum c (p/q)^n = S / q^D
     acc, p_pow, last = 0, 1, 0
     for n, c in terms:
         if n > last:
@@ -332,7 +327,7 @@ def _horner(terms: list[tuple[int, int]], x: Fraction) -> Fraction:
             acc *= q ** (n - last)
             last = n
         acc += c * p_pow
-    return Fraction(acc, q ** last)
+    return acc, q ** last
 
 
 def _fixed_point(terms: list[tuple[int, int]], x: Fraction, w: int, up: bool) -> Fraction:
@@ -386,11 +381,12 @@ def power_series(terms: Iterable[tuple[int, int]],
         if c:
             checked.append((n, c))
     if not isinstance(x, CReal):
-        return _horner(checked, _frac(x))
+        x = _frac(x)
+        return Fraction(*_horner(checked, x.numerator, x.denominator))
     if x.lo < 0:
         raise ValueError("power_series needs a nonnegative enclosure")
     if x.is_exact:
-        lo = _horner(checked, x.lo)
+        lo = Fraction(*_horner(checked, x.lo.numerator, x.lo.denominator))
         return CReal(lo, lo, x.precision_bits)
     w = x.precision_bits + GUARD + max((c.bit_length() for _, c in checked), default=0)
     return CReal(_fixed_point(checked, x.lo, w, False),

@@ -46,8 +46,8 @@ class SpectrumMeta(Frozen):
     arithmetic.  Derived on first use as the build derived them: B and
     L = 1/B (the radius of sum a(n) z^n), c = (B-1)^2, M_bound = B + k
     (bounds each count above its square floor), square_floors, b(m^2) =
-    floor(c beta^(m^2-m)) for m^2 <= N_max, and the deficit delta, both
-    None if a floor is undecidable at precision_bits.
+    floor(c beta^(m^2-m)) for every m <= n_ext the plan tracks, and the
+    deficit delta, both None if a floor is undecidable at precision_bits.
     """
 
     _fields = ("beta", "precision_bits", "N_max", "k", "tail_at_L", "deleted_loop")
@@ -71,16 +71,16 @@ class SpectrumMeta(Frozen):
     @cached_property
     def square_floors(self) -> Optional[dict[int, int]]:
         try:
-            return _square_floors(self._plan[2], math.isqrt(self.N_max))
+            return _square_floors(self._plan[2], self._plan[1])
         except (FloorUndecidable, PrecisionExhausted):
             return None
 
     @cached_property
     def delta(self) -> Optional[CReal]:
-        try:
-            return _deficit(self.beta, self.N_max, self.precision_bits, self._plan)[2]
-        except (FloorUndecidable, PrecisionExhausted):
+        if self.square_floors is None:
             return None
+        return _deficit(self.beta, self.N_max, self.precision_bits, self._plan,
+                        self.square_floors)[1]
 
 
 class LoopSpectrum(Frozen):
@@ -213,41 +213,43 @@ def _square_floors(Bt: CReal, m_max: int) -> dict[int, int]:
     return floors
 
 
-def _deficit(beta: BetaValue, N_max: int, bits: int, plan: tuple) -> tuple:
-    """(floors, delta, delta_grid, floor_tail) of a build with this plan: the
-    square floors b(m^2) for m <= n_ext, the deficit delta = 1 - sum b(n) L^n
-    clamped at 0, delta rounded outward onto the series grid, and floor_tail,
-    the part of that sum beyond N_max."""
-    series_bits, n_ext, Bt, B, L = plan
-    c = (B - 1) ** 2
-    floors = _square_floors(Bt, n_ext)
+def _far_floor_tail(beta: BetaValue, plan: tuple, bits: int, weight: str) -> CReal:
+    """Enclosure of sum_{m > n_ext} w(m^2) b(m^2) L^(m^2), w(n) = 1 or n, the
+    square floors the plan does not track.  Each floor lies in
+    (c beta^(m^2-m) - 1, c beta^(m^2-m)], so the sum lies within [c G - S, c G]:
+    G = sum_{m > n_ext} w(m^2) L^m, and the slack S <= sum_{n >= (n_ext+1)^2}
+    w(n) L^n is 0 for integer beta, whose floors are lossless."""
+    _, n_ext, _, B, L = plan
+    geo = (B - 1) ** 2 * geometric_tail(L, n_ext + 1, "n2" if weight == "n" else "1")
+    if beta.is_integer:
+        return geo
+    slack = geometric_tail(L, (n_ext + 1) ** 2, weight)
+    return CReal(max(Fraction(0), geo.lo - slack.hi), geo.hi, bits)
 
+
+def _deficit(beta: BetaValue, N_max: int, bits: int, plan: tuple,
+             floors: dict[int, int]) -> tuple:
+    """(delta, delta_grid, floor_tail) of a build with this plan and its square
+    floors b(m^2), m <= n_ext: the deficit delta = 1 - sum b(n) L^n clamped
+    at 0, delta rounded outward onto the series grid, and floor_tail, the
+    part of that sum beyond N_max."""
+    series_bits, L = plan[0], plan[4]
     # floors holds ascending n; those above N_max are summed once, for both
     # the deficit and the stored tail
     head = power_series(((n, b) for n, b in floors.items() if n <= N_max), L)
     tracked_tail = power_series(((n, b) for n, b in floors.items() if n > N_max), L)
-
-    # tail of the floor series beyond n_ext^2: each floor lies in
-    # (c beta^(m^2-m) - 1, c beta^(m^2-m)], so the tail is within
-    # [c*T - slack, c*T] with T the geometric tail and slack = sum beta^-m^2.
-    geo = geometric_tail(L, n_ext + 1, "1")
-    if beta.is_integer:
-        # integer beta with integer c: every floor is lossless, tail exact
-        far_tail = c * geo
-    else:
-        slack = geometric_tail(L, (n_ext + 1) ** 2, "1")
-        upper = (c * geo).hi
-        far_tail = CReal(max(Fraction(0), (c * geo).lo - slack.hi), upper, bits)
+    far_tail = _far_floor_tail(beta, plan, bits, "1")
 
     delta = 1 - (head + tracked_tail + far_tail)
     delta = CReal(max(delta.lo, Fraction(0)), max(delta.hi, Fraction(0)), bits)
-    return floors, delta, delta.round_outward(series_bits), tracked_tail + far_tail
+    return delta, delta.round_outward(series_bits), tracked_tail + far_tail
 
 
 def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     plan = _build_plan(beta, N_max, bits)
-    series_bits, _, _, B, L = plan
-    floors, delta, delta_grid, floor_tail = _deficit(beta, N_max, bits, plan)
+    series_bits, n_ext, Bt, B, L = plan
+    floors = _square_floors(Bt, n_ext)
+    delta, delta_grid, floor_tail = _deficit(beta, N_max, bits, plan, floors)
     if not delta.certainly_lt(1):
         raise PrecisionExhausted(
             f"deficit enclosure [{delta.lo}, {delta.hi}] does not separate from 1")
@@ -263,7 +265,8 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     tail = floor_tail + remainder * L ** N_max
     tail = CReal(tail.lo, tail.hi, bits).round_outward(series_bits)
     meta = SpectrumMeta(beta, bits, N_max, k, tail)
-    meta.__dict__.update(_plan=plan, delta=delta_grid)  # the meta keeps this derivation
+    # the meta keeps this derivation
+    meta.__dict__.update(_plan=plan, square_floors=floors, delta=delta_grid)
     a = tuple(floors.get(n, 0) + d for n, d in enumerate(digits, 1))
     return LoopSpectrum(a, N_max, meta=meta)
 
@@ -348,7 +351,8 @@ def identity_failure(s: LoopSpectrum, unit_sum: CReal) -> Optional[str]:
         return f"a square floor is undecidable at {s.meta.precision_bits} bits"
     if s.a[0] != 1:
         return f"a(1) = {int_text(s.a[0])}, not 1"
-    n = next((n for n, b in floors.items() if s.a[n - 1] + (n == n0) < b), None)
+    n = next((n for n, b in floors.items()
+              if n <= s.N_max and s.a[n - 1] + (n == n0) < b), None)
     if n is not None:
         return f"a({n}) lies below its square floor b({n})"
     target = unit_sum_target(s)
@@ -357,32 +361,24 @@ def identity_failure(s: LoopSpectrum, unit_sum: CReal) -> Optional[str]:
     return None
 
 
-def spectrum_tail_bounds(s: LoopSpectrum, from_n: int) -> CReal:
-    """Certified upper bound on sum_{n >= from_n} n a(n) L^n.
-
-    Uses the comparison series: off-square counts are at most M, square
-    counts at most c beta^(m^2-m) + M, so the tail is dominated by
-    M * sum n beta^-n  +  c * sum m^2 beta^-m  (m ranging over square roots).
-    """
+def weighted_sum_enclosure(s: LoopSpectrum) -> Optional[CReal]:
+    """Certified enclosure of the mean return sum n a(n) L^n, or None if a
+    square floor is undecidable at the file's precision.  Past the stored
+    counts each count is a square floor, summed up to n_ext and enclosed
+    beyond, plus a greedy digit floor(beta r) of a remainder r in [0, 1):
+    below beta, so the digits add [0, (ceil(beta) - 1) sum_{n > N_max} n L^n]
+    (k sits at n = 2)."""
     if s.meta is None:
         raise TailUnavailable("spectrum has no analytic metadata")
-    if from_n < 1:
-        raise ValueError("from_n must be >= 1")
     meta = s.meta
-    m0 = math.isqrt(from_n - 1) + 1  # smallest m with m^2 >= from_n
-    bound = (meta.M_bound * geometric_tail(meta.L, from_n, "n")
-             + meta.c * geometric_tail(meta.L, m0, "n2"))
-    return CReal(Fraction(0), bound.hi, meta.precision_bits)
-
-
-def weighted_sum_enclosure(s: LoopSpectrum) -> CReal:
-    """Certified enclosure/upper bound of sum_{n>=1} n a(n) L^n (mean return)."""
-    if s.meta is None:
-        raise TailUnavailable("spectrum has no analytic metadata")
-    L = s.meta.L
-    partial = power_series(((n, n * an) for n, an in enumerate(s.a, 1)), L)
-    tail = spectrum_tail_bounds(s, s.N_max + 1)
-    return CReal(partial.lo, (partial + tail).hi, L.precision_bits)
+    floors, L = meta.square_floors, meta.L
+    if floors is None:
+        return None
+    head = power_series(((n, n * an) for n, an in enumerate(s.a, 1)), L)
+    tracked = power_series(((n, n * b) for n, b in floors.items() if n > s.N_max), L)
+    far = _far_floor_tail(meta.beta, meta._plan, meta.precision_bits, "n")
+    digits = (math.ceil(meta.B.hi) - 1) * geometric_tail(L, s.N_max + 1, "n")
+    return head + tracked + far + CReal(Fraction(0), digits.hi, meta.precision_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,16 @@ supplies that root and the matching entropy to 60 digits.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
 
 from markovforge import (Verdict, classify, delete_loop, entropy_enclosure,
-                         entropy_of_lift, lambda_estimate, radius_L,
+                         entropy_of_lift, power_series, radius_L, renewal_limit,
                          table_from_spectrum, user_spectrum)
+
+from conftest import built
 
 mpmath.mp.dps = 60
 
@@ -94,6 +97,19 @@ def test_radius_helpers(spec2):
     assert classify(user_spectrum([1])).R.value.contains(1)
 
 
+def test_bisection_compares_dyadic_midpoints_in_integers():
+    # a(2) = a(2000) = 1: reducing F(mid) to lowest terms at every step took
+    # 5 s, almost all of it in gcd
+    a = [0] * 2000
+    a[1] = a[-1] = 1
+    start = time.perf_counter()
+    rep = classify(user_spectrum(a))
+    assert time.perf_counter() - start < 2.5
+    root, terms = rep.R.value, [(2, 1), (2000, 1)]
+    assert power_series(terms, root.lo) < 1 < power_series(terms, root.hi)
+    assert root.width == Fraction(1, 2 ** 128)
+
+
 def test_entropy_of_lift(spec2):
     h = entropy_enclosure(spec2)
     h3 = entropy_of_lift(spec2, 3)
@@ -101,14 +117,41 @@ def test_entropy_of_lift(spec2):
     assert near(h3, mpmath.log(2) / 3)
 
 
-def test_lambda_estimate_base2(spec2):
-    rep = classify(spec2)
-    t = table_from_spectrum(spec2, 64)
-    window = lambda_estimate(t, rep.R.value)
+def test_renewal_limit_base2(spec2):
     # positive recurrent with mean return 6, so p(n) 2^-n tends to 1/6
-    for n, v in window:
-        assert abs(v - 1 / 6) < 0.05
-    assert [n for n, _ in window] == list(range(49, 65))
+    lam = renewal_limit(spec2, classify(spec2))
+    assert lam.contains(Fraction(1, 6))
+    assert lam.width < Fraction(1, 2 ** 50)
+
+
+def test_renewal_limit_meets_the_path_counts():
+    # p(512) L^512 from a 512-term build of the same base
+    for text in ("2", "e^7/10"):
+        s = built(text)
+        lam = renewal_limit(s, classify(s))
+        deep = built(text, 512)
+        p = table_from_spectrum(deep, 512).p[512]
+        x, tol = p * deep.meta.L.lo ** 512, Fraction(1, 10 ** 6)
+        assert lam.lo - tol < x < lam.hi + tol, text
+        assert lam.width < Fraction(1, 10 ** 12), text
+
+
+def test_renewal_limit_of_transient_and_finite_spectra(spec2):
+    transient = delete_loop(spec2)
+    lam = renewal_limit(transient, classify(transient))
+    assert lam.lo == lam.hi == 0
+    # F(x) = x and F(x) = x^2: one return, of period 1 and 2
+    for a in ([1], [0, 1]):
+        s = user_spectrum(a)
+        lam = renewal_limit(s, classify(s))
+        assert lam.lo == lam.hi == 1, a
+    # F(x) = x^2 + 2 x^4: R^2 = 1/2, mean 2 R^2 + 8 R^4 = 3, period 2
+    s = user_spectrum([0, 1, 0, 2])
+    lam = renewal_limit(s, classify(s))
+    assert lam.contains(Fraction(2, 3)) and lam.width < Fraction(1, 10 ** 30)
+    # a truncation of something unknown has no limit to certify
+    s = user_spectrum([1, 4], finite_support=False)
+    assert renewal_limit(s, classify(s)) is None
 
 
 def test_report_serializes(spec2):

@@ -557,22 +557,28 @@ def test_small_entropy_bases_build_and_verify(beta, tmp_path):
     assert json.loads(report.stdout)["verdict"] == "PositiveRecurrent"
 
 
-def test_lifted_lambda_window_is_the_unlifted_one_relabelled(tmp_path, capsys):
-    # p(n p) (R^(1/p))^(n p) = p(n) R^n: a lift only relabels the window
-    path = tmp_path / "b2.json"
+def _lambda_window(capsys, path):
+    code, out, _ = run(capsys, "classify", str(path), "--lambda-window")
+    assert code == 0
+    return [Fraction(v) for v in json.loads(out)["lambda_window"]]
+
+
+def test_lift_keeps_the_renewal_limit(tmp_path, capsys):
+    # p(n p) (R^(1/p))^(n p) = p(n) R^n: a lift relabels n and keeps the limit
+    path, variant = tmp_path / "b2.json", tmp_path / "b2_t.json"
     assert run(capsys, "build", "--beta", "2", "--out", str(path))[0] == 0
-    windows = {}
-    for p in (1, 2, 3):
-        lifted = tmp_path / f"b2_p{p}.json"
-        assert run(capsys, "lift", str(path), "--period", str(p), "--out", str(lifted))[0] == 0
-        code, out, _ = run(capsys, "classify", str(lifted), "--lambda-window")
-        assert code == 0
-        windows[p] = json.loads(out)["lambda_window"]
-    assert len(windows[1]) == 16
-    for p in (2, 3):
-        assert windows[p] == [[n * p, v] for n, v in windows[1]]
-    n, v = windows[3][-1]
-    assert n == 384 and abs(v - 0.1612) < 1e-4  # positive recurrent: no decay to 0
+    assert run(capsys, "transient-variant", str(path), "--out", str(variant))[0] == 0
+    for src, expected in ((path, Fraction(1, 6)), (variant, 0)):
+        windows = []
+        for p in (1, 2, 3):
+            lifted = tmp_path / f"lifted_p{p}.json"
+            assert run(capsys, "lift", str(src), "--period", str(p),
+                       "--out", str(lifted))[0] == 0
+            windows.append(_lambda_window(capsys, lifted))
+        assert windows[0] == windows[1] == windows[2]
+        lo, hi = windows[0]
+        assert lo <= expected <= hi and hi - lo < Fraction(1, 2 ** 50)
+    assert windows[0] == [0, 0]  # transient: exactly 0
 
 
 def test_lambda_window_cost_does_not_grow_with_the_lift(tmp_path, capsys):
@@ -580,6 +586,6 @@ def test_lambda_window_cost_does_not_grow_with_the_lift(tmp_path, capsys):
     run(capsys, "build", "--beta", "2", "--max-n", "16", "--out", str(path))
     run(capsys, "lift", str(path), "--period", str(10 ** 6), "--out", str(lifted))
     start = time.perf_counter()
-    code, out, _ = run(capsys, "classify", str(lifted), "--lambda-window")
+    lo, hi = _lambda_window(capsys, lifted)
     assert time.perf_counter() - start < 1
-    assert code == 0 and json.loads(out)["lambda_window"][-1][0] == 64 * 10 ** 6
+    assert lo <= Fraction(1, 6) <= hi

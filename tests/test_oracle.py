@@ -243,7 +243,7 @@ def test_growth_rate_converges_base2(spec2):
        st.integers(0, 12))
 @settings(max_examples=60, deadline=None)
 def test_lifted_counts_vanish_off_the_period(a, p, extra):
-    # growth_rate and lambda_estimate rely on this instead of a period
+    # growth_rate relies on this instead of a period
     t = table_from_spectrum(user_spectrum(a), len(a) * p + extra, p)
     assert all(n % p == 0 for n, v in enumerate(t.p) if v > 0)
 

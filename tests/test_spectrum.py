@@ -15,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovforge import (BetaValue, CReal, build_spectrum, delete_loop,
-                         power_series, spectrum_checks, spectrum_tail_bounds,
+                         geometric_tail, power_series, spectrum_checks,
                          unit_sum_enclosure, unit_sum_target, user_spectrum,
                          weighted_sum_enclosure)
 from markovforge.errors import (NoDeletableLoop, NotGreaterThanOne, PrecisionExhausted,
                                 TailUnavailable)
 from markovforge.spectrum import MAX_SQUARE_FLOORS, _greedy_digits
+
+from conftest import built
 
 
 def test_base2_exact_counts(spec2):
@@ -118,23 +120,39 @@ def test_unit_sum_target_after_deletion(spec2):
 
 
 def test_weighted_sum_base2(spec2):
-    # sum of n a(n) 2^-n = sum of m^2 2^-m = 6 exactly; the truncation at
-    # N_max = 64 leaves the tail sum of m^2 2^-m over m >= 9, about 0.398
+    # sum of n a(n) 2^-n = 1/2 + sum_{m >= 2} m^2 2^-m = 6 exactly; past
+    # N_max = 64 the floors are summed, and only the digits, each 0 or 1,
+    # stay open: sum_{n > 64} n 2^-n < 2^-57
     mu = weighted_sum_enclosure(spec2)
     assert mu.contains(6)
-    assert mu.lo == Fraction(717, 128)
-    assert mu.width < Fraction(1, 2)
+    assert mu.width < Fraction(1, 2 ** 50)
 
 
-def test_tail_bounds_dominate_true_tail(spec2):
-    for from_n in (17, 30, 50):
-        true_tail = sum(Fraction(n * spec2.count(n), 2 ** n)
-                        for n in range(from_n, 65))
-        bound = spectrum_tail_bounds(spec2, from_n)
-        assert bound.hi >= true_tail
-        assert bound.lo >= 0
-    with pytest.raises(ValueError, match="from_n"):
-        spectrum_tail_bounds(spec2, 0)
+# every base and N_max of the benchmark workloads (ln2 lifted by 3 is 8@64)
+WORKLOAD_BASES = [("e^1/5", 64), ("e^7/10", 64), ("e^7/10", 128), ("e^3", 64),
+                  ("1.05", 64), ("1.05", 128), ("5/2", 64), ("5/2", 128), ("3", 64),
+                  ("3", 128), ("8", 64), ("8", 128), ("2", 64), ("2", 128),
+                  ("3/2", 64), ("e^5/2", 64)]
+
+
+def _comparison_series_mean(s):
+    # the enclosure before the floor series was summed: the stored head, and
+    # past N_max the comparison series M sum n L^n + c sum_{m^2 > N_max} m^2 L^m
+    meta, L = s.meta, s.meta.L
+    head = power_series(((n, n * an) for n, an in enumerate(s.a, 1)), L)
+    tail = (meta.M_bound * geometric_tail(L, s.N_max + 1, "n")
+            + meta.c * geometric_tail(L, math.isqrt(s.N_max) + 1, "n2"))
+    return head.lo, (head + tail).hi
+
+
+@pytest.mark.parametrize("text, n_max", WORKLOAD_BASES)
+def test_weighted_sum_lies_inside_the_comparison_series(text, n_max):
+    s = built(text, n_max)
+    # 1.05 at N_max 64 has no loop of length 2..64 to delete
+    for spectrum in [s, delete_loop(s)] if len(s.support()) > 1 else [s]:
+        mu = weighted_sum_enclosure(spectrum)
+        lo, hi = _comparison_series_mean(spectrum)
+        assert lo <= mu.lo <= mu.hi <= hi, text
 
 
 def _mp_greedy(x, beta, num_digits):
@@ -201,7 +219,7 @@ def test_user_spectrum_wraps_counts():
     assert s.finite_support
     # every certified sum and check needs the metadata of a built spectrum
     for needs_meta in (unit_sum_enclosure, unit_sum_target, weighted_sum_enclosure,
-                       spectrum_checks, lambda s: spectrum_tail_bounds(s, 1)):
+                       spectrum_checks):
         with pytest.raises(TailUnavailable):
             needs_meta(s)
 

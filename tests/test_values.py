@@ -53,9 +53,9 @@ PUBLIC_NAMES = (
     "count_first_returns", "count_paths", "delete_loop", "entropy_enclosure",
     "entropy_of_lift", "errors", "exp_fraction", "export", "export_dot",
     "export_json", "geometric_tail", "graph", "growth_rate", "import_json",
-    "intervals", "lambda_estimate", "lift_period", "log_fraction", "oracle",
+    "intervals", "lift_period", "log_fraction", "oracle",
     "period", "power_series", "radius_L", "realize", "renewal_convolve",
-    "spectrum", "spectrum_checks", "spectrum_tail_bounds", "table_from_spectrum",
+    "renewal_limit", "spectrum", "spectrum_checks", "table_from_spectrum",
     "unit_sum_enclosure", "unit_sum_target", "user_spectrum",
     "weighted_sum_enclosure")
 
@@ -92,7 +92,7 @@ print(json.dumps([code, [layer for layer in {layers!r}
     ("transient-variant b2.json --out t.json", []),
     ("lift b2.json --period 3 --out l.json", []),
     ("classify b2.json", ["classifier"]),
-    ("classify b2.json --lambda-window", ["classifier", "oracle"]),
+    ("classify b2.json --lambda-window", ["classifier"]),
     ("entropy b2.json --csv e.csv", ["oracle"]),
     ("export b2.json --format dot --max-n 8 --out g.dot", ["graph"]),
     ("verify b2.json", list(LAYERS)),
