@@ -372,8 +372,8 @@ def export_json(g: ExplicitGraph) -> bytes:
 
 
 def export(g: ExplicitGraph, fmt: str, fh: BinaryIO) -> None:
-    """Write ``g`` as DOT or JSON to the binary file ``fh``, a thousand
-    lines per write; only the names and arrow arrays are held meanwhile."""
+    """Write ``g`` as DOT or JSON to the binary file ``fh``, 1,024 lines
+    per write; only the names and arrow arrays are held meanwhile."""
     if fmt not in _EXPORT_LINES:
         raise ValueError(f"unknown export format {fmt!r}")
     lines = _EXPORT_LINES[fmt](g)
@@ -391,6 +391,8 @@ def import_json(data: bytes) -> ExplicitGraph:
         raise ValueError("a vertex name holds a lone surrogate") from None
     arrows = tuple((u, v) for u, v in payload["arrows"])
     p = int(payload.get("period_lift", 1))
+    if p < 1:
+        raise ValueError(f"period_lift {p} is below 1")
     root = f"{ROOT}@1" if p > 1 else ROOT
     if root not in vertices:
         root = vertices[0]

@@ -40,57 +40,44 @@ class PathCountTable(Frozen):
 # ---------------------------------------------------------------------------
 
 
-def _pull(g: ExplicitGraph, u: int) -> Iterator[tuple[list[int], int]]:
-    """The pull DP from the vector that is 1 at u, stepped on a ring of
-    size + 1 cells: after t steps vertex x's count is
-    ``ring[(x - t) % (size + 1)]``, and (ring, t) is yielded for t = 1, 2,
-    ...  The caller may change counts between steps.
+def _pull(g: ExplicitGraph, u: int, N: int) -> Iterator[tuple[list[int], int]]:
+    """The pull DP from the vector that is 1 at u, stepped N times on a
+    list of N + size + 1 cells: after t steps vertex x's count is
+    ``cells[x + N - t]``, and (cells, N - t) is yielded for t = 1..N.  The
+    caller may change counts between steps.
 
-    Turning the ring by one cell moves every count to the next vertex,
-    which is the step of every vertex whose one predecessor is v - 1, and
-    the count of index ``size``, always 0, to vertex 0.  The runs of
+    Lowering the offset by one moves every count to the next vertex, which
+    is the step of every vertex whose one predecessor is v - 1, and gives
+    vertex 0 a cell never written, 0.  The runs of
     :meth:`ExplicitGraph.predecessor_runs` then write the other vertices'
-    counts, read before the turn, by slices: a step costs slice passes over
-    the runs, not Python work per vertex.
+    counts, read before the step, one strided slice per run: a step costs
+    slice passes over the runs, not Python work per vertex.  The cell of
+    index ``size``, which a vertex without predecessor reads, is cleared
+    after each step, so every cell but those of the vertices holds 0.
     """
     copies, sums = g.predecessor_runs()
-    m = g.size + 1
-    ring = [0] * m
-    ring[u] = 1
-    t = 0
-    while True:
-        sources = [ring[(w - t) % m] for *_, w in copies]
+    cells = [0] * (N + g.size + 1)
+    cells[u + N] = 1
+    for o in range(N - 1, -1, -1):
+        sources = [cells[w + o + 1] for *_, w in copies]
         totals: dict[int, int] = {}
         for start, count, step, v in sums:
-            totals[v] = totals.get(v, 0) + sum(sum(ring[cells]) for cells, _ in
-                                               _arcs(start, count, step, t, m))
-        t += 1
+            s = start + o + 1
+            totals[v] = totals.get(v, 0) + sum(cells[s:s + count * step:step])
         for (start, count, step, _), x in zip(copies, sources):
-            for cells, k in _arcs(start, count, step, t, m):
-                ring[cells] = [x] * k
+            s = start + o
+            cells[s:s + count * step:step] = [x] * count
         for v, total in totals.items():
-            ring[(v - t) % m] = total
-        ring[(-1 - t) % m] = 0  # index size
-        yield ring, t
-
-
-def _arcs(start: int, count: int, step: int, t: int, m: int) -> tuple[tuple[slice, int], ...]:
-    """The two slices, with their lengths, of the ring of :func:`_pull`
-    that hold the vertices start + j*step, j < count, after t steps; the
-    second is empty unless they wrap past the ring's end."""
-    s = (start - t) % m
-    k = min(count, (m - 1 - s) // step + 1)  # the cells before the ring's end
-    w = s + k * step - m
-    return ((slice(s, s + k * step, step), k),
-            (slice(w, w + (count - k) * step, step), count - k))
+            cells[v + o] = total
+        cells[g.size + o] = 0
+        yield cells, o
 
 
 def count_paths(g: ExplicitGraph, u: int, v: int, N: int) -> list[int]:
     """Exact counts p_uv(0..N) of length-n paths from u to v."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    m = g.size + 1
-    return [int(u == v)] + [ring[(v - t) % m] for ring, t in islice(_pull(g, u), N)]
+    return [int(u == v)] + [cells[v + o] for cells, o in _pull(g, u, N)]
 
 
 def count_first_returns(g: ExplicitGraph, u: int, N: int) -> list[int]:
@@ -98,13 +85,14 @@ def count_first_returns(g: ExplicitGraph, u: int, N: int) -> list[int]:
     if N < 0:
         raise ValueError("N must be >= 0")
     out: list[int] = []
-    m = g.size + 1
-    # the ring counts paths from u that have not revisited u
-    for ring, t in islice(_pull(g, u), N):
-        out.append(ring[(u - t) % m])
-        ring[(u - t) % m] = 0
-        if not any(ring):  # every path has returned or died
-            return out + [0] * (N - len(out))
+    # the cells count paths from u that have not revisited u; once none is
+    # left every later count is 0, which is looked for at t = 1, 2, 4, ...
+    for cells, o in _pull(g, u, N):
+        out.append(cells[u + o])
+        cells[u + o] = 0
+        t = N - o
+        if not t & (t - 1) and not any(cells):
+            return out + [0] * o
     return out
 
 
@@ -298,7 +286,7 @@ def _csv_lines(rows: Iterable[tuple[int, int]], period_lift: int,
 def write_csv(s: LoopSpectrum, N: int, fh: BinaryIO,
               period_lift: int = 1) -> Optional[GrowthEstimate]:
     """Write the rows ``n,f,p,growth_estimate`` of ``table_from_spectrum(s,
-    N)`` lifted by p to the binary file ``fh``, a thousand lines per write
+    N)`` lifted by p to the binary file ``fh``, 1,024 lines per write
     (fewer once they average a kilobyte, so a write stays near a
     megabyte), and return ``growth_rate`` of its counts with window 8, or None if fewer
     than 8 are positive.

@@ -104,8 +104,10 @@ def from_dict(payload: dict) -> SpectrumFile:
                 BetaValue(b["kind"], Fraction(b["value"]), b["text"]), bits, n_max,
                 int(m["k"]), _interval_in(m["tail_at_L"], bits, version),
                 None if m["deleted_loop"] is None else int(m["deleted_loop"]))
-        spectrum = LoopSpectrum(a, n_max, meta=meta,
-                                finite_support=bool(payload.get("finite_support", False)))
+        finite = payload.get("finite_support", False)
+        if not isinstance(finite, bool):
+            raise ValueError(f"finite_support {finite!r} is not true or false")
+        spectrum = LoopSpectrum(a, n_max, meta=meta, finite_support=finite)
         period_lift = int(payload.get("period_lift", 1))
         if period_lift < 1:
             raise ValueError(f"period_lift {period_lift} is below 1")

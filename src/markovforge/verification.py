@@ -11,7 +11,7 @@ from .graph import fits, is_strongly_connected, realize
 from .oracle import (ENUMERATION_BUDGET, BudgetExceeded, count_first_returns,
                      count_paths, renewal_convolve, table_from_spectrum,
                      walk_path_counts)
-from .spectrum import CheckResult, LoopSpectrum, identity_failure, spectrum_checks
+from .spectrum import CheckResult, LoopSpectrum, spectrum_checks
 
 DEFAULT_ORACLE_DEPTH = 12
 
@@ -98,9 +98,10 @@ def _certificate_consistent(s: LoopSpectrum, report) -> tuple[bool, str]:
     if v is Verdict.NULL_RECURRENT:
         return False, "null recurrent verdicts require an exact analytic model"
     transient = v is Verdict.TRANSIENT
-    # a constructed verdict is the construction identity's, with R = L
-    ok = (transient == (s.meta.deleted_loop is not None) and report.R == report.L
-          and identity_failure(s, report.F_at_L) is None) if s.meta else not transient
+    # a constructed verdict is the construction identity's, with R = L;
+    # classify certifies that identity before it gives any other verdict
+    ok = (transient == (s.meta.deleted_loop is not None)
+          and report.R == report.L) if s.meta else not transient
     if transient:
         return ok and report.has_mme is False, "transient: F(L) < 1 certified and R = L"
     return (ok and report.mean_return_bound is not None,

@@ -16,6 +16,7 @@ from markovforge import (export, export_dot, export_json, graph, import_json,
 from markovforge.errors import EmptyLoopSet, Unrealizable
 from markovforge.graph import (ROOT, ExplicitGraph, is_strongly_connected,
                                vertex_count)
+from markovforge import oracle
 from markovforge.oracle import count_first_returns, count_paths
 
 from conftest import built
@@ -79,9 +80,9 @@ def test_realize_and_lift_allocate_no_arrows():
 
 
 def test_the_dp_on_a_realization_builds_no_neighbour_form(monkeypatch):
-    # 399,001 vertices at depth 8: the DP's ring of counts takes 3.2 MB; the
-    # gather it replaced built the neighbour forms and tuples over the ids,
-    # more than 20 MB
+    # 399,001 vertices at depth 8: the DP's list of size + 9 counts takes
+    # 3.2 MB; the gather it replaced built the neighbour forms and tuples
+    # over the ids, more than 20 MB
     g = realize(user_spectrum([1] + [0] * 6 + [57_000]), 8)
 
     def forms_built(self):
@@ -96,6 +97,20 @@ def test_the_dp_on_a_realization_builds_no_neighbour_form(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * (g.size + 1), peak
+
+
+def test_first_returns_look_for_live_paths_at_powers_of_two(monkeypatch):
+    # every path lives to step 8, so the scan for live ones runs at t = 1, 2,
+    # 4 and 8: floor(log2 8) + 1 scans of the 399,009 cells, not one per step
+    g = realize(user_spectrum([1] + [0] * 6 + [57_000]), 8)
+    scans = []
+
+    def spy(cells):
+        scans.append(len(cells))
+        return any(cells)
+    monkeypatch.setattr(oracle, "any", spy, raising=False)
+    assert count_first_returns(g, g.root, 8) == [1] + [0] * 6 + [57_000]
+    assert len(scans) <= 4, scans
 
 
 def test_export_streams_in_bounded_memory():
@@ -246,6 +261,11 @@ def test_import_rejects_malformed():
     # the escape of a lone surrogate, a name no UTF-8 export can write
     with pytest.raises(ValueError, match="surrogate"):
         import_json(b'{"vertices": ["root", "\\ud800"], "arrows": []}')
+    # a period lift below 1, which lift_period would read as already lifted
+    for p in (0, -2):
+        with pytest.raises(ValueError, match="period_lift"):
+            import_json(json.dumps({"vertices": ["root"], "arrows": [["root", "root"]],
+                                    "period_lift": p}).encode())
 
 
 def test_strong_connectivity_detects_sink():

@@ -221,6 +221,14 @@ def test_rejects_garbage(spec2):
         payload["meta"][key] = value
         with pytest.raises(SpectrumFileError):
             spectrum_io.from_bytes(json.dumps(payload).encode())
+    # finite_support must be a JSON boolean: "false" or [1] is not a truncation flag
+    for value in ("false", "true", [1], 0, 1, None):
+        payload = spectrum_io.to_dict(spectrum_io.SpectrumFile(user_spectrum([1, 2])))
+        payload["finite_support"] = value
+        with pytest.raises(SpectrumFileError, match="finite_support"):
+            spectrum_io.from_bytes(json.dumps(payload).encode())
+    del payload["finite_support"]  # absent: the counts are a truncation
+    assert spectrum_io.from_dict(payload).spectrum.finite_support is False
     # a stored base must exceed 1, as beta + k bounds the counts
     for kind, value in [("rational", "1/2"), ("rational", "1"), ("exp_rational", "-1"),
                         ("exp_rational", "0")]:
