@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 from array import array
-from itertools import chain, compress, filterfalse, islice
+from functools import cache
+from itertools import chain, compress, islice
 from math import gcd
 from operator import ne
 from typing import BinaryIO, Iterable, Iterator, Optional
@@ -90,19 +91,19 @@ class ExplicitGraph(Frozen):
         arrow order, or ``size`` if it has none, and ``hubs`` maps each vertex
         with several successors to all of them, in arrow order.
 
-        Built, with the predecessor form, on the first call of either and
-        kept on the instance; it is not a field, so equality and hashing are
-        unaffected.  Callers must not mutate it.  Both forms are lists whose
-        entries are the ints of one list of the indices 0..size, so reading
-        them allocates nothing.  A realized graph derives them from
+        Built on the first call and kept on the instance; it is not a field,
+        so equality and hashing are unaffected.  Callers must not mutate it.
+        Its entries are the ints of one list of the indices 0..size, so
+        reading it allocates nothing.  A realized graph derives it from
         ``loop_lengths``; any other graph from its arrows, where a repeated
         arrow raises ValueError.
         """
-        return self._kept("_forms", self._forms)[0]
+        return self._kept("_successors", lambda: self._form(False))
 
     def reverse_adjacency(self) -> Neighbours:
-        """Predecessors in the form of :meth:`adjacency`, kept likewise."""
-        return self._kept("_forms", self._forms)[1]
+        """Predecessors in the form of :meth:`adjacency`, built and kept
+        likewise, on its own."""
+        return self._kept("_predecessors", lambda: self._form(True))
 
     def _kept(self, key: str, make):
         """``make()``, called once and kept on the instance outside the fields."""
@@ -110,12 +111,12 @@ class ExplicitGraph(Frozen):
             self.__dict__[key] = make()
         return self.__dict__[key]
 
-    def _forms(self) -> tuple[Neighbours, Neighbours]:
+    def _form(self, reverse: bool) -> Neighbours:
         ids = list(range(self.size + 1))
         if self.loop_lengths is not None:
-            return _flower_neighbours(self, ids, False), _flower_neighbours(self, ids, True)
-        return (_arrow_neighbours(ids, self.tails, self.heads),
-                _arrow_neighbours(ids, self.heads, self.tails))
+            return _flower_neighbours(self, ids, reverse)
+        ends = (self.heads, self.tails) if reverse else (self.tails, self.heads)
+        return _arrow_neighbours(ids, *ends)
 
     def predecessor_runs(self) -> Runs:
         """``(copies, sums)``: the predecessors of each vertex v > 0 whose
@@ -130,12 +131,21 @@ class ExplicitGraph(Frozen):
         length, and builds no neighbour form; any other graph from a scan of
         :meth:`reverse_adjacency`.
         """
-        return self._kept("_runs", self._runs)
+        return self._kept("_predecessor_runs", lambda: self._runs(True))
 
-    def _runs(self) -> Runs:
+    def successor_runs(self) -> Runs:
+        """The runs of :meth:`predecessor_runs` for the successors, whose
+        default is v + 1 (none for the last vertex); kept likewise, and
+        scanned from :meth:`adjacency` for a graph that is not realized."""
+        return self._kept("_successor_runs", lambda: self._runs(False))
+
+    def _runs(self, reverse: bool) -> Runs:
         if self.loop_lengths is not None:
-            return _flower_runs(self, True)
-        return _scanned_runs(*self.reverse_adjacency())
+            return _flower_runs(self, reverse)
+        if reverse:
+            return _scanned_runs(*self.reverse_adjacency(),
+                                 chain((self.size,), range(self.size - 1)))
+        return _scanned_runs(*self.adjacency(), range(1, self.size + 1))
 
 
 def _arrow_neighbours(ids: list[int], tails: array, heads: array) -> Neighbours:
@@ -192,11 +202,13 @@ def _flower_neighbours(g: ExplicitGraph, ids: list[int], reverse: bool) -> Neigh
     return one, {v: fan for v, fan in fans.items() if len(fan) > 1}
 
 
-def _scanned_runs(one: list[int], hubs: dict[int, list[int]]) -> Runs:
+def _scanned_runs(one: list[int], hubs: dict[int, list[int]], default: Iterable[int]) -> Runs:
+    """The runs of the neighbour form ``(one, hubs)`` whose default
+    neighbours, ``size`` for none, are ``default`` in vertex order."""
     size = len(one)
     copies: list[Run] = []
     sums: list[Run] = []
-    for v in compress(range(size), map(ne, one, chain((size,), range(size - 1)))):
+    for v in compress(range(size), map(ne, one, default)):
         if v not in hubs:
             _extend(copies, v, one[v])
     for v, fan in hubs.items():
@@ -401,36 +413,59 @@ def import_json(data: bytes) -> ExplicitGraph:
 
 def is_strongly_connected(g: ExplicitGraph) -> bool:
     """Reachability in both directions from the root."""
-    succ, pred = g.adjacency(), g.reverse_adjacency()
-    return _reaches_all(g, pred, succ[1]) and _reaches_all(g, succ, pred[1])
+    return (_reaches_all(g.size, g.root, g.predecessor_runs(), False)
+            and _reaches_all(g.size, g.root, g.successor_runs(), True))
 
 
-def _reaches_all(g: ExplicitGraph, adj: Neighbours, joins: Iterable[int]) -> bool:
-    """Whether a level-by-level search from the root along ``adj`` meets
-    every vertex; ``joins`` holds the vertices with several arrows in, in
-    the direction searched (the hubs of the other form).
+def _reaches_all(size: int, root: int, runs: Runs, flip: bool) -> bool:
+    """Whether a search from the root meets every vertex, stepping from each
+    vertex to those whose ``runs`` list it: the predecessor runs search along
+    the arrows, the successor runs, with ``flip``, against them.
 
-    Any other vertex has at most one predecessor in the search, which is on
-    one level only, so it enters ``ahead`` at most once and needs no test
-    against the met set.  Only the joins, the root and the index ``size``,
-    which stands for no neighbour, are tested, and dropped once met, by one
-    filter per level.  So a level costs list passes, plus one count per hub
-    of ``adj`` and one per join.  A realized or lifted graph has one of
-    each; only hand-built graphs have more.
+    Sets of vertices are ints: vertex v is bit v, or with ``flip`` bit
+    size-1-v, so that the default neighbour a run leaves out (v - 1, or
+    v + 1) is always the bit below.  One round steps the frontier to its
+    default neighbours and on along them to the end of each chain of
+    defaults, by one addition, then hops once along the runs: one AND-test
+    per run.  Only a hop ends a round, so a realized or lifted graph is
+    searched in two rounds, and no round does Python work per vertex.
     """
-    one, hubs = adj
-    watched = list(dict.fromkeys([*joins, g.root, g.size]))
-    met = {g.root, g.size}
-    level, reached = [g.root], 1
-    while level:
-        ahead = list(map(one.__getitem__, level))
-        for v, fan in hubs.items():
-            if v in level:
-                ahead += fan[1:]  # fan[0] is one[v]
-        if here := [x for x in watched if x in ahead]:
-            ahead = list(filterfalse(set(here).__contains__, ahead))
-            ahead += (x for x in here if x not in met)
-            met.update(here)
-        level = ahead
-        reached += len(level)
-    return reached == g.size
+    @cache  # a vertex met by several runs is one int, not one per run
+    def bits(start: int, count: int, step: int) -> int:
+        low = size - 1 - start - (count - 1) * step if flip else start
+        return _strided(count, step) << low
+
+    copies, sums = runs
+    default = (1 << size) - 1
+    hops = []
+    for start, count, step, w in copies:
+        targets = bits(start, count, step)
+        default &= ~targets
+        if w < size:
+            hops.append((bits(w, 1, 1), targets))
+    for start, count, step, v in sums:
+        target = bits(v, 1, 1)
+        default &= ~target
+        hops.append((bits(start, count, step), target))
+    reached, frontier = 0, bits(root, 1, 1)
+    while frontier:
+        seeds = frontier << 1 & default
+        frontier |= ((default + seeds) ^ default | seeds) & default  # the chains on from seeds
+        reached |= frontier
+        ahead = 0
+        for source, targets in hops:
+            if frontier & source:
+                ahead |= targets
+        frontier = ahead & ~reached
+    return reached.bit_count() == size
+
+
+def _strided(count: int, step: int) -> int:
+    """The int with the bits j*step, j < count, set, by doubling: a closed
+    form divides by 2^step - 1, which is quadratic in a long step."""
+    mask, have = 1, 1
+    while have < count:
+        more = min(have, count - have)
+        mask |= mask << more * step
+        have += more
+    return mask

@@ -125,9 +125,10 @@ class BudgetExceeded(Exception):
 # The enumerators walk level by level: the frontier holds one vertex per walk
 # and is never merged by endpoint (merging would make them the DP again); a
 # hub fans out and a dead end drops.  A walk step is one vertex visited, the
-# start included; each level's steps are charged before the level is built,
-# and BudgetExceeded is raised as soon as more than ``budget`` steps would be
-# walked.
+# start included; BudgetExceeded is raised as soon as more than ``budget``
+# steps would be walked.  A path count charges each level before it builds
+# it; a first-return count, which does not charge the steps back to the
+# start, once the level is built, but before the next is.
 
 
 def _charge(walked: int, steps: int, budget: int) -> int:
@@ -138,53 +139,57 @@ def _charge(walked: int, steps: int, budget: int) -> int:
 
 
 def _walker(g: ExplicitGraph):
-    """``(ahead, ends)``.  ``ahead(frontier)`` gives the next level before it
-    is built: every walk's step to its first neighbour (to ``size`` from a
-    dead end), the other steps of each hub's walks as (fan, walks) pairs,
-    and the number of steps.  ``ends`` is ``(size,)`` if ``g`` has a dead
-    end, else empty: the steps to drop from every level.
+    """``(ahead, gather)``.  ``ahead(frontier)`` counts the next level
+    without building it: it gives the walks at each hub, as a dict, and
+    the level's steps, one per walk and per further arrow out of a hub,
+    less the walks at dead ends.  ``gather(frontier, walks)`` then builds
+    the level: every walk's step to its first neighbour, then the other
+    steps of each hub's walks, with the steps out of dead ends dropped.
 
-    The walks at each hub are counted by one scan of the frontier, and the
-    steps of a graph without a dead end are never scanned for one.  So a
-    level costs list passes plus one count per hub.  A realized or lifted
-    graph has one hub; only hand-built graphs have more.
+    The walks at each hub are counted by one scan of the frontier.  A
+    realized graph with a loop has no dead end, so only other graphs count
+    the walks at dead ends, by one pass over the frontier.  So a level
+    costs one count per hub, and its gather list passes; a realized or
+    lifted graph has one hub, and only hand-built graphs have more.
     """
     one, hubs = g.adjacency()
-    more = [(v, fan[1:]) for v, fan in hubs.items()]
-    ends = (g.size,) if g.size in one else ()
+    more = [(v, fan[1:]) for v, fan in hubs.items()]  # fan[0] is one[v]
+    dead = None if g.loop_lengths or g.size not in one else bytes(map(g.size.__eq__, one))
 
-    def ahead(frontier: list[int]) -> tuple[list[int], list[tuple[list[int], int]], int]:
-        firsts = list(map(one.__getitem__, frontier))
-        fans = [(fan, k) for v, fan in more if (k := frontier.count(v))]
-        steps = len(firsts) + sum(len(fan) * k for fan, k in fans)
-        for x in ends:
-            steps -= firsts.count(x)
-        return firsts, fans, steps
-    return ahead, ends
+    def ahead(frontier: list[int]) -> tuple[dict[int, int], int]:
+        walks = {v: frontier.count(v) for v in hubs}
+        steps = len(frontier) + sum(len(fan) * walks[v] for v, fan in more)
+        if dead:
+            steps -= sum(map(dead.__getitem__, frontier))
+        return walks, steps
+
+    def gather(frontier: list[int], walks: dict[int, int]) -> list[int]:
+        level = list(map(one.__getitem__, frontier))
+        for v, fan in more:
+            for _ in repeat(None, walks[v]):
+                level += fan  # not fan * walks, which would hold the steps twice
+        return _dropped(level, g.size) if dead else level
+    return ahead, gather
 
 
-def _level(firsts: list[int], fans: list[tuple[list[int], int]], *dropped: int) -> list[int]:
-    """The next level from :func:`_walker`'s parts, less the steps to ``dropped``."""
-    for fan, k in fans:
-        firsts += fan * k
-    for x in dropped:
-        if x in firsts:
-            firsts = list(filter(x.__ne__, firsts))
-    return firsts
+def _dropped(level: list[int], x: int) -> list[int]:
+    """``level`` less every step to ``x``."""
+    return list(filter(x.__ne__, level)) if x in level else level
 
 
 def walk_path_counts(g: ExplicitGraph, u: int, v: int,
                      budget: int = ENUMERATION_BUDGET) -> Iterator[int]:
     """Counts of length-n paths from u to v, n = 0, 1, ..., from one walk;
-    level n is walked on demand and charged what a call for length n is."""
-    ahead, ends = _walker(g)
+    level n is walked on demand and charged what a call for length n is.
+    A level over the budget is counted, and raises, but is never built."""
+    ahead, gather = _walker(g)
     frontier = [u]
     walked = _charge(0, 1, budget)
     while True:
-        yield frontier.count(v)
-        firsts, fans, steps = ahead(frontier)
+        walks, steps = ahead(frontier)
+        yield walks[v] if v in walks else frontier.count(v)
         walked = _charge(walked, steps, budget)
-        frontier = _level(firsts, fans, *ends)
+        frontier = gather(frontier, walks)
 
 
 def enumerate_paths(g: ExplicitGraph, u: int, v: int, n: int,
@@ -204,16 +209,16 @@ def enumerate_first_returns(g: ExplicitGraph, u: int, n: int,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    ahead, ends = _walker(g)
+    ahead, gather = _walker(g)
     frontier = [u]
     walked = _charge(0, 1, budget)
     for remaining in range(n, 0, -1):
-        firsts, fans, steps = ahead(frontier)
-        back = firsts.count(u) + sum(fan.count(u) * k for fan, k in fans)
-        walked = _charge(walked, steps - back, budget)
+        level = gather(frontier, ahead(frontier)[0])
+        back = level.count(u)
+        walked = _charge(walked, len(level) - back, budget)
         if remaining == 1:
             return back
-        frontier = _level(firsts, fans, u, *ends)
+        frontier = _dropped(level, u)
     return 1  # n == 0: the empty path at u
 
 

@@ -37,6 +37,15 @@ class SpectrumFile(Frozen):
         self._init(spectrum, period_lift)
 
 
+def _whole(payload: dict, key: str) -> int:
+    """``payload[key]``, which must be a JSON integer: a float or a boolean
+    is refused, not truncated to an int."""
+    value = payload[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return value
+
+
 def _int_in(text) -> int:
     # hex int parsing has no digit limit
     return int(text, 16) if isinstance(text, str) and text.startswith("0x") else int(text)
@@ -94,21 +103,21 @@ def from_dict(payload: dict) -> SpectrumFile:
         version = payload["format_version"]
         if version not in (1, 2, 3, FORMAT_VERSION):
             raise SpectrumFileError(f"unsupported format_version {version!r}")
-        n_max = int(payload["N_max"])
+        n_max = _whole(payload, "N_max")
         a = tuple(_int_in(v) for v in payload["a"])
         meta = None
         if payload.get("meta") is not None:
             b, m = payload["beta"], payload["meta"]
-            bits = int(m["precision_bits"])
+            bits = _whole(m, "precision_bits")
             meta = SpectrumMeta(
                 BetaValue(b["kind"], Fraction(b["value"]), b["text"]), bits, n_max,
-                int(m["k"]), _interval_in(m["tail_at_L"], bits, version),
-                None if m["deleted_loop"] is None else int(m["deleted_loop"]))
+                _whole(m, "k"), _interval_in(m["tail_at_L"], bits, version),
+                None if m["deleted_loop"] is None else _whole(m, "deleted_loop"))
         finite = payload.get("finite_support", False)
         if not isinstance(finite, bool):
             raise ValueError(f"finite_support {finite!r} is not true or false")
         spectrum = LoopSpectrum(a, n_max, meta=meta, finite_support=finite)
-        period_lift = int(payload.get("period_lift", 1))
+        period_lift = _whole(payload, "period_lift") if "period_lift" in payload else 1
         if period_lift < 1:
             raise ValueError(f"period_lift {period_lift} is below 1")
         return SpectrumFile(spectrum, period_lift)

@@ -151,6 +151,16 @@ def test_identity_failure_is_indeterminate_and_fails_verify(
             "verdicts carry no certificate\n") in stdout
 
 
+def test_a_float_period_lift_is_malformed(spec_e07, tmp_path, capsys):
+    path = tmp_path / "e07.json"
+    payload = spectrum_io.to_dict(spectrum_io.SpectrumFile(spec_e07))
+    payload["period_lift"] = 2.7
+    path.write_text(json.dumps(payload))
+    code, stdout, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert stdout == "" and "period_lift 2.7 is not an integer" in err
+
+
 def test_negative_count_is_malformed(spec_e07, tmp_path, capsys):
     # a(2) = 0 for e^7/10: one less is no spectrum at all
     path = tmp_path / "e07.json"

@@ -17,7 +17,8 @@ from markovforge.errors import EmptyLoopSet, Unrealizable
 from markovforge.graph import (ROOT, ExplicitGraph, is_strongly_connected,
                                vertex_count)
 from markovforge import oracle
-from markovforge.oracle import count_first_returns, count_paths
+from markovforge.oracle import (BudgetExceeded, count_first_returns, count_paths,
+                                walk_path_counts)
 
 from conftest import built
 
@@ -84,10 +85,7 @@ def test_the_dp_on_a_realization_builds_no_neighbour_form(monkeypatch):
     # 3.2 MB; the gather it replaced built the neighbour forms and tuples
     # over the ids, more than 20 MB
     g = realize(user_spectrum([1] + [0] * 6 + [57_000]), 8)
-
-    def forms_built(self):
-        raise AssertionError("a neighbour form was built")
-    monkeypatch.setattr(ExplicitGraph, "_forms", forms_built)
+    forbid_neighbour_forms(monkeypatch)
     for dp, counts in ((lambda: count_paths(g, g.root, g.root, 8), [1] * 8 + [57_001]),
                        (lambda: count_first_returns(g, g.root, 8), [1] + [0] * 6 + [57_000])):
         tracemalloc.start()
@@ -97,6 +95,46 @@ def test_the_dp_on_a_realization_builds_no_neighbour_form(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * (g.size + 1), peak
+
+
+def forbid_neighbour_forms(monkeypatch):
+    def form_built(self, reverse):
+        raise AssertionError("a neighbour form was built")
+    monkeypatch.setattr(ExplicitGraph, "_form", form_built)
+
+
+def test_the_search_on_a_realization_builds_no_neighbour_form(monkeypatch):
+    # 399,001 vertices at depth 8, whose sets are 50 KB ints: the search
+    # peaks near 12 of them, 0.6 MB, where the list search it replaced
+    # built both neighbour forms, more than 20 MB
+    forbid_neighbour_forms(monkeypatch)
+    for a1 in (1, 0):
+        s = user_spectrum([a1] + [0] * 6 + [57_000])
+        for g in (realize(s, 8), realize(s, 8, 3)):
+            tracemalloc.start()
+            try:
+                assert is_strongly_connected(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * (g.size // 8), (g, peak)
+
+
+def test_the_walk_counts_a_level_over_the_budget_without_building_it():
+    # level n of the walk from the root has 57,000 n + 1 walks: a budget of
+    # the first two levels stops the walk at the 114,001 steps of level 2,
+    # a list of 912 KB, which the walk counts but never builds
+    g = realize(user_spectrum([1] + [0] * 6 + [57_000]), 8)
+    levels = walk_path_counts(g, g.root, g.root, 1 + 57_001)
+    assert next(levels) == 1 and next(levels) == 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            next(levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 4, peak
 
 
 def test_first_returns_look_for_live_paths_at_powers_of_two(monkeypatch):

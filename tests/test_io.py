@@ -238,6 +238,17 @@ def test_rejects_garbage(spec2):
             spectrum_io.from_bytes(json.dumps(payload).encode())
 
 
+@pytest.mark.parametrize("key, value", [
+    ("N_max", 64.0), ("period_lift", 2.7), ("period_lift", True), ("precision_bits", 256.5),
+    ("k", 0.9), ("k", False), ("deleted_loop", 4.0)])
+def test_integer_fields_refuse_floats_and_booleans(spec2, key, value):
+    # int() would truncate 2.7 to 2 and read true as 1
+    payload = spectrum_io.to_dict(spectrum_io.SpectrumFile(spec2))
+    (payload if key in payload else payload["meta"])[key] = value
+    with pytest.raises(SpectrumFileError, match=f"{key} {value!r} is not an integer"):
+        spectrum_io.from_bytes(json.dumps(payload).encode())
+
+
 @given(st.lists(st.integers(min_value=0, max_value=10 ** 9),
                 min_size=1, max_size=20))
 @settings(max_examples=40, deadline=None)

@@ -3,20 +3,21 @@ replaced, which are kept here as the reference, and the DP against the
 reference walk.
 
 The reference loops test a met set for every vertex the search meets and
-look up every walk's vertex in a dict of hub fans; the loops in ``src``
-scan each level once per hub and once per vertex with several arrows in.
-They must agree on every graph: the verdict of the search, the counts of
+look up every walk's vertex in a dict of hub fans; the search in ``src``
+steps on int bitsets over the predecessor and successor runs, and the walk
+counts each level, once per hub, before it builds it.  They must agree on
+every graph: the verdict of the search in each direction, the counts of
 the walk and the level at which a budget stops it.
 """
 
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from markovforge import realize, user_spectrum
-from markovforge.graph import ExplicitGraph, is_strongly_connected, vertex_count
+from markovforge import delete_loop, realize, user_spectrum
+from markovforge.graph import ExplicitGraph, _reaches_all, is_strongly_connected, vertex_count
 from markovforge.oracle import (BudgetExceeded, _charge, count_first_returns, count_paths,
                                 enumerate_first_returns, walk_path_counts)
 
@@ -220,3 +221,81 @@ def test_realized_graph_walks_match_the_reference_to_the_default_budget(text, p)
     assert is_strongly_connected(g)
     counts = walked(walk_path_counts, g, g.root, g.root, 10 ** 6)
     assert counts == walked(reference_walk_path_counts, g, g.root, g.root, 10 ** 6)
+
+
+# ---------------------------------------------------------------------------
+# the search on bitsets, direction by direction
+# ---------------------------------------------------------------------------
+
+
+def assert_search_matches_reference(g):
+    """Each direction of the search against the reference, so a graph
+    whose one direction fails is checked in the other as well."""
+    assert (_reaches_all(g.size, g.root, g.predecessor_runs(), False)
+            == reference_reaches_all(g, g.adjacency()))
+    assert (_reaches_all(g.size, g.root, g.successor_runs(), True)
+            == reference_reaches_all(g, g.reverse_adjacency()))
+    assert is_strongly_connected(g) == reference_is_strongly_connected(g)
+
+
+def named(size, root, arrows):
+    names = tuple(f"v{i}" for i in range(size))
+    return ExplicitGraph.from_names(names[root], names,
+                                    tuple((names[a], names[b]) for a, b in sorted(arrows)))
+
+
+@st.composite
+def with_runs(draw):
+    """A graph of up to 40 vertices, any root, built from chains of arrows
+    v -> v+1, strided runs of arrows from or to one vertex w (so runs of
+    one predecessor or successor other than the default, and hubs and
+    joins), and a few arrows more; a vertex may have no arrow in or out."""
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, n - 1)
+    arrows = {(v, v + 1) for v, on in enumerate(draw(st.lists(
+        st.booleans(), min_size=n - 1, max_size=n - 1))) if on}
+    for _ in range(draw(st.integers(0, 3))):
+        w, start, step = draw(vertex), draw(vertex), draw(st.integers(1, 7))
+        ends = range(start, min(n, start + draw(st.integers(1, 8)) * step), step)
+        out = draw(st.booleans())
+        arrows |= {(w, x) if out else (x, w) for x in ends}
+    arrows |= set(draw(st.lists(st.tuples(vertex, vertex), max_size=4)))
+    return named(n, draw(vertex), arrows)
+
+
+@st.composite
+def realized_for_search(draw):
+    """A realization lifted by 1, 2 or 3, with or without a loop deleted."""
+    s, p = draw(SPECTRA), draw(st.sampled_from((1, 2, 3)))
+    deletable = [n for n in range(2, s.N_max + 1) if s.count(n)]
+    if deletable and draw(st.booleans()):
+        s = delete_loop(s, draw(st.sampled_from(deletable)))
+    deepest = 1
+    while deepest < s.N_max and vertex_count(s, deepest + 1) * p <= 10 * MOST_VERTICES:
+        deepest += 1
+    return realize(s, draw(st.integers(1, deepest)), p)
+
+
+# the root reaches v2 but v2 reaches nothing; v2 reaches the root, which does not reach it
+NOT_BACKWARD = named(3, 0, {(0, 1), (1, 0), (0, 2)})
+NOT_FORWARD = named(3, 0, {(0, 1), (1, 0), (2, 0)})
+# v2 has the predecessors v3 and v4, which only v2 reaches: the search must
+# not step to v2 from v1, which comes before it but has no arrow to it
+JOIN_AFTER_A_CHAIN = named(5, 0, {(0, 1), (1, 0), (2, 3), (2, 4), (3, 2), (4, 2), (3, 0)})
+
+
+def test_each_direction_of_the_search_can_fail_alone():
+    assert _reaches_all(3, 0, NOT_BACKWARD.predecessor_runs(), False)
+    assert not _reaches_all(3, 0, NOT_BACKWARD.successor_runs(), True)
+    assert not _reaches_all(3, 0, NOT_FORWARD.predecessor_runs(), False)
+    assert _reaches_all(3, 0, NOT_FORWARD.successor_runs(), True)
+
+
+@given(st.one_of(with_runs(), hand_built().map(lambda case: case[0]), realized_for_search()))
+@example(NOT_BACKWARD)
+@example(NOT_FORWARD)
+@example(JOIN_AFTER_A_CHAIN)
+@example(every_feature())
+@settings(max_examples=300, deadline=None)
+def test_the_bitset_search_matches_the_reference(g):
+    assert_search_matches_reference(g)
