@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 from array import array
 from functools import cache
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from math import gcd
 from operator import ne
-from typing import BinaryIO, Iterable, Iterator, Optional
+from typing import BinaryIO, Iterator, Optional
 
 from ._frozen import Frozen
 from .errors import EmptyLoopSet, Unrealizable
@@ -26,9 +26,9 @@ from .spectrum import LoopSpectrum
 
 ROOT = "root"
 REALIZE_VERTEX_BUDGET = 2 * 10 ** 6  # the most vertices realize and lift_period accept
-# (one, hubs): the neighbour form of ExplicitGraph.adjacency
+# loop lengths or arrows give the runs (copies, sums) of (start, count, step,
+# w), see ExplicitGraph.predecessor_runs, which give the forms (one, hubs)
 Neighbours = tuple[list[int], dict[int, list[int]]]
-# (start, count, step, w) and (copies, sums): see ExplicitGraph.predecessor_runs
 Run = tuple[int, int, int, int]
 Runs = tuple[list[Run], list[Run]]
 
@@ -91,18 +91,16 @@ class ExplicitGraph(Frozen):
         arrow order, or ``size`` if it has none, and ``hubs`` maps each vertex
         with several successors to all of them, in arrow order.
 
-        Built on the first call and kept on the instance; it is not a field,
-        so equality and hashing are unaffected.  Callers must not mutate it.
-        Its entries are the ints of one list of the indices 0..size, so
-        reading it allocates nothing.  A realized graph derives it from
-        ``loop_lengths``; any other graph from its arrows, where a repeated
-        arrow raises ValueError.
+        Built from :meth:`successor_runs` on the first call and kept on the
+        instance; it is not a field, so equality and hashing are unaffected.
+        Callers must not mutate it.  Its entries are the ints of one list of
+        the indices 0..size, so reading it allocates nothing.
         """
         return self._kept("_successors", lambda: self._form(False))
 
     def reverse_adjacency(self) -> Neighbours:
-        """Predecessors in the form of :meth:`adjacency`, built and kept
-        likewise, on its own."""
+        """Predecessors in the form of :meth:`adjacency`, built likewise from
+        :meth:`predecessor_runs` and kept on its own."""
         return self._kept("_predecessors", lambda: self._form(True))
 
     def _kept(self, key: str, make):
@@ -112,11 +110,8 @@ class ExplicitGraph(Frozen):
         return self.__dict__[key]
 
     def _form(self, reverse: bool) -> Neighbours:
-        ids = list(range(self.size + 1))
-        if self.loop_lengths is not None:
-            return _flower_neighbours(self, ids, reverse)
-        ends = (self.heads, self.tails) if reverse else (self.tails, self.heads)
-        return _arrow_neighbours(ids, *ends)
+        runs = self.predecessor_runs() if reverse else self.successor_runs()
+        return _neighbours(self.size, runs, reverse)
 
     def predecessor_runs(self) -> Runs:
         """``(copies, sums)``: the predecessors of each vertex v > 0 whose
@@ -127,39 +122,46 @@ class ExplicitGraph(Frozen):
         (start, count, step, v) of all the predecessors of v, in arrow
         order, for each v with several and for the root of a realized graph.
 
-        A realized graph derives them from ``loop_lengths``, a run per loop
-        length, and builds no neighbour form; any other graph from a scan of
-        :meth:`reverse_adjacency`.
+        Derived before the neighbour forms: a realized graph's from
+        ``loop_lengths``, a run per loop length, any other's by one scan of
+        its arrows, where a repeated arrow raises ValueError.
         """
         return self._kept("_predecessor_runs", lambda: self._runs(True))
 
     def successor_runs(self) -> Runs:
         """The runs of :meth:`predecessor_runs` for the successors, whose
-        default is v + 1 (none for the last vertex); kept likewise, and
-        scanned from :meth:`adjacency` for a graph that is not realized."""
+        default is v + 1 (none for the last vertex); derived and kept
+        likewise."""
         return self._kept("_successor_runs", lambda: self._runs(False))
 
     def _runs(self, reverse: bool) -> Runs:
         if self.loop_lengths is not None:
             return _flower_runs(self, reverse)
-        if reverse:
-            return _scanned_runs(*self.reverse_adjacency(),
-                                 chain((self.size,), range(self.size - 1)))
-        return _scanned_runs(*self.adjacency(), range(1, self.size + 1))
+        ends = (self.heads, self.tails, -1) if reverse else (self.tails, self.heads, 1)
+        return _arrow_runs(self.size, *ends)
 
 
-def _arrow_neighbours(ids: list[int], tails: array, heads: array) -> Neighbours:
-    size = ids[-1]
+def _arrow_runs(size: int, tails: array, heads: array, shift: int) -> Runs:
+    """The runs of the neighbours ``heads[j]`` of each ``tails[j]``, in arrow
+    order, whose default neighbour is v + shift, or none (``size``) off the
+    vertices 0..size-1; a repeated arrow raises ValueError."""
     one = [size] * size
-    hubs: dict[int, list[int]] = {}
+    fans: dict[int, list[int]] = {}
     for u, v in zip(tails, heads):
         if one[u] == size:
-            one[u] = ids[v]
+            one[u] = v
         else:
-            hubs.setdefault(u, [one[u]]).append(ids[v])
-    if any(len(set(fan)) < len(fan) for fan in hubs.values()):
+            fans.setdefault(u, [one[u]]).append(v)
+    if any(len(set(fan)) < len(fan) for fan in fans.values()):
         raise ValueError("duplicate arrow")
-    return one, hubs
+    copies, sums = [], []
+    for v in compress(range(size), map(ne, one, range(shift, size + shift))):
+        if v not in fans and one[v] != (v + shift) % (size + 1):  # a default of -1 is none
+            _extend(copies, v, one[v])
+    for v, fan in fans.items():
+        for u in fan:
+            _extend(sums, u, v)
+    return copies, sums
 
 
 def _flower_runs(g: ExplicitGraph, reverse: bool) -> Runs:
@@ -187,10 +189,12 @@ def _flower_runs(g: ExplicitGraph, reverse: bool) -> Runs:
     return copies, sums
 
 
-def _flower_neighbours(g: ExplicitGraph, ids: list[int], reverse: bool) -> Neighbours:
-    # a hub without neighbours is vertex 0 (reverse) or the last vertex, so
-    # the shift already gives it size
-    copies, sums = _flower_runs(g, reverse)
+def _neighbours(size: int, runs: Runs, reverse: bool) -> Neighbours:
+    """The form of :meth:`ExplicitGraph.adjacency` of the successor ``runs``
+    or, with ``reverse``, the predecessor runs.  A vertex without a run or
+    neighbours is vertex 0 (reverse) or the last, to which the shift gives size."""
+    ids = list(range(size + 1))
+    copies, sums = runs
     one = ids[-1:] + ids[:-2] if reverse else ids[1:]
     for start, count, step, w in copies:
         one[start:start + count * step:step] = [ids[w]] * count
@@ -200,21 +204,6 @@ def _flower_neighbours(g: ExplicitGraph, ids: list[int], reverse: bool) -> Neigh
     for v, fan in fans.items():
         one[v] = fan[0]
     return one, {v: fan for v, fan in fans.items() if len(fan) > 1}
-
-
-def _scanned_runs(one: list[int], hubs: dict[int, list[int]], default: Iterable[int]) -> Runs:
-    """The runs of the neighbour form ``(one, hubs)`` whose default
-    neighbours, ``size`` for none, are ``default`` in vertex order."""
-    size = len(one)
-    copies: list[Run] = []
-    sums: list[Run] = []
-    for v in compress(range(size), map(ne, one, default)):
-        if v not in hubs:
-            _extend(copies, v, one[v])
-    for v, fan in hubs.items():
-        for u in fan:
-            _extend(sums, u, v)
-    return copies, sums
 
 
 def _extend(runs: list[Run], v: int, w: int) -> None:
@@ -402,9 +391,9 @@ def import_json(data: bytes) -> ExplicitGraph:
         # a JSON escape can give a lone surrogate, which export cannot write
         raise ValueError("a vertex name holds a lone surrogate") from None
     arrows = tuple((u, v) for u, v in payload["arrows"])
-    p = int(payload.get("period_lift", 1))
-    if p < 1:
-        raise ValueError(f"period_lift {p} is below 1")
+    p = payload.get("period_lift", 1)
+    if type(p) is not int or p < 1:  # int() would read 2.7 or "2" as 2, true as 1
+        raise ValueError(f"period_lift {p!r} is not an integer of at least 1")
     root = f"{ROOT}@1" if p > 1 else ROOT
     if root not in vertices:
         root = vertices[0]

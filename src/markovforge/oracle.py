@@ -4,8 +4,8 @@ All counts are arbitrary-size integers.  Three routes are provided and
 cross-checked in the tests: dynamic programming over the predecessors,
 the renewal convolution of first-return counts, and (at desk scale)
 literal enumeration by walking every path.  Graph routes take vertices
-by index.  The DP steps on the predecessor runs, and the enumeration on
-the compact neighbour form, that :class:`ExplicitGraph` builds once.
+by index.  The DP steps on a graph's predecessor runs, and the enumeration
+on the neighbour form built from its successor runs, both derived once.
 """
 
 from __future__ import annotations
@@ -126,9 +126,9 @@ class BudgetExceeded(Exception):
 # and is never merged by endpoint (merging would make them the DP again); a
 # hub fans out and a dead end drops.  A walk step is one vertex visited, the
 # start included; BudgetExceeded is raised as soon as more than ``budget``
-# steps would be walked.  A path count charges each level before it builds
-# it; a first-return count, which does not charge the steps back to the
-# start, once the level is built, but before the next is.
+# steps would be walked.  Each level is charged before it is built, less the
+# steps that end a walk: out of a dead end, or back onto the start of a
+# first-return count.
 
 
 def _charge(walked: int, steps: int, budget: int) -> int:
@@ -138,29 +138,35 @@ def _charge(walked: int, steps: int, budget: int) -> int:
     return walked
 
 
-def _walker(g: ExplicitGraph):
+def _walker(g: ExplicitGraph, stop: Optional[int] = None):
     """``(ahead, gather)``.  ``ahead(frontier)`` counts the next level
     without building it: it gives the walks at each hub, as a dict, and
     the level's steps, one per walk and per further arrow out of a hub,
-    less the walks at dead ends.  ``gather(frontier, walks)`` then builds
-    the level: every walk's step to its first neighbour, then the other
-    steps of each hub's walks, with the steps out of dead ends dropped.
+    less those that end a walk, into a dead end or onto ``stop``.
+    ``gather(frontier, walks)`` then builds the level: every walk's step
+    to its first neighbour, then the other steps of each hub's walks, with
+    the steps out of dead ends dropped.
 
-    The walks at each hub are counted by one scan of the frontier.  A
-    realized graph with a loop has no dead end, so only other graphs count
-    the walks at dead ends, by one pass over the frontier.  So a level
-    costs one count per hub, and its gather list passes; a realized or
-    lifted graph has one hub, and only hand-built graphs have more.
+    The walks at each hub are counted by one scan of the frontier, and the
+    steps that end a walk by one pass over a byte mask, which a realized
+    graph with a loop, having no dead end, builds only for a stop.  So a
+    level costs one count per hub, and its gather list passes; a realized
+    or lifted graph has one hub, and only hand-built graphs have more.
     """
     one, hubs = g.adjacency()
     more = [(v, fan[1:]) for v, fan in hubs.items()]  # fan[0] is one[v]
-    dead = None if g.loop_lengths or g.size not in one else bytes(map(g.size.__eq__, one))
+    dead = not g.loop_lengths and g.size in one
+    ending = None
+    if dead or stop is not None:
+        ending = bytearray(map((g.size, stop).__contains__, one))
+        for v, fan in more:
+            ending[v] |= stop in fan
 
     def ahead(frontier: list[int]) -> tuple[dict[int, int], int]:
         walks = {v: frontier.count(v) for v in hubs}
         steps = len(frontier) + sum(len(fan) * walks[v] for v, fan in more)
-        if dead:
-            steps -= sum(map(dead.__getitem__, frontier))
+        if ending is not None:
+            steps -= sum(map(ending.__getitem__, frontier))
         return walks, steps
 
     def gather(frontier: list[int], walks: dict[int, int]) -> list[int]:
@@ -209,15 +215,15 @@ def enumerate_first_returns(g: ExplicitGraph, u: int, n: int,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    ahead, gather = _walker(g)
+    ahead, gather = _walker(g, u)
     frontier = [u]
     walked = _charge(0, 1, budget)
     for remaining in range(n, 0, -1):
-        level = gather(frontier, ahead(frontier)[0])
-        back = level.count(u)
-        walked = _charge(walked, len(level) - back, budget)
+        walks, steps = ahead(frontier)
+        walked = _charge(walked, steps, budget)
+        level = gather(frontier, walks)
         if remaining == 1:
-            return back
+            return level.count(u)
         frontier = _dropped(level, u)
     return 1  # n == 0: the empty path at u
 

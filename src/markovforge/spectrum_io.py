@@ -46,9 +46,12 @@ def _whole(payload: dict, key: str) -> int:
     return value
 
 
-def _int_in(text) -> int:
-    # hex int parsing has no digit limit
-    return int(text, 16) if isinstance(text, str) and text.startswith("0x") else int(text)
+def _int_in(value) -> int:
+    """A count: a JSON integer, or a decimal or hex ("0x...") string, whose
+    parsing has no digit limit; a float or a boolean is refused."""
+    if type(value) not in (int, str):
+        raise ValueError(f"count {value!r} is not an integer")
+    return int(value, 16) if type(value) is str and value.startswith("0x") else int(value)
 
 
 def _interval_out(x: CReal) -> list[str]:

@@ -19,6 +19,14 @@ def built(text, N_max=64):
     return _cache[key]
 
 
+def neighbour_pairs(form, size):
+    """(v, w) for every neighbour w of v in a form ``(one, hubs)``, in the
+    order of v, then of the form."""
+    one, hubs = form
+    return [(v, w) for v in range(size)
+            for w in hubs.get(v, [one[v]] if one[v] < size else [])]
+
+
 @pytest.fixture(scope="session")
 def spec2():
     return built("2")

@@ -161,6 +161,16 @@ def test_a_float_period_lift_is_malformed(spec_e07, tmp_path, capsys):
     assert stdout == "" and "period_lift 2.7 is not an integer" in err
 
 
+def test_a_float_count_is_malformed(tmp_path, capsys):
+    path = tmp_path / "b2.json"
+    payload = json.loads((Path(__file__).parent / "data" / "b2_n128.v1.json").read_bytes())
+    payload["a"][2] = 2.7
+    path.write_text(json.dumps(payload))
+    code, stdout, err = run(capsys, "classify", str(path))
+    assert code == 1
+    assert stdout == "" and "count 2.7 is not an integer" in err
+
+
 def test_negative_count_is_malformed(spec_e07, tmp_path, capsys):
     # a(2) = 0 for e^7/10: one less is no spectrum at all
     path = tmp_path / "e07.json"

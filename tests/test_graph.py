@@ -18,9 +18,9 @@ from markovforge.graph import (ROOT, ExplicitGraph, is_strongly_connected,
                                vertex_count)
 from markovforge import oracle
 from markovforge.oracle import (BudgetExceeded, count_first_returns, count_paths,
-                                walk_path_counts)
+                                enumerate_first_returns, walk_path_counts)
 
-from conftest import built
+from conftest import built, neighbour_pairs
 
 
 def test_realize_flower_counts(spec2):
@@ -135,6 +135,25 @@ def test_the_walk_counts_a_level_over_the_budget_without_building_it():
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 4, peak
+
+
+def test_first_returns_charge_a_level_before_building_it():
+    # on the complete digraph with self-loops on 12 vertices, level n of the
+    # first-return walk from vertex 0 holds 12 * 11^(n-1) steps: a budget of
+    # 200,000 stops the walk at level 6, a list of 1,932,612 entries
+    # (15.5 MB), which the walk counts but never builds
+    names = tuple(f"v{i}" for i in range(12))
+    g = ExplicitGraph.from_names("v0", names, tuple((u, v) for u in names for v in names))
+    g.adjacency()
+    assert enumerate_first_returns(g, 0, 5, 200_000) == 11 ** 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            enumerate_first_returns(g, 0, 6, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 10 ** 6, peak
 
 
 def test_first_returns_look_for_live_paths_at_powers_of_two(monkeypatch):
@@ -304,18 +323,18 @@ def test_import_rejects_malformed():
         with pytest.raises(ValueError, match="period_lift"):
             import_json(json.dumps({"vertices": ["root"], "arrows": [["root", "root"]],
                                     "period_lift": p}).encode())
+    # a period lift that is not a JSON integer, which int() would read as
+    # 2 (2.7, 2.0 and "2") or as 1 (true)
+    payload = json.loads(export_json(realize(user_spectrum([1, 1]), 2, 2)))
+    for p in (2.7, 2.0, "2", True):
+        payload["period_lift"] = p
+        with pytest.raises(ValueError, match=f"period_lift {p!r} is not an integer of at least 1"):
+            import_json(json.dumps(payload).encode())
 
 
 def test_strong_connectivity_detects_sink():
     g = ExplicitGraph.from_names("u", ("u", "v"), (("u", "u"), ("u", "v")))
     assert not is_strongly_connected(g)
-
-
-def neighbour_pairs(form, size):
-    """(v, w) for every neighbour w of v in a form ``(one, hubs)``."""
-    one, hubs = form
-    return [(v, w) for v in range(size)
-            for w in hubs.get(v, [one[v]] if one[v] < size else [])]
 
 
 def test_adjacency_built_once_by_index(spec2):

@@ -229,6 +229,16 @@ def test_rejects_garbage(spec2):
             spectrum_io.from_bytes(json.dumps(payload).encode())
     del payload["finite_support"]  # absent: the counts are a truncation
     assert spectrum_io.from_dict(payload).spectrum.finite_support is False
+    # a count is a decimal or hex string or a JSON integer: int() would read
+    # 2.7 as 2 and true as 1
+    payload = json.loads((DATA / "b2_n128.v1.json").read_bytes())
+    for value in (2.7, 2.0, True, False):
+        payload["a"][2] = value
+        with pytest.raises(SpectrumFileError, match=f"count {value!r} is not an integer"):
+            spectrum_io.from_dict(payload)
+    for value in (2, "2", "0x2"):
+        payload["a"][2] = value
+        assert spectrum_io.from_dict(payload).spectrum.count(3) == 2
     # a stored base must exceed 1, as beta + k bounds the counts
     for kind, value in [("rational", "1/2"), ("rational", "1"), ("exp_rational", "-1"),
                         ("exp_rational", "0")]:

@@ -7,7 +7,9 @@ look up every walk's vertex in a dict of hub fans; the search in ``src``
 steps on int bitsets over the predecessor and successor runs, and the walk
 counts each level, once per hub, before it builds it.  They must agree on
 every graph: the verdict of the search in each direction, the counts of
-the walk and the level at which a budget stops it.
+the walk and the level at which a budget stops it.  The reference loops
+walk the neighbour forms, which every graph builds from its runs, so the
+forms of hand-built graphs are checked against their arrows as well.
 """
 
 from itertools import islice
@@ -21,7 +23,7 @@ from markovforge.graph import ExplicitGraph, _reaches_all, is_strongly_connected
 from markovforge.oracle import (BudgetExceeded, _charge, count_first_returns, count_paths,
                                 enumerate_first_returns, walk_path_counts)
 
-from conftest import BETA_TEXTS, built
+from conftest import BETA_TEXTS, built, neighbour_pairs
 
 BUDGETS = (1, 10, 100, 10 ** 4)
 MOST_LEVELS = 16
@@ -261,6 +263,19 @@ def with_runs(draw):
         arrows |= {(w, x) if out else (x, w) for x in ends}
     arrows |= set(draw(st.lists(st.tuples(vertex, vertex), max_size=4)))
     return named(n, draw(vertex), arrows)
+
+
+@given(st.one_of(with_runs(), hand_built().map(lambda case: case[0])))
+@example(every_feature())
+@settings(max_examples=200, deadline=None)
+def test_both_neighbour_forms_of_a_hand_built_graph_list_its_arrows(g):
+    # the forms are built from the runs, so this ties the reference loops,
+    # which walk the forms, back to the arrows: each vertex's neighbours, in
+    # arrow order
+    by_tail = sorted(zip(g.tails, g.heads), key=lambda arrow: arrow[0])
+    by_head = sorted(zip(g.heads, g.tails), key=lambda arrow: arrow[0])
+    assert neighbour_pairs(g.adjacency(), g.size) == by_tail
+    assert neighbour_pairs(g.reverse_adjacency(), g.size) == by_head
 
 
 @st.composite
