@@ -23,8 +23,7 @@ _EXPORTS = {
     "classifier": ("ClassificationReport", "Radius", "Verdict", "classify",
                    "entropy_enclosure", "entropy_of_lift", "radius_L",
                    "renewal_limit"),
-    "graph": ("ExplicitGraph", "export", "export_dot", "export_json",
-              "import_json", "lift_period", "period", "realize"),
+    "graph": ("ExplicitGraph", "export", "import_json", "lift_period", "realize"),
     "oracle": ("GrowthEstimate", "PathCountTable", "count_first_returns",
                "count_paths", "growth_rate", "renewal_convolve",
                "table_from_spectrum"),

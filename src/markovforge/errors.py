@@ -29,10 +29,6 @@ class Unrealizable(ValueError):
     """The explicit graph exceeds the vertex budget or needs parallel arrows."""
 
 
-class EmptyLoopSet(Exception):
-    """The graph truncation contains no loop through the root."""
-
-
 class InsufficientData(Exception):
     """Not enough nonzero counts to form the requested estimate."""
 

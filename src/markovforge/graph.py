@@ -7,7 +7,9 @@ a phase i = 1..p (index v*p + i-1) and multiplies every loop length by p.
 A realized or lifted graph is stored as its loop lengths; its arrows are
 derived for export only, and so are its names: v_{n}_{i}_{k} is vertex
 k = 1..n-1 of the i-th length-n loop, and a lifted vertex gets the suffix
-"@phase".
+"@phase".  Every graph derives its runs first, from its loop lengths or by
+one scan of its arrows, which refuses a repeated arrow.  ``export`` is the
+one DOT/JSON writer; of the other layers, this one imports only spectrum.
 """
 
 from __future__ import annotations
@@ -16,12 +18,11 @@ import json
 from array import array
 from functools import cache
 from itertools import compress, islice
-from math import gcd
 from operator import ne
 from typing import BinaryIO, Iterator, Optional
 
 from ._frozen import Frozen
-from .errors import EmptyLoopSet, Unrealizable
+from .errors import Unrealizable
 from .spectrum import LoopSpectrum
 
 ROOT = "root"
@@ -56,8 +57,6 @@ class ExplicitGraph(Frozen):
     def from_names(cls, root: str, vertices: tuple[str, ...], arrows: tuple[tuple[str, str], ...],
                    period_lift: int = 1) -> ExplicitGraph:
         """Graph on named vertices; names are mapped to indices once."""
-        if len(set(arrows)) != len(arrows):
-            raise ValueError("duplicate arrow")
         index = {v: i for i, v in enumerate(vertices)}
         if root not in index:
             raise ValueError("root is not a vertex")
@@ -298,19 +297,6 @@ def lift_period(g: ExplicitGraph, p: int) -> ExplicitGraph:
                          g.root * p, p, names)
 
 
-def period(g: ExplicitGraph) -> int:
-    """gcd of the lengths of all loops through the root."""
-    if g.loop_lengths is not None:
-        lengths = [n * g.period_lift for n, mult in g.loop_lengths if mult > 0]
-    else:  # imported graph: fall back to exact first-return counting
-        from .oracle import count_first_returns
-        f = count_first_returns(g, g.root, g.size + 1)
-        lengths = [n for n, v in enumerate(f, start=1) if v > 0]
-    if not lengths:
-        raise EmptyLoopSet("no loop through the root in this truncation")
-    return gcd(*lengths)
-
-
 # ---------------------------------------------------------------------------
 # export / import
 # ---------------------------------------------------------------------------
@@ -360,18 +346,6 @@ def _json_list(key: str, items: Iterator[str], end: str) -> Iterator[str]:
 _EXPORT_LINES = {"dot": _dot_lines, "json": _json_lines}
 
 
-def _encoded(lines) -> bytes:
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def export_dot(g: ExplicitGraph) -> bytes:
-    return _encoded(_dot_lines(g))
-
-
-def export_json(g: ExplicitGraph) -> bytes:
-    return _encoded(_json_lines(g))
-
-
 def export(g: ExplicitGraph, fmt: str, fh: BinaryIO) -> None:
     """Write ``g`` as DOT or JSON to the binary file ``fh``, 1,024 lines
     per write; only the names and arrow arrays are held meanwhile."""
@@ -379,7 +353,7 @@ def export(g: ExplicitGraph, fmt: str, fh: BinaryIO) -> None:
         raise ValueError(f"unknown export format {fmt!r}")
     lines = _EXPORT_LINES[fmt](g)
     while chunk := list(islice(lines, 1024)):
-        fh.write(_encoded(chunk))
+        fh.write(("\n".join(chunk) + "\n").encode("utf-8"))
 
 
 def import_json(data: bytes) -> ExplicitGraph:
@@ -397,7 +371,9 @@ def import_json(data: bytes) -> ExplicitGraph:
     root = f"{ROOT}@1" if p > 1 else ROOT
     if root not in vertices:
         root = vertices[0]
-    return ExplicitGraph.from_names(root, vertices, arrows, period_lift=p)
+    g = ExplicitGraph.from_names(root, vertices, arrows, period_lift=p)
+    g.successor_runs()  # kept for later use; refuses a repeated arrow here
+    return g
 
 
 def is_strongly_connected(g: ExplicitGraph) -> bool:

@@ -22,10 +22,13 @@ from typing import Union
 
 from ._frozen import Frozen
 from .errors import SpectrumFileError
-from .intervals import BetaValue, CReal
-from .spectrum import LoopSpectrum, SpectrumMeta, int_text
+from .intervals import MAX_PRECISION_BITS, BetaValue, CReal
+from .spectrum import MAX_SERIES_BITS, LoopSpectrum, SpectrumMeta, int_text
 
 FORMAT_VERSION = 4
+# the finest grid a build's series arithmetic reaches (spectrum._build_plan:
+# the precision, 64 guard bits and the bits of beta^N_max)
+MAX_EXPONENT = MAX_PRECISION_BITS + 64 + MAX_SERIES_BITS
 
 
 class SpectrumFile(Frozen):
@@ -66,17 +69,27 @@ def _interval_out(x: CReal) -> list[str]:
     return out
 
 
+def _plain_in(text) -> Fraction:
+    """``Fraction(text)`` of a text without an exponent, whose power of ten
+    ("1e-999999999") Fraction would build first."""
+    if type(text) is not str or "e" in text.lower():
+        raise ValueError(f"{text!r} is not a plain decimal")
+    return Fraction(text)
+
+
 def _dyadic_in(text: str) -> Fraction:
     # hex int parsing has no digit limit, unlike decimal str <-> int
     m, e = text.split("p")
     m, e = int(m, 16), int(e)
+    if abs(e) > MAX_EXPONENT:  # the shift below costs as much as e is large
+        raise ValueError(f"endpoint exponent {e} is beyond +-{MAX_EXPONENT}")
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 def _interval_in(v, bits: int, version: int) -> CReal:
     lo, hi = v
     if version == 1:
-        return CReal(Fraction(lo), Fraction(hi), bits).round_outward(bits)
+        return CReal(_plain_in(lo), _plain_in(hi), bits).round_outward(bits)
     return CReal(_dyadic_in(lo), _dyadic_in(hi), bits)
 
 
@@ -107,13 +120,19 @@ def from_dict(payload: dict) -> SpectrumFile:
         if version not in (1, 2, 3, FORMAT_VERSION):
             raise SpectrumFileError(f"unsupported format_version {version!r}")
         n_max = _whole(payload, "N_max")
+        if type(payload["a"]) is not list:
+            raise ValueError("a is not a list of counts")
         a = tuple(_int_in(v) for v in payload["a"])
         meta = None
         if payload.get("meta") is not None:
             b, m = payload["beta"], payload["meta"]
             bits = _whole(m, "precision_bits")
+            if bits > MAX_PRECISION_BITS:  # what no build writes, before any series work
+                raise ValueError(f"precision_bits {bits} is above {MAX_PRECISION_BITS}")
+            if n_max < 4:
+                raise ValueError(f"N_max {n_max} of a constructed spectrum is below 4")
             meta = SpectrumMeta(
-                BetaValue(b["kind"], Fraction(b["value"]), b["text"]), bits, n_max,
+                BetaValue(b["kind"], _plain_in(b["value"]), b["text"]), bits, n_max,
                 _whole(m, "k"), _interval_in(m["tail_at_L"], bits, version),
                 None if m["deleted_loop"] is None else _whole(m, "deleted_loop"))
         finite = payload.get("finite_support", False)

@@ -19,14 +19,13 @@ import mpmath
 
 from markovforge import (BetaValue, Verdict, build_spectrum, classify,
                          count_first_returns, count_paths, delete_loop,
-                         export_json, growth_rate, import_json, lift_period,
-                         period, realize, renewal_convolve,
-                         table_from_spectrum, unit_sum_enclosure,
-                         user_spectrum)
+                         growth_rate, import_json, lift_period, realize,
+                         renewal_convolve, table_from_spectrum,
+                         unit_sum_enclosure, user_spectrum)
 from markovforge import spectrum_io
 from markovforge.oracle import BudgetExceeded, enumerate_paths
 
-from conftest import BETA_TEXTS, built
+from conftest import BETA_TEXTS, built, exported, period
 
 mpmath.mp.dps = 60
 
@@ -257,8 +256,8 @@ def test_criterion_9_round_trip_determinism(tmp_path):
     if spectrum_io.to_bytes(spectrum_io.load(path)) != b1:
         failures.append("spectrum file round trip")
     g = lift_period(realize(s1, 16), 2)
-    gb = export_json(g)
-    if export_json(import_json(gb)) != gb:
+    gb = exported(g)
+    if exported(import_json(gb)) != gb:
         failures.append("graph round trip")
     _criterion(9, "serialization round-trips bit-exactly and runs are "
                   "deterministic", failures)

@@ -16,7 +16,7 @@ from markovforge import (BetaValue, build_spectrum, cli, graph, spectrum, spectr
                          verification)
 from markovforge.errors import FloorUndecidable, PrecisionExhausted
 
-from conftest import built
+from conftest import built, costly_files
 
 
 def run(capsys, *argv):
@@ -169,6 +169,21 @@ def test_a_float_count_is_malformed(tmp_path, capsys):
     code, stdout, err = run(capsys, "classify", str(path))
     assert code == 1
     assert stdout == "" and "count 2.7 is not an integer" in err
+
+
+def test_costly_or_malformed_files_exit_1_at_once(spec2, tmp_path, capsys):
+    # each would have run past a minute, crashed or misread its counts
+    files = costly_files(spec2) + [
+        ("a_text", {"format_version": 4, "N_max": 4, "a": "1012", "finite_support": True,
+                    "meta": None}, "a is not a list of counts")]
+    for name, payload, message in files:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        for command in ("classify", "verify"):
+            t0 = time.monotonic()
+            code, stdout, err = run(capsys, command, str(path))
+            assert (code, stdout) == (1, "") and message in err, (name, command)
+            assert time.monotonic() - t0 < 1, (name, command)
 
 
 def test_negative_count_is_malformed(spec_e07, tmp_path, capsys):

@@ -11,16 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from markovforge import (export, export_dot, export_json, graph, import_json,
-                         lift_period, period, realize, user_spectrum)
-from markovforge.errors import EmptyLoopSet, Unrealizable
+from markovforge import (export, graph, import_json, lift_period, realize,
+                         user_spectrum)
+from markovforge.errors import Unrealizable
 from markovforge.graph import (ROOT, ExplicitGraph, is_strongly_connected,
                                vertex_count)
 from markovforge import oracle
 from markovforge.oracle import (BudgetExceeded, count_first_returns, count_paths,
                                 enumerate_first_returns, walk_path_counts)
 
-from conftest import built, neighbour_pairs
+from conftest import built, exported, neighbour_pairs, period
 
 
 def test_realize_flower_counts(spec2):
@@ -200,6 +200,17 @@ def named_graphs(draw):
     return names, arrows, draw(st.integers(1, 3))
 
 
+def whole_export(names, arrows, p, fmt):
+    """The bytes of an export built whole: by json.dumps, or line by line."""
+    if fmt == "json":
+        payload = {"vertices": list(names), "arrows": [list(a) for a in arrows],
+                   "period_lift": p}
+        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    lines = (["digraph loop_system {"] + [f'  "{v}";' for v in names]
+             + [f'  "{u}" -> "{v}";' for u, v in arrows] + ["}"])
+    return ("\n".join(lines) + "\n").encode()
+
+
 @given(named_graphs())
 @example((["root"], [], 1))  # no arrows
 @settings(max_examples=60, deadline=None)
@@ -207,10 +218,8 @@ def test_export_layout_with_any_names(parts):
     names, arrows, p = parts
     payload = {"vertices": names, "arrows": [list(a) for a in arrows], "period_lift": p}
     g = import_json(json.dumps(payload).encode())
-    assert export_json(g) == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
-    lines = (["digraph loop_system {"] + [f'  "{v}";' for v in names]
-             + [f'  "{u}" -> "{v}";' for u, v in arrows] + ["}"])
-    assert export_dot(g) == ("\n".join(lines) + "\n").encode()
+    for fmt in ("json", "dot"):
+        assert exported(g, fmt) == whole_export(names, arrows, p, fmt)
 
 
 # SHA-256 of export bytes before realized graphs stopped storing their arrows
@@ -228,10 +237,9 @@ EXPORT_DIGESTS = {
 def test_export_bytes_are_unchanged(case):
     text, N_max, N, p, fmt = case
     g = realize(built(text, N_max), N, p)
-    out = io.BytesIO()
-    export(g, fmt, out)
-    assert hashlib.sha256(out.getvalue()).hexdigest() == EXPORT_DIGESTS[case]
-    assert out.getvalue() == (export_dot if fmt == "dot" else export_json)(g)
+    data = exported(g, fmt)
+    assert hashlib.sha256(data).hexdigest() == EXPORT_DIGESTS[case]
+    assert data == whole_export(g.vertices, g.arrows, p, fmt)
 
 
 def test_period_is_gcd_of_loop_lengths():
@@ -240,9 +248,9 @@ def test_period_is_gcd_of_loop_lengths():
     assert period(realize(user_spectrum([0, 0, 1, 0, 0, 1]))) == 3
     # an imported graph has no loop lengths: its first returns give them
     for a, p in (([1, 0, 0, 1], 1), ([0, 1, 0, 1], 2), ([0, 0, 1, 0, 0, 1], 3)):
-        assert period(import_json(export_json(realize(user_spectrum(a))))) == p
-    with pytest.raises(EmptyLoopSet):
-        period(ExplicitGraph.from_names("u", ("u", "v"), (("u", "v"),)))
+        assert period(import_json(exported(realize(user_spectrum(a))))) == p
+    # no loop through the root: the gcd of no lengths
+    assert period(ExplicitGraph.from_names("u", ("u", "v"), (("u", "v"),))) == 0
 
 
 def test_lift_multiplies_period(spec2):
@@ -275,13 +283,17 @@ def test_lift_refuses_double_lift(spec2):
 
 
 def test_duplicate_arrow_rejected():
-    with pytest.raises(ValueError):
-        ExplicitGraph.from_names("u", ("u",), (("u", "u"), ("u", "u")))
+    with pytest.raises(ValueError, match="duplicate arrow"):
+        import_json(b'{"vertices": ["u"], "arrows": [["u", "u"], ["u", "u"]]}')
+    # a hand-built graph is refused when its runs are first derived
+    hand_built = ExplicitGraph.from_names("u", ("u",), (("u", "u"), ("u", "u")))
+    with pytest.raises(ValueError, match="duplicate arrow"):
+        hand_built.successor_runs()
 
 
 def test_dot_export_mentions_every_arrow(spec2):
     g = realize(spec2, 4)
-    text = export_dot(g).decode()
+    text = exported(g, "dot").decode()
     assert text.startswith("digraph")
     for src, dst in g.arrows:
         assert f'"{src}" -> "{dst}"' in text
@@ -289,21 +301,19 @@ def test_dot_export_mentions_every_arrow(spec2):
 
 def test_json_round_trip(spec2):
     g = lift_period(realize(spec2, 9), 2)
-    data = export_json(g)
+    data = exported(g)
     back = import_json(data)
     assert back.vertices == g.vertices
     assert back.arrows == g.arrows
     assert back.root == g.root
     assert back.period_lift == g.period_lift
-    assert export_json(back) == data
+    assert exported(back) == data
 
 
 def test_export_dispatch(spec2):
     g = realize(spec2, 4)
-    for fmt, whole in (("dot", export_dot), ("json", export_json)):
-        out = io.BytesIO()
-        export(g, fmt, out)
-        assert out.getvalue() == whole(g)
+    for fmt in ("dot", "json"):
+        assert exported(g, fmt) == whole_export(g.vertices, g.arrows, 1, fmt)
     out = io.BytesIO()
     with pytest.raises(ValueError):
         export(g, "gml", out)
@@ -325,7 +335,7 @@ def test_import_rejects_malformed():
                                     "period_lift": p}).encode())
     # a period lift that is not a JSON integer, which int() would read as
     # 2 (2.7, 2.0 and "2") or as 1 (true)
-    payload = json.loads(export_json(realize(user_spectrum([1, 1]), 2, 2)))
+    payload = json.loads(exported(realize(user_spectrum([1, 1]), 2, 2)))
     for p in (2.7, 2.0, "2", True):
         payload["period_lift"] = p
         with pytest.raises(ValueError, match=f"period_lift {p!r} is not an integer of at least 1"):
@@ -385,9 +395,9 @@ def test_indexed_realization_matches_named_reference(a1, tail, p):
     assert direct == g and hash(direct) == hash(g)
     assert (g.vertices, g.arrows) == named_reference(s.a, p)
     assert g.root == 0 and g.size == len(g.vertices)
-    data = export_json(g)
+    data = exported(g)
     imported = import_json(data)
-    assert export_json(imported) == data
+    assert exported(imported) == data
     assert imported.arrows == g.arrows
     # the form built from loop_lengths is the one the arrows give, hub order included
     assert g.adjacency() == imported.adjacency()

@@ -13,8 +13,11 @@ from markovforge import (BetaValue, CReal, Verdict, build_spectrum, classify,
                          delete_loop, spectrum_checks, user_spectrum)
 from markovforge import spectrum_io
 from markovforge.errors import SpectrumFileError
+from markovforge.intervals import MAX_PRECISION_BITS
 from markovforge.spectrum import int_text
 from markovforge.verification import run_suite
+
+from conftest import built, costly_files
 
 DATA = Path(__file__).parent / "data"
 
@@ -239,6 +242,12 @@ def test_rejects_garbage(spec2):
     for value in (2, "2", "0x2"):
         payload["a"][2] = value
         assert spectrum_io.from_dict(payload).spectrum.count(3) == 2
+    # a string's characters, or an object's keys, would be read as counts
+    for a in ("1012", {"1": 0, "0": 1, "2": 2, "3": 3}):
+        payload = {"format_version": 4, "N_max": 4, "a": a, "finite_support": True,
+                   "meta": None}
+        with pytest.raises(SpectrumFileError, match="a is not a list of counts"):
+            spectrum_io.from_dict(payload)
     # a stored base must exceed 1, as beta + k bounds the counts
     for kind, value in [("rational", "1/2"), ("rational", "1"), ("exp_rational", "-1"),
                         ("exp_rational", "0")]:
@@ -246,6 +255,23 @@ def test_rejects_garbage(spec2):
         payload["beta"] = {"kind": kind, "value": value, "text": value}
         with pytest.raises(SpectrumFileError):
             spectrum_io.from_bytes(json.dumps(payload).encode())
+
+
+def test_costly_files_are_refused_at_load(spec2):
+    for name, payload, message in costly_files(spec2):
+        with pytest.raises(SpectrumFileError, match=message):
+            spectrum_io.from_dict(payload)
+    # the bounds themselves load: the largest precision, the finest grid, the
+    # least constructed N_max and a plain version-1 decimal
+    edge = spectrum_io.to_dict(spectrum_io.SpectrumFile(built("2", 4)))
+    edge["meta"].update(precision_bits=MAX_PRECISION_BITS,
+                        tail_at_L=[f"0x1p-{spectrum_io.MAX_EXPONENT}", "0x1p+0"])
+    meta = spectrum_io.from_dict(edge).spectrum.meta
+    assert meta.precision_bits == MAX_PRECISION_BITS and meta.N_max == 4
+    assert meta.tail_at_L.lo == Fraction(1, 2 ** spectrum_io.MAX_EXPONENT)
+    v1 = json.loads((DATA / "b2_n128.v1.json").read_bytes())
+    v1["meta"]["tail_at_L"] = ["-0.5", "7/10"]
+    assert spectrum_io.from_dict(v1).spectrum.meta.tail_at_L.hi >= Fraction(7, 10)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -14,17 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovforge import (count_first_returns, count_paths, export_json,
-                         growth_rate, import_json, lift_period, realize,
-                         renewal_convolve, table_from_spectrum,
-                         user_spectrum)
+from markovforge import (count_first_returns, count_paths, growth_rate,
+                         import_json, lift_period, realize, renewal_convolve,
+                         table_from_spectrum, user_spectrum)
 from markovforge.errors import InsufficientData
 from markovforge.graph import ExplicitGraph
 from markovforge.intervals import _ln_big
 from markovforge.oracle import (BudgetExceeded, enumerate_first_returns,
                                 enumerate_paths, walk_path_counts, write_csv)
 
-from conftest import built
+from conftest import built, exported
 
 
 def walk_reference(g, u, v, n, first_return):
@@ -72,7 +71,7 @@ def test_dp_matches_renewal_on_flower(spec2):
 def test_enumeration_matches_dp(spec2):
     flower = realize(spec2, 10)
     lifted = lift_period(realize(spec2, 5), 2)
-    imported = import_json(export_json(lifted))
+    imported = import_json(exported(lifted))
     # not a flower: walks of equal length meet at a and at b
     chords = ExplicitGraph.from_names("u", ("u", "a", "b"),
                                       (("u", "a"), ("u", "b"), ("a", "b"),

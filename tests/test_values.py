@@ -45,19 +45,18 @@ def test_trace_targets_resolve_after_importing_the_cli():
         assert callable(getattr(owner, fn_name, None)), f"{module_name}.{attr}"
 
 
-# what the parent module exported before its layers were loaded on first use
+# the eager names, the lazy layers and the names re-exported from them
 PUBLIC_NAMES = (
     "BetaValue", "CReal", "ClassificationReport", "ExplicitGraph", "GrowthEstimate",
     "LoopSpectrum", "PathCountTable", "Radius", "SpectrumMeta", "Verdict",
     "build_spectrum", "certified_floor", "classifier", "classify",
     "count_first_returns", "count_paths", "delete_loop", "entropy_enclosure",
-    "entropy_of_lift", "errors", "exp_fraction", "export", "export_dot",
-    "export_json", "geometric_tail", "graph", "growth_rate", "import_json",
-    "intervals", "lift_period", "log_fraction", "oracle",
-    "period", "power_series", "radius_L", "realize", "renewal_convolve",
-    "renewal_limit", "spectrum", "spectrum_checks", "table_from_spectrum",
-    "unit_sum_enclosure", "unit_sum_target", "user_spectrum",
-    "weighted_sum_enclosure")
+    "entropy_of_lift", "errors", "exp_fraction", "export", "geometric_tail",
+    "graph", "growth_rate", "import_json", "intervals", "lift_period",
+    "log_fraction", "oracle", "power_series", "radius_L", "realize",
+    "renewal_convolve", "renewal_limit", "spectrum", "spectrum_checks",
+    "table_from_spectrum", "unit_sum_enclosure", "unit_sum_target",
+    "user_spectrum", "weighted_sum_enclosure")
 
 
 def test_public_names_are_unchanged_and_resolve():
