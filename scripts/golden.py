@@ -9,8 +9,12 @@ The list covers the benchmark's construct, verify and query bases, read
 from perfbench/workloads.py, with their deletions and lifts, `export` to
 DOT and JSON with and without a lift, the `entropy` CSVs, the files the CI
 end-to-end step builds, the README examples and documented refusals, the
-spectrum files under tests/data, and the small-entropy builds whose
-transient variant has no loop to delete yet (ROADMAP item 1, exit 4).
+spectrum files under tests/data, the small-entropy builds whose
+transient variant has no loop to delete yet (ROADMAP item 1, exit 4), and
+the paths no file above reaches: user spectra through every reading
+command, the loader's refusals, usage refusals, `--out -`, a constructed
+file whose identity fails, and the edge cases of the bisection, of counts
+past 4,300 digits and of an empty count list.
 Every command runs in process through `cli.main`, in a fresh temporary
 directory, in the order listed.  A change that alters output on purpose
 regenerates the manifest and names each changed record.
@@ -100,6 +104,25 @@ def deepest_below(limit: int):
     return lambda lengths: max((n for n in lengths if n <= limit), default=None)
 
 
+def user_file(name: str, a: list[str], finite: bool = True) -> str:
+    """A version-4 user spectrum file of the counts ``a``."""
+    Path(name).write_text(json.dumps({"format_version": 4, "N_max": len(a), "a": a,
+                                      "finite_support": finite, "meta": None}))
+    return name
+
+
+def edited(source: str, name: str, edit) -> str:
+    """A copy of the spectrum file ``source``, its payload changed by ``edit``."""
+    payload = json.loads(Path(source).read_text())
+    edit(payload)
+    Path(name).write_text(json.dumps(payload))
+    return name
+
+
+def set_count(n: int, value: str):
+    return lambda p: p["a"].__setitem__(n - 1, value)
+
+
 def construct(c: Corpus) -> None:
     for spec, n_max in workloads.CONSTRUCT_CASES:
         path = build(c, spec, n_max, "c")
@@ -157,9 +180,7 @@ def ci_end_to_end(c: Corpus) -> None:
         c.run("verify", f)
     a = ["0"] * 8000
     a[1] = a[-1] = "1"
-    Path("u8000.json").write_text(json.dumps({"format_version": 4, "N_max": 8000, "a": a,
-                                              "finite_support": True, "meta": None}))
-    c.run("classify", "u8000.json")
+    c.run("classify", user_file("u8000.json", a))
     c.run("build", "--beta", "2", "--out", "b2.json")
     c.run("entropy", "b2.json", "--max-n", "15000", "--csv", "big.csv")
     c.run("build", "--beta", "1000", "--max-n", "1700", "--out", "b1000.json")
@@ -186,20 +207,71 @@ def readme(c: Corpus) -> None:
     # the documented refusals: exit 6, 2, 1, 1, 5, 3 and 3
     c.run("export", "e3.json", "--format", "dot", "--max-n", "64")
     c.run("build", "--beta", "abc", "--out", "x.json")
-    b2 = json.loads(Path("b2.json").read_text())
     for name, edit in (("b2_kneg.json", lambda p: p["meta"].update(k=-1000)),
                        ("b2_half.json", lambda p: p.update(
                            beta={"kind": "rational", "value": "1/2", "text": "1/2"})),
                        ("b2_k7.json", lambda p: p["meta"].update(k=7))):
-        payload = json.loads(json.dumps(b2))
-        edit(payload)
-        Path(name).write_text(json.dumps(payload))
-        c.run("verify" if name == "b2_k7.json" else "classify", name)
+        c.run("verify" if name == "b2_k7.json" else "classify", edited("b2.json", name, edit))
     for f in sorted(os.listdir("data")):
         c.run("classify", f"data/{f}")
         c.run("verify", f"data/{f}")
     c.run("build", "--beta", "e^3", "--max-n", "1000000", "--out", "x.json")
     c.run("build", "--entropy", "1000", "--period", "1000000000", "--out", "x.json")
+
+
+def uncovered(c: Corpus) -> None:
+    # user spectra, the only route to log_interval: a truncation (the
+    # Cauchy-Hadamard estimate of L), an exact dyadic root, F(1) = 1, two
+    # irrational roots and no loops at all
+    for name, a, finite in (("u_trunc.json", ["1", "2", "3", "5", "8"], False),
+                            ("u_2.json", ["2"], True), ("u_01.json", ["0", "1"], True),
+                            ("u_11.json", ["1", "1"], True),
+                            ("u_0203.json", ["0", "2", "0", "3"], True),
+                            ("u_zero.json", ["0", "0", "0"], True)):
+        user_file(name, a, finite)
+        c.run("classify", name, "--bits", "--lambda-window")
+        c.run("verify", name)
+        c.run("entropy", name, "--max-n", "12")
+        c.run("export", name, "--format", "dot")
+    # the loader's refusals: counts not a list, a precision past 4,096 bits, a
+    # constructed N_max below 4, an endpoint past the finest grid, a version-1 exponent
+    Path("bad_a.json").write_text(json.dumps({"format_version": 4, "N_max": 4, "a": "1012",
+                                              "finite_support": True, "meta": None}))
+    edited("b2.json", "bad_bits.json", lambda p: p["meta"].update(precision_bits=1000000))
+    edited("b2.json", "bad_nmax.json", lambda p: p.update(N_max=0, a=[]))
+    edited("b2.json", "bad_exp.json",
+           lambda p: p["meta"]["tail_at_L"].__setitem__(0, "0x1p-30000000"))
+    edited("data/b2_n128.v1.json", "bad_v1.json",
+           lambda p: p["meta"]["tail_at_L"].__setitem__(0, "1e-999999999"))
+    for f in ("bad_a.json", "bad_bits.json", "bad_nmax.json", "bad_exp.json", "bad_v1.json"):
+        c.run("classify", f)
+        c.run("verify", f)
+    # usage: a second lift and a zero entropy exit 2; --out - writes to stdout
+    c.run("lift", "lifted.json", "--period", "2", "--out", "relifted.json")
+    c.run("build", "--entropy", "0", "--out", "h0.json")
+    c.run("build", "--beta", "5/2", "--max-n", "16", "--out", "-")
+    c.run("transient-variant", "b2.json", "--out", "-")
+    c.run("lift", "b2.json", "--period", "3", "--out", "-")
+    # a constructed file whose identity fails: a(4) below its square floor
+    edited("b2.json", "b2_low4.json", set_count(4, "0"))
+    c.run("classify", "b2_low4.json", "--lambda-window")
+    c.run("verify", "b2_low4.json")
+    # a finite spectrum whose root lies below 2^-128, and one below 2^-4096
+    user_file("u_deep.json", ["0", str(2 ** 257)])
+    user_file("u_deeper.json", ["0", str(3 * 2 ** 9000)])
+    for f in ("u_deep.json", "u_deeper.json"):
+        c.run("classify", f)
+        c.run("verify", f)
+    # counts of more than 4,300 digits at n = 1 and at n = 4
+    for n in (1, 4):
+        f = edited("b2.json", f"b2_huge{n}.json", set_count(n, "0x" + "f" * 5000))
+        c.run("classify", f)
+        c.run("verify", f)
+        c.run("export", f, "--format", "dot")
+    # an empty count list
+    user_file("u_empty.json", [])
+    for command in ("classify", "verify", "entropy", "export"):
+        c.run(command, "u_empty.json", *(["--format", "dot"] if command == "export" else []))
 
 
 def small_entropy(c: Corpus) -> None:
@@ -221,7 +293,8 @@ def main(argv=None) -> int:
         shutil.copytree(DATA, Path(work) / "data")
         os.chdir(work)
         try:
-            for part in (construct, verify, query, ci_end_to_end, readme, small_entropy):
+            for part in (construct, verify, query, ci_end_to_end, readme, small_entropy,
+                         uncovered):
                 part(corpus)
         finally:
             os.chdir(here)

@@ -26,8 +26,10 @@ from fractions import Fraction
 from typing import Optional
 
 from ._frozen import Frozen
-from .intervals import (DEFAULT_PRECISION_BITS, CReal, _horner, _ln_big,
-                        decimal_bounds, log_fraction, log_interval, power_series)
+from .errors import PrecisionExhausted
+from .intervals import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, CReal, _horner,
+                        _ln_big, decimal_bounds, log_fraction, log_interval,
+                        power_series)
 from .spectrum import (LoopSpectrum, identity_failure, unit_sum_enclosure,
                        weighted_sum_enclosure)
 
@@ -117,16 +119,22 @@ def radius_L(s: LoopSpectrum) -> Radius:
 
 
 def _bisect_root(s: LoopSpectrum) -> CReal:
-    """Certified root of F(x) = 1 for a finite-support spectrum."""
+    """Certified root of F(x) = 1 for a finite-support spectrum, bisected
+    DEFAULT_PRECISION_BITS / 2 times and on while the lower end is 0.  The
+    root is at least 1/(A + 1), A the largest count, where A x / (1 - x)
+    reaches 1, so that takes about bitlen(A) steps; PrecisionExhausted past
+    MAX_PRECISION_BITS."""
     terms = [(n, c) for n, c in enumerate(s.a, 1) if c]
     # some count is >= 1, so F(1) >= 1
     if power_series(terms, 1) == 1:
         return CReal.exact(1)
     # the root lies in [a, a + 1] / 2^j; F at the dyadic midpoint m / 2^j is
     # the integer ratio num / den, compared with 1 without reducing it
-    a = 0
-    for j in range(1, DEFAULT_PRECISION_BITS // 2 + 1):
-        m = 2 * a + 1
+    a = j = 0
+    while j < DEFAULT_PRECISION_BITS // 2 or a == 0:
+        if j == MAX_PRECISION_BITS:
+            raise PrecisionExhausted(f"the root of F(x) = 1 lies below 2^-{j}")
+        j, m = j + 1, 2 * a + 1
         num, den = _horner(terms, m, 1 << j)
         if num == den:
             return CReal.exact(Fraction(m, 1 << j))

@@ -17,13 +17,13 @@ from __future__ import annotations
 import json
 from array import array
 from functools import cache
-from itertools import compress, islice
+from itertools import compress
 from operator import ne
 from typing import BinaryIO, Iterator, Optional
 
 from ._frozen import Frozen
 from .errors import Unrealizable
-from .spectrum import LoopSpectrum
+from .spectrum import LoopSpectrum, int_text, write_lines
 
 ROOT = "root"
 REALIZE_VERTEX_BUDGET = 2 * 10 ** 6  # the most vertices realize and lift_period accept
@@ -261,8 +261,9 @@ def realize(s: LoopSpectrum, N: Optional[int] = None, period_lift: int = 1) -> E
     if s.count(1) > 1:
         raise Unrealizable("a(1) > 1 cannot be realized without parallel arrows")
     if not fits(s, N, period_lift):
-        raise Unrealizable(f"the graph up to length {N} has {vertex_count(s, N) * period_lift} "
-                           f"vertices, more than {REALIZE_VERTEX_BUDGET}")
+        raise Unrealizable(f"the graph up to length {N} has "
+                           f"{int_text(vertex_count(s, N) * period_lift)} vertices, "
+                           f"more than {REALIZE_VERTEX_BUDGET}")
     lengths = tuple((n, s.count(n)) for n in range(1, N + 1) if s.count(n))
     return lift_period(ExplicitGraph(vertex_count(s, N), None, None, loop_lengths=lengths),
                        period_lift)
@@ -347,13 +348,11 @@ _EXPORT_LINES = {"dot": _dot_lines, "json": _json_lines}
 
 
 def export(g: ExplicitGraph, fmt: str, fh: BinaryIO) -> None:
-    """Write ``g`` as DOT or JSON to the binary file ``fh``, 1,024 lines
-    per write; only the names and arrow arrays are held meanwhile."""
+    """Write ``g`` as DOT or JSON to the binary file ``fh`` by ``write_lines``;
+    only the names and arrow arrays are held meanwhile."""
     if fmt not in _EXPORT_LINES:
         raise ValueError(f"unknown export format {fmt!r}")
-    lines = _EXPORT_LINES[fmt](g)
-    while chunk := list(islice(lines, 1024)):
-        fh.write(("\n".join(chunk) + "\n").encode("utf-8"))
+    write_lines(_EXPORT_LINES[fmt](g), fh)
 
 
 def import_json(data: bytes) -> ExplicitGraph:

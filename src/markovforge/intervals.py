@@ -10,13 +10,13 @@ moves an endpoint by less than ``2^-(precision_bits + GUARD)`` of its
 magnitude, so the cost of an operation follows the precision, not the
 history of the operands.  The result carries the larger of the operands'
 ``precision_bits``, and a rational growth base is put on the same grid:
-exact on it (integers, 5/2), a ball like e^q off it.  Transcendental
-constants come from series with explicit remainder bounds.
+exact on it (integers, 5/2), a ball like e^q off it.
 
 Every series sum ``sum c x^n`` in the library goes through one evaluator,
-:func:`power_series`: exact integer Horner for rational ``x``, and a
-certified enclosure for an interval ``x >= 0``, evaluated in fixed point
-at each endpoint.
+:func:`power_series`, the Taylor series of e^q and the odd powers of atanh
+behind every log included: exact integer Horner for rational ``x``, and
+fixed point at each endpoint of an interval ``x >= 0``; e^q and atanh add
+explicit remainder bounds.
 
 No binary float enters this module, and only :func:`_ln_big`, the log of
 a count for the uncertified estimates, returns one.
@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Union
 
 from ._frozen import Frozen
@@ -208,50 +210,45 @@ def _coerce(v: Union[CReal, Rat], precision_bits: int) -> CReal:
 def exp_fraction(q: Rat, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
     """Certified enclosure of e^q for rational q.
 
-    Argument halving brings the series argument below 1/2, so the Taylor
-    remainder after the k-th term is below twice the next term.
+    Argument halving brings the series argument t below 1/2, so the Taylor
+    remainder after the k-th term is below twice the next term.  k is the
+    first k >= 1 at which that bound is at most 2^-work_bits, and the sum of
+    t^n/n! up to it is :func:`power_series` with the weights k!/n!, over k!.
     """
     q = _frac(q)
     if q < 0:
         return exp_fraction(-q, precision_bits).inv()
-    halvings = 0
-    t = q
+    t, halvings = q, 0
     while t > Fraction(1, 2):
-        t /= 2
-        halvings += 1
+        t, halvings = t / 2, halvings + 1
     work_bits = precision_bits + 2 * halvings + 32
-    target = Fraction(1, 1 << work_bits)
-    partial = Fraction(1)
-    term = Fraction(1)
-    k = 0
-    while True:
+    # the next term t^(k+1)/(k+1)! is num/den, with t = p/d
+    p, d = t.numerator, t.denominator
+    k, num, den = 1, p * p, 2 * d * d
+    while num << (work_bits + 1) > den:
         k += 1
-        term *= t / k
-        partial += term
-        nxt = term * t / (k + 1)
-        if 2 * nxt <= target:
-            break
-    enc = CReal(partial, partial + 2 * nxt, precision_bits)
+        num, den = num * p, den * d * (k + 1)
+    weights = list(accumulate(range(k, 0, -1), mul, initial=1))[::-1]
+    partial = power_series(enumerate(weights), t) / weights[0]
+    enc = CReal(partial, partial + 2 * Fraction(num, den), precision_bits)
     for _ in range(halvings):
         enc = enc * enc
     return enc
 
 
 def _atanh_enclosure(t: Fraction, bits: int) -> CReal:
-    """Enclosure of atanh(t) for 0 <= t < 1 via the odd-power series."""
-    target = Fraction(1, 1 << bits)
-    t2 = t * t
-    partial = Fraction(0)
-    power = t
-    j = 0
-    while True:
-        partial += power / (2 * j + 1)
-        power *= t2
-        j += 1
-        bound = power / ((2 * j + 1) * (1 - t2))
-        if bound <= target:
-            break
-    return CReal(partial, partial + bound, bits)
+    """Enclosure of atanh(t) for 0 <= t < 1: the odd-power series up to the
+    first j >= 1 whose remainder bound t^(2j+1) / ((2j+1)(1 - t^2)) is at
+    most 2^-bits, :func:`power_series` with the weights e/(2i+1), i < j,
+    over e, the lcm of the odd numbers below 2j."""
+    p, q = t.numerator, t.denominator
+    # the bound is num / ((2j+1) den)
+    j, num, den = 1, p ** 3, q * (q * q - p * p)
+    while num << bits > (2 * j + 1) * den:
+        j, num, den = j + 1, num * p * p, den * q * q
+    e = math.lcm(*range(1, 2 * j, 2))
+    partial = power_series(((n, e // n) for n in range(1, 2 * j, 2)), t) / e
+    return CReal(partial, partial + Fraction(num, (2 * j + 1) * den), bits)
 
 
 @lru_cache(maxsize=None)
@@ -265,14 +262,11 @@ def log_fraction(x: Rat, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
     x = _frac(x)
     if x <= 0:
         raise ValueError("log requires a positive argument")
-    exponent = 0
-    m = x
-    while m >= 2:
-        m /= 2
-        exponent += 1
-    while m < 1:
-        m *= 2
-        exponent -= 1
+    # x / 2^exponent lies in (1/2, 2), and in [1, 2) after one correction
+    exponent = x.numerator.bit_length() - x.denominator.bit_length()
+    m = x / Fraction(2) ** exponent
+    if m < 1:
+        m, exponent = 2 * m, exponent - 1
     if m == 1:
         result = CReal.exact(0, precision_bits)
     else:
@@ -495,6 +489,7 @@ class BetaValue(Frozen):
 # ---------------------------------------------------------------------------
 
 DECIMAL_DIGITS = 40
+_DECIMAL_LIMIT = 10 ** 4300  # the least integer int -> str refuses
 
 
 def _format_scaled(n: int, digits: int) -> str:
@@ -503,12 +498,27 @@ def _format_scaled(n: int, digits: int) -> str:
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
 
+def _decimal_text(v: Fraction, digits: int, up: bool) -> str:
+    """v rounded down (or up) to ``digits`` decimals or, where v 10^digits
+    passes 10^4300 - 1 and str() would refuse it, a mantissa in [1, 10]
+    rounded so, times 10^e."""
+    scaled, e = v * 10 ** digits, 0
+    if abs(scaled) > _DECIMAL_LIMIT - 1:
+        # 10^e <= |v| < 10^(e+1), from the bit lengths, then corrected
+        a = abs(v)
+        e = int((a.numerator.bit_length() - a.denominator.bit_length()) * math.log10(2))
+        while 10 ** e > a:
+            e -= 1
+        while 10 ** (e + 1) <= a:
+            e += 1
+        scaled /= 10 ** e
+    n = math.ceil(scaled) if up else math.floor(scaled)
+    return _format_scaled(n, digits) + (f"e+{e}" if e else "")
+
+
 def decimal_bounds(x: CReal, digits: int = DECIMAL_DIGITS) -> tuple[str, str]:
     """Outward-rounded decimal strings for the endpoints (sound, idempotent)."""
-    scale = 10 ** digits
-    lo = math.floor(x.lo * scale)
-    hi = math.ceil(x.hi * scale)
-    return _format_scaled(lo, digits), _format_scaled(hi, digits)
+    return _decimal_text(x.lo, digits, False), _decimal_text(x.hi, digits, True)
 
 
 def _ln_big(v: int) -> float:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Optional, Sequen
 from ._frozen import Frozen
 from .errors import InsufficientData
 from .intervals import _ln_big
-from .spectrum import LoopSpectrum, int_text
+from .spectrum import LoopSpectrum, int_text, write_lines
 
 if TYPE_CHECKING:
     from .graph import ExplicitGraph
@@ -297,9 +297,8 @@ def _csv_lines(rows: Iterable[tuple[int, int]], period_lift: int,
 def write_csv(s: LoopSpectrum, N: int, fh: BinaryIO,
               period_lift: int = 1) -> Optional[GrowthEstimate]:
     """Write the rows ``n,f,p,growth_estimate`` of ``table_from_spectrum(s,
-    N)`` lifted by p to the binary file ``fh``, 1,024 lines per write
-    (fewer once they average a kilobyte, so a write stays near a
-    megabyte), and return ``growth_rate`` of its counts with window 8, or None if fewer
+    N)`` lifted by p to the binary file ``fh`` by ``write_lines``, and
+    return ``growth_rate`` of its counts with window 8, or None if fewer
     than 8 are positive.
 
     No table is built: each unlifted row is computed as it is written, from
@@ -310,11 +309,6 @@ def write_csv(s: LoopSpectrum, N: int, fh: BinaryIO,
         raise ValueError("N must be >= 0")
     a = s.a[:N]
     positive: deque = deque(maxlen=8)
-    lines = _csv_lines(zip(chain(a, repeat(0)), islice(_renewal(a), N)), period_lift, positive)
-    most = 1024
-    while chunk := list(islice(lines, most)):
-        data = ("\n".join(chunk) + "\n").encode("utf-8")
-        fh.write(data)
-        most = min(1024, 1 + (len(chunk) << 20) // len(data))
-        del chunk, data  # not held while the next chunk is built
+    write_lines(_csv_lines(zip(chain(a, repeat(0)), islice(_renewal(a), N)), period_lift,
+                           positive), fh)
     return _estimate(positive, period_lift) if len(positive) == 8 else None

@@ -21,13 +21,14 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import islice
+from typing import BinaryIO, Iterator, Optional, Sequence
 
 from ._frozen import Frozen
 from .errors import (FloorUndecidable, NoDeletableLoop, NotGreaterThanOne,
                      PrecisionExhausted, TailUnavailable)
-from .intervals import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, BetaValue,
-                        CReal, certified_floor, geometric_tail, power_series)
+from .intervals import (_DECIMAL_LIMIT, DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS,
+                        BetaValue, CReal, certified_floor, geometric_tail, power_series)
 
 DEFAULT_N_MAX = 64
 # the most square floors a build computes: 1.00001 needs 4,476 at the default
@@ -393,9 +394,6 @@ class CheckResult(Frozen):
         self._init(name, passed, detail)
 
 
-_DECIMAL_LIMIT = 10 ** 4300  # the least integer int -> str refuses
-
-
 def int_text(v: int) -> str:
     """Decimal, or hex ("0x...") for more than 4,300 digits."""
     return hex(v) if v >= _DECIMAL_LIMIT else str(v)
@@ -409,6 +407,18 @@ def real_text(x, spec: str) -> str:
     except OverflowError:
         e = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
         return f"{float(x / 10 ** e):{spec.replace('e', 'f')}}e{e:+d}"
+
+
+def write_lines(lines: Iterator[str], fh: BinaryIO) -> None:
+    """Write ``lines``, each ended by a newline, to the binary file ``fh``,
+    1,024 per write, fewer once they average a kilobyte, so that a write
+    stays near a megabyte; a chunk is not held while the next is built."""
+    most = 1024
+    while chunk := list(islice(lines, most)):
+        data = ("\n".join(chunk) + "\n").encode("utf-8")
+        fh.write(data)
+        most = min(1024, 1 + (len(chunk) << 20) // len(data))
+        del chunk, data
 
 
 def spectrum_checks(s: LoopSpectrum) -> list[CheckResult]:
@@ -426,7 +436,8 @@ def spectrum_checks(s: LoopSpectrum) -> list[CheckResult]:
     def parent_count(n: int) -> int:
         return s.count(n) + (meta.deleted_loop == n)
 
-    results.append(CheckResult("a(1) = 1", parent_count(1) == 1, f"a(1) = {parent_count(1)}"))
+    results.append(CheckResult("a(1) = 1", parent_count(1) == 1,
+                               f"a(1) = {int_text(parent_count(1))}"))
 
     enc = unit_sum_enclosure(s)
     target = unit_sum_target(s)

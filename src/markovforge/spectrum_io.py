@@ -135,6 +135,8 @@ def from_dict(payload: dict) -> SpectrumFile:
                 BetaValue(b["kind"], _plain_in(b["value"]), b["text"]), bits, n_max,
                 _whole(m, "k"), _interval_in(m["tail_at_L"], bits, version),
                 None if m["deleted_loop"] is None else _whole(m, "deleted_loop"))
+        if n_max < 1:  # no command reads an empty count list
+            raise ValueError(f"N_max {n_max} is below 1")
         finite = payload.get("finite_support", False)
         if not isinstance(finite, bool):
             raise ValueError(f"finite_support {finite!r} is not true or false")

@@ -10,7 +10,9 @@ import time
 from fractions import Fraction
 
 import mpmath
+import pytest
 
+from markovforge.errors import PrecisionExhausted
 from markovforge import (Verdict, classify, delete_loop, entropy_enclosure,
                          entropy_of_lift, power_series, radius_L, renewal_limit,
                          table_from_spectrum, user_spectrum)
@@ -108,6 +110,22 @@ def test_bisection_compares_dyadic_midpoints_in_integers():
     root, terms = rep.R.value, [(2, 1), (2000, 1)]
     assert power_series(terms, root.lo) < 1 < power_series(terms, root.hi)
     assert root.width == Fraction(1, 2 ** 128)
+
+
+def test_a_root_below_the_first_cell_is_bisected_until_it_is_positive():
+    # F(x) = 2^257 x^2 has the root 2^-128.5, inside [0, 2^-128] after 128
+    # steps, whose log is -infinity; R >= 1 / (2^257 + 1) bounds the steps
+    rep = classify(user_spectrum([0, 2 ** 257]))
+    root = rep.R.value
+    assert (root.lo, root.hi) == (Fraction(1, 2 ** 129), Fraction(1, 2 ** 128))
+    assert power_series([(2, 2 ** 257)], root.lo) < 1 < power_series([(2, 2 ** 257)], root.hi)
+    assert near(rep.entropy, mpmath.mpf(257) / 2 * mpmath.log(2))
+    assert rep.verdict is Verdict.POSITIVE_RECURRENT and rep.has_mme is True
+
+
+def test_a_root_below_2_to_the_minus_4096_exhausts_the_precision():
+    with pytest.raises(PrecisionExhausted, match="below 2\\^-4096"):
+        classify(user_spectrum([0, 3 * 2 ** 9000]))
 
 
 def test_entropy_of_lift(spec2):

@@ -302,6 +302,39 @@ def test_truncated_user_spectrum_is_indeterminate(tmp_path, capsys):
     assert report["entropy"] is None and report["lifted_entropy"] is None
 
 
+def test_an_empty_count_list_is_malformed(tmp_path, capsys):
+    # N_max 0 reached graph.realize, which raised ValueError, in verify and export
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"format_version": 4, "N_max": 0, "a": [], "meta": None}))
+    for command, *flags in (["classify"], ["verify"], ["entropy"], ["export", "--format", "dot"]):
+        code, stdout, err = run(capsys, command, str(path), *flags)
+        assert (code, stdout) == (1, "") and "N_max 0 is below 1" in err, command
+    # no loops over N_max >= 1 is still the empty spectrum
+    path.write_text(json.dumps({"format_version": 4, "N_max": 3, "a": ["0", "0", "0"],
+                                "finite_support": True, "meta": None}))
+    code, stdout, _ = run(capsys, "classify", str(path))
+    assert code == 0 and json.loads(stdout)["notes"] == ["empty spectrum: no loops at all"]
+
+
+@pytest.mark.parametrize("n, verify_code", [(1, 6), (4, 5)])
+def test_a_count_past_the_decimal_limit_exits_with_its_code(spec2, n, verify_code, tmp_path,
+                                                            capsys):
+    # a(n) = 16^5000 - 1, 6,021 digits: str() of it, of F(L) or of the vertex
+    # count raised ValueError in classify, verify and export
+    payload = spectrum_io.to_dict(spectrum_io.SpectrumFile(spec2))
+    payload["a"][n - 1] = "0x" + "f" * 5000
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    code, stdout, _ = run(capsys, "classify", str(path))
+    report = json.loads(stdout)
+    assert code == 0 and report["verdict"] == "Indeterminate"
+    lo, hi = map(Fraction, report["F_at_L"])
+    assert lo <= Fraction(16 ** 5000 - 1, 2 ** n) <= hi and "e+60" in report["F_at_L"][0]
+    assert run(capsys, "verify", str(path))[0] == verify_code
+    code, _, err = run(capsys, "export", str(path), "--format", "dot")
+    assert code == 6 and ("0x3" in err if n == 4 else "a(1) > 1" in err)
+
+
 def test_export_formats(tmp_path, capsys):
     base = tmp_path / "b.json"
     run(capsys, "build", "--beta", "2", "--max-n", "9", "--out", str(base))

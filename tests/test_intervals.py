@@ -16,8 +16,8 @@ from markovforge import (BetaValue, CReal, certified_floor, exp_fraction,
                          geometric_tail, log_fraction, power_series)
 from markovforge.errors import (DivergentTail, FloorUndecidable, NotGreaterThanOne,
                                 PrecisionExhausted)
-from markovforge.intervals import (GUARD, decimal_bounds, ln2_enclosure,
-                                   log_interval)
+from markovforge.intervals import (GUARD, _atanh_enclosure, decimal_bounds,
+                                   ln2_enclosure, log_interval)
 
 mpmath.mp.dps = 60
 
@@ -260,6 +260,22 @@ def test_decimal_bounds_outward_and_idempotent():
     assert decimal_bounds(back) == (lo, hi)
 
 
+def test_decimal_bounds_past_the_digit_limit_use_an_exponent():
+    # str() refuses an int of more than 4,300 digits, which an endpoint
+    # scaled by 10^40 reaches from 10^4260 on
+    limit = Fraction(10 ** 4300, 10 ** 40)
+    lo, hi = decimal_bounds(CReal.exact(limit - Fraction(1, 10 ** 40)))
+    assert "e" not in lo + hi and Fraction(lo) == Fraction(hi) == limit - Fraction(1, 10 ** 40)
+    assert decimal_bounds(CReal.exact(limit)) == ("1." + "0" * 40 + "e+4260",) * 2
+    for v in (Fraction(10 ** 5000, 3), Fraction(-2 ** 20000, 7), Fraction(16 ** 5000 - 1, 2)):
+        lo, hi = decimal_bounds(CReal.exact(v))
+        assert Fraction(lo) <= v <= Fraction(hi)
+        assert Fraction(hi) - Fraction(lo) <= abs(v) / 10 ** 39
+        for text in (lo, hi):
+            mantissa, exponent = text.split("e+")
+            assert 1 <= abs(Fraction(mantissa)) <= 10 and int(exponent) > 4000
+
+
 @given(fractions_st)
 @settings(max_examples=60, deadline=None)
 def test_decimal_round_trip_encloses(p):
@@ -316,3 +332,77 @@ def test_power_series_edge_cases():
         power_series([(2, 1), (1, 1)], Fraction(1, 2))
     with pytest.raises(ValueError):
         power_series([(1, -1)], Fraction(1, 2))
+
+
+# The reference: the Fraction loops that exp_fraction and _atanh_enclosure
+# summed, and log_fraction's halving and doubling of x, before each went
+# through power_series and the bit lengths.
+def reference_exp(q, bits):
+    if q < 0:
+        return reference_exp(-q, bits).inv()
+    t, halvings = q, 0
+    while t > Fraction(1, 2):
+        t /= 2
+        halvings += 1
+    target = Fraction(1, 1 << (bits + 2 * halvings + 32))
+    partial = term = Fraction(1)
+    k = 0
+    while True:
+        k += 1
+        term *= t / k
+        partial += term
+        nxt = term * t / (k + 1)
+        if 2 * nxt <= target:
+            break
+    enc = CReal(partial, partial + 2 * nxt, bits)
+    for _ in range(halvings):
+        enc = enc * enc
+    return enc
+
+
+def reference_atanh(t, bits):
+    target, t2 = Fraction(1, 1 << bits), t * t
+    partial, power, j = Fraction(0), t, 0
+    while True:
+        partial += power / (2 * j + 1)
+        power *= t2
+        j += 1
+        bound = power / ((2 * j + 1) * (1 - t2))
+        if bound <= target:
+            return CReal(partial, partial + bound, bits)
+
+
+def reference_log(x, bits):
+    exponent, m = 0, x
+    while m >= 2:
+        m /= 2
+        exponent += 1
+    while m < 1:
+        m *= 2
+        exponent -= 1
+    result = (CReal.exact(0, bits) if m == 1
+              else 2 * reference_atanh((m - 1) / (m + 1), bits + 16))
+    if exponent:  # ln 2 = 2 atanh(1/3), at bits + 16 + 8
+        result = result + exponent * (2 * reference_atanh(Fraction(1, 3), bits + 24))
+    return result
+
+
+@given(fractions_st, st.sampled_from([64, 256, 1024]))
+@settings(max_examples=60, deadline=None)
+def test_series_give_the_endpoints_of_the_fraction_loops(q, bits):
+    assert exp_fraction(q, bits) == reference_exp(q, bits)
+    if q:
+        assert log_fraction(abs(q), bits) == reference_log(abs(q), bits)
+        assert log_fraction(1 / abs(q), bits) == reference_log(1 / abs(q), bits)
+    t = abs(q) / 150  # in [0, 1/3], where log and ln 2 call atanh
+    assert _atanh_enclosure(t, bits) == reference_atanh(t, bits)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_series_give_the_fraction_loops_endpoints_at_the_edges(bits):
+    for q in (0, Fraction(1, 2), Fraction(-1, 2), 3, Fraction(1, 5), 50, -50):
+        assert exp_fraction(q, bits) == reference_exp(Fraction(q), bits)
+    for x in (1, 2, Fraction(1, 2), Fraction(3, 2), Fraction(1000, 999), 2 ** 100 + 1):
+        assert log_fraction(x, bits) == reference_log(Fraction(x), bits)
+    for t in (0, Fraction(1, 3), Fraction(1, 10 ** 20)):
+        assert _atanh_enclosure(Fraction(t), bits) == reference_atanh(Fraction(t), bits)
