@@ -256,10 +256,13 @@ def uncovered(c: Corpus) -> None:
     edited("b2.json", "b2_low4.json", set_count(4, "0"))
     c.run("classify", "b2_low4.json", "--lambda-window")
     c.run("verify", "b2_low4.json")
-    # a finite spectrum whose root lies below 2^-128, and one below 2^-4096
+    # finite spectra whose root lies below 2^-128: bisected on at degree 2,
+    # refused below 2^-4096, and refused at degree 8000 for its bits
     user_file("u_deep.json", ["0", str(2 ** 257)])
     user_file("u_deeper.json", ["0", str(3 * 2 ** 9000)])
-    for f in ("u_deep.json", "u_deeper.json"):
+    user_file("u_deep4000.json", ["0", str(3 * 2 ** 4000)])
+    user_file("u_deep_degree.json", ["0", str(2 ** 4000)] + ["0"] * 7997 + ["1"])
+    for f in ("u_deep.json", "u_deeper.json", "u_deep4000.json", "u_deep_degree.json"):
         c.run("classify", f)
         c.run("verify", f)
     # counts of more than 4,300 digits at n = 1 and at n = 4

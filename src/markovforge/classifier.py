@@ -30,8 +30,8 @@ from .errors import PrecisionExhausted
 from .intervals import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, CReal, _horner,
                         _ln_big, decimal_bounds, log_fraction, log_interval,
                         power_series)
-from .spectrum import (LoopSpectrum, identity_failure, unit_sum_enclosure,
-                       weighted_sum_enclosure)
+from .spectrum import (MAX_SERIES_BITS, LoopSpectrum, identity_failure,
+                       unit_sum_enclosure, weighted_sum_enclosure)
 
 
 class Verdict(str, Enum):
@@ -121,9 +121,11 @@ def radius_L(s: LoopSpectrum) -> Radius:
 def _bisect_root(s: LoopSpectrum) -> CReal:
     """Certified root of F(x) = 1 for a finite-support spectrum, bisected
     DEFAULT_PRECISION_BITS / 2 times and on while the lower end is 0.  The
-    root is at least 1/(A + 1), A the largest count, where A x / (1 - x)
-    reaches 1, so that takes about bitlen(A) steps; PrecisionExhausted past
-    MAX_PRECISION_BITS."""
+    root is at least 1/(A + 1) > 2^-bitlen(A), A the largest count, where
+    A x / (1 - x) reaches 1, so the lower end turns positive by step
+    bitlen(A) + 1.  Step j sums F exactly on numbers of about j deg(F) bits,
+    so PrecisionExhausted where going on would pass MAX_PRECISION_BITS steps
+    or MAX_SERIES_BITS bits."""
     terms = [(n, c) for n, c in enumerate(s.a, 1) if c]
     # some count is >= 1, so F(1) >= 1
     if power_series(terms, 1) == 1:
@@ -132,8 +134,12 @@ def _bisect_root(s: LoopSpectrum) -> CReal:
     # the integer ratio num / den, compared with 1 without reducing it
     a = j = 0
     while j < DEFAULT_PRECISION_BITS // 2 or a == 0:
-        if j == MAX_PRECISION_BITS:
-            raise PrecisionExhausted(f"the root of F(x) = 1 lies below 2^-{j}")
+        if j == DEFAULT_PRECISION_BITS // 2:
+            need, degree = max(c for _, c in terms).bit_length() + 1, terms[-1][0]
+            if need > MAX_PRECISION_BITS or need * degree > MAX_SERIES_BITS:
+                raise PrecisionExhausted(f"the root of F(x) = 1 lies below 2^-{j}, and "
+                                         f"bisecting on to 2^-{need} at degree {degree} "
+                                         f"passes the precision limits")
         j, m = j + 1, 2 * a + 1
         num, den = _horner(terms, m, 1 << j)
         if num == den:

@@ -13,9 +13,9 @@ history of the operands.  The result carries the larger of the operands'
 exact on it (integers, 5/2), a ball like e^q off it.
 
 Every series sum ``sum c x^n`` in the library goes through one evaluator,
-:func:`power_series`, the Taylor series of e^q and the odd powers of atanh
-behind every log included: exact integer Horner for rational ``x``, and
-fixed point at each endpoint of an interval ``x >= 0``; e^q and atanh add
+:func:`power_series`: exact integer Horner (``_horner``) for rational
+``x``, and fixed point at each endpoint of an interval ``x >= 0``; the
+series of e^q and atanh stream their weights into ``_horner`` and add
 explicit remainder bounds.
 
 No binary float enters this module, and only :func:`_ln_big`, the log of
@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import mul
+from operator import floordiv
 from typing import Iterable, Union
 
 from ._frozen import Frozen
@@ -212,8 +212,8 @@ def exp_fraction(q: Rat, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
 
     Argument halving brings the series argument t below 1/2, so the Taylor
     remainder after the k-th term is below twice the next term.  k is the
-    first k >= 1 at which that bound is at most 2^-work_bits, and the sum of
-    t^n/n! up to it is :func:`power_series` with the weights k!/n!, over k!.
+    first k >= 1 at which that bound is at most 2^-work_bits; the sum of
+    t^n/n! up to it is ``_horner`` of the weights k!/n!, over k!.
     """
     q = _frac(q)
     if q < 0:
@@ -226,10 +226,10 @@ def exp_fraction(q: Rat, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
     p, d = t.numerator, t.denominator
     k, num, den = 1, p * p, 2 * d * d
     while num << (work_bits + 1) > den:
-        k += 1
-        num, den = num * p, den * d * (k + 1)
-    weights = list(accumulate(range(k, 0, -1), mul, initial=1))[::-1]
-    partial = power_series(enumerate(weights), t) / weights[0]
+        k, num, den = k + 1, num * p, den * d * (k + 2)
+    f = math.factorial(k)
+    weights = accumulate(range(1, k + 1), floordiv, initial=f)  # k!/n!, n = 0..k
+    partial = Fraction(*_horner(enumerate(weights), p, d)) / f
     enc = CReal(partial, partial + 2 * Fraction(num, den), precision_bits)
     for _ in range(halvings):
         enc = enc * enc
@@ -239,15 +239,15 @@ def exp_fraction(q: Rat, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
 def _atanh_enclosure(t: Fraction, bits: int) -> CReal:
     """Enclosure of atanh(t) for 0 <= t < 1: the odd-power series up to the
     first j >= 1 whose remainder bound t^(2j+1) / ((2j+1)(1 - t^2)) is at
-    most 2^-bits, :func:`power_series` with the weights e/(2i+1), i < j,
+    most 2^-bits, ``_horner`` with the weights e/(2i+1), i < j, streamed,
     over e, the lcm of the odd numbers below 2j."""
     p, q = t.numerator, t.denominator
     # the bound is num / ((2j+1) den)
     j, num, den = 1, p ** 3, q * (q * q - p * p)
     while num << bits > (2 * j + 1) * den:
         j, num, den = j + 1, num * p * p, den * q * q
-    e = math.lcm(*range(1, 2 * j, 2))
-    partial = power_series(((n, e // n) for n in range(1, 2 * j, 2)), t) / e
+    e = reduce(math.lcm, range(1, 2 * j, 2))
+    partial = Fraction(*_horner(((n, e // n) for n in range(1, 2 * j, 2)), p, q)) / e
     return CReal(partial, partial + Fraction(num, (2 * j + 1) * den), bits)
 
 
@@ -312,7 +312,7 @@ def certified_floor(x: CReal) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _horner(terms: list[tuple[int, int]], p: int, q: int) -> tuple[int, int]:
+def _horner(terms: Iterable[tuple[int, int]], p: int, q: int) -> tuple[int, int]:
     # (S, q^D) with S = sum c p^n q^(D-n) in integers: sum c (p/q)^n = S / q^D
     acc, p_pow, last = 0, 1, 0
     for n, c in terms:

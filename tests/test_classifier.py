@@ -124,8 +124,15 @@ def test_a_root_below_the_first_cell_is_bisected_until_it_is_positive():
 
 
 def test_a_root_below_2_to_the_minus_4096_exhausts_the_precision():
-    with pytest.raises(PrecisionExhausted, match="below 2\\^-4096"):
+    with pytest.raises(PrecisionExhausted, match="on to 2\\^-9003 at degree 2 "):
         classify(user_spectrum([0, 3 * 2 ** 9000]))
+
+
+def test_a_root_near_2_to_the_minus_2000_is_bisected_on_at_degree_2():
+    # F(x) = 3 2^4000 x^2: 2001 steps, each an exact sum of about 8000 bits,
+    # within MAX_SERIES_BITS; the refusal past it is tested through the CLI
+    root = classify(user_spectrum([0, 3 * 2 ** 4000])).R.value
+    assert (root.lo, root.hi) == (Fraction(1, 2 ** 2001), Fraction(1, 2 ** 2000))
 
 
 def test_entropy_of_lift(spec2):

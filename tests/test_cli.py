@@ -316,6 +316,21 @@ def test_an_empty_count_list_is_malformed(tmp_path, capsys):
     assert code == 0 and json.loads(stdout)["notes"] == ["empty spectrum: no loops at all"]
 
 
+def test_a_deep_root_of_high_degree_is_refused_quickly(tmp_path, capsys):
+    # a(2) = 2^4000, a(8000) = 1: the root lies near 2^-2000, and bisecting
+    # to it in exact sums of degree 8000 would take minutes
+    a = ["0"] * 8000
+    a[1], a[-1] = str(2 ** 4000), "1"
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"format_version": 4, "N_max": 8000, "a": a,
+                                "finite_support": True, "meta": None}))
+    for command in ("classify", "verify"):
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, command, str(path))
+        assert (code, stdout) == (3, "") and "at degree 8000" in err, command
+        assert time.perf_counter() - start < 5, command
+
+
 @pytest.mark.parametrize("n, verify_code", [(1, 6), (4, 5)])
 def test_a_count_past_the_decimal_limit_exits_with_its_code(spec2, n, verify_code, tmp_path,
                                                             capsys):
