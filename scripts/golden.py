@@ -14,7 +14,9 @@ transient variant has no loop to delete yet (ROADMAP item 1, exit 4), and
 the paths no file above reaches: user spectra through every reading
 command, the loader's refusals, usage refusals, `--out -`, a constructed
 file whose identity fails, and the edge cases of the bisection, of counts
-past 4,300 digits and of an empty count list.
+past 4,300 digits and of an empty count list, and last the long builds
+whose square floors and greedy digits run deep: e^3 at N_max = 1,000 and
+e^1/5 at 4,000.
 Every command runs in process through `cli.main`, in a fresh temporary
 directory, in the order listed.  A change that alters output on purpose
 regenerates the manifest and names each changed record.
@@ -178,6 +180,8 @@ def ci_end_to_end(c: Corpus) -> None:
     for f in ("e3.json", "e3_t.json", "b1000_999.json", "e1000.json", "b100001.json"):
         c.run("classify", f)
         c.run("verify", f)
+    c.run("build", "--beta", "e^3", "--max-n", "4000", "--out", "e3_4000.json")
+    c.run("classify", "e3_4000.json")
     a = ["0"] * 8000
     a[1] = a[-1] = "1"
     c.run("classify", user_file("u8000.json", a))
@@ -285,6 +289,11 @@ def small_entropy(c: Corpus) -> None:
             c.run("transient-variant", path, "--out", path.replace(".json", "_t.json"))
 
 
+def deep_builds(c: Corpus) -> None:
+    for spec, n_max in (("e^3", 1000), ("e^1/5", 4000)):
+        c.run("classify", build(c, spec, n_max, "k"), "--bits", "--lambda-window")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default="-", help="manifest path, or - for stdout")
@@ -297,7 +306,7 @@ def main(argv=None) -> int:
         os.chdir(work)
         try:
             for part in (construct, verify, query, ci_end_to_end, readme, small_entropy,
-                         uncovered):
+                         uncovered, deep_builds):
                 part(corpus)
         finally:
             os.chdir(here)

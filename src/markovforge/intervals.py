@@ -10,7 +10,10 @@ moves an endpoint by less than ``2^-(precision_bits + GUARD)`` of its
 magnitude, so the cost of an operation follows the precision, not the
 history of the operands.  The result carries the larger of the operands'
 ``precision_bits``, and a rational growth base is put on the same grid:
-exact on it (integers, 5/2), a ball like e^q off it.
+exact on it (integers, 5/2), a ball like e^q off it.  Running products,
+integer powers here and the construction's square floors and greedy digits
+in spectrum, carry each dyadic endpoint as an integer pair (m, e) = m 2^e
+and round it by a shift, bit for bit as a CReal product rounds it.
 
 Every series sum ``sum c x^n`` in the library goes through one evaluator,
 :func:`power_series`: exact integer Horner (``_horner``) for rational
@@ -18,8 +21,9 @@ Every series sum ``sum c x^n`` in the library goes through one evaluator,
 series of e^q and atanh stream their weights into ``_horner`` and add
 explicit remainder bounds.
 
-No binary float enters this module, and only :func:`_ln_big`, the log of
-a count for the uncertified estimates, returns one.
+No binary float enters this module's arithmetic: only :func:`_ln_big`,
+the log of a count for the uncertified estimates, returns one, and
+:func:`real_text` formats an endpoint through one for display.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import floordiv
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from ._frozen import Frozen
 from .errors import (DivergentTail, FloorUndecidable, NotGreaterThanOne,
@@ -62,6 +66,31 @@ def _round(v: Fraction, bits: int, up: bool) -> Fraction:
     num, den = (n << s, d) if s >= 0 else (n, d << -s)
     m = -(-num // den) if up else num // den
     return Fraction(m, 1 << s) if s >= 0 else Fraction(m << -s)
+
+
+def _dyadic(v: Fraction) -> tuple[int, int]:
+    # the pair (m, e) of a dyadic v = m 2^e, on which the running products
+    # reproduce CReal._ball: exact operands give the exact product (_mul
+    # with bits None), any other is rounded outward as _round rounds it
+    d = v.denominator
+    if d & (d - 1):
+        raise ValueError(f"{v} is not dyadic")
+    return v.numerator, 1 - d.bit_length()
+
+
+def _fraction(m: int, e: int) -> Fraction:
+    return Fraction(m, 1 << -e) if e < 0 else Fraction(m << e)
+
+
+def _mul(a: tuple, b: tuple, bits: Optional[int], up: bool) -> tuple[int, int]:
+    # the product of endpoints a, b >= 0, exact if bits is None, else rounded
+    # down (or up) onto the grid 2^(floor(log2 ab) - 1 - bits): m keeps at
+    # most bits + 2 bits
+    m, e = a[0] * b[0], a[1] + b[1]
+    sh = m.bit_length() - bits - 2 if bits else 0
+    if sh <= 0:
+        return m, e
+    return (-(-m >> sh) if up else m >> sh), e + sh
 
 
 class CReal(Frozen):
@@ -161,15 +190,22 @@ class CReal(Frozen):
         if n == 0:
             return CReal.exact(1, self.precision_bits)
         if self.lo >= 0 and not self.is_exact:
-            # square-and-multiply, each product rounded outward by __mul__
-            result, base = CReal.exact(1, self.precision_bits), self
+            # square-and-multiply, each product rounded outward as __mul__
+            # rounds it; the first step's CReal products put the factors on
+            # the dyadic grid, and the rest runs on pairs
+            result = self * 1 if n & 1 else CReal.exact(1, self.precision_bits)
+            n >>= 1
+            if not n:
+                return result
+            base, work = self * self, self.precision_bits + GUARD
+            rl, rh, bl, bh = map(_dyadic, (result.lo, result.hi, base.lo, base.hi))
             while n:
                 if n & 1:
-                    result = result * base
+                    rl, rh = _mul(rl, bl, work, False), _mul(rh, bh, work, True)
                 n >>= 1
                 if n:
-                    base = base * base
-            return result
+                    bl, bh = _mul(bl, bl, work, False), _mul(bh, bh, work, True)
+            return CReal(_fraction(*rl), _fraction(*rh), self.precision_bits)
         # exact or partly negative bases: exact endpoint powers
         lo_n, hi_n = self.lo ** n, self.hi ** n
         if self.lo >= 0:
@@ -303,8 +339,18 @@ def certified_floor(x: CReal) -> int:
     if fl == math.floor(x.hi) or x.is_exact:
         return fl
     raise FloorUndecidable(
-        f"enclosure [{float(x.lo)!r}, {float(x.hi)!r}] straddles an "
+        f"enclosure [{real_text(x.lo, '')}, {real_text(x.hi, '')}] straddles an "
         f"integer at {x.precision_bits} bits")
+
+
+def real_text(x: Fraction, spec: str) -> str:
+    """``format(float(x), spec)``, or beyond the float range a mantissa in
+    [1, 10) formatted by ``spec`` read as fixed point, then "e+<exponent>"."""
+    try:
+        return format(float(x), spec)
+    except OverflowError:
+        e = math.floor(math.log10(abs(x.numerator)) - math.log10(x.denominator))
+        return f"{float(x / 10 ** e):{spec.replace('e', 'f')}}e{e:+d}"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ The construction: put b(m^2) = floor(c beta^(m^2-m)) on squares, measure the
 deficit delta = 1 - sum b(n) beta^-n in [0, 1), split off k = floor(beta^2 delta)
 into the n = 2 slot and spread the remainder delta - k/beta^2 < 1/beta by its
 greedy base-beta expansion.  Everything is interval-certified; the whole build
-restarts at doubled precision whenever a floor is undecidable.
+restarts at doubled precision whenever a floor is undecidable.  The two loops,
+square floors and greedy digits, carry each endpoint as an integer pair
+(m, e) = m 2^e and reproduce the ball rounding of CReal on it bit for bit.
 """
 
 from __future__ import annotations
@@ -27,15 +29,16 @@ from typing import BinaryIO, Iterator, Optional, Sequence
 from ._frozen import Frozen
 from .errors import (FloorUndecidable, NoDeletableLoop, NotGreaterThanOne,
                      PrecisionExhausted, TailUnavailable)
-from .intervals import (_DECIMAL_LIMIT, DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS,
-                        BetaValue, CReal, certified_floor, geometric_tail, power_series)
+from .intervals import (_DECIMAL_LIMIT, DEFAULT_PRECISION_BITS, GUARD, MAX_PRECISION_BITS,
+                        BetaValue, CReal, _dyadic, _fraction, _mul, certified_floor,
+                        geometric_tail, power_series, real_text)
 
 DEFAULT_N_MAX = 64
 # the most square floors a build computes: 1.00001 needs 4,476 at the default
-# precision (a 0.7 s build on a 2-vCPU Xeon); the cost grows with their square
+# precision (a 0.2 s build on a 2-vCPU Xeon); the cost grows with their square
 MAX_SQUARE_FLOORS = 5000
 # the most bits N_max log2(beta) a build gives beta^N_max: base 1000 at
-# N_max = 1700 takes 16,942; at the bound e^3 builds in about 50 s
+# N_max = 1700 takes 16,942; at the bound e^3 builds in about 4 s
 MAX_SERIES_BITS = 20_000
 
 
@@ -119,7 +122,8 @@ def user_spectrum(a: Sequence[int], finite_support: bool = True) -> LoopSpectrum
 
 
 # ---------------------------------------------------------------------------
-# greedy base-beta expansion
+# the construction's loops on dyadic pairs: greedy base-beta expansion here,
+# square floors below
 # ---------------------------------------------------------------------------
 
 
@@ -128,16 +132,51 @@ def _clamp_unit(r: CReal) -> CReal:
     return CReal(max(r.lo, Fraction(0)), min(r.hi, Fraction(1)), r.precision_bits)
 
 
+# Both loops carry each endpoint as a dyadic pair (m, e) = m 2^e, multiplied
+# by intervals._mul as CReal multiplies it, and read a floor by a shift.
+
+
+def _sub(a: tuple, d: int) -> tuple[int, int]:
+    # a - d for an endpoint a >= d, exact
+    m, e = a
+    return (m - (d << -e), e) if e < 0 else ((m << e) - d, 0)
+
+
+def _floor(lo: tuple, hi: tuple, precision_bits: int) -> int:
+    """floor of the enclosure [lo, hi], or the FloorUndecidable that
+    certified_floor raises for it."""
+    (m, e), (mh, eh) = lo, hi
+    fl = m >> -e if e < 0 else m << e
+    if fl != (mh >> -eh if eh < 0 else mh << eh):
+        return certified_floor(CReal(_fraction(*lo), _fraction(*hi), precision_bits))
+    return fl
+
+
 def _greedy_digits(x: CReal, B: CReal, num_digits: int) -> tuple[list[int], CReal]:
-    """Greedy digits of x in [0, 1] in base B plus the certified final remainder."""
-    r = x
+    """Greedy digits of x in [0, 1] in base B > 0 plus the certified final
+    remainder: d = floor(B r), then r = B r - d, each step as CReal computes
+    it.  Unless both are exact, x and B must be dyadic, as a build's are."""
+    bits = max(x.precision_bits, B.precision_bits)
     digits: list[int] = []
+    if x.is_exact and B.is_exact:
+        # exact products, as CReal keeps them: r = p/q, never reduced, B = a/b
+        (p, q), (a, b) = x.lo.as_integer_ratio(), B.lo.as_integer_ratio()
+        for _ in range(num_digits):
+            p, q = p * a, q * b
+            digits.append(p // q)
+            p -= digits[-1] * q
+        return digits, CReal.exact(Fraction(p, q), bits)
+    work = bits + GUARD
+    Bl, Bh, lo, hi = map(_dyadic, (B.lo, B.hi, x.lo, x.hi))
     for _ in range(num_digits):
-        y = B * r
-        d = certified_floor(y)
+        lo, hi = _mul(Bl, lo, work, False), _mul(Bh, hi, work, True)
+        d = _floor(lo, hi, bits)
         digits.append(d)
-        r = _clamp_unit(y - d)
-    return digits, r
+        # B r - d lies in [0, 1], where _clamp_unit keeps it, and on the grid
+        # CReal would round it to: its m is no longer than that of B r, which
+        # _mul left with at most work + 2 bits, or a power of two
+        lo, hi = _sub(lo, d), _sub(hi, d)
+    return digits, CReal(_fraction(*lo), _fraction(*hi), bits)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +243,20 @@ def _build_plan(beta: BetaValue, N_max: int, bits: int) -> tuple:
 
 def _square_floors(Bt: CReal, m_max: int) -> dict[int, int]:
     """{m^2: floor((Bt-1)^2 Bt^(m^2-m))} for m = 1..m_max by a running product,
-    Bt^((m+1)^2-(m+1)) = Bt^(m^2-m) Bt^(2m); FloorUndecidable on a near-integer."""
+    Bt^((m+1)^2-(m+1)) = Bt^(m^2-m) Bt^(2m); FloorUndecidable on a near-integer.
+    The first products are CReals, rounded onto the dyadic grid unless Bt is
+    exact, as beta.eval gives it only on that grid."""
     Bt2 = Bt * Bt
     scaled, pow2m = (Bt - 1) ** 2 * Bt2, Bt2 * Bt2
+    bits = scaled.precision_bits
+    work = None if Bt.is_exact else bits + GUARD
+    sl, sh, pl, ph, ql, qh = map(_dyadic, (scaled.lo, scaled.hi, pow2m.lo, pow2m.hi,
+                                           Bt2.lo, Bt2.hi))
     floors = {1: 1}
     for m in range(2, m_max + 1):
-        floors[m * m] = certified_floor(scaled)
-        scaled, pow2m = scaled * pow2m, pow2m * Bt2
+        floors[m * m] = _floor(sl, sh, bits)
+        sl, sh = _mul(sl, pl, work, False), _mul(sh, ph, work, True)
+        pl, ph = _mul(pl, ql, work, False), _mul(ph, qh, work, True)
     return floors
 
 
@@ -397,16 +443,6 @@ class CheckResult(Frozen):
 def int_text(v: int) -> str:
     """Decimal, or hex ("0x...") for more than 4,300 digits."""
     return hex(v) if v >= _DECIMAL_LIMIT else str(v)
-
-
-def real_text(x, spec: str) -> str:
-    """``format(float(x), spec)``, or beyond the float range a mantissa in
-    [1, 10) formatted by ``spec`` read as fixed point, then "e+<exponent>"."""
-    try:
-        return format(float(x), spec)
-    except OverflowError:
-        e = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
-        return f"{float(x / 10 ** e):{spec.replace('e', 'f')}}e{e:+d}"
 
 
 def write_lines(lines: Iterator[str], fh: BinaryIO) -> None:

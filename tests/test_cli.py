@@ -121,9 +121,10 @@ def test_edited_count_is_indeterminate(spec_e07, tmp_path, capsys, n, edit):
 
 
 def _undecidable_floors(payload, monkeypatch):
-    def undecidable(x):
+    # every floor of the square-floor loop straddles an integer
+    def undecidable(lo, hi, precision_bits):
         raise FloorUndecidable("straddles an integer")
-    monkeypatch.setattr(spectrum, "certified_floor", undecidable)
+    monkeypatch.setattr(spectrum, "_floor", undecidable)
 
 
 @pytest.mark.parametrize("edit, reason", [

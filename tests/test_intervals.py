@@ -127,6 +127,20 @@ def test_certified_floor_undecidable():
         certified_floor(wide)
 
 
+def test_certified_floor_names_an_enclosure_past_the_float_range():
+    # a straddling floor above 2^1024 raises FloorUndecidable, which restarts
+    # a build, not the OverflowError of float(); in range the text is float's
+    with pytest.raises(FloorUndecidable, match=r"^enclosure \[0\.9, 1\.1\] straddles an "
+                                               r"integer at 256 bits$"):
+        certified_floor(CReal(Fraction(9, 10), Fraction(11, 10)))
+    for sign in (1, -1):
+        huge = CReal(sign * 2 ** 1100 - Fraction(1, 2), sign * 2 ** 1100 + Fraction(1, 2), 512)
+        with pytest.raises(FloorUndecidable) as e:
+            certified_floor(huge)
+        end = f"{'-' if sign < 0 else ''}1.3582985290493859e+331"
+        assert str(e.value) == f"enclosure [{end}, {end}] straddles an integer at 512 bits"
+
+
 @given(st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100),
                     max_denominator=1000),
        st.integers(min_value=0, max_value=20),
@@ -206,6 +220,31 @@ def test_ball_ops_enclose_the_exact_result(x, y, n):
     # square-and-multiply rounds n times on a nonnegative base
     assert_ball(x ** n, lo, hi, x.precision_bits, x.is_exact or n == 0,
                 n if x.lo >= 0 else 1)
+
+
+def reference_pow(x, n):
+    # square-and-multiply by CReal products, as __pow__ took an inexact base
+    # >= 0 before it ran on dyadic pairs
+    result, base = CReal.exact(1, x.precision_bits), x
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+@given(creals(), st.integers(min_value=1, max_value=3000), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_pow_gives_the_creal_loops_endpoints(x, n, on_grid):
+    # an inexact base >= 0, off the dyadic grid or, as every base a build
+    # raises to a power, on it
+    x = CReal(abs(x.lo) if x.lo > 0 else Fraction(0), abs(x.lo) + x.width + Fraction(1, 7),
+              x.precision_bits)
+    if on_grid:
+        x = x.round_outward(x.precision_bits + 8)
+    assert x ** n == reference_pow(x, n)
 
 
 @given(fractions_st, st.integers(min_value=0, max_value=6))

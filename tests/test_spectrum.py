@@ -18,9 +18,11 @@ from markovforge import (BetaValue, CReal, build_spectrum, delete_loop,
                          geometric_tail, power_series, spectrum_checks,
                          unit_sum_enclosure, unit_sum_target, user_spectrum,
                          weighted_sum_enclosure)
-from markovforge.errors import (NoDeletableLoop, NotGreaterThanOne, PrecisionExhausted,
-                                TailUnavailable)
-from markovforge.spectrum import MAX_SQUARE_FLOORS, _greedy_digits
+from markovforge.errors import (FloorUndecidable, NoDeletableLoop, NotGreaterThanOne,
+                                PrecisionExhausted, TailUnavailable)
+from markovforge.intervals import certified_floor
+from markovforge.spectrum import (MAX_SQUARE_FLOORS, _build_plan, _clamp_unit, _deficit,
+                                  _floor, _greedy_digits, _square_floors)
 
 from conftest import built
 
@@ -193,6 +195,81 @@ def test_expansion_partial_sums_stay_below_x():
         partial += Fraction(d) / beta ** i
         assert partial <= x
     assert x - partial < Fraction(1, beta ** 28)
+
+
+# The reference: the two construction loops as CReal products on Fraction
+# endpoints, before they ran on dyadic integer pairs.
+def reference_square_floors(Bt, m_max):
+    Bt2 = Bt * Bt
+    scaled, pow2m = (Bt - 1) ** 2 * Bt2, Bt2 * Bt2
+    floors = {1: 1}
+    for m in range(2, m_max + 1):
+        floors[m * m] = certified_floor(scaled)
+        scaled, pow2m = scaled * pow2m, pow2m * Bt2
+    return floors
+
+
+def reference_greedy_digits(x, B, num_digits):
+    r = x
+    digits = []
+    for _ in range(num_digits):
+        y = B * r
+        d = certified_floor(y)
+        digits.append(d)
+        r = _clamp_unit(y - d)
+    return digits, r
+
+
+def _outcome(loop, *args):
+    """What ``loop`` gives: its floors, its digits and remainder endpoints
+    as Fractions, or the message of its FloorUndecidable."""
+    try:
+        result = loop(*args)
+    except FloorUndecidable as e:
+        return str(e)
+    if isinstance(result, dict):
+        return result
+    digits, r = result
+    return digits, r.lo, r.hi, r.precision_bits
+
+
+BASES = st.one_of(
+    st.integers(2, 1000).map(lambda d: f"{d + 1}/{d}"),
+    st.fractions(Fraction(1), Fraction(4), max_denominator=50).filter(lambda v: v > 1)
+    .map(str),
+    st.integers(1001, 4000).map(lambda n: f"{n // 1000}.{n % 1000:03d}"),
+    st.fractions(Fraction(1, 20), Fraction(4), max_denominator=20).map(lambda q: f"e^{q}"))
+
+
+@given(BASES, st.integers(4, 256), st.sampled_from([256, 512]))
+@settings(max_examples=50, deadline=None)
+def test_dyadic_loops_give_the_creal_loops_results(text, n_max, bits):
+    beta = BetaValue.parse(text)
+    plan = _build_plan(beta, n_max, bits)
+    _, n_ext, Bt, B, L = plan
+    floors = _outcome(reference_square_floors, Bt, n_ext)
+    assert _outcome(_square_floors, Bt, n_ext) == floors
+    if isinstance(floors, str):
+        return
+    # the digits of the build's x0, as _build_once takes it
+    delta, delta_grid, _ = _deficit(beta, n_max, bits, plan, floors)
+    k = certified_floor(B * B * delta_grid)
+    x0 = _clamp_unit(delta - k * (L * L))
+    assert (_outcome(_greedy_digits, x0, B, n_max)
+            == _outcome(reference_greedy_digits, x0, B, n_max))
+
+
+def test_dyadic_loops_straddle_as_certified_floor_does():
+    # B r = 2 [1/2 - 2^-300, 1/2 + 2^-300] straddles 1
+    eps = Fraction(1, 2 ** 300)
+    x, B = CReal(Fraction(1, 2) - eps, Fraction(1, 2) + eps), CReal.exact(2)
+    message = _outcome(reference_greedy_digits, x, B, 3)
+    assert message.startswith("enclosure [1.0, 1.0] straddles an integer")
+    assert _outcome(_greedy_digits, x, B, 3) == message
+    # past the float range, where float() would overflow
+    huge = ((2 ** 1101 - 1, -1), (2 ** 1101 + 1, -1))
+    with pytest.raises(FloorUndecidable, match=r"\[1\.3582985290493859e\+331, "):
+        _floor(*huge, 256)
 
 
 def test_build_rejects_small_base():
