@@ -189,6 +189,8 @@ def ci_end_to_end(c: Corpus) -> None:
     c.run("entropy", "b2.json", "--max-n", "15000", "--csv", "big.csv")
     c.run("build", "--beta", "1000", "--max-n", "1700", "--out", "b1000.json")
     c.run("entropy", "b1000.json", "--max-n", "1700", "--csv", "b1000.csv")
+    # the oracle depth fits the root alone: verify names the first loop past it
+    c.run("verify", "b1000.json")
     c.run("lift", "e3.json", "--period", "3", "--out", "e3_p3.json")
     c.run("verify", "e3_p3.json")
     c.run("export", "e3.json", "--format", "json", "--max-n", "8", "--out", "e3_graph.json")

@@ -1,11 +1,19 @@
 """Command-line front end.
 
-Exit codes: 0 success (also on a closed stdout), 1 unreadable or malformed
-file, 2 invalid base (beta <= 1) or bad usage, 3 precision exhausted (also beta
-too close to 1, or a build of more than spectrum.MAX_SQUARE_FLOORS square
-floors or of more than spectrum.MAX_SERIES_BITS bits for beta^N_max), 4 no
-deletable loop, 5 verification failures, 6 graph too large to realize or
-a(1) > 1.
+Exit codes: 0 success, 1 unreadable or malformed file, 2 invalid base
+(beta <= 1) or bad usage, 3 precision exhausted (also beta too close to 1, or
+a build of more than spectrum.MAX_SQUARE_FLOORS square floors or of more than
+spectrum.MAX_SERIES_BITS bits for beta^N_max), 4 no deletable loop, 5
+verification failures, 6 graph too large to realize or a(1) > 1.  A stdout
+closed early by its reader changes no code: a command that succeeds exits 0,
+and a failing ``verify`` still exits 5.
+
+``main`` returns the exit code, for callers in the same process.  The
+``markovforge`` script and ``python -m markovforge.cli`` enter through
+``run``, which flushes stdout and stderr after ``main`` and leaves through
+``os._exit``: the interpreter's teardown, which frees every object and
+module one by one, is skipped (about 10 ms a command).  Every file a command
+writes is closed before ``main`` returns.
 """
 
 from __future__ import annotations
@@ -162,9 +170,14 @@ def cmd_verify(args) -> int:
     sf = spectrum_io.load(args.file)
     results = verification.run_suite(sf.spectrum, period_lift=sf.period_lift)
     failed = [r for r in results if not r.passed]
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name}: {r.detail}")
+    try:
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"[{status}] {r.name}: {r.detail}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; the verdict below does not depend on it
+        _quiet_stdout()
     if failed:
         print(f"{len(failed)} invariant(s) failed", file=sys.stderr)
         return EXIT_VERIFY
@@ -235,6 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _quiet_stdout() -> None:
+    """Send what stdout still holds to /dev/null, so that no later flush,
+    the interpreter's own final one included, meets the closed pipe."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -242,8 +261,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader left early; silence the interpreter's own final flush
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader left early
+        _quiet_stdout()
         return EXIT_OK
     except (SpectrumFileError, OSError) as e:
         error, code = e, 1
@@ -259,5 +278,18 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """``main()``, then stdout and stderr flushed and ``os._exit`` with its
+    code.  Usage errors, ``--help`` and uncaught exceptions leave ``main``
+    through ``SystemExit`` or a traceback, as from ``main`` itself."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            pass  # the reader left early; the code stays the command's
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -42,9 +42,15 @@ def _oracle_checks(s: LoopSpectrum, period_lift: int,
             raise Unrealizable(f"lifted by {period_lift}, no depth fits the vertex budget")
         depth -= 1
     g = realize(s, depth)
+    detail = f"{g.size} vertices"
+    if g.size == 1:
+        # the checks below then compare a(1) only: say so
+        longer = [n for n in s.support() if n > 1]
+        detail += (f" (only the root: first loop past length 1 at n = {longer[0]}, "
+                   f"past depth {depth})" if longer else
+                   f" (only the root: no loop past length 1 up to n = {s.N_max})")
     results.append(CheckResult("realization strongly connected",
-                               is_strongly_connected(g),
-                               f"{g.size} vertices"))
+                               is_strongly_connected(g), detail))
     f_dp = count_first_returns(g, g.root, depth)
     p_dp = count_paths(g, g.root, g.root, depth)
     results.append(CheckResult(

@@ -604,40 +604,139 @@ def test_build_refuses_a_long_beta_power(tmp_path, capsys, monkeypatch):
     assert code == 0 and out.exists()
 
 
+def child_env(unbuffered=None) -> dict:
+    """The environment of a child that imports this markovforge;
+    ``unbuffered`` True or False sets or clears PYTHONUNBUFFERED, None keeps
+    the caller's."""
+    env = {**os.environ, "PYTHONPATH": str(Path(markovforge.__file__).parents[1])}
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def markovforge_cli(*argv, unbuffered=None, timeout=60, **kwargs):
+    """``python -m markovforge.cli *argv`` in a child process: the path the
+    ``markovforge`` script and the benchmark take, which ends in
+    ``cli.run``."""
+    return subprocess.run([sys.executable, "-m", "markovforge.cli", *argv],
+                          env=child_env(unbuffered), timeout=timeout, **kwargs)
+
+
+def closed_stdout(*argv, unbuffered=None):
+    """``markovforge_cli`` with stdout a pipe whose reader has already left."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        return markovforge_cli(*argv, unbuffered=unbuffered, stdout=w,
+                               stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(w)
+
+
 def test_closed_stdout_is_not_an_error(tmp_path):
     # the reader of a pipe leaves before the report or the graph is written
     path = tmp_path / "b.json"
     assert cli.main(["build", "--beta", "e^3", "--out", str(path)]) == 0
-    env = {**os.environ, "PYTHONPATH": str(Path(markovforge.__file__).parents[1])}
     for argv in (["classify", str(path), "--lambda-window"],
                  ["export", str(path), "--format", "json", "--max-n", "5", "--out", "-"]):
-        r, w = os.pipe()
-        os.close(r)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-c",
-                 "import sys; from markovforge.cli import main; sys.exit(main())", *argv],
-                env=env, stdout=w, stderr=subprocess.PIPE, text=True, timeout=60)
-        finally:
-            os.close(w)
+        proc = closed_stdout(*argv)
         assert proc.returncode == 0 and proc.stderr == "", argv
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_leaves_the_verify_code_alone(unbuffered, tmp_path):
+    # unbuffered, the first line raises BrokenPipeError; buffered, the flush
+    # after the last: either way a failing verify still exits 5 and says so
+    path, low = tmp_path / "b.json", tmp_path / "low4.json"
+    assert cli.main(["build", "--beta", "2", "--out", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["a"][3] = "0"
+    low.write_text(json.dumps(payload))
+    proc = closed_stdout("verify", str(low), unbuffered=unbuffered)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_VERIFY, "2 invariant(s) failed\n")
+    proc = closed_stdout("verify", str(path), unbuffered=unbuffered)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_the_fast_exit_loses_no_byte(tmp_path, capsys, monkeypatch):
+    # cli.run leaves through os._exit: the child must give the bytes, files
+    # and exit codes of cli.main in process; buffered, so that what is left
+    # in a buffer at the end is lost unless it is flushed
+    child, here = tmp_path / "child", tmp_path / "in_process"
+    child.mkdir()
+    here.mkdir()
+    monkeypatch.chdir(here)
+
+    def both(*argv):
+        proc = markovforge_cli(*argv, unbuffered=False, cwd=child, capture_output=True)
+        code, out, err = run(capsys, *argv)
+        assert proc.returncode == code, argv
+        assert proc.stdout == out.encode() and proc.stderr == err.encode(), argv
+        return proc
+
+    written = ("b2.json", "b2t.json", "b2p3.json", "b2p3.dot", "b2.csv")
+    both("build", "--beta", "2", "--out", "b2.json")
+    both("transient-variant", "b2.json", "--out", "b2t.json")
+    both("lift", "b2.json", "--period", "3", "--out", "b2p3.json")
+    both("export", "b2p3.json", "--format", "dot", "--max-n", "8", "--out", "b2p3.dot")
+    both("entropy", "b2.json", "--max-n", "300", "--csv", "b2.csv")
+    for name in written:
+        assert (child / name).read_bytes() == (here / name).read_bytes(), name
+    # several MB through a pipe, many times its buffer, and outputs short
+    # enough to stay in stdout's buffers until the end
+    assert len(both("entropy", "b2.json", "--max-n", "5000").stdout) > 3_000_000
+    both("entropy", "b2.json", "--max-n", "20")
+    both("classify", "b2.json", "--lambda-window")
+    both("export", "b2.json", "--format", "json", "--max-n", "4", "--out", "-")
+    for side in (child, here):
+        payload = json.loads((side / "b2.json").read_text())
+        payload["a"][3] = "0"
+        (side / "low4.json").write_text(json.dumps(payload))
+    # one command for each exit code from 1 to 6, its code returned by main
+    codes = [both(*argv).returncode for argv in (
+        ["classify", "missing.json"],
+        ["lift", "b2p3.json", "--period", "2", "--out", "x.json"],
+        ["build", "--beta", "e^3", "--max-n", "1000000", "--out", "x.json"],
+        ["transient-variant", "b2.json", "--n0", "3", "--out", "x.json"],
+        ["verify", "low4.json"],
+        ["export", "b2.json", "--format", "dot"])]
+    assert codes == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_run_flushes_what_main_left_and_exits_with_its_code(closed):
+    # main flushes stdout itself; run flushes again whatever a command left,
+    # and keeps main's code, also where the reader of stdout has left
+    script = ("import sys; from markovforge import cli; "
+              "cli.main = lambda: (sys.stdout.write('out'), sys.stderr.write('err'), 3)[-1]; "
+              "cli.run()")
+    r, w = os.pipe()
+    if closed:
+        os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], env=child_env(unbuffered=False),
+                              stdout=w, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(w)
+    if not closed:
+        with os.fdopen(r, "rb") as fh:
+            assert fh.read() == b"out"
+    assert (proc.returncode, proc.stderr) == (3, b"err")
 
 
 @pytest.mark.parametrize("beta", ["1000/999", "1.001"])
 def test_small_entropy_bases_build_and_verify(beta, tmp_path):
     # entropy ~ 0.001: exact powers of such a rational beta once grew to
     # millions of bits, and the build ran for minutes
-    env = {**os.environ, "PYTHONPATH": str(Path(markovforge.__file__).parents[1])}
-
-    def markovforge_cli(*argv):
-        return subprocess.run(
-            [sys.executable, "-c", "import sys; from markovforge.cli import main; sys.exit(main())",
-             *argv], env=env, capture_output=True, text=True, timeout=30)
+    def markovforge(*argv):
+        return markovforge_cli(*argv, capture_output=True, text=True, timeout=30)
 
     path = str(tmp_path / "b.json")
-    assert markovforge_cli("build", "--beta", beta, "--out", path).returncode == 0
-    assert markovforge_cli("verify", path).returncode == 0
-    report = markovforge_cli("classify", path)
+    assert markovforge("build", "--beta", beta, "--out", path).returncode == 0
+    assert markovforge("verify", path).returncode == 0
+    report = markovforge("classify", path)
     assert json.loads(report.stdout)["verdict"] == "PositiveRecurrent"
 
 

@@ -84,3 +84,16 @@ def test_enumeration_mismatch_fails_its_check(spec2, monkeypatch):
     assert not check.passed and check.detail == "mismatch at n = 3"
     failed = [name for name, r in results.items() if not r.passed]
     assert failed == ["literal enumeration matches DP"]
+
+
+@pytest.mark.parametrize("a, detail", [
+    # a(4) puts depth 4 past the vertex budget, so depth 3 realizes the root
+    ([1, 0, 0, 10 ** 13],
+     "1 vertices (only the root: first loop past length 1 at n = 4, past depth 3)"),
+    ([1, 0, 0, 1], "4 vertices"),
+    ([1, 0, 0], "1 vertices (only the root: no loop past length 1 up to n = 3)"),
+])
+def test_a_root_alone_names_the_first_loop_past_it(a, detail):
+    results = {r.name: r for r in run_suite(user_spectrum(a))}
+    check = results["realization strongly connected"]
+    assert check.passed and check.detail == detail
