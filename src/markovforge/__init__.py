@@ -1,39 +1,17 @@
 """Countable loop graphs of prescribed Gurevich entropy and period, with
 certified Vere-Jones classification.
 
-The layers ``classifier``, ``graph``, ``oracle`` and ``verification`` are
-put in ``sys.modules`` here but run only when one of their attributes is
-first read (``importlib.util.LazyLoader``), so a command compiles just the
-layers it calls.  Each is also bound as an attribute of this package:
-``from . import graph`` then finds it without reading its ``__spec__``,
-which would run it.  Their names re-exported here resolve through the
-module ``__getattr__``.
+The modules ``series`` and ``construction`` and the layers ``classifier``,
+``graph``, ``oracle`` and ``verification`` are put in ``sys.modules`` first
+but run only when one of their attributes is first read (``LazyLoader``), so
+a command compiles just those it calls.  Each is also bound as an attribute
+of this package: ``from . import graph`` then finds it without reading its
+``__spec__``, which would run it.  Their names re-exported here resolve
+through the module ``__getattr__``.
 """
 
 import importlib.util as _util
 import sys as _sys
-
-from .intervals import (BetaValue, CReal, certified_floor, exp_fraction,
-                        geometric_tail, log_fraction, power_series)
-from .spectrum import (LoopSpectrum, SpectrumMeta, build_spectrum,
-                       delete_loop, spectrum_checks, unit_sum_enclosure,
-                       unit_sum_target, user_spectrum, weighted_sum_enclosure)
-
-_EXPORTS = {
-    "classifier": ("ClassificationReport", "Radius", "Verdict", "classify",
-                   "entropy_enclosure", "entropy_of_lift", "radius_L",
-                   "renewal_limit"),
-    "graph": ("ExplicitGraph", "export", "import_json", "lift_period", "realize"),
-    "oracle": ("GrowthEstimate", "PathCountTable", "count_first_returns",
-               "count_paths", "growth_rate", "renewal_convolve",
-               "table_from_spectrum"),
-}
-_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
-
-# the eager names, the three layers above and their names; ``verification``
-# stays out, as it did while nothing here imported it
-__all__ = sorted([name for name in dir() if not name.startswith("_")]
-                 + list(_EXPORTS) + list(_LAYER_OF))
 
 
 def _lazy(layer: str):
@@ -46,10 +24,34 @@ def _lazy(layer: str):
     return module
 
 
+series = _lazy("series")
+construction = _lazy("construction")
 classifier = _lazy("classifier")
 graph = _lazy("graph")
 oracle = _lazy("oracle")
 verification = _lazy("verification")
+
+from .intervals import BetaValue, CReal, certified_floor  # noqa: E402
+from .spectrum import LoopSpectrum, SpectrumMeta, delete_loop, user_spectrum  # noqa: E402
+
+_EXPORTS = {
+    "classifier": ("ClassificationReport", "Radius", "Verdict", "classify",
+                   "entropy_enclosure", "entropy_of_lift", "radius_L",
+                   "renewal_limit"),
+    "construction": ("build_spectrum", "spectrum_checks", "unit_sum_enclosure",
+                     "unit_sum_target", "weighted_sum_enclosure"),
+    "graph": ("ExplicitGraph", "export", "import_json", "lift_period", "realize"),
+    "oracle": ("GrowthEstimate", "PathCountTable", "count_first_returns",
+               "count_paths", "growth_rate", "renewal_convolve",
+               "table_from_spectrum"),
+    "series": ("exp_fraction", "geometric_tail", "log_fraction", "power_series"),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+# the eager names, the layers classifier, graph and oracle and the names
+# re-exported from the lazy modules; not verification, series or construction
+__all__ = sorted({n for n in dir() if n[0] != "_"} - {"construction", "series", "verification"}
+                 | set(_LAYER_OF))
 
 
 def __getattr__(name: str):

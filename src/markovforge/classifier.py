@@ -10,7 +10,7 @@ first-return counts, evaluated at the radius L of its own series:
   * F(L) = 1 with divergent mean  -> null recurrent, never certified here.
 
 A constructed spectrum has F(L) = 1, or 1 - L^n0 after deleting a loop of
-length n0, by the construction identity (see spectrum.identity_failure;
+length n0, by the construction identity (see construction.identity_failure;
 indeterminate when that does not hold).  A finite-support spectrum is a
 polynomial, F(L) = +infinity, and R comes from certified bisection.
 
@@ -27,11 +27,10 @@ from typing import Optional
 
 from ._frozen import Frozen
 from .errors import PrecisionExhausted
-from .intervals import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, CReal, _horner,
-                        _ln_big, decimal_bounds, log_fraction, log_interval,
-                        power_series)
-from .spectrum import (MAX_SERIES_BITS, LoopSpectrum, identity_failure,
-                       unit_sum_enclosure, weighted_sum_enclosure)
+from .construction import identity_failure, unit_sum_enclosure, weighted_sum_enclosure
+from .intervals import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, CReal, _ln_big, decimal_bounds
+from .series import _horner, log_fraction, log_interval, power_series
+from .spectrum import MAX_SERIES_BITS, LoopSpectrum
 
 
 class Verdict(str, Enum):

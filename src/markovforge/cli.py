@@ -24,13 +24,13 @@ import sys
 from fractions import Fraction
 from typing import BinaryIO, Callable, Optional, TypeVar
 
-# the layers classifier, graph, oracle and verification run on first use
-# (see __init__), so each command compiles only those it calls
-from . import classifier, graph, oracle, spectrum_io, verification
+# series, construction, classifier, graph, oracle and verification run on
+# first use (see __init__), so each command compiles only those it calls
+from . import classifier, construction, graph, oracle, series, spectrum_io, verification
 from .errors import (FloorUndecidable, NoDeletableLoop, NotGreaterThanOne,
                      PrecisionExhausted, SpectrumFileError, Unrealizable)
-from .intervals import BetaValue, decimal_bounds, ln2_enclosure
-from .spectrum import DEFAULT_N_MAX, build_spectrum, delete_loop
+from .intervals import BetaValue, decimal_bounds
+from .spectrum import DEFAULT_N_MAX, delete_loop
 
 EXIT_OK = 0
 EXIT_BAD_BETA = 2
@@ -106,7 +106,7 @@ def _save(sf: spectrum_io.SpectrumFile, out: str) -> None:
 
 def cmd_build(args) -> int:
     beta = args.beta or _beta_from_entropy(args.entropy, args.period)
-    s = build_spectrum(beta, N_max=args.max_n)
+    s = construction.build_spectrum(beta, N_max=args.max_n)
     _save(spectrum_io.SpectrumFile(s, period_lift=args.period), args.out)
     return EXIT_OK
 
@@ -130,7 +130,7 @@ def cmd_classify(args) -> int:
                                  if lifted is not None else None)
     if args.bits and lifted is not None:
         # report entropy in bits: divide the natural-log enclosure by ln 2
-        payload["lifted_entropy_bits"] = list(decimal_bounds(lifted / ln2_enclosure()))
+        payload["lifted_entropy_bits"] = list(decimal_bounds(lifted / series.ln2_enclosure()))
     if args.lambda_window:
         # a period lift leaves the limit alone
         limit = classifier.renewal_limit(sf.spectrum, report)

@@ -16,8 +16,8 @@ entropy_target and the digit trace they may hold are ignored, and the
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
-from pathlib import Path
 from typing import Union
 
 from ._frozen import Frozen
@@ -26,7 +26,7 @@ from .intervals import MAX_PRECISION_BITS, BetaValue, CReal
 from .spectrum import MAX_SERIES_BITS, LoopSpectrum, SpectrumMeta, int_text
 
 FORMAT_VERSION = 4
-# the finest grid a build's series arithmetic reaches (spectrum._build_plan:
+# the finest grid a build's series arithmetic reaches (construction._build_plan:
 # the precision, 64 guard bits and the bits of beta^N_max)
 MAX_EXPONENT = MAX_PRECISION_BITS + 64 + MAX_SERIES_BITS
 
@@ -161,9 +161,11 @@ def from_bytes(data: bytes) -> SpectrumFile:
     return from_dict(payload)
 
 
-def save(sf: SpectrumFile, path: Union[str, Path]) -> None:
-    Path(path).write_bytes(to_bytes(sf))
+def save(sf: SpectrumFile, path: Union[str, os.PathLike]) -> None:
+    with open(path, "wb") as fh:
+        fh.write(to_bytes(sf))
 
 
-def load(path: Union[str, Path]) -> SpectrumFile:
-    return from_bytes(Path(path).read_bytes())
+def load(path: Union[str, os.PathLike]) -> SpectrumFile:
+    with open(path, "rb") as fh:
+        return from_bytes(fh.read())

@@ -6,12 +6,13 @@ from __future__ import annotations
 from math import gcd
 
 from .classifier import Verdict, classify
+from .construction import spectrum_checks
 from .errors import Unrealizable
 from .graph import fits, is_strongly_connected, realize
 from .oracle import (ENUMERATION_BUDGET, BudgetExceeded, count_first_returns,
                      count_paths, renewal_convolve, table_from_spectrum,
                      walk_path_counts)
-from .spectrum import CheckResult, LoopSpectrum, spectrum_checks
+from .spectrum import CheckResult, LoopSpectrum
 
 DEFAULT_ORACLE_DEPTH = 12
 

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import markovforge
-from markovforge import (BetaValue, build_spectrum, cli, graph, spectrum, spectrum_io,
-                         verification)
+from markovforge import (BetaValue, build_spectrum, cli, construction, graph, spectrum,
+                         spectrum_io, verification)
 from markovforge.errors import FloorUndecidable, PrecisionExhausted
 
 from conftest import built, costly_files
@@ -55,7 +55,7 @@ def test_build_negative_entropy_rejected(tmp_path, capsys):
 def test_precision_exhausted_exit_code(tmp_path, capsys, monkeypatch):
     def boom(*a, **k):
         raise PrecisionExhausted("unit width undecidable at 4096 bits")
-    monkeypatch.setattr(cli, "build_spectrum", boom)
+    monkeypatch.setattr(construction, "build_spectrum", boom)
     code, _, err = run(capsys, "build", "--beta", "2",
                        "--out", str(tmp_path / "x.json"))
     assert code == 3
@@ -71,7 +71,7 @@ def test_undecidable_floor_restarts_the_whole_build(tmp_path, capsys, monkeypatc
         if len(calls) == 1:
             raise FloorUndecidable("straddles an integer")
         return markovforge.certified_floor(x)
-    monkeypatch.setattr(spectrum, "certified_floor", undecidable_first)
+    monkeypatch.setattr(construction, "certified_floor", undecidable_first)
     s = build_spectrum(beta, 25)
     monkeypatch.undo()
     assert s.meta.precision_bits == 512
@@ -81,7 +81,7 @@ def test_undecidable_floor_restarts_the_whole_build(tmp_path, capsys, monkeypatc
         calls.append(x)
         raise FloorUndecidable("straddles an integer")
     calls.clear()
-    monkeypatch.setattr(spectrum, "certified_floor", undecidable)
+    monkeypatch.setattr(construction, "certified_floor", undecidable)
     code, _, err = run(capsys, "build", "--beta", "e^7/10", "--max-n", "25",
                        "--out", str(tmp_path / "x.json"))
     # one failed build at each of 256, 512, ..., 4096 bits, then the error
@@ -124,7 +124,7 @@ def _undecidable_floors(payload, monkeypatch):
     # every floor of the square-floor loop straddles an integer
     def undecidable(lo, hi, precision_bits):
         raise FloorUndecidable("straddles an integer")
-    monkeypatch.setattr(spectrum, "_floor", undecidable)
+    monkeypatch.setattr(construction, "_floor", undecidable)
 
 
 @pytest.mark.parametrize("edit, reason", [
@@ -591,7 +591,7 @@ def test_build_refuses_too_many_square_floors(argv, tmp_path, capsys):
 
 def test_build_refuses_a_long_beta_power(tmp_path, capsys, monkeypatch):
     # e^3 at N_max = 64 needs 277 bits for beta^N_max, at 16 only 70
-    monkeypatch.setattr(spectrum, "MAX_SERIES_BITS", 100)
+    monkeypatch.setattr(construction, "MAX_SERIES_BITS", 100)
     asked, evaluate = [], BetaValue.eval
     monkeypatch.setattr(BetaValue, "eval",
                         lambda beta, bits: asked.append(bits) or evaluate(beta, bits))

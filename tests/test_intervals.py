@@ -16,8 +16,8 @@ from markovforge import (BetaValue, CReal, certified_floor, exp_fraction,
                          geometric_tail, log_fraction, power_series)
 from markovforge.errors import (DivergentTail, FloorUndecidable, NotGreaterThanOne,
                                 PrecisionExhausted)
-from markovforge.intervals import (GUARD, _atanh_enclosure, decimal_bounds,
-                                   ln2_enclosure, log_interval)
+from markovforge.intervals import GUARD, decimal_bounds
+from markovforge.series import _atanh_enclosure, ln2_enclosure, log_interval
 
 mpmath.mp.dps = 60
 

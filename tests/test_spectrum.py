@@ -20,9 +20,10 @@ from markovforge import (BetaValue, CReal, build_spectrum, delete_loop,
                          weighted_sum_enclosure)
 from markovforge.errors import (FloorUndecidable, NoDeletableLoop, NotGreaterThanOne,
                                 PrecisionExhausted, TailUnavailable)
+from markovforge.construction import (_build_plan, _clamp_unit, _deficit, _floor,
+                                      _greedy_digits, _square_floors)
 from markovforge.intervals import certified_floor
-from markovforge.spectrum import (MAX_SQUARE_FLOORS, _build_plan, _clamp_unit, _deficit,
-                                  _floor, _greedy_digits, _square_floors)
+from markovforge.spectrum import MAX_SQUARE_FLOORS
 
 from conftest import built
 

@@ -45,6 +45,24 @@ def test_trace_targets_resolve_after_importing_the_cli():
         assert callable(getattr(owner, fn_name, None)), f"{module_name}.{attr}"
 
 
+@pytest.mark.parametrize("command, spans", [
+    ("classify", {"intervals.exp", "spectrum.sum"}),
+    ("verify", {"intervals.exp", "spectrum.sum", "spectrum.checks"}),
+])
+def test_traced_cli_records_the_moved_series_and_construction(command, spans, spec_e07,
+                                                              tmp_path):
+    # a call site that bypasses the traced names would leave these spans out,
+    # and the benchmark's per-layer numbers at 0
+    save(SpectrumFile(spec_e07), tmp_path / "e07.json")
+    traced = Path(__file__).parents[1] / "perfbench" / "traced_cli.py"
+    proc = subprocess.run([sys.executable, str(traced), "spans.json", "--", command,
+                           "e07.json"], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    recorded = {span[0] for span in json.loads((tmp_path / "spans.json").read_text())["spans"]}
+    assert spans <= recorded, recorded
+
+
 # the eager names, the lazy layers and the names re-exported from them
 PUBLIC_NAMES = (
     "BetaValue", "CReal", "ClassificationReport", "ExplicitGraph", "GrowthEstimate",
@@ -74,7 +92,7 @@ def test_public_names_are_unchanged_and_resolve():
         exec("from markovforge import no_such_name", {})
 
 
-LAYERS = ("classifier", "graph", "oracle", "verification")
+LAYERS = ("classifier", "construction", "graph", "oracle", "series", "verification")
 LAYER_PROBE = """
 import json, sys, types
 import markovforge.cli
@@ -87,11 +105,11 @@ print(json.dumps([code, [layer for layer in {layers!r}
 
 
 @pytest.mark.parametrize("argv, layers", [
-    ("build --beta 2 --max-n 8 --out x.json", []),
+    ("build --beta 2 --max-n 8 --out x.json", ["construction", "series"]),
     ("transient-variant b2.json --out t.json", []),
     ("lift b2.json --period 3 --out l.json", []),
-    ("classify b2.json", ["classifier"]),
-    ("classify b2.json --lambda-window", ["classifier"]),
+    ("classify b2.json", ["classifier", "construction", "series"]),
+    ("classify b2.json --lambda-window", ["classifier", "construction", "series"]),
     ("entropy b2.json --csv e.csv", ["oracle"]),
     ("export b2.json --format dot --max-n 8 --out g.dot", ["graph"]),
     ("verify b2.json", list(LAYERS)),
