@@ -27,7 +27,7 @@ from typing import Optional
 
 from ._frozen import Frozen
 from .errors import PrecisionExhausted
-from .construction import identity_failure, unit_sum_enclosure, weighted_sum_enclosure
+from .construction import identity_failure, weighted_sum_enclosure
 from .intervals import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, CReal, _ln_big, decimal_bounds
 from .series import _horner, log_fraction, log_interval, power_series
 from .spectrum import MAX_SERIES_BITS, LoopSpectrum
@@ -195,7 +195,7 @@ def classify(s: LoopSpectrum) -> ClassificationReport:
 
 def _classify_constructed(s: LoopSpectrum) -> ClassificationReport:
     L = Radius(s.meta.L)
-    F_at_L = unit_sum_enclosure(s)
+    F_at_L = s.unit_sum
     mean = weighted_sum_enclosure(s)
     entropy = entropy_enclosure(s)
     failure = identity_failure(s, F_at_L)

@@ -328,7 +328,7 @@ def spectrum_checks(s: LoopSpectrum) -> list[CheckResult]:
     results.append(CheckResult("a(1) = 1", parent_count(1) == 1,
                                f"a(1) = {int_text(parent_count(1))}"))
 
-    enc = unit_sum_enclosure(s)
+    enc = s.unit_sum
     target = unit_sum_target(s)
     overlap = enc.lo <= target.hi and target.lo <= enc.hi
     width_ok = enc.width <= Fraction(1, 10 ** 30)

@@ -11,9 +11,9 @@ magnitude, so the cost of an operation follows the precision, not the
 history of the operands.  The result carries the larger of the operands'
 ``precision_bits``, and a rational growth base is put on the same grid:
 exact on it (integers, 5/2), a ball like e^q off it.  Running products,
-integer powers here and the construction's square floors and greedy digits
-in construction, carry each dyadic endpoint as an integer pair (m, e) = m 2^e
-and round it by a shift, bit for bit as a CReal product rounds it.
+integer powers here, the construction's square floors and greedy digits and
+the powers of every series sum, carry each dyadic endpoint as an integer pair
+(m, e) = m 2^e multiplied by :func:`_mul`, which rounds it by a shift.
 
 The series evaluator and the enclosures of e^q and ln are in ``series``.
 
@@ -25,6 +25,7 @@ the log of a count for the uncertified estimates, returns one, and
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -259,13 +260,13 @@ def certified_floor(x: CReal) -> int:
 
 
 def real_text(x: Fraction, spec: str) -> str:
-    """``format(float(x), spec)``, or beyond the float range a mantissa in
-    [1, 10) formatted by ``spec`` read as fixed point, then "e+<exponent>"."""
-    try:
+    """``format(float(x), spec)``, or where the float would lose bits (0 < |x| <
+    2^-1022) or overflow, the Fraction x / 10^e, e = floor(log10 |x|), formatted
+    by ``spec`` read as fixed point, then "e<exponent>"."""
+    if not x or Fraction(1, 1 << 1022) <= abs(x) <= sys.float_info.max:
         return format(float(x), spec)
-    except OverflowError:
-        e = math.floor(math.log10(abs(x.numerator)) - math.log10(x.denominator))
-        return f"{float(x / 10 ** e):{spec.replace('e', 'f')}}e{e:+d}"
+    e = math.floor(math.log10(abs(x.numerator)) - math.log10(x.denominator))
+    return f"{float(x / Fraction(10) ** e):{spec.replace('e', 'f')}}e{e:+d}"
 
 
 # ---------------------------------------------------------------------------

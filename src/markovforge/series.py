@@ -3,9 +3,9 @@ tails, compiled only by the commands that sum a series (see ``__init__``).
 
 Every series sum ``sum c x^n`` in the library goes through one evaluator,
 :func:`power_series`: exact integer Horner (``_horner``) for rational
-``x``, and fixed point at each endpoint of an interval ``x >= 0``; the
-series of e^q and atanh stream their weights into ``_horner`` and add
-explicit remainder bounds.
+``x``, and at each endpoint of an interval ``x >= 0`` dyadic powers by
+``intervals._mul``, the product kernel of CReal powers and the construction;
+the series of e^q and atanh stream their weights into ``_horner``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from operator import floordiv
 from typing import Iterable, Union
 
 from .errors import DivergentTail
-from .intervals import DEFAULT_PRECISION_BITS, GUARD, CReal, Rat, _coerce, _frac
+from .intervals import (DEFAULT_PRECISION_BITS, GUARD, CReal, Rat, _coerce, _dyadic, _frac,
+                        _mul, _round)
 
 
 # ---------------------------------------------------------------------------
@@ -38,26 +39,24 @@ def _horner(terms: Iterable[tuple[int, int]], p: int, q: int) -> tuple[int, int]
     return acc, q ** last
 
 
-def _fixed_point(terms: list[tuple[int, int]], x: Fraction, w: int, up: bool) -> Fraction:
-    # sum c x^n with x^n kept on the grid 2^-w, every product rounded down (up)
-    def mul(a: int, b: int) -> int:
-        return -(-a * b >> w) if up else a * b >> w
-
-    num, den = x.numerator << w, x.denominator
-    X = -(-num // den) if up else num // den
-    p_pow, acc, last = 1 << w, 0, 0
+def _endpoint_sum(terms: list[tuple[int, int]], x: CReal, up: bool) -> Fraction:
+    # sum c x^n at x.lo rounded down (at x.hi rounded up), as power_series states
+    t = len(terms).bit_length()
+    W, g = x.precision_bits + GUARD + 2 * t, x.precision_bits + GUARD + t
+    X, p_pow, acc, last = _dyadic(_round(x.hi if up else x.lo, W, up)), (1, 0), 0, 0
     for n, c in terms:
         # x^n = x^last * x^(n - last), the gap by square-and-multiply
         gap, base = n - last, X
         while gap:
             if gap & 1:
-                p_pow = mul(p_pow, base)
+                p_pow = _mul(p_pow, base, W, up)
             gap >>= 1
             if gap:
-                base = mul(base, base)
+                base = _mul(base, base, W, up)
         last = n
-        acc += c * p_pow
-    return Fraction(acc, 1 << w)
+        m, e = c * p_pow[0], p_pow[1] + g
+        acc += m << e if e >= 0 else -(-m >> -e) if up else m >> -e
+    return Fraction(acc, 1 << g)
 
 
 def power_series(terms: Iterable[tuple[int, int]],
@@ -66,19 +65,17 @@ def power_series(terms: Iterable[tuple[int, int]],
 
     A rational (or exact) x gives the exact sum.  A CReal x with x.lo >= 0
     gives an enclosure of [P(x.lo), P(x.hi)], which encloses P over x
-    because nonnegative coefficients make P monotone on [0, inf); each
-    endpoint is summed in fixed point on the grid 2^-w, w = precision_bits
-    + GUARD + the bits of the largest c, rounding down at lo and up at hi.
+    because nonnegative coefficients make P monotone on [0, inf).  Each
+    endpoint is rounded onto W = b + GUARD + 2t significant bits (b =
+    x.precision_bits, t = the bit length of the number of nonzero terms),
+    x^n is stepped from the previous term's power by square-and-multiply
+    through ``intervals._mul`` at W bits, and each term c x^n is put on the
+    grid 2^-(b + GUARD + t), all rounded down at lo and up at hi.
 
-    Error bound: x^n is x^m, the previous term's power, times x^(n - m) by
-    square-and-multiply, each product rounded the same way.  Say a power
-    x^i is off by e steps when it is off by at most e max(1, x)^i steps of
-    the grid.  Spelt out as a tree, x^n has n leaves, each x put on the
-    grid (off by less than 1), and n - 1 products.  A product of factors
-    off by e and e' is off by at most e + e' + 2: e + e' from the factors,
-    1 for its rounding and, rounding up, 1 for the cross term e e' 2^-w
-    (e e' <= 2^w holds for any n < 2^(w/2) / 3).  So x^n is off by less
-    than 3n max(1, x)^n steps.
+    Error bound: x^n, n factors x each rounded by less than 2^-W of itself
+    and n - 1 products each by less than 2^-(W+1) of theirs, is off by less
+    than 3n 2^-W x^n.  So an endpoint's sum is off by less than the sum of
+    3n c 2^-W x^n, plus one step of the grid per term.
     """
     checked: list[tuple[int, int]] = []
     last = 0
@@ -96,9 +93,8 @@ def power_series(terms: Iterable[tuple[int, int]],
     if x.is_exact:
         lo = Fraction(*_horner(checked, x.lo.numerator, x.lo.denominator))
         return CReal(lo, lo, x.precision_bits)
-    w = x.precision_bits + GUARD + max((c.bit_length() for _, c in checked), default=0)
-    return CReal(_fixed_point(checked, x.lo, w, False),
-                 _fixed_point(checked, x.hi, w, True), x.precision_bits)
+    lo, hi = (_endpoint_sum(checked, x, up) for up in (False, True))
+    return CReal(lo, hi, x.precision_bits)
 
 
 # ---------------------------------------------------------------------------

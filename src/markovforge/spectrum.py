@@ -105,6 +105,9 @@ class LoopSpectrum(Frozen):
             raise ValueError("meta was built for another N_max")
         self._init(a, N_max, meta, finite_support)
 
+    # summed once, for verify's checks and classify; kept here, as it reads the counts
+    unit_sum = cached_property(lambda self: construction.unit_sum_enclosure(self))
+
     def count(self, n: int) -> int:
         if not 1 <= n <= self.N_max:
             raise IndexError(f"n={n} outside 1..{self.N_max}")

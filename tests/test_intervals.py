@@ -9,14 +9,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovforge import (BetaValue, CReal, certified_floor, exp_fraction,
                          geometric_tail, log_fraction, power_series)
 from markovforge.errors import (DivergentTail, FloorUndecidable, NotGreaterThanOne,
                                 PrecisionExhausted)
-from markovforge.intervals import GUARD, decimal_bounds
+from markovforge.intervals import GUARD, decimal_bounds, real_text
 from markovforge.series import _atanh_enclosure, ln2_enclosure, log_interval
 
 mpmath.mp.dps = 60
@@ -315,6 +315,18 @@ def test_decimal_bounds_past_the_digit_limit_use_an_exponent():
             assert 1 <= abs(Fraction(mantissa)) <= 10 and int(exponent) > 4000
 
 
+def test_real_text_below_the_float_range_keeps_its_exponent():
+    # verify prints a unit-sum width of 2^-17,000 this way, where float() gives 0
+    tiny = Fraction(1, 1 << 17000)
+    assert real_text(tiny, ".3e") == "3.091e-5118"
+    assert real_text(tiny, ".6g") == "3.09082e-5118"
+    assert real_text(-3 * tiny, ".3e") == "-9.272e-5118"
+    # a subnormal keeps its digits, a normal float and 0 print as before
+    assert real_text(Fraction(-3, 1 << 1030), "") == "-2.6075084279381264e-310"
+    assert real_text(Fraction(1, 1 << 1022), ".3e") == "2.225e-308"
+    assert real_text(Fraction(0), ".3e") == "0.000e+00"
+
+
 @given(fractions_st)
 @settings(max_examples=60, deadline=None)
 def test_decimal_round_trip_encloses(p):
@@ -341,6 +353,9 @@ def test_power_series_matches_naive_sum_at_rational(terms, x):
 
 
 @given(terms_st, nonneg_st, nonneg_st, st.integers(min_value=1, max_value=96))
+# x = 304/195 rounded up onto W bits is off by nearly 2^-W x: the slack
+# must allow for the rounding of x itself, not only for the grid of the sum
+@example([(1, 16)], Fraction(0), Fraction(304, 195), 1)
 @settings(max_examples=80, deadline=None)
 def test_power_series_matches_naive_sum_at_endpoints(terms, a, b, bits):
     x = CReal(min(a, b), max(a, b), bits)
@@ -352,12 +367,17 @@ def test_power_series_matches_naive_sum_at_endpoints(terms, a, b, bits):
     if x.is_exact:
         assert got.lo == exact_lo == got.hi
         return
-    # each x^n is at most 2n max(1, x)^n steps of 2^-w off, and c < 2^cbits
-    cbits = max((c.bit_length() for _, c in terms), default=0)
-    step = Fraction(1, 1 << (bits + GUARD + cbits))
-    big = max(1, x.hi) + step
-    slack = sum((c * 2 * n * big ** n for n, c in terms), Fraction(0)) * step
-    assert exact_lo - got.lo <= slack and got.hi - exact_hi <= slack
+    # power_series's bound: each x^n is off by less than 3n 2^-W x^n, and
+    # each term adds less than a step of the grid 2^-(bits + GUARD + t)
+    count = sum(1 for _, c in terms if c)
+    t = count.bit_length()
+    W = bits + GUARD + 2 * t
+
+    def slack(end):
+        powers = sum((3 * n * c * end ** n for n, c in terms), Fraction(0))
+        return powers / (1 << W) + Fraction(count, 1 << (bits + GUARD + t))
+
+    assert exact_lo - got.lo <= slack(x.lo) and got.hi - exact_hi <= slack(x.hi)
 
 
 def test_power_series_edge_cases():

@@ -1,17 +1,20 @@
 """Spectrum file serialization."""
 
 import hashlib
+import io
 import json
+import tempfile
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from markovforge import (BetaValue, CReal, Verdict, build_spectrum, classify,
                          delete_loop, spectrum_checks, user_spectrum)
-from markovforge import spectrum_io
+from markovforge import cli, spectrum_io, verification
 from markovforge.errors import SpectrumFileError
 from markovforge.intervals import MAX_PRECISION_BITS
 from markovforge.spectrum import int_text
@@ -334,3 +337,64 @@ def test_constructed_round_trip_is_lossless(sf):
     # small (a(4) alone is 146,952 loops for e^3)
     failed = [r for r in run_suite(back.spectrum, oracle_depth=3) if not r.passed]
     assert not failed, failed
+
+
+def _cli(argv):
+    """(exit code, stdout) of ``cli.main(argv)`` run in process."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _grid_edit(meta, which):
+    """meta with k one off (which 0 or 1) or an endpoint of tail_at_L one step
+    of its grid off (2 to 5), or None where k falls below 0 or the tail inverts."""
+    sign = (-1) ** which
+    if which < 2:
+        return meta.replace(k=meta.k + sign) if meta.k + sign >= 0 else None
+    step, tail = Fraction(1, 1 << meta._plan[0]), meta.tail_at_L
+    lo, hi = ((tail.lo + sign * step, tail.hi) if which < 4
+              else (tail.lo, tail.hi + sign * step))
+    return meta.replace(tail_at_L=CReal(lo, hi, tail.precision_bits)) if lo <= hi else None
+
+
+# L^128 of e^3 is about 2^-554, finer than the draws reach: a unit sum at the
+# file's 256 bits (width about 2^-320) would miss an edit of a(127) or a(128)
+_DEEP = spectrum_io.SpectrumFile(built("e^3", 128))
+
+
+@given(constructed_files(), st.sampled_from([1, 1, 2, 3]),
+       st.one_of(st.integers(0, 2), st.integers(0, 126)), st.booleans(), st.integers(0, 5))
+@example(_DEEP, 1, 0, False, 4)
+@example(_DEEP.replace(spectrum=delete_loop(_DEEP.spectrum)), 3, 1, True, 0)
+@settings(max_examples=40, deadline=None)
+def test_a_tampered_file_never_gets_a_wrong_verdict(sf, lift, back, down, which):
+    # a count one off at an n drawn near N_max moves the unit sum by L^n, which
+    # its enclosure must resolve: classify finds the identity failing and
+    # verify fails; one grid step on k or tail_at_L may cost the verdict, but
+    # never gives a wrong one
+    s, deleted = sf.spectrum, sf.spectrum.meta.deleted_loop
+    sf = sf.replace(period_lift=lift)
+    n = max(2, s.N_max - back)
+    a = list(s.a)
+    a[n - 1] += -1 if down and a[n - 1] else 1
+    counts = sf.replace(spectrum=s.replace(a=tuple(a)))
+    meta = _grid_edit(s.meta, which)
+    truth = Verdict.TRANSIENT if deleted is not None else Verdict.POSITIVE_RECURRENT
+    depth = verification._oracle_checks
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        # the oracles compare the graph with its own counts: depth 3 keeps them cheap
+        patch.setattr(verification, "_oracle_checks",
+                      lambda s, lift, oracle_depth: depth(s, lift, 3))
+        path = str(Path(tmp) / "counts.json")
+        spectrum_io.save(counts, path)
+        report = json.loads(_cli(["classify", path])[1])
+        assert report["verdict"] == "Indeterminate", (n, a[n - 1])
+        assert report["notes"][0].startswith("construction identity not certified: ")
+        assert _cli(["verify", path])[0] == cli.EXIT_VERIFY
+        if meta is not None:
+            path = str(Path(tmp) / "grid.json")
+            spectrum_io.save(sf.replace(spectrum=s.replace(meta=meta)), path)
+            report = json.loads(_cli(["classify", path])[1])
+            assert report["verdict"] in (truth.value, "Indeterminate"), which

@@ -2,7 +2,8 @@
 
 import pytest
 
-from markovforge import delete_loop, graph, user_spectrum, verification
+from markovforge import (BetaValue, Verdict, build_spectrum, classify, construction,
+                         delete_loop, graph, user_spectrum, verification)
 from markovforge.errors import Unrealizable
 from markovforge.verification import run_suite
 
@@ -97,3 +98,24 @@ def test_a_root_alone_names_the_first_loop_past_it(a, detail):
     results = {r.name: r for r in run_suite(user_spectrum(a))}
     check = results["realization strongly connected"]
     assert check.passed and check.detail == detail
+
+
+def test_verify_sums_the_counts_once(monkeypatch):
+    # the unit sum over the counts is evaluated once, shared by the checks and
+    # the classification, and a spectrum with edited counts sums its own
+    s = build_spectrum(BetaValue.parse("e^7/10"), 32)
+    counts = list(enumerate(s.a, 1))
+    sums = []
+    summed = construction.power_series
+
+    def counted(terms, x):
+        terms = list(terms)
+        sums.append(terms)
+        return summed(terms, x)
+    monkeypatch.setattr(construction, "power_series", counted)
+    assert all(r.passed for r in run_suite(s, oracle_depth=3))
+    assert sums.count(counts) == 1
+    edited = s.replace(a=(1, s.a[1] + 1, *s.a[2:]))
+    assert classify(edited).verdict is Verdict.INDETERMINATE
+    assert sums.count(list(enumerate(edited.a, 1))) == 1
+    assert edited.unit_sum.lo > s.unit_sum.hi
