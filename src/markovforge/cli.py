@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 unreadable or malformed file, 2 invalid base
 (beta <= 1) or bad usage, 3 precision exhausted (also beta too close to 1, or
 a build of more than spectrum.MAX_SQUARE_FLOORS square floors or of more than
 spectrum.MAX_SERIES_BITS bits for beta^N_max), 4 no deletable loop, 5
-verification failures, 6 graph too large to realize or a(1) > 1.  A stdout
-closed early by its reader changes no code: a command that succeeds exits 0,
-and a failing ``verify`` still exits 5.
+verification failures (a(1) > 1 among them), 6 graph too large to realize
+(or a(1) > 1, in export).  A stdout closed early by its reader changes no
+code: a command that succeeds exits 0, and a failing ``verify`` still exits 5.
 
 ``main`` returns the exit code, for callers in the same process.  The
 ``markovforge`` script and ``python -m markovforge.cli`` enter through

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from functools import cache
+from functools import cache, cached_property
 from itertools import compress
 from operator import ne
 from typing import BinaryIO, Iterator, Optional
@@ -95,22 +95,12 @@ class ExplicitGraph(Frozen):
         Callers must not mutate it.  Its entries are the ints of one list of
         the indices 0..size, so reading it allocates nothing.
         """
-        return self._kept("_successors", lambda: self._form(False))
+        return self._successors
 
     def reverse_adjacency(self) -> Neighbours:
         """Predecessors in the form of :meth:`adjacency`, built likewise from
         :meth:`predecessor_runs` and kept on its own."""
-        return self._kept("_predecessors", lambda: self._form(True))
-
-    def _kept(self, key: str, make):
-        """``make()``, called once and kept on the instance outside the fields."""
-        if key not in self.__dict__:
-            self.__dict__[key] = make()
-        return self.__dict__[key]
-
-    def _form(self, reverse: bool) -> Neighbours:
-        runs = self.predecessor_runs() if reverse else self.successor_runs()
-        return _neighbours(self.size, runs, reverse)
+        return self._predecessors
 
     def predecessor_runs(self) -> Runs:
         """``(copies, sums)``: the predecessors of each vertex v > 0 whose
@@ -125,19 +115,25 @@ class ExplicitGraph(Frozen):
         ``loop_lengths``, a run per loop length, any other's by one scan of
         its arrows, where a repeated arrow raises ValueError.
         """
-        return self._kept("_predecessor_runs", lambda: self._runs(True))
+        return self._predecessor_runs
 
     def successor_runs(self) -> Runs:
         """The runs of :meth:`predecessor_runs` for the successors, whose
         default is v + 1 (none for the last vertex); derived and kept
         likewise."""
-        return self._kept("_successor_runs", lambda: self._runs(False))
+        return self._successor_runs
 
     def _runs(self, reverse: bool) -> Runs:
         if self.loop_lengths is not None:
             return _flower_runs(self, reverse)
         ends = (self.heads, self.tails, -1) if reverse else (self.tails, self.heads, 1)
         return _arrow_runs(self.size, *ends)
+
+    # kept on the instance outside the fields, as Frozen allows
+    _successor_runs = cached_property(lambda g: g._runs(False))
+    _predecessor_runs = cached_property(lambda g: g._runs(True))
+    _successors = cached_property(lambda g: _neighbours(g.size, g._successor_runs, False))
+    _predecessors = cached_property(lambda g: _neighbours(g.size, g._predecessor_runs, True))
 
 
 def _arrow_runs(size: int, tails: array, heads: array, shift: int) -> Runs:

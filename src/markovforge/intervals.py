@@ -10,10 +10,10 @@ moves an endpoint by less than ``2^-(precision_bits + GUARD)`` of its
 magnitude, so the cost of an operation follows the precision, not the
 history of the operands.  The result carries the larger of the operands'
 ``precision_bits``, and a rational growth base is put on the same grid:
-exact on it (integers, 5/2), a ball like e^q off it.  Running products,
-integer powers here, the construction's square floors and greedy digits and
-the powers of every series sum, carry each dyadic endpoint as an integer pair
-(m, e) = m 2^e multiplied by :func:`_mul`, which rounds it by a shift.
+exact on it (integers, 5/2), a ball like e^q off it.  Running products (the
+construction's square floors and greedy digits) and powers (:func:`_pow`, for
+integer powers here and in every series sum) carry each dyadic endpoint as an
+integer pair (m, e) = m 2^e multiplied by :func:`_mul`, which rounds by a shift.
 
 The series evaluator and the enclosures of e^q and ln are in ``series``.
 
@@ -85,6 +85,18 @@ def _mul(a: tuple, b: tuple, bits: Optional[int], up: bool) -> tuple[int, int]:
     if sh <= 0:
         return m, e
     return (-(-m >> sh) if up else m >> sh), e + sh
+
+
+def _pow(acc: tuple, base: tuple, n: int, bits: Optional[int], up: bool) -> tuple[int, int]:
+    # acc base^n for dyadic pairs >= 0 by square-and-multiply, each product
+    # by _mul at bits: the one such loop, under CReal powers and series sums
+    while n:
+        if n & 1:
+            acc = _mul(acc, base, bits, up)
+        n >>= 1
+        if n:
+            base = _mul(base, base, bits, up)
+    return acc
 
 
 class CReal(Frozen):
@@ -186,20 +198,15 @@ class CReal(Frozen):
         if self.lo >= 0 and not self.is_exact:
             # square-and-multiply, each product rounded outward as __mul__
             # rounds it; the first step's CReal products put the factors on
-            # the dyadic grid, and the rest runs on pairs
+            # the dyadic grid, and _pow runs the rest on pairs
             result = self * 1 if n & 1 else CReal.exact(1, self.precision_bits)
             n >>= 1
             if not n:
                 return result
             base, work = self * self, self.precision_bits + GUARD
-            rl, rh, bl, bh = map(_dyadic, (result.lo, result.hi, base.lo, base.hi))
-            while n:
-                if n & 1:
-                    rl, rh = _mul(rl, bl, work, False), _mul(rh, bh, work, True)
-                n >>= 1
-                if n:
-                    bl, bh = _mul(bl, bl, work, False), _mul(bh, bh, work, True)
-            return CReal(_fraction(*rl), _fraction(*rh), self.precision_bits)
+            lo, hi = (_fraction(*_pow(_dyadic(r), _dyadic(b), n, work, up))
+                      for r, b, up in ((result.lo, base.lo, False), (result.hi, base.hi, True)))
+            return CReal(lo, hi, self.precision_bits)
         # exact or partly negative bases: exact endpoint powers
         lo_n, hi_n = self.lo ** n, self.hi ** n
         if self.lo >= 0:
@@ -265,7 +272,7 @@ def real_text(x: Fraction, spec: str) -> str:
     by ``spec`` read as fixed point, then "e<exponent>"."""
     if not x or Fraction(1, 1 << 1022) <= abs(x) <= sys.float_info.max:
         return format(float(x), spec)
-    e = math.floor(math.log10(abs(x.numerator)) - math.log10(x.denominator))
+    e = _exponent10(abs(x))
     return f"{float(x / Fraction(10) ** e):{spec.replace('e', 'f')}}e{e:+d}"
 
 
@@ -353,16 +360,20 @@ def _decimal_text(v: Fraction, digits: int, up: bool) -> str:
     rounded so, times 10^e."""
     scaled, e = v * 10 ** digits, 0
     if abs(scaled) > _DECIMAL_LIMIT - 1:
-        # 10^e <= |v| < 10^(e+1), from the bit lengths, then corrected
-        a = abs(v)
-        e = int((a.numerator.bit_length() - a.denominator.bit_length()) * math.log10(2))
-        while 10 ** e > a:
-            e -= 1
-        while 10 ** (e + 1) <= a:
-            e += 1
+        e = _exponent10(abs(v))
         scaled /= 10 ** e
     n = math.ceil(scaled) if up else math.floor(scaled)
     return _format_scaled(n, digits) + (f"e+{e}" if e else "")
+
+
+def _exponent10(a: Fraction) -> int:
+    # e with 10^e <= a < 10^(e+1): from the bit lengths, then corrected exactly
+    e = int((a.numerator.bit_length() - a.denominator.bit_length()) * math.log10(2))
+    while Fraction(10) ** e > a:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= a:
+        e += 1
+    return e
 
 
 def decimal_bounds(x: CReal, digits: int = DECIMAL_DIGITS) -> tuple[str, str]:

@@ -4,7 +4,7 @@ tails, compiled only by the commands that sum a series (see ``__init__``).
 Every series sum ``sum c x^n`` in the library goes through one evaluator,
 :func:`power_series`: exact integer Horner (``_horner``) for rational
 ``x``, and at each endpoint of an interval ``x >= 0`` dyadic powers by
-``intervals._mul``, the product kernel of CReal powers and the construction;
+``intervals._pow``, the square-and-multiply of CReal powers, over ``_mul``;
 the series of e^q and atanh stream their weights into ``_horner``.
 """
 
@@ -19,7 +19,7 @@ from typing import Iterable, Union
 
 from .errors import DivergentTail
 from .intervals import (DEFAULT_PRECISION_BITS, GUARD, CReal, Rat, _coerce, _dyadic, _frac,
-                        _mul, _round)
+                        _pow, _round)
 
 
 # ---------------------------------------------------------------------------
@@ -45,15 +45,7 @@ def _endpoint_sum(terms: list[tuple[int, int]], x: CReal, up: bool) -> Fraction:
     W, g = x.precision_bits + GUARD + 2 * t, x.precision_bits + GUARD + t
     X, p_pow, acc, last = _dyadic(_round(x.hi if up else x.lo, W, up)), (1, 0), 0, 0
     for n, c in terms:
-        # x^n = x^last * x^(n - last), the gap by square-and-multiply
-        gap, base = n - last, X
-        while gap:
-            if gap & 1:
-                p_pow = _mul(p_pow, base, W, up)
-            gap >>= 1
-            if gap:
-                base = _mul(base, base, W, up)
-        last = n
+        p_pow, last = _pow(p_pow, X, n - last, W, up), n  # x^n = x^last x^(n - last)
         m, e = c * p_pow[0], p_pow[1] + g
         acc += m << e if e >= 0 else -(-m >> -e) if up else m >> -e
     return Fraction(acc, 1 << g)
@@ -69,7 +61,7 @@ def power_series(terms: Iterable[tuple[int, int]],
     endpoint is rounded onto W = b + GUARD + 2t significant bits (b =
     x.precision_bits, t = the bit length of the number of nonzero terms),
     x^n is stepped from the previous term's power by square-and-multiply
-    through ``intervals._mul`` at W bits, and each term c x^n is put on the
+    (``intervals._pow``) at W bits, and each term c x^n is put on the
     grid 2^-(b + GUARD + t), all rounded down at lo and up at hi.
 
     Error bound: x^n, n factors x each rounded by less than 2^-W of itself
@@ -126,9 +118,7 @@ def exp_fraction(q: Rat, precision_bits: int = DEFAULT_PRECISION_BITS) -> CReal:
     weights = accumulate(range(1, k + 1), floordiv, initial=f)  # k!/n!, n = 0..k
     partial = Fraction(*_horner(enumerate(weights), p, d)) / f
     enc = CReal(partial, partial + 2 * Fraction(num, den), precision_bits)
-    for _ in range(halvings):
-        enc = enc * enc
-    return enc
+    return enc ** (1 << halvings) if halvings else enc  # enc ** 1 would round enc
 
 
 def _atanh_enclosure(t: Fraction, bits: int) -> CReal:

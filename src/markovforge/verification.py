@@ -34,6 +34,9 @@ def run_suite(s: LoopSpectrum, period_lift: int = 1,
 
 def _oracle_checks(s: LoopSpectrum, period_lift: int,
                    oracle_depth: int) -> list[CheckResult]:
+    if s.count(1) > 1:
+        return [CheckResult("realization strongly connected", False,
+                            "a(1) > 1 needs parallel arrows: no graph realized")]
     results: list[CheckResult] = []
     # oracle equivalence on the truncated realization; shrink the depth until the
     # lifted graph fits (large bases reach millions of loops by length 9)

@@ -332,7 +332,7 @@ def test_a_deep_root_of_high_degree_is_refused_quickly(tmp_path, capsys):
         assert time.perf_counter() - start < 5, command
 
 
-@pytest.mark.parametrize("n, verify_code", [(1, 6), (4, 5)])
+@pytest.mark.parametrize("n, verify_code", [(1, 5), (4, 5)])
 def test_a_count_past_the_decimal_limit_exits_with_its_code(spec2, n, verify_code, tmp_path,
                                                             capsys):
     # a(n) = 16^5000 - 1, 6,021 digits: str() of it, of F(L) or of the vertex
@@ -433,6 +433,14 @@ def test_verify_prints_values_beyond_the_float_range(tmp_path, capsys):
     assert line.endswith("M in [3.59539e+308, 3.59539e+308]")
 
 
+def test_verify_prints_the_exponent_of_a_power_of_ten(tmp_path, capsys):
+    # M = 10^512, whose exponent float logs put one low ("10e+511")
+    path = tmp_path / "big.json"
+    run(capsys, "build", "--beta", "1e512", "--max-n", "4", "--out", str(path))
+    code, stdout, _ = run(capsys, "verify", str(path))
+    assert code == 0 and stdout.count("M in [1e+512, 1e+512]") == 1
+
+
 def test_build_deterministic(tmp_path, capsys, monkeypatch):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "build", "--beta", "e^7/10", "--max-n", "25", "--out", str(a))
@@ -524,7 +532,7 @@ NEAR_ONE = "1." + "0" * 119 + "1"
     (["classify", "div0.json"], 1),
     (["classify", "half.json"], 1),
     (["classify", "k-negative.json"], 1),
-    (["verify", "a1-2.json"], 6),
+    (["verify", "a1-2.json"], 5),
     (["export", "a1-2.json", "--format", "dot"], 6),
 ], ids=["build-max-n", "build-precision", "build-huge-max-n", "build-near-one",
         "build-7e-10", "entropy-7e-10", "n0", "export-max-n", "oracle-depth", "lift-period",
@@ -571,7 +579,9 @@ def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch
         got = e.code
     err = capsys.readouterr().err
     assert got == code
-    assert "error" in err and "Traceback" not in err
+    # a failing verify names its count of failed invariants, any other an error
+    assert ("invariant(s) failed" if code == cli.EXIT_VERIFY else "error") in err
+    assert "Traceback" not in err
     assert not (tmp_path / "x.json").exists()
 
 

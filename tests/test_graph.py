@@ -98,9 +98,9 @@ def test_the_dp_on_a_realization_builds_no_neighbour_form(monkeypatch):
 
 
 def forbid_neighbour_forms(monkeypatch):
-    def form_built(self, reverse):
+    def form_built(size, runs, reverse):
         raise AssertionError("a neighbour form was built")
-    monkeypatch.setattr(ExplicitGraph, "_form", form_built)
+    monkeypatch.setattr(graph, "_neighbours", form_built)
 
 
 def test_the_search_on_a_realization_builds_no_neighbour_form(monkeypatch):

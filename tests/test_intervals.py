@@ -327,6 +327,16 @@ def test_real_text_below_the_float_range_keeps_its_exponent():
     assert real_text(Fraction(0), ".3e") == "0.000e+00"
 
 
+@pytest.mark.parametrize("e", [-5989, -921, -443, -400, 309, 512])
+def test_real_text_prints_the_exponent_of_a_power_of_ten(e):
+    # float logs put 10^-443, 10^512 and the others but -400 and 309 one
+    # exponent low, which printed 10^-443 as "10.000e-444"
+    ten = Fraction(10) ** e
+    assert real_text(ten, ".3e") == f"1.000e{e:+d}"
+    assert real_text(-ten, ".6g") == f"-1e{e:+d}"
+    assert real_text(ten * Fraction(999, 1000), ".3e") == f"9.990e{e - 1:+d}"
+
+
 @given(fractions_st)
 @settings(max_examples=60, deadline=None)
 def test_decimal_round_trip_encloses(p):

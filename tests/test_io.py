@@ -301,7 +301,8 @@ def test_user_round_trip_random(a):
 
 @st.composite
 def constructed_files(draw):
-    kind = draw(st.sampled_from(["rational", "near_one", "exp"]))
+    kind = draw(st.sampled_from(["rational", "near_one", "exp", "deep"]))
+    least_n = 96 if kind == "deep" else 4
     if kind == "rational":
         beta = BetaValue.from_rational(draw(st.fractions(
             min_value=Fraction(3, 2), max_value=16, max_denominator=8)))
@@ -312,10 +313,15 @@ def constructed_files(draw):
         f = 1 + Fraction(draw(st.integers(min_value=1, max_value=q // 2)), q)
         assume(f.denominator & (f.denominator - 1))
         beta = BetaValue.from_rational(f)
-    else:
+    elif kind == "exp":
         beta = BetaValue.exp_of_rational(draw(st.fractions(
             min_value=Fraction(1, 20), max_value=3, max_denominator=20)))
-    s = build_spectrum(beta, draw(st.integers(min_value=4, max_value=128)))
+    else:
+        # N_max log2(beta) >= 96 * 2 log2(e) > 277: the sums need more than
+        # the file's 256 bits
+        beta = BetaValue.exp_of_rational(draw(st.fractions(
+            min_value=2, max_value=3, max_denominator=20)))
+    s = build_spectrum(beta, draw(st.integers(min_value=least_n, max_value=128)))
     deletable = [n for n in range(2, s.N_max + 1) if s.count(n)]
     if deletable and draw(st.booleans()):
         s = delete_loop(s, draw(st.sampled_from(deletable)))
@@ -376,7 +382,7 @@ def test_a_tampered_file_never_gets_a_wrong_verdict(sf, lift, back, down, which)
     # never gives a wrong one
     s, deleted = sf.spectrum, sf.spectrum.meta.deleted_loop
     sf = sf.replace(period_lift=lift)
-    n = max(2, s.N_max - back)
+    n = max(1, s.N_max - back)
     a = list(s.a)
     a[n - 1] += -1 if down and a[n - 1] else 1
     counts = sf.replace(spectrum=s.replace(a=tuple(a)))

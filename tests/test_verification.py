@@ -1,11 +1,25 @@
 """End-to-end invariant suite."""
 
+from fractions import Fraction
+
 import pytest
 
 from markovforge import (BetaValue, Verdict, build_spectrum, classify, construction,
                          delete_loop, graph, user_spectrum, verification)
-from markovforge.errors import Unrealizable
+from markovforge.classifier import entropy_of_lift
+from markovforge.errors import NoDeletableLoop, Unrealizable
 from markovforge.verification import run_suite
+
+# (d, p) for h = 1/d: at the default N_max = 64 these bases e^(hp) have no
+# loop of length 2..64 to delete; they pass once a deleted loop may lie
+# beyond N_max
+_NO_LOOP_YET = {(20, 1), (50, 1), (50, 2)} | {(d, p) for d in (100, 1000) for p in (1, 2, 3)}
+_NO_LOOP = pytest.mark.xfail(strict=True, raises=NoDeletableLoop,
+                             reason="ROADMAP item 1: no deletable loop up to the default N_max")
+_THEOREM_GRID = [
+    pytest.param(Fraction(1, d), p, id=f"h1_{d}-p{p}",
+                 marks=[_NO_LOOP] if (d, p) in _NO_LOOP_YET else [])
+    for d in (1, 2, 5, 10, 20, 50, 100, 1000) for p in (1, 2, 3)]
 
 
 def test_suite_passes_for_all_bases(all_spectra):
@@ -119,3 +133,16 @@ def test_verify_sums_the_counts_once(monkeypatch):
     assert classify(edited).verdict is Verdict.INDETERMINATE
     assert sums.count(list(enumerate(edited.a, 1))) == 1
     assert edited.unit_sum.lo > s.unit_sum.hi
+
+
+@pytest.mark.parametrize("h, p", _THEOREM_GRID)
+def test_both_flavours_for_every_entropy_and_period(h, p):
+    # the paper's claim: for every h > 0 and p, a positive recurrent G and a
+    # transient G', both of entropy h and period p, the base e^(hp) lifted by p
+    g = build_spectrum(BetaValue.exp_of_rational(h * p))
+    g_prime = delete_loop(g)
+    for s, verdict in ((g, Verdict.POSITIVE_RECURRENT), (g_prime, Verdict.TRANSIENT)):
+        assert classify(s).verdict is verdict
+        assert entropy_of_lift(s, p).contains(h)
+        failed = [r for r in run_suite(s, p, oracle_depth=4) if not r.passed]
+        assert not failed, failed
