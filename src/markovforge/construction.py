@@ -246,14 +246,14 @@ def build_spectrum(beta: BetaValue, N_max: int = DEFAULT_N_MAX,
 
 
 def unit_sum_enclosure(s: LoopSpectrum) -> CReal:
-    """Certified enclosure of sum_{n>=1} a(n) L^n (partial sum + stored tail).
+    """Certified enclosure of sum_{n>=1} a(n) L^n (``s.heads[0]`` + stored tail).
 
     For an intact constructed spectrum this encloses 1; after deleting a loop
     of length n0 it encloses 1 - L^n0.
     """
     if s.meta is None:
         raise TailUnavailable("spectrum has no analytic metadata")
-    return power_series(enumerate(s.a, 1), s.meta.L) + s.meta.tail_at_L
+    return s.heads[0] + s.meta.tail_at_L
 
 
 def unit_sum_target(s: LoopSpectrum) -> CReal:
@@ -292,22 +292,21 @@ def identity_failure(s: LoopSpectrum, unit_sum: CReal) -> Optional[str]:
 
 def weighted_sum_enclosure(s: LoopSpectrum) -> Optional[CReal]:
     """Certified enclosure of the mean return sum n a(n) L^n, or None if a
-    square floor is undecidable at the file's precision.  Past the stored
-    counts each count is a square floor, summed up to n_ext and enclosed
-    beyond, plus a greedy digit floor(beta r) of a remainder r in [0, 1):
-    below beta, so the digits add [0, (ceil(beta) - 1) sum_{n > N_max} n L^n]
-    (k sits at n = 2)."""
+    square floor is undecidable at the file's precision: the second head
+    (``LoopSpectrum.heads``), and past the stored counts each count is a
+    square floor, summed up to n_ext and enclosed beyond, plus a greedy
+    digit floor(beta r) of a remainder r in [0, 1): below beta, so the
+    digits add [0, (ceil(beta) - 1) sum_{n > N_max} n L^n] (k sits at n = 2)."""
     if s.meta is None:
         raise TailUnavailable("spectrum has no analytic metadata")
     meta = s.meta
     floors, L = meta.square_floors, meta.L
     if floors is None:
         return None
-    head = power_series(((n, n * an) for n, an in enumerate(s.a, 1)), L)
     tracked = power_series(((n, n * b) for n, b in floors.items() if n > s.N_max), L)
     far = _far_floor_tail(meta.beta, meta._plan, meta.precision_bits, "n")
     digits = (math.ceil(meta.B.hi) - 1) * geometric_tail(L, s.N_max + 1, "n")
-    return head + tracked + far + CReal(Fraction(0), digits.hi, meta.precision_bits)
+    return s.heads[1] + tracked + far + CReal(Fraction(0), digits.hi, meta.precision_bits)
 
 
 def spectrum_checks(s: LoopSpectrum) -> list[CheckResult]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import series
 from ._frozen import Frozen
@@ -269,11 +269,10 @@ def certified_floor(x: CReal) -> int:
 def real_text(x: Fraction, spec: str) -> str:
     """``format(float(x), spec)``, or where the float would lose bits (0 < |x| <
     2^-1022) or overflow, the Fraction x / 10^e, e = floor(log10 |x|), formatted
-    by ``spec`` read as fixed point, then "e<exponent>"."""
+    by ``spec`` read as fixed point, then "e<exponent>" (``_scientific``)."""
     if not x or Fraction(1, 1 << 1022) <= abs(x) <= sys.float_info.max:
         return format(float(x), spec)
-    e = _exponent10(abs(x))
-    return f"{float(x / Fraction(10) ** e):{spec.replace('e', 'f')}}e{e:+d}"
+    return _scientific(x, lambda m: f"{float(m):{spec.replace('e', 'f')}}")
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +355,27 @@ def _format_scaled(n: int, digits: int) -> str:
 
 def _decimal_text(v: Fraction, digits: int, up: bool) -> str:
     """v rounded down (or up) to ``digits`` decimals or, where v 10^digits
-    passes 10^4300 - 1 and str() would refuse it, a mantissa in [1, 10]
-    rounded so, times 10^e."""
-    scaled, e = v * 10 ** digits, 0
+    passes 10^4300 - 1 and str() would refuse it, a mantissa in [1, 10)
+    rounded so, times 10^e (``_scientific``)."""
+    rounded, scaled = math.ceil if up else math.floor, v * 10 ** digits
     if abs(scaled) > _DECIMAL_LIMIT - 1:
-        e = _exponent10(abs(v))
-        scaled /= 10 ** e
-    n = math.ceil(scaled) if up else math.floor(scaled)
-    return _format_scaled(n, digits) + (f"e+{e}" if e else "")
+        return _scientific(v, lambda m: _format_scaled(rounded(m * 10 ** digits), digits))
+    return _format_scaled(rounded(scaled), digits)
 
 
-def _exponent10(a: Fraction) -> int:
+def _scientific(x: Fraction, mantissa: Callable[[Fraction], str]) -> str:
+    """``mantissa(x / 10^e)`` then "e<exponent>", e = floor(log10 |x|), or
+    e + 1 where that mantissa rounds to 10: the next one then rounds to 1."""
+    a = abs(x)
     # e with 10^e <= a < 10^(e+1): from the bit lengths, then corrected exactly
     e = int((a.numerator.bit_length() - a.denominator.bit_length()) * math.log10(2))
     while Fraction(10) ** e > a:
         e -= 1
     while Fraction(10) ** (e + 1) <= a:
         e += 1
-    return e
+    while abs(Fraction(text := mantissa(x / Fraction(10) ** e))) >= 10:
+        e += 1
+    return f"{text}e{e:+d}"
 
 
 def decimal_bounds(x: CReal, digits: int = DECIMAL_DIGITS) -> tuple[str, str]:

@@ -122,15 +122,6 @@ class BudgetExceeded(Exception):
     pass
 
 
-# The enumerators walk level by level: the frontier holds one vertex per walk
-# and is never merged by endpoint (merging would make them the DP again); a
-# hub fans out and a dead end drops.  A walk step is one vertex visited, the
-# start included; BudgetExceeded is raised as soon as more than ``budget``
-# steps would be walked.  Each level is charged before it is built, less the
-# steps that end a walk: out of a dead end, or back onto the start of a
-# first-return count.
-
-
 def _charge(walked: int, steps: int, budget: int) -> int:
     walked += steps
     if walked > budget:
@@ -138,49 +129,51 @@ def _charge(walked: int, steps: int, budget: int) -> int:
     return walked
 
 
-def _walker(g: ExplicitGraph, stop: Optional[int] = None):
-    """``(ahead, gather)``.  ``ahead(frontier)`` counts the next level
-    without building it: it gives the walks at each hub, as a dict, and
-    the level's steps, one per walk and per further arrow out of a hub,
-    less those that end a walk, into a dead end or onto ``stop``.
-    ``gather(frontier, walks)`` then builds the level: every walk's step
-    to its first neighbour, then the other steps of each hub's walks, with
-    the steps out of dead ends dropped.
+def _levels(g: ExplicitGraph, u: int, v: int, budget: int,
+            stop: bool = False) -> Iterator[int]:
+    """The walks at v on levels n = 0, 1, ... of the walk from u; with
+    ``stop``, v is u, and the walks that step back onto u are counted at v,
+    then dropped.  The one level loop of the enumerators.
 
-    The walks at each hub are counted by one scan of the frontier, and the
-    steps that end a walk by one pass over a byte mask, which a realized
-    graph with a loop, having no dead end, builds only for a stop.  So a
-    level costs one count per hub, and its gather list passes; a realized
-    or lifted graph has one hub, and only hand-built graphs have more.
+    The frontier holds one vertex per walk, never merged by endpoint (that
+    would make this the DP again): each walk steps to its first neighbour,
+    each walk at a hub adds a copy of the hub's further steps (those past
+    ``one[h]``), and a step into a dead end is dropped.  A walk step is one
+    vertex visited, the start included; BudgetExceeded is raised as soon as
+    more than ``budget`` steps would be walked.  Each level is charged
+    before it is built, less the ``ended`` walks, whose first step ends them
+    (``ending``).  These and the walks at v and at each hub are counted as
+    the level is built, on its mapped steps and once per fan times its
+    hub's walks (``into[x]`` lists the hubs with a further step to x).
     """
     one, hubs = g.adjacency()
-    more = [(v, fan[1:]) for v, fan in hubs.items()]  # fan[0] is one[v]
-    dead = not g.loop_lengths and g.size in one
-    ending = None
-    if dead or stop is not None:
-        ending = bytearray(map((g.size, stop).__contains__, one))
-        for v, fan in more:
-            ending[v] |= stop in fan
-
-    def ahead(frontier: list[int]) -> tuple[dict[int, int], int]:
-        walks = {v: frontier.count(v) for v in hubs}
-        steps = len(frontier) + sum(len(fan) * walks[v] for v, fan in more)
-        if ending is not None:
-            steps -= sum(map(ending.__getitem__, frontier))
-        return walks, steps
-
-    def gather(frontier: list[int], walks: dict[int, int]) -> list[int]:
+    ends = {u} if stop else set()
+    if not g.loop_lengths and g.size in one:
+        ends.add(g.size)
+    ending = bytearray(map(ends.__contains__, one)) if ends else bytes(g.size)
+    fans = {h: [w for w in fan[1:] if w not in ends] if ends else fan[1:]
+            for h, fan in hubs.items()}
+    fan_ends = {h: sum(map(ending.__getitem__, fan)) if ends else 0 for h, fan in fans.items()}
+    into = {x: [h for h, fan in hubs.items() if x in fan[1:]] for x in {v, *hubs}}
+    frontier, walks, ended = [u], {x: int(x == u) for x in into}, ending[u]
+    walked = _charge(0, 1, budget)
+    yield walks[v]
+    while True:
+        steps = len(frontier) - ended + sum(len(fan) * walks[h] for h, fan in fans.items())
+        walked = _charge(walked, steps, budget)
         level = list(map(one.__getitem__, frontier))
-        for v, fan in more:
-            for _ in repeat(None, walks[v]):
+        counts = {x: level.count(x) + sum(map(walks.__getitem__, hs)) for x, hs in into.items()}
+        if ended:
+            level = [w for w in level if w not in ends]
+        ended = sum(map(ending.__getitem__, level)) if ends else 0
+        for h, fan in fans.items():
+            ended += fan_ends[h] * walks[h]
+            for _ in repeat(None, walks[h]):
                 level += fan  # not fan * walks, which would hold the steps twice
-        return _dropped(level, g.size) if dead else level
-    return ahead, gather
-
-
-def _dropped(level: list[int], x: int) -> list[int]:
-    """``level`` less every step to ``x``."""
-    return list(filter(x.__ne__, level)) if x in level else level
+        yield counts[v]
+        if stop:
+            counts[u] = 0  # the returns, dropped
+        frontier, walks = level, counts
 
 
 def walk_path_counts(g: ExplicitGraph, u: int, v: int,
@@ -188,14 +181,7 @@ def walk_path_counts(g: ExplicitGraph, u: int, v: int,
     """Counts of length-n paths from u to v, n = 0, 1, ..., from one walk;
     level n is walked on demand and charged what a call for length n is.
     A level over the budget is counted, and raises, but is never built."""
-    ahead, gather = _walker(g)
-    frontier = [u]
-    walked = _charge(0, 1, budget)
-    while True:
-        walks, steps = ahead(frontier)
-        yield walks[v] if v in walks else frontier.count(v)
-        walked = _charge(walked, steps, budget)
-        frontier = gather(frontier, walks)
+    return _levels(g, u, v, budget)
 
 
 def enumerate_paths(g: ExplicitGraph, u: int, v: int, n: int,
@@ -210,22 +196,12 @@ def enumerate_first_returns(g: ExplicitGraph, u: int, n: int,
                             budget: int = ENUMERATION_BUDGET) -> int:
     """Count length-n first-return loops at u by walking each path.
 
-    A step back to u ends a walk: it is counted as a return on the last
-    level and is not a walk step.
+    A step back to u ends a walk: it is counted as a return on its level
+    and is not a walk step.  n = 0 counts the empty path at u.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    ahead, gather = _walker(g, u)
-    frontier = [u]
-    walked = _charge(0, 1, budget)
-    for remaining in range(n, 0, -1):
-        walks, steps = ahead(frontier)
-        walked = _charge(walked, steps, budget)
-        level = gather(frontier, walks)
-        if remaining == 1:
-            return level.count(u)
-        frontier = _dropped(level, u)
-    return 1  # n == 0: the empty path at u
+    return next(islice(_levels(g, u, u, budget, True), n, None))
 
 
 # ---------------------------------------------------------------------------

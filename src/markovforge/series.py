@@ -4,8 +4,9 @@ tails, compiled only by the commands that sum a series (see ``__init__``).
 Every series sum ``sum c x^n`` in the library goes through one evaluator,
 :func:`power_series`: exact integer Horner (``_horner``) for rational
 ``x``, and at each endpoint of an interval ``x >= 0`` dyadic powers by
-``intervals._pow``, the square-and-multiply of CReal powers, over ``_mul``;
-the series of e^q and atanh stream their weights into ``_horner``.
+``intervals._pow``, the square-and-multiply of CReal powers, over ``_mul``
+(``power_series_moment`` adds sum n c x^n from the same powers); the
+series of e^q and atanh stream their weights into ``_horner``.
 """
 
 from __future__ import annotations
@@ -39,16 +40,33 @@ def _horner(terms: Iterable[tuple[int, int]], p: int, q: int) -> tuple[int, int]
     return acc, q ** last
 
 
-def _endpoint_sum(terms: list[tuple[int, int]], x: CReal, up: bool) -> Fraction:
-    # sum c x^n at x.lo rounded down (at x.hi rounded up), as power_series states
+def _sums(terms: list[tuple[int, int]], x: CReal) -> tuple[CReal, CReal]:
+    # sum c x^n and sum n c x^n over an interval x >= 0, as power_series states,
+    # from one sweep of x's powers per endpoint, each term on the grid of its sum alone
     t = len(terms).bit_length()
     W, g = x.precision_bits + GUARD + 2 * t, x.precision_bits + GUARD + t
-    X, p_pow, acc, last = _dyadic(_round(x.hi if up else x.lo, W, up)), (1, 0), 0, 0
+    ends = []
+    for up in (False, True):  # x.lo rounded down, then x.hi rounded up
+        X, p_pow, sums, last = _dyadic(_round(x.hi if up else x.lo, W, up)), (1, 0), [0, 0], 0
+        for n, c in terms:
+            p_pow, last = _pow(p_pow, X, n - last, W, up), n  # x^n = x^last x^(n - last)
+            m, e = c * p_pow[0], p_pow[1] + g
+            for i, v in enumerate((m, n * m)):
+                sums[i] += v << e if e >= 0 else -(-v >> -e) if up else v >> -e
+        ends.append([Fraction(v, 1 << g) for v in sums])
+    return tuple(CReal(lo, hi, x.precision_bits) for lo, hi in zip(*ends))
+
+
+def _checked(terms: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    checked: list[tuple[int, int]] = []
+    last = 0
     for n, c in terms:
-        p_pow, last = _pow(p_pow, X, n - last, W, up), n  # x^n = x^last x^(n - last)
-        m, e = c * p_pow[0], p_pow[1] + g
-        acc += m << e if e >= 0 else -(-m >> -e) if up else m >> -e
-    return Fraction(acc, 1 << g)
+        if n < last or c < 0:
+            raise ValueError("terms need ascending n >= 0 and c >= 0")
+        last = n
+        if c:
+            checked.append((n, c))
+    return checked
 
 
 def power_series(terms: Iterable[tuple[int, int]],
@@ -69,14 +87,7 @@ def power_series(terms: Iterable[tuple[int, int]],
     than 3n 2^-W x^n.  So an endpoint's sum is off by less than the sum of
     3n c 2^-W x^n, plus one step of the grid per term.
     """
-    checked: list[tuple[int, int]] = []
-    last = 0
-    for n, c in terms:
-        if n < last or c < 0:
-            raise ValueError("terms need ascending n >= 0 and c >= 0")
-        last = n
-        if c:
-            checked.append((n, c))
+    checked = _checked(terms)
     if not isinstance(x, CReal):
         x = _frac(x)
         return Fraction(*_horner(checked, x.numerator, x.denominator))
@@ -85,8 +96,16 @@ def power_series(terms: Iterable[tuple[int, int]],
     if x.is_exact:
         lo = Fraction(*_horner(checked, x.lo.numerator, x.lo.denominator))
         return CReal(lo, lo, x.precision_bits)
-    lo, hi = (_endpoint_sum(checked, x, up) for up in (False, True))
-    return CReal(lo, hi, x.precision_bits)
+    return _sums(checked, x)[0]
+
+
+def power_series_moment(terms: Iterable[tuple[int, int]], x: CReal) -> tuple[CReal, CReal]:
+    """``power_series`` of the terms (n, c) and of the terms (n, n c), bit
+    for bit, from one sweep of the powers of an interval x."""
+    checked = _checked(terms)
+    if x.is_exact or x.lo < 0:  # two exact sums, or power_series's refusal
+        return power_series(checked, x), power_series([(n, n * c) for n, c in checked], x)
+    return _sums(checked, x)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import islice
 from typing import BinaryIO, Iterator, Optional, Sequence
 
-from . import construction
+from . import construction, series
 from ._frozen import Frozen
 from .errors import FloorUndecidable, NoDeletableLoop, NotGreaterThanOne, PrecisionExhausted
 from .intervals import _DECIMAL_LIMIT, BetaValue, CReal
@@ -105,7 +105,10 @@ class LoopSpectrum(Frozen):
             raise ValueError("meta was built for another N_max")
         self._init(a, N_max, meta, finite_support)
 
-    # summed once, for verify's checks and classify; kept here, as it reads the counts
+    # sum a(n) L^n and sum n a(n) L^n from one sweep of L's powers, and the unit
+    # sum, summed once for verify's checks and classify; kept here, as they read the counts
+    heads = cached_property(lambda self: series.power_series_moment(enumerate(self.a, 1),
+                                                                    self.meta.L))
     unit_sum = cached_property(lambda self: construction.unit_sum_enclosure(self))
 
     def count(self, n: int) -> int:

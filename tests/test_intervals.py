@@ -312,7 +312,7 @@ def test_decimal_bounds_past_the_digit_limit_use_an_exponent():
         assert Fraction(hi) - Fraction(lo) <= abs(v) / 10 ** 39
         for text in (lo, hi):
             mantissa, exponent = text.split("e+")
-            assert 1 <= abs(Fraction(mantissa)) <= 10 and int(exponent) > 4000
+            assert 1 <= abs(Fraction(mantissa)) < 10 and int(exponent) > 4000
 
 
 def test_real_text_below_the_float_range_keeps_its_exponent():
@@ -335,6 +335,16 @@ def test_real_text_prints_the_exponent_of_a_power_of_ten(e):
     assert real_text(ten, ".3e") == f"1.000e{e:+d}"
     assert real_text(-ten, ".6g") == f"-1e{e:+d}"
     assert real_text(ten * Fraction(999, 1000), ".3e") == f"9.990e{e - 1:+d}"
+
+
+def test_a_mantissa_that_rounds_to_ten_carries_into_the_exponent():
+    # each of these just below a power of ten printed its mantissa as 10
+    assert real_text(Fraction(1, 10 ** 443) * (1 - Fraction(1, 1 << 60)), ".3e") == "1.000e-443"
+    assert real_text(Fraction(10 ** 600) * (1 - Fraction(1, 1 << 80)), ".6g") == "1e+600"
+    assert real_text(-Fraction(10 ** 600) * (1 - Fraction(1, 1 << 80)), ".6g") == "-1e+600"
+    lo, hi = decimal_bounds(CReal.exact(Fraction(10 ** 5000) * (1 - Fraction(1, 1 << 300))))
+    assert hi == "1." + "0" * 40 + "e+5000"
+    assert lo == "9." + "9" * 40 + "e+4999"  # rounded down, it does not carry
 
 
 @given(fractions_st)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from markovforge import (BetaValue, Verdict, build_spectrum, classify, construction,
-                         delete_loop, graph, user_spectrum, verification)
+                         delete_loop, graph, series, user_spectrum, verification)
 from markovforge.classifier import entropy_of_lift
 from markovforge.errors import NoDeletableLoop, Unrealizable
 from markovforge.verification import run_suite
@@ -115,20 +115,24 @@ def test_a_root_alone_names_the_first_loop_past_it(a, detail):
 
 
 def test_verify_sums_the_counts_once(monkeypatch):
-    # the unit sum over the counts is evaluated once, shared by the checks and
-    # the classification, and a spectrum with edited counts sums its own
+    # the counts are summed once, by one sweep of L's powers that gives both
+    # the unit sum and the mean return's head, shared by the checks and the
+    # classification; a spectrum with edited counts sums its own
     s = build_spectrum(BetaValue.parse("e^7/10"), 32)
     counts = list(enumerate(s.a, 1))
     sums = []
-    summed = construction.power_series
 
-    def counted(terms, x):
-        terms = list(terms)
-        sums.append(terms)
-        return summed(terms, x)
-    monkeypatch.setattr(construction, "power_series", counted)
+    def counted(sweep):
+        def sum_terms(terms, x):
+            terms = list(terms)
+            sums.append(terms)
+            return sweep(terms, x)
+        return sum_terms
+    monkeypatch.setattr(construction, "power_series", counted(construction.power_series))
+    monkeypatch.setattr(series, "power_series_moment", counted(series.power_series_moment))
     assert all(r.passed for r in run_suite(s, oracle_depth=3))
     assert sums.count(counts) == 1
+    assert [(n, n * an) for n, an in counts] not in sums  # no second sweep for the mean
     edited = s.replace(a=(1, s.a[1] + 1, *s.a[2:]))
     assert classify(edited).verdict is Verdict.INDETERMINATE
     assert sums.count(list(enumerate(edited.a, 1))) == 1
