@@ -194,11 +194,11 @@ def classify(s: LoopSpectrum) -> ClassificationReport:
 
 
 def _classify_constructed(s: LoopSpectrum) -> ClassificationReport:
-    L = Radius(s.meta.L)
+    L = radius_L(s)
     F_at_L = s.unit_sum
     mean = weighted_sum_enclosure(s)
     entropy = entropy_enclosure(s)
-    failure = identity_failure(s, F_at_L)
+    failure = identity_failure(s)
     n0 = s.meta.deleted_loop
     if failure is not None:
         verdict, R, has_mme = Verdict.INDETERMINATE, Radius(None, False, False), None
@@ -222,7 +222,7 @@ def _classify_finite(s: LoopSpectrum) -> ClassificationReport:
             Verdict.INDETERMINATE, Radius.unbounded(), Radius.unbounded(),
             CReal.exact(0), None, None, None,
             notes=("empty spectrum: no loops at all",))
-    L = Radius.unbounded()
+    L = radius_L(s)
     # F is a polynomial with a positive coefficient, so F -> +infinity at L
     root = _bisect_root(s)
     R = Radius(root)

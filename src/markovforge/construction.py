@@ -265,14 +265,10 @@ def unit_sum_target(s: LoopSpectrum) -> CReal:
     return 1 - s.meta.L ** s.meta.deleted_loop
 
 
-def identity_failure(s: LoopSpectrum, unit_sum: CReal) -> Optional[str]:
-    """Why the construction identity does not certify s, or None if it does.
-
-    sum a(n) L^n = 1 (1 - L^n0 after deleting a loop of length n0) holds when
-    each count is its square floor b(n), recomputed from beta, plus a greedy
-    digit: a(n) + [n = n0] - b(n) >= 0, and = 0 at n = 1; and ``unit_sum``
-    (from :func:`unit_sum_enclosure`) meets that target.
-    """
+def counts_failure(s: LoopSpectrum) -> Optional[str]:
+    """Why some count is not its square floor b(n), recomputed from beta, plus
+    a greedy digit, or None if each is: a(n) + [n = n0] - b(n) >= 0, and = 0
+    at n = 1, n0 the length of a deleted loop."""
     floors, n0 = s.meta.square_floors, s.meta.deleted_loop
     if n0 is not None and not 2 <= n0 <= s.N_max:
         return f"deleted loop length {n0} outside 2..{s.N_max}"
@@ -284,10 +280,19 @@ def identity_failure(s: LoopSpectrum, unit_sum: CReal) -> Optional[str]:
               if n <= s.N_max and s.a[n - 1] + (n == n0) < b), None)
     if n is not None:
         return f"a({n}) lies below its square floor b({n})"
-    target = unit_sum_target(s)
-    if unit_sum.hi < target.lo or target.hi < unit_sum.lo:
-        return "the unit-sum enclosure misses its target"
     return None
+
+
+def identity_failure(s: LoopSpectrum) -> Optional[str]:
+    """Why the construction identity does not certify s, or None if it does:
+    sum a(n) L^n = 1 (1 - L^n0 after deleting a loop of length n0) holds when
+    :func:`counts_failure` finds nothing and ``s.unit_sum`` meets that target."""
+    failure = counts_failure(s)
+    if failure is None:
+        target = unit_sum_target(s)
+        if s.unit_sum.certainly_lt(target) or s.unit_sum.certainly_gt(target):
+            return "the unit-sum enclosure misses its target"
+    return failure
 
 
 def weighted_sum_enclosure(s: LoopSpectrum) -> Optional[CReal]:
@@ -347,7 +352,7 @@ def spectrum_checks(s: LoopSpectrum) -> list[CheckResult]:
         if delta is not None else f"a square floor is undecidable at {meta.precision_bits} bits"))
 
     # the counts' half of the identity; the unit sum is checked above
-    failure = identity_failure(s, target)
+    failure = counts_failure(s)
     results.append(CheckResult(
         "square floors recomputed from beta", failure is None,
         failure or f"a(n) >= b(n) at every n = m^2 <= {s.N_max}, "

@@ -1,5 +1,5 @@
-"""End-to-end invariant suite: construction properties, oracle equivalence,
-period, and classification-certificate consistency for one spectrum."""
+"""End-to-end checks of one spectrum: its construction properties, the oracles
+and period of the one graph it realizes, and its classification certificates."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ from .construction import spectrum_checks
 from .errors import Unrealizable
 from .graph import fits, is_strongly_connected, realize
 from .oracle import (ENUMERATION_BUDGET, BudgetExceeded, count_first_returns,
-                     count_paths, renewal_convolve, table_from_spectrum,
-                     walk_path_counts)
+                     count_paths, renewal_convolve, walk_path_counts)
 from .spectrum import CheckResult, LoopSpectrum
 
 DEFAULT_ORACLE_DEPTH = 12
@@ -66,36 +65,31 @@ def _oracle_checks(s: LoopSpectrum, period_lift: int,
         renewal_convolve(f_dp, depth) == p_dp,
         f"depth {depth}"))
 
-    enum_ok = True
-    enum_detail = "skipped (budget)"
-    checked_to = 0
+    # the literal walk against the DP up to a mismatch, its budget or the depth
     levels = walk_path_counts(g, g.root, g.root, ENUMERATION_BUDGET)
-    next(levels)  # n = 0
+    n, match = 0, True
     try:
-        for n in range(1, depth + 1):
-            if next(levels) != p_dp[n]:
-                enum_ok = False
-                enum_detail = f"mismatch at n = {n}"
+        for n, (paths, walked) in enumerate(zip(p_dp, levels)):
+            if paths != walked:
+                match = False
                 break
-            checked_to = n
     except BudgetExceeded:
         pass
-    if enum_ok and checked_to:
-        enum_detail = f"walked all paths up to length {checked_to}"
-    results.append(CheckResult("literal enumeration matches DP", enum_ok, enum_detail))
+    results.append(CheckResult(
+        "literal enumeration matches DP", match,
+        f"mismatch at n = {n}" if not match else
+        f"walked all paths up to length {n}" if n else "skipped (budget)"))
 
-    # period: the graph's, from its first returns, against the spectrum's
+    # period: the graph's, from its first returns and path counts, vs the spectrum's
     realized = [n * period_lift for n in s.support() if n <= depth]
     if realized:
         expected = gcd(*realized)
         structural = period_lift * gcd(*(n for n, v in enumerate(f_dp, 1) if v))
-        table = table_from_spectrum(s, depth * period_lift, period_lift)
-        from_counts = [n for n, v in enumerate(table.p) if n > 0 and v > 0]
-        oracle_gcd = gcd(*from_counts) if from_counts else None
+        from_counts = period_lift * gcd(*(n for n, v in enumerate(p_dp) if n and v))
         results.append(CheckResult(
             "period (structural vs oracle)",
-            structural == expected and oracle_gcd == expected,
-            f"structural = {structural}, from counts = {oracle_gcd}, "
+            structural == expected and from_counts == expected,
+            f"structural = {structural}, from counts = {from_counts}, "
             f"expected = {expected}"))
 
     return results

@@ -84,6 +84,7 @@ def test_period_check_reads_the_realized_graph(spec2, monkeypatch):
     results = {r.name: r for r in run_suite(spec2, oracle_depth=4)}
     check = results["period (structural vs oracle)"]
     assert not check.passed and "structural = 2," in check.detail
+    assert "from counts = 2," in check.detail
 
 
 def test_enumeration_mismatch_fails_its_check(spec2, monkeypatch):
