@@ -40,7 +40,7 @@ _EXPORTS = {
                    "renewal_limit"),
     "construction": ("build_spectrum", "spectrum_checks", "unit_sum_enclosure",
                      "unit_sum_target", "weighted_sum_enclosure"),
-    "graph": ("ExplicitGraph", "export", "import_json", "lift_period", "realize"),
+    "graph": ("ExplicitGraph", "export", "lift_period", "realize"),
     "oracle": ("GrowthEstimate", "PathCountTable", "count_first_returns",
                "count_paths", "growth_rate", "renewal_convolve",
                "table_from_spectrum"),

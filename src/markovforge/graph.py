@@ -7,14 +7,15 @@ a phase i = 1..p (index v*p + i-1) and multiplies every loop length by p.
 A realized or lifted graph is stored as its loop lengths; its arrows are
 derived for export only, and so are its names: v_{n}_{i}_{k} is vertex
 k = 1..n-1 of the i-th length-n loop, and a lifted vertex gets the suffix
-"@phase".  Every graph derives its runs first, from its loop lengths or by
-one scan of its arrows, which refuses a repeated arrow.  ``export`` is the
-one DOT/JSON writer; of the other layers, this one imports only spectrum.
+"@phase".  A graph built from index arrays of arrows has no names; the
+tests build their hand-made graphs so.  Every graph derives its runs
+first, from its loop lengths or by one scan of its arrows, which refuses a
+repeated arrow.  ``export`` is the one DOT/JSON writer of a realized graph;
+of the other layers, this one imports only spectrum.
 """
 
 from __future__ import annotations
 
-import json
 from array import array
 from functools import cache, cached_property
 from itertools import compress
@@ -38,49 +39,39 @@ class ExplicitGraph(Frozen):
     """Finite oriented graph on the vertices 0..size-1 with at most one arrow
     per ordered vertex pair; arrow j runs from ``tails[j]`` to ``heads[j]``.
 
-    Hand-built and imported graphs store their arrows and vertex ``names``.
-    A realized graph stores ``tails = heads = names = None``: its
-    ``loop_lengths``, the (pre-lift length, multiplicity) pairs, with
-    ``size``, ``root`` and ``period_lift`` determine its arrows and names,
-    which are generated when asked for and not kept.
+    A graph built from arrows stores them.  A realized graph stores
+    ``tails = heads = None``: its ``loop_lengths``, the (pre-lift length,
+    multiplicity) pairs, with ``size``, ``root`` and ``period_lift``
+    determine its arrows and vertex names, which are generated when asked
+    for and not kept.  Only a realized graph has names.
     """
 
-    _fields = ("size", "tails", "heads", "root", "period_lift", "names", "loop_lengths")
+    _fields = ("size", "tails", "heads", "root", "period_lift", "loop_lengths")
     _unhashed = ("tails", "heads")
 
     def __init__(self, size: int, tails: Optional[array], heads: Optional[array], root: int = 0,
-                 period_lift: int = 1, names: Optional[tuple[str, ...]] = None,
+                 period_lift: int = 1,
                  loop_lengths: Optional[tuple[tuple[int, int], ...]] = None) -> None:
-        self._init(size, tails, heads, root, period_lift, names, loop_lengths)
-
-    @classmethod
-    def from_names(cls, root: str, vertices: tuple[str, ...], arrows: tuple[tuple[str, str], ...],
-                   period_lift: int = 1) -> ExplicitGraph:
-        """Graph on named vertices; names are mapped to indices once."""
-        index = {v: i for i, v in enumerate(vertices)}
-        if root not in index:
-            raise ValueError("root is not a vertex")
-        return cls(len(vertices), array("l", [index[u] for u, _ in arrows]),
-                   array("l", [index[v] for _, v in arrows]),
-                   index[root], period_lift, tuple(vertices))
+        self._init(size, tails, heads, root, period_lift, loop_lengths)
 
     @property
     def vertices(self) -> tuple[str, ...]:
-        """Vertex names by index; generated on every call for a realized graph."""
-        return self.names or _lift_names(_flower_names(self.loop_lengths), self.period_lift)
+        """Vertex names of a realized graph by index, generated on every call."""
+        names = [ROOT] + [f"v_{n}_{i}_{k}" for n, mult in self.loop_lengths
+                          for i in range(1, mult + 1) for k in range(1, n)]
+        p = self.period_lift
+        return tuple(f"{v}@{i}" for v in names for i in range(1, p + 1)) if p > 1 else tuple(names)
 
     @property
     def arrows(self) -> tuple[tuple[str, str], ...]:
-        """Arrows as (tail name, head name) pairs, in export order; derived on
-        every call for a realized graph."""
+        """Arrows of a realized graph as (tail name, head name) pairs, in
+        export order, derived on every call."""
         name = self.vertices.__getitem__
         tails, heads = self._arrow_arrays()
         return tuple(zip(map(name, tails), map(name, heads)))
 
     def _arrow_arrays(self) -> tuple[array, array]:
-        """(tails, heads): stored, or derived from ``loop_lengths``."""
-        if self.loop_lengths is None:
-            return self.tails, self.heads
+        """(tails, heads) of a realized graph, derived from ``loop_lengths``."""
         tails, heads = _flower_arrows(self.loop_lengths)
         p = self.period_lift
         return (tails, heads) if p == 1 else _lift_arrows(self.size // p, tails, heads, p)
@@ -236,15 +227,6 @@ def _lift_arrows(size: int, tails: array, heads: array, p: int) -> tuple[array, 
     return lifted_tails, lifted_heads
 
 
-def _flower_names(loop_lengths: tuple[tuple[int, int], ...]) -> list[str]:
-    return [ROOT] + [f"v_{n}_{i}_{k}" for n, mult in loop_lengths
-                     for i in range(1, mult + 1) for k in range(1, n)]
-
-
-def _lift_names(names, p: int) -> tuple[str, ...]:
-    return tuple(f"{v}@{i}" for v in names for i in range(1, p + 1)) if p > 1 else tuple(names)
-
-
 def realize(s: LoopSpectrum, N: Optional[int] = None, period_lift: int = 1) -> ExplicitGraph:
     """Build the flower graph containing every loop of length <= N, lifted by
     ``period_lift``; the root self-loop is present iff a(1) = 1.  Unrealizable,
@@ -276,8 +258,11 @@ def fits(s: LoopSpectrum, N: int, period_lift: int = 1) -> bool:
 
 
 def lift_period(g: ExplicitGraph, p: int) -> ExplicitGraph:
-    """Cross every vertex with p phases; every loop length is multiplied by p.
-    A realized graph lifts in O(1), to its loop lengths with ``period_lift`` p."""
+    """Cross every vertex of a realized graph with p phases; every loop
+    length is multiplied by p.  The lift is O(1): the same loop lengths
+    with ``period_lift`` p."""
+    if g.loop_lengths is None:
+        raise ValueError("only a realized graph lifts")
     if p < 1:
         raise ValueError("p must be >= 1")
     if g.period_lift != 1:
@@ -287,15 +272,11 @@ def lift_period(g: ExplicitGraph, p: int) -> ExplicitGraph:
     if g.size * p > REALIZE_VERTEX_BUDGET:
         raise Unrealizable(f"the graph lifted by {p} has {g.size * p} vertices, "
                            f"more than {REALIZE_VERTEX_BUDGET}")
-    if g.loop_lengths is not None:
-        return ExplicitGraph(g.size * p, None, None, g.root * p, p, None, g.loop_lengths)
-    names = None if g.names is None else _lift_names(g.names, p)
-    return ExplicitGraph(g.size * p, *_lift_arrows(g.size, g.tails, g.heads, p),
-                         g.root * p, p, names)
+    return ExplicitGraph(g.size * p, None, None, g.root * p, p, g.loop_lengths)
 
 
 # ---------------------------------------------------------------------------
-# export / import
+# export
 # ---------------------------------------------------------------------------
 
 
@@ -311,17 +292,16 @@ def _dot_lines(g: ExplicitGraph) -> Iterator[str]:
 
 def _json_lines(g: ExplicitGraph) -> Iterator[str]:
     # the layout of json.dumps(payload, indent=2, sort_keys=True), written
-    # item by item; json.dumps quotes and escapes each name
+    # item by item; the generated names need no escaping, so quotes suffice
     names = g.vertices
     name = names.__getitem__
-    quoted = json.dumps
     tails, heads = g._arrow_arrays()
-    arrows = map("    [\n      {},\n      {}\n    ]".format,
-                 map(quoted, map(name, tails)), map(quoted, map(name, heads)))
+    arrows = map('    [\n      "{}",\n      "{}"\n    ]'.format,
+                 map(name, tails), map(name, heads))
     yield "{"
     yield from _json_list("arrows", arrows, ",")
     yield f'  "period_lift": {g.period_lift},'
-    yield from _json_list("vertices", map("    {}".format, map(quoted, names)), "")
+    yield from _json_list("vertices", map('    "{}"'.format, names), "")
     yield "}"
 
 
@@ -344,31 +324,12 @@ _EXPORT_LINES = {"dot": _dot_lines, "json": _json_lines}
 
 
 def export(g: ExplicitGraph, fmt: str, fh: BinaryIO) -> None:
-    """Write ``g`` as DOT or JSON to the binary file ``fh`` by ``write_lines``;
-    only the names and arrow arrays are held meanwhile."""
+    """Write the realized graph ``g`` as DOT or JSON to the binary file
+    ``fh`` by ``write_lines``; only the names and arrow arrays are held
+    meanwhile."""
     if fmt not in _EXPORT_LINES:
         raise ValueError(f"unknown export format {fmt!r}")
     write_lines(_EXPORT_LINES[fmt](g), fh)
-
-
-def import_json(data: bytes) -> ExplicitGraph:
-    payload = json.loads(data.decode("utf-8"))
-    vertices = tuple(payload["vertices"])
-    try:
-        "".join(map(str, vertices)).encode("utf-8")
-    except UnicodeEncodeError:
-        # a JSON escape can give a lone surrogate, which export cannot write
-        raise ValueError("a vertex name holds a lone surrogate") from None
-    arrows = tuple((u, v) for u, v in payload["arrows"])
-    p = payload.get("period_lift", 1)
-    if type(p) is not int or p < 1:  # int() would read 2.7 or "2" as 2, true as 1
-        raise ValueError(f"period_lift {p!r} is not an integer of at least 1")
-    root = f"{ROOT}@1" if p > 1 else ROOT
-    if root not in vertices:
-        root = vertices[0]
-    g = ExplicitGraph.from_names(root, vertices, arrows, period_lift=p)
-    g.successor_runs()  # kept for later use; refuses a repeated arrow here
-    return g
 
 
 def is_strongly_connected(g: ExplicitGraph) -> bool:

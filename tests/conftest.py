@@ -1,12 +1,14 @@
 import io
 import json
 import time
+from array import array
 from math import gcd
 from pathlib import Path
 
 import pytest
 
 from markovforge import BetaValue, build_spectrum, export, spectrum_io
+from markovforge.graph import ExplicitGraph
 from markovforge.intervals import MAX_PRECISION_BITS
 from markovforge.oracle import count_first_returns
 
@@ -32,6 +34,15 @@ def neighbour_pairs(form, size):
     one, hubs = form
     return [(v, w) for v in range(size)
             for w in hubs.get(v, [one[v]] if one[v] < size else [])]
+
+
+def graph_from_arrows(root, names, arrows, period_lift=1):
+    """The graph built from index arrays on the vertices ``names``, by
+    index, with the (tail name, head name) ``arrows`` in order, rooted at
+    the vertex named ``root``; the names themselves are not kept."""
+    index = {v: i for i, v in enumerate(names)}
+    return ExplicitGraph(len(names), array("l", [index[u] for u, _ in arrows]),
+                         array("l", [index[v] for _, v in arrows]), index[root], period_lift)
 
 
 def period(g):

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from markovforge import (export, graph, import_json, lift_period, realize,
-                         user_spectrum)
+from markovforge import export, graph, lift_period, realize, user_spectrum
 from markovforge.errors import Unrealizable
 from markovforge.graph import (ROOT, ExplicitGraph, is_strongly_connected,
                                vertex_count)
@@ -20,7 +19,7 @@ from markovforge import oracle
 from markovforge.oracle import (BudgetExceeded, count_first_returns, count_paths,
                                 enumerate_first_returns, walk_path_counts)
 
-from conftest import built, exported, neighbour_pairs, period
+from conftest import built, exported, graph_from_arrows, neighbour_pairs, period
 
 
 def test_realize_flower_counts(spec2):
@@ -143,7 +142,7 @@ def test_first_returns_charge_a_level_before_building_it():
     # 200,000 stops the walk at level 6, a list of 1,932,612 entries
     # (15.5 MB), which the walk counts but never builds
     names = tuple(f"v{i}" for i in range(12))
-    g = ExplicitGraph.from_names("v0", names, tuple((u, v) for u in names for v in names))
+    g = graph_from_arrows("v0", names, tuple((u, v) for u in names for v in names))
     g.adjacency()
     assert enumerate_first_returns(g, 0, 5, 200_000) == 11 ** 4
     tracemalloc.start()
@@ -186,18 +185,11 @@ def test_export_streams_in_bounded_memory():
         assert peak < 20 * 10 ** 6, (fmt, peak)
 
 
-# any character UTF-8 can encode: import_json refuses a lone surrogate
-NAME_CHARS = st.one_of(st.sampled_from('"\\é→😀'), st.characters(codec="utf-8"))
-
-
 @st.composite
-def named_graphs(draw):
-    """(names, arrows, period_lift) of a graph whose names need escaping."""
-    names = draw(st.lists(st.text(NAME_CHARS, min_size=1, max_size=4),
-                          min_size=1, max_size=6, unique=True))
-    arrows = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
-                           max_size=10, unique=True))
-    return names, arrows, draw(st.integers(1, 3))
+def realized_graphs(draw):
+    """A realization of a drawn spectrum to a drawn depth N, lifted by 1-3."""
+    s = user_spectrum([draw(st.integers(0, 1))] + draw(st.lists(st.integers(0, 3), max_size=9)))
+    return realize(s, draw(st.integers(1, s.N_max)), draw(st.integers(1, 3)))
 
 
 def whole_export(names, arrows, p, fmt):
@@ -211,15 +203,12 @@ def whole_export(names, arrows, p, fmt):
     return ("\n".join(lines) + "\n").encode()
 
 
-@given(named_graphs())
-@example((["root"], [], 1))  # no arrows
+@given(realized_graphs())
+@example(realize(user_spectrum([0, 1]), 1))  # the root alone, no arrows
 @settings(max_examples=60, deadline=None)
-def test_export_layout_with_any_names(parts):
-    names, arrows, p = parts
-    payload = {"vertices": names, "arrows": [list(a) for a in arrows], "period_lift": p}
-    g = import_json(json.dumps(payload).encode())
+def test_export_layout_of_realized_graphs(g):
     for fmt in ("json", "dot"):
-        assert exported(g, fmt) == whole_export(names, arrows, p, fmt)
+        assert exported(g, fmt) == whole_export(g.vertices, g.arrows, g.period_lift, fmt)
 
 
 # SHA-256 of export bytes before realized graphs stopped storing their arrows
@@ -246,11 +235,12 @@ def test_period_is_gcd_of_loop_lengths():
     assert period(realize(user_spectrum([1, 0, 0, 1]))) == 1
     assert period(realize(user_spectrum([0, 1, 0, 1]))) == 2
     assert period(realize(user_spectrum([0, 0, 1, 0, 0, 1]))) == 3
-    # an imported graph has no loop lengths: its first returns give them
+    # a graph built from arrows has no loop lengths: its first returns give them
     for a, p in (([1, 0, 0, 1], 1), ([0, 1, 0, 1], 2), ([0, 0, 1, 0, 0, 1], 3)):
-        assert period(import_json(exported(realize(user_spectrum(a))))) == p
+        g = realize(user_spectrum(a))
+        assert period(graph_from_arrows(ROOT, g.vertices, g.arrows)) == p
     # no loop through the root: the gcd of no lengths
-    assert period(ExplicitGraph.from_names("u", ("u", "v"), (("u", "v"),))) == 0
+    assert period(graph_from_arrows("u", ("u", "v"), (("u", "v"),))) == 0
 
 
 def test_lift_multiplies_period(spec2):
@@ -261,12 +251,6 @@ def test_lift_multiplies_period(spec2):
     assert lifted.period_lift == 3
     assert period(lifted) == 3
     assert is_strongly_connected(lifted)
-    # a hand-built graph lifts its named arrows: the 2-cycle becomes a 6-cycle
-    cycle = ExplicitGraph.from_names("u", ("u", "v"), (("u", "v"), ("v", "u")))
-    lifted = lift_period(cycle, 3)
-    assert lifted.vertices == ("u@1", "u@2", "u@3", "v@1", "v@2", "v@3")
-    assert len(lifted.arrows) == 6 and lifted.root == 0
-    assert period(lifted) == 6 and is_strongly_connected(lifted)
 
 
 def test_lift_identity(spec2):
@@ -280,13 +264,15 @@ def test_lift_refuses_double_lift(spec2):
         lift_period(lifted, 3)
     with pytest.raises(ValueError, match="p must be >= 1"):
         lift_period(realize(spec2, 4), 0)
+    # a graph built from arrows has no loop lengths to lift
+    cycle = graph_from_arrows("u", ("u", "v"), (("u", "v"), ("v", "u")))
+    with pytest.raises(ValueError, match="only a realized graph lifts"):
+        lift_period(cycle, 3)
 
 
 def test_duplicate_arrow_rejected():
-    with pytest.raises(ValueError, match="duplicate arrow"):
-        import_json(b'{"vertices": ["u"], "arrows": [["u", "u"], ["u", "u"]]}')
-    # a hand-built graph is refused when its runs are first derived
-    hand_built = ExplicitGraph.from_names("u", ("u",), (("u", "u"), ("u", "u")))
+    # a graph built from arrows is refused when its runs are first derived
+    hand_built = graph_from_arrows("u", ("u",), (("u", "u"), ("u", "u")))
     with pytest.raises(ValueError, match="duplicate arrow"):
         hand_built.successor_runs()
 
@@ -301,13 +287,10 @@ def test_dot_export_mentions_every_arrow(spec2):
 
 def test_json_round_trip(spec2):
     g = lift_period(realize(spec2, 9), 2)
-    data = exported(g)
-    back = import_json(data)
-    assert back.vertices == g.vertices
-    assert back.arrows == g.arrows
-    assert back.root == g.root
-    assert back.period_lift == g.period_lift
-    assert exported(back) == data
+    back = json.loads(exported(g))
+    assert tuple(back["vertices"]) == g.vertices
+    assert tuple(map(tuple, back["arrows"])) == g.arrows
+    assert back["period_lift"] == g.period_lift == 2
 
 
 def test_export_dispatch(spec2):
@@ -320,30 +303,8 @@ def test_export_dispatch(spec2):
     assert out.getvalue() == b""
 
 
-def test_import_rejects_malformed():
-    with pytest.raises(Exception):
-        import_json(b"not json")
-    with pytest.raises(Exception):
-        import_json(json.dumps({"vertices": ["a"]}).encode())
-    # the escape of a lone surrogate, a name no UTF-8 export can write
-    with pytest.raises(ValueError, match="surrogate"):
-        import_json(b'{"vertices": ["root", "\\ud800"], "arrows": []}')
-    # a period lift below 1, which lift_period would read as already lifted
-    for p in (0, -2):
-        with pytest.raises(ValueError, match="period_lift"):
-            import_json(json.dumps({"vertices": ["root"], "arrows": [["root", "root"]],
-                                    "period_lift": p}).encode())
-    # a period lift that is not a JSON integer, which int() would read as
-    # 2 (2.7, 2.0 and "2") or as 1 (true)
-    payload = json.loads(exported(realize(user_spectrum([1, 1]), 2, 2)))
-    for p in (2.7, 2.0, "2", True):
-        payload["period_lift"] = p
-        with pytest.raises(ValueError, match=f"period_lift {p!r} is not an integer of at least 1"):
-            import_json(json.dumps(payload).encode())
-
-
 def test_strong_connectivity_detects_sink():
-    g = ExplicitGraph.from_names("u", ("u", "v"), (("u", "u"), ("u", "v")))
+    g = graph_from_arrows("u", ("u", "v"), (("u", "u"), ("u", "v")))
     assert not is_strongly_connected(g)
 
 
@@ -395,13 +356,12 @@ def test_indexed_realization_matches_named_reference(a1, tail, p):
     assert direct == g and hash(direct) == hash(g)
     assert (g.vertices, g.arrows) == named_reference(s.a, p)
     assert g.root == 0 and g.size == len(g.vertices)
-    data = exported(g)
-    imported = import_json(data)
-    assert exported(imported) == data
-    assert imported.arrows == g.arrows
+    back = json.loads(exported(g))
+    assert (tuple(back["vertices"]), tuple(map(tuple, back["arrows"]))) == (g.vertices, g.arrows)
     # the form built from loop_lengths is the one the arrows give, hub order included
-    assert g.adjacency() == imported.adjacency()
-    assert g.reverse_adjacency() == imported.reverse_adjacency()
+    from_arrows = graph_from_arrows(g.vertices[0], g.vertices, g.arrows)
+    assert g.adjacency() == from_arrows.adjacency()
+    assert g.reverse_adjacency() == from_arrows.reverse_adjacency()
     name = g.vertices
     assert sorted((name[i], name[j])
                   for i, j in neighbour_pairs(g.adjacency(), g.size)) == sorted(g.arrows)
@@ -410,8 +370,7 @@ def test_indexed_realization_matches_named_reference(a1, tail, p):
 
 
 def test_indexed_duplicate_arrow_rejected_by_adjacency():
-    g = ExplicitGraph(2, array("l", [0, 0, 1]), array("l", [1, 1, 0]),
-                      names=("u", "v"))
+    g = ExplicitGraph(2, array("l", [0, 0, 1]), array("l", [1, 1, 0]))
     with pytest.raises(ValueError):
         g.adjacency()
     with pytest.raises(ValueError):

@@ -15,25 +15,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovforge import (count_first_returns, count_paths, growth_rate,
-                         import_json, lift_period, realize, renewal_convolve,
+                         lift_period, realize, renewal_convolve,
                          table_from_spectrum, user_spectrum)
 from markovforge.errors import InsufficientData
-from markovforge.graph import ExplicitGraph
 from markovforge.intervals import _ln_big
 from markovforge.oracle import (BudgetExceeded, enumerate_first_returns,
                                 enumerate_paths, walk_path_counts, write_csv)
 
-from conftest import built, exported
+from conftest import built, graph_from_arrows
 
 
 def walk_reference(g, u, v, n, first_return):
     """(count, steps) from a recursive walk of every path between the vertex
     indices u and v, one step per vertex visited; with ``first_return`` a
-    step back to u ends the walk.  The successors come from the named arrows."""
-    index = {w: i for i, w in enumerate(g.vertices)}
-    succ = [[] for _ in g.vertices]
-    for a, b in g.arrows:
-        succ[index[a]].append(index[b])
+    step back to u ends the walk.  The successors come from the arrow arrays,
+    stored or, for a realized graph, generated as for export."""
+    succ = [[] for _ in range(g.size)]
+    for a, b in zip(*(g._arrow_arrays() if g.tails is None else (g.tails, g.heads))):
+        succ[a].append(b)
     steps = 0
 
     def walk(w, remaining):
@@ -71,12 +70,12 @@ def test_dp_matches_renewal_on_flower(spec2):
 def test_enumeration_matches_dp(spec2):
     flower = realize(spec2, 10)
     lifted = lift_period(realize(spec2, 5), 2)
-    imported = import_json(exported(lifted))
+    from_arrows = graph_from_arrows(lifted.vertices[0], lifted.vertices, lifted.arrows)
     # not a flower: walks of equal length meet at a and at b
-    chords = ExplicitGraph.from_names("u", ("u", "a", "b"),
-                                      (("u", "a"), ("u", "b"), ("a", "b"),
-                                       ("a", "u"), ("b", "u"), ("b", "a")))
-    for g in (flower, lifted, imported, chords):
+    chords = graph_from_arrows("u", ("u", "a", "b"),
+                               (("u", "a"), ("u", "b"), ("a", "b"),
+                                ("a", "u"), ("b", "u"), ("b", "a")))
+    for g in (flower, lifted, from_arrows, chords):
         p = count_paths(g, g.root, g.root, 10)
         f = count_first_returns(g, g.root, 10)
         for n in range(1, 11):
@@ -117,19 +116,19 @@ def test_one_walk_charges_each_level_like_enumerate_paths(spec2):
 def hand_built(root):
     """Not a flower: a is a hub that is not the root and has a self-loop, b
     has in-degree 3 and d is a dead end."""
-    return ExplicitGraph.from_names(root, ("u", "a", "b", "c", "d"),
-                                    (("u", "a"), ("u", "b"), ("a", "a"), ("a", "b"),
-                                     ("a", "c"), ("a", "d"), ("c", "b"), ("b", "u"),
-                                     ("c", "u")))
+    return graph_from_arrows(root, ("u", "a", "b", "c", "d"),
+                             (("u", "a"), ("u", "b"), ("a", "a"), ("a", "b"),
+                              ("a", "c"), ("a", "d"), ("c", "b"), ("b", "u"),
+                              ("c", "u")))
 
 
 def mutual_hubs():
     """a and b each have several predecessors, each other among them, and a
     has a self-loop: a DP step that summed at a hub after overwriting the
     vector would read the new counts."""
-    return ExplicitGraph.from_names("u", ("u", "a", "b"),
-                                    (("u", "a"), ("u", "b"), ("a", "a"), ("a", "b"),
-                                     ("b", "a"), ("b", "u")))
+    return graph_from_arrows("u", ("u", "a", "b"),
+                             (("u", "a"), ("u", "b"), ("a", "a"), ("a", "b"),
+                              ("b", "a"), ("b", "u")))
 
 
 @pytest.mark.parametrize("g", [pytest.param(hand_built("u"), id="u"),

@@ -70,7 +70,7 @@ PUBLIC_NAMES = (
     "build_spectrum", "certified_floor", "classifier", "classify",
     "count_first_returns", "count_paths", "delete_loop", "entropy_enclosure",
     "entropy_of_lift", "errors", "exp_fraction", "export", "geometric_tail",
-    "graph", "growth_rate", "import_json", "intervals", "lift_period",
+    "graph", "growth_rate", "intervals", "lift_period",
     "log_fraction", "oracle", "power_series", "radius_L", "realize",
     "renewal_convolve", "renewal_limit", "spectrum", "spectrum_checks",
     "table_from_spectrum", "unit_sum_enclosure", "unit_sum_target",

@@ -21,11 +21,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovforge import delete_loop, realize, user_spectrum
-from markovforge.graph import ExplicitGraph, _reaches_all, is_strongly_connected, vertex_count
+from markovforge.graph import _reaches_all, is_strongly_connected, vertex_count
 from markovforge.oracle import (BudgetExceeded, _charge, count_first_returns, count_paths,
                                 enumerate_first_returns, walk_path_counts)
 
-from conftest import BETA_TEXTS, built, neighbour_pairs
+from conftest import BETA_TEXTS, built, graph_from_arrows, neighbour_pairs
 
 BUDGETS = (1, 10, 100, 10 ** 4)
 MOST_LEVELS = 16
@@ -181,15 +181,15 @@ def hand_built(draw):
     vertex = st.integers(0, n - 1)
     names = tuple(f"v{i}" for i in range(n))
     arrows = draw(st.lists(st.tuples(vertex, vertex), unique=True, max_size=3 * n))
-    g = ExplicitGraph.from_names(names[draw(vertex)], names,
-                                 tuple((names[a], names[b]) for a, b in arrows))
+    g = graph_from_arrows(names[draw(vertex)], names,
+                          tuple((names[a], names[b]) for a, b in arrows))
     return g, draw(vertex), draw(vertex)
 
 
 def every_feature():
     """r and a and x are hubs; a, b and c have several arrows in; d is a dead
     end; r has one arrow in; x and y cannot be reached from r."""
-    return ExplicitGraph.from_names(
+    return graph_from_arrows(
         "r", ("r", "a", "b", "c", "d", "x", "y"),
         (("r", "a"), ("r", "b"), ("a", "b"), ("a", "c"), ("a", "r"), ("b", "c"),
          ("c", "d"), ("x", "y"), ("x", "a"), ("y", "x")))
@@ -247,8 +247,8 @@ def assert_search_matches_reference(g):
 
 def named(size, root, arrows):
     names = tuple(f"v{i}" for i in range(size))
-    return ExplicitGraph.from_names(names[root], names,
-                                    tuple((names[a], names[b]) for a, b in sorted(arrows)))
+    return graph_from_arrows(names[root], names,
+                             tuple((names[a], names[b]) for a, b in sorted(arrows)))
 
 
 @st.composite
