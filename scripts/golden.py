@@ -63,8 +63,6 @@ class Corpus:
         try:
             with redirect_stderr(io.StringIO()):
                 code = cli.main(list(argv))
-        except SystemExit as e:  # argparse's usage errors
-            code = e.code
         except Exception as e:
             code = type(e).__name__
         finally:

@@ -8,20 +8,22 @@ verification failures (a(1) > 1 among them), 6 graph too large to realize
 (or a(1) > 1, in export).  A stdout closed early by its reader changes no
 code: a command that succeeds exits 0, and a failing ``verify`` still exits 5.
 
-``main`` returns the exit code, for callers in the same process.  The
-``markovforge`` script and ``python -m markovforge.cli`` enter through
-``run``, which flushes stdout and stderr after ``main`` and leaves through
-``os._exit``: the interpreter's teardown, which frees every object and
-module one by one, is skipped (about 10 ms a command).  Every file a command
-writes is closed before ``main`` returns.
+``parse_args`` reads the command, FILE and options from ``COMMANDS``, names
+matched exactly, ``--opt=value`` and a repeated option (the last wins)
+accepted, with no argparse, gettext or locale to import (about 4 ms).
+``main`` returns the exit code, 2 after a usage error and 0 after ``--help``,
+for callers in the same process.  The ``markovforge`` script and ``python -m
+markovforge.cli`` enter through ``run``, which flushes stdout and stderr
+after ``main`` and leaves through ``os._exit``: the interpreter's teardown,
+which frees every object and module one by one, is skipped (about 10 ms a
+command).  Every file a command writes is closed before ``main`` returns.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from fractions import Fraction
+from types import SimpleNamespace
 from typing import BinaryIO, Callable, Optional, TypeVar
 
 # series, construction, classifier, graph, oracle and verification run on
@@ -29,7 +31,7 @@ from typing import BinaryIO, Callable, Optional, TypeVar
 from . import classifier, construction, graph, oracle, series, spectrum_io, verification
 from .errors import (FloorUndecidable, NoDeletableLoop, NotGreaterThanOne,
                      PrecisionExhausted, SpectrumFileError, Unrealizable)
-from .intervals import BetaValue, decimal_bounds
+from .intervals import BetaValue, decimal_bounds, literal_fraction
 from .spectrum import DEFAULT_N_MAX, delete_loop
 
 EXIT_OK = 0
@@ -45,12 +47,13 @@ ENTROPY_TOKENS = {"ln2": 2, "ln3": 3}
 
 
 def _parsed(parse, what: str):
-    """argparse type: ``parse(text)``; a text it rejects is a usage error (exit 2)."""
+    """An option's validator: ``parse(text)``; a text it rejects is a usage
+    error (exit 2)."""
     def check(text: str):
         try:
             return parse(text)
         except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+            raise ValueError(f"expected {what}, got {text!r}") from None
     return check
 
 
@@ -65,7 +68,7 @@ def _int_from(least: int):
 def _entropy(text: str) -> str:
     """A token of ENTROPY_TOKENS or a number, kept as written."""
     if text not in ENTROPY_TOKENS:
-        Fraction(text)
+        literal_fraction(text)
     return text
 
 
@@ -77,7 +80,7 @@ def _beta_from_entropy(entropy: str, p: int) -> BetaValue:
     """beta = e^(h p); the tokens ln2/ln3 yield the exact rational base k^p."""
     if entropy in ENTROPY_TOKENS:
         return BetaValue.from_rational(ENTROPY_TOKENS[entropy] ** p)
-    h = Fraction(entropy)
+    h = literal_fraction(entropy)
     if h <= 0:
         raise NotGreaterThanOne(f"entropy {entropy} is not positive")
     return BetaValue.exp_of_rational(h * p)
@@ -185,67 +188,98 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="markovforge",
-        description="Construct, classify and verify countable loop graphs of "
-                    "prescribed entropy and period.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def cmd_help(args) -> int:
+    print(_usage(args.commands))
+    return EXIT_OK
 
-    b = sub.add_parser("build", help="construct a spectrum file")
-    src = b.add_mutually_exclusive_group(required=True)
-    src.add_argument("--beta", type=_parsed(BetaValue.parse, "a number or e^q"),
-                     help="growth base: rational, decimal, or e^q")
-    src.add_argument("--entropy", type=_parsed(_entropy, "a number, ln2 or ln3"),
-                     help="target entropy: decimal, ln2, or ln3")
-    b.add_argument("--period", type=_int_from(1), default=1,
-                   help="period lift p (with --entropy the base becomes e^(h p); "
-                        "with --beta it stays beta, as after `lift --period p`)")
-    b.add_argument("--max-n", type=_int_from(4), default=DEFAULT_N_MAX)
-    b.add_argument("--out", required=True, help="output path, or - for stdout")
-    b.set_defaults(fn=cmd_build)
 
-    t = sub.add_parser("transient-variant", help="delete one loop")
-    t.add_argument("file")
-    t.add_argument("--n0", type=_loop_length, default="auto")
-    t.add_argument("--out", required=True, help="output path, or - for stdout")
-    t.set_defaults(fn=cmd_transient_variant)
+def _choice(*names: str):  # index raises ValueError for any other text
+    return _parsed(lambda text: names[names.index(text)], "one of " + ", ".join(names))
 
-    c = sub.add_parser("classify", help="print the classification report")
-    c.add_argument("file")
-    c.add_argument("--bits", action="store_true",
-                   help="also report entropy in bits")
-    c.add_argument("--lambda-window", action="store_true",
-                   help="include the certified renewal limit lim p(n) R^n")
-    c.set_defaults(fn=cmd_classify)
 
-    e = sub.add_parser("entropy", help="emit growth-rate CSV")
-    e.add_argument("file")
-    e.add_argument("--max-n", type=_int_from(1), default=DEFAULT_N_MAX)
-    e.add_argument("--csv", default=None, help="output path (default stdout)")
-    e.set_defaults(fn=cmd_entropy)
+# command: (handler, takes FILE, {option: (validator, default)}, what it does).
+# An option without a validator is a flag; a default of ... marks an option
+# that must be given.
+COMMANDS = {
+    "build": (cmd_build, False, {
+        "--beta": (_parsed(BetaValue.parse, "a number or e^q"), None),
+        "--entropy": (_parsed(_entropy, "a number, ln2 or ln3"), None),
+        "--period": (_int_from(1), 1), "--max-n": (_int_from(4), DEFAULT_N_MAX),
+        "--out": (str, ...)}, "build from one of --beta and --entropy h (e^(h p))"),
+    "transient-variant": (cmd_transient_variant, True, {
+        "--n0": (_loop_length, None), "--out": (str, ...)}, "delete one loop (--n0 auto or >= 2)"),
+    "classify": (cmd_classify, True, {
+        "--bits": (None, False), "--lambda-window": (None, False)}, "print the report"),
+    "entropy": (cmd_entropy, True, {
+        "--max-n": (_int_from(1), DEFAULT_N_MAX), "--csv": (str, None)}, "emit growth-rate CSV"),
+    "lift": (cmd_lift, True, {
+        "--period": (_int_from(1), ...), "--out": (str, ...)}, "record a period lift in the file"),
+    "export": (cmd_export, True, {
+        "--format": (_choice("dot", "json"), ...), "--max-n": (_int_from(1), DEFAULT_N_MAX),
+        "--out": (str, None)}, "export the realized graph"),
+    "verify": (cmd_verify, True, {}, "run the invariant suite"),
+}
 
-    lf = sub.add_parser("lift", help="record a period lift in the file")
-    lf.add_argument("file")
-    lf.add_argument("--period", type=_int_from(1), required=True)
-    lf.add_argument("--out", required=True, help="output path, or - for stdout")
-    lf.set_defaults(fn=cmd_lift)
 
-    x = sub.add_parser("export", help="export the realized graph")
-    x.add_argument("file")
-    x.add_argument("--format", choices=("dot", "json"), required=True)
-    x.add_argument("--max-n", type=_int_from(1), default=DEFAULT_N_MAX)
-    x.add_argument("--out", default=None)
-    x.set_defaults(fn=cmd_export)
+def _usage(commands) -> str:
+    """The synopsis of ``commands``, one line of options and one of help each."""
+    lines = ["usage: markovforge COMMAND [FILE] [OPTIONS]   (--out -: standard output)"]
+    for name in commands:
+        _, takes_file, options, about = COMMANDS[name]
+        words = [name] + ["FILE"] * takes_file
+        for option, (parse, default) in options.items():
+            word = option if parse is None else f"{option} {option[2:].upper().replace('-', '_')}"
+            words.append(word if default is ... else f"[{word}]")
+        lines += ["  " + " ".join(words), "      " + about]
+    return "\n".join(lines)
 
-    v = sub.add_parser("verify", help="run the invariant suite")
-    v.add_argument("file")
-    v.set_defaults(fn=cmd_verify)
-    return parser
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """``argv`` as the ``args`` of its command's handler (``fn``, ``file``,
+    one attribute per option); ValueError says what is wrong with it."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return SimpleNamespace(fn=cmd_help, commands=COMMANDS)
+    if not argv or argv[0] not in COMMANDS:
+        raise ValueError(f"unknown command {argv[0]!r}" if argv else "no command given")
+    fn, takes_file, options, _ = COMMANDS[argv[0]]
+    values = {option: default for option, (_, default) in options.items()}
+    file, words = None, iter(argv[1:])
+    for word in words:
+        option, eq, text = word.partition("=")
+        if word in ("-h", "--help"):
+            return SimpleNamespace(fn=cmd_help, commands=argv[:1])
+        if word[:1] != "-" or word == "-":
+            if not takes_file or file is not None:
+                raise ValueError(f"unexpected argument {word!r}")
+            file = word
+        elif option not in options:
+            raise ValueError(f"unknown option {option!r}")
+        elif options[option][0] is None:
+            if eq:
+                raise ValueError(f"{option} takes no value")
+            values[option] = True
+        else:
+            if not eq:
+                # a negative number such as --entropy -0.5 is a value, as - is
+                text = next(words, None)
+                if text is None or text[:1] == "-" and text[1:2] not in "0123456789.":
+                    raise ValueError(f"{option} expects a value")
+            try:
+                values[option] = options[option][0](text)
+            except ValueError as e:
+                raise ValueError(f"{option}: {e}") from None
+    missing = ["FILE"] * (takes_file and file is None) + [
+        option for option, value in values.items() if value is ...]
+    if missing:
+        raise ValueError("missing " + " ".join(missing))
+    if argv[0] == "build" and (values["--beta"] is None) == (values["--entropy"] is None):
+        raise ValueError("give exactly one of --beta and --entropy")
+    return SimpleNamespace(fn=fn, file=file, **{
+        option[2:].replace("-", "_"): value for option, value in values.items()})
 
 
 def _quiet_stdout() -> None:
@@ -255,7 +289,13 @@ def _quiet_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = parse_args(argv)
+    except ValueError as e:
+        print(_usage(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS),
+              f"error: {e}", sep="\n", file=sys.stderr)
+        return EXIT_BAD_BETA
     try:
         code = args.fn(args)
         sys.stdout.flush()
@@ -280,8 +320,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """``main()``, then stdout and stderr flushed and ``os._exit`` with its
-    code.  Usage errors, ``--help`` and uncaught exceptions leave ``main``
-    through ``SystemExit`` or a traceback, as from ``main`` itself."""
+    code; an uncaught exception leaves ``main`` with its traceback."""
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

@@ -282,6 +282,18 @@ def real_text(x: Fraction, spec: str) -> str:
 _BETA_KINDS = ("rational", "exp_rational", "decimal")
 
 
+def literal_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refusing (ValueError) a decimal exponent beyond
+    +-``spectrum.MAX_SERIES_BITS``, whose power of ten ("1e999999999")
+    Fraction would build first; every base or entropy so written is refused
+    later in any case."""
+    from .spectrum import MAX_SERIES_BITS  # spectrum imports this module
+    _, e, exponent = text.lower().rpartition("e")
+    if e and abs(int(exponent)) > MAX_SERIES_BITS:
+        raise ValueError(f"exponent of {text!r} is beyond +-{MAX_SERIES_BITS}")
+    return Fraction(text)
+
+
 class BetaValue(Frozen):
     """A growth base beta > 1 given exactly.
 
@@ -301,9 +313,9 @@ class BetaValue(Frozen):
     def parse(text: str) -> "BetaValue":
         t = text.strip()
         if t.startswith("e^"):
-            return BetaValue("exp_rational", Fraction(t[2:]), t)
+            return BetaValue("exp_rational", literal_fraction(t[2:]), t)
         kind = "decimal" if "." in t else "rational"
-        return BetaValue(kind, Fraction(t), t)
+        return BetaValue(kind, literal_fraction(t), t)
 
     @staticmethod
     def from_rational(v: Rat) -> "BetaValue":

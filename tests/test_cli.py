@@ -25,6 +25,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def exit_code(argv) -> int:
+    """``cli.main(argv)``'s code, or that of a SystemExit it raises."""
+    try:
+        return cli.main(argv)
+    except SystemExit as e:
+        return e.code
+
+
 def test_build_and_classify(tmp_path, capsys):
     out = tmp_path / "b2.json"
     code, _, _ = run(capsys, "build", "--beta", "2", "--max-n", "32",
@@ -534,13 +542,30 @@ NEAR_ONE = "1." + "0" * 119 + "1"
     (["classify", "k-negative.json"], 1),
     (["verify", "a1-2.json"], 5),
     (["export", "a1-2.json", "--format", "dot"], 6),
+    # usage: a command, its FILE, its required options and known option names
+    ([], 2),
+    (["bogus", "b.json"], 2),
+    (["verify", "b.json", "-x"], 2),
+    (["build", "--beta", "2", "--out"], 2),
+    (["build", "--beta", "2", "--entropy", "ln2", "--out", "x.json"], 2),
+    (["build", "--out", "x.json"], 2),
+    (["lift", "b.json", "--out", "x.json"], 2),
+    (["classify"], 2),
+    (["export", "b.json", "--format", "svg"], 2),
+    # a power of ten Fraction would build first: refused at once
+    (["build", "--beta", "1e999999999", "--out", "x.json"], 2),
+    (["build", "--entropy", "1e999999999", "--out", "x.json"], 2),
+    (["build", "--entropy", "1e-999999999", "--out", "x.json"], 2),
 ], ids=["build-max-n", "build-precision", "build-huge-max-n", "build-near-one",
         "build-7e-10", "entropy-7e-10", "n0", "export-max-n", "oracle-depth", "lift-period",
         "classify-period-0", "verify-period-0", "classify-near-one",
         "classify-too-many-floors", "build-e-huge", "entropy-huge-period", "classify-e-huge",
         "beta-abc", "beta-1/0", "beta-e^x",
         "entropy-abc", "entropy-ln5", "beta-value-1/0", "stored-beta-1/2", "stored-k-negative",
-        "verify-a1-2", "export-a1-2"])
+        "verify-a1-2", "export-a1-2", "no-command", "unknown-command", "unknown-option",
+        "missing-value", "beta-and-entropy", "neither-beta-nor-entropy", "missing-period",
+        "missing-file", "format-svg", "beta-1e999999999", "entropy-1e999999999",
+        "entropy-1e-999999999"])
 def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run(capsys, "build", "--beta", "2", "--max-n", "16", "--out", "b.json")
@@ -573,16 +598,45 @@ def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch
     # a user spectrum with two self-loops at the root
     (tmp_path / "a1-2.json").write_text(json.dumps(
         {"format_version": 2, "N_max": 3, "a": ["2", "0", "1"], "finite_support": True}))
-    try:
-        got = cli.main(argv)
-    except SystemExit as e:  # argparse usage errors
-        got = e.code
-    err = capsys.readouterr().err
+    start = time.perf_counter()
+    got = exit_code(argv)
+    assert time.perf_counter() - start < 1  # 10^999999999 alone would take far longer
+    out, err = capsys.readouterr()
     assert got == code
+    assert code != 2 or out == ""
     # a failing verify names its count of failed invariants, any other an error
     assert ("invariant(s) failed" if code == cli.EXIT_VERIFY else "error") in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_options_take_any_order_an_equals_sign_and_a_repeat(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "build", "--beta", "2", "--max-n=8", "--out=x.json")[0] == 0
+    assert spectrum_io.load("x.json").spectrum.N_max == 8
+    code, stdout, _ = run(capsys, "classify", "--bits", "x.json")
+    assert code == 0 and "lifted_entropy_bits" in json.loads(stdout)
+    # the last of a repeated option wins
+    assert run(capsys, "build", "--max-n", "5", "--beta", "2", "--max-n", "6",
+               "--out", "y.json")[0] == 0
+    assert spectrum_io.load("y.json").spectrum.N_max == 6
+
+
+@pytest.mark.parametrize("command", [[], ["build"], ["transient-variant"], ["classify"],
+                                     ["entropy"], ["lift"], ["export"], ["verify"]])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage(command, flag, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert exit_code(command + [flag]) == 0
+    out, err = capsys.readouterr()
+    assert "usage" in out and all(name in out for name in command) and err == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_usage_errors_and_help_return_from_main(capsys):
+    assert cli.main([]) == 2 and cli.main(["verify", "-h"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage") and err.startswith("usage") and "error: no command" in err
 
 
 @pytest.mark.parametrize("argv", [

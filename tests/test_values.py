@@ -93,13 +93,17 @@ def test_public_names_are_unchanged_and_resolve():
 
 
 LAYERS = ("classifier", "construction", "graph", "oracle", "series", "verification")
+# the modules the import and the command add, against those loaded before
+# it, so that what a site hook imported at start does not count
 LAYER_PROBE = """
 import json, sys, types
+before = set(sys.modules)
 import markovforge.cli
 code = markovforge.cli.main(sys.argv[1:])
 # reading any attribute of a lazy module runs it: probe the type alone
 print(json.dumps([code, [layer for layer in {layers!r}
-                         if type(sys.modules["markovforge." + layer]) is types.ModuleType]]),
+                         if type(sys.modules["markovforge." + layer]) is types.ModuleType],
+                  sorted(set(sys.modules) - before)]),
       file=sys.stderr)
 """.format(layers=LAYERS)
 
@@ -119,7 +123,10 @@ def test_each_command_runs_only_the_layers_it_calls(argv, layers, spec2, tmp_pat
     env = {**os.environ, "PYTHONPATH": str(Path(markovforge.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", LAYER_PROBE, *argv.split()], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=60)
-    assert json.loads(proc.stderr.splitlines()[-1]) == [0, layers], proc.stderr
+    code, ran, added = json.loads(proc.stderr.splitlines()[-1])
+    assert [code, ran] == [0, layers], proc.stderr
+    # the command line is read without argparse, and so without gettext and locale
+    assert not {"argparse", "gettext", "locale"} & set(added), added
 
 
 def test_fields_cannot_be_assigned_or_deleted(spec2):
