@@ -118,13 +118,13 @@ def radius_L(s: LoopSpectrum) -> Radius:
 
 
 def _bisect_root(s: LoopSpectrum) -> CReal:
-    """Certified root of F(x) = 1 for a finite-support spectrum, bisected
-    DEFAULT_PRECISION_BITS / 2 times and on while the lower end is 0.  The
-    root is at least 1/(A + 1) > 2^-bitlen(A), A the largest count, where
-    A x / (1 - x) reaches 1, so the lower end turns positive by step
-    bitlen(A) + 1.  Step j sums F exactly on numbers of about j deg(F) bits,
-    so PrecisionExhausted where going on would pass MAX_PRECISION_BITS steps
-    or MAX_SERIES_BITS bits."""
+    """Certified root of F(x) = 1 for a finite-support spectrum, bisected to
+    a bracket [a, a + 1] / 2^j with a >= 2^127: a relative width of at most
+    2^-127, in DEFAULT_PRECISION_BITS / 2 steps for a root >= 1/2.  The root
+    is at least 1/(A + 1) > 2^-bitlen(A), A the largest count, so a turns
+    positive by step bitlen(A) + 1.  Step j sums F exactly on numbers of about
+    j deg(F) bits, so PrecisionExhausted where a is still 0 at step 128 and
+    going on would pass MAX_PRECISION_BITS steps or MAX_SERIES_BITS bits."""
     terms = [(n, c) for n, c in enumerate(s.a, 1) if c]
     # some count is >= 1, so F(1) >= 1
     if power_series(terms, 1) == 1:
@@ -132,8 +132,8 @@ def _bisect_root(s: LoopSpectrum) -> CReal:
     # the root lies in [a, a + 1] / 2^j; F at the dyadic midpoint m / 2^j is
     # the integer ratio num / den, compared with 1 without reducing it
     a = j = 0
-    while j < DEFAULT_PRECISION_BITS // 2 or a == 0:
-        if j == DEFAULT_PRECISION_BITS // 2:
+    while a < 1 << DEFAULT_PRECISION_BITS // 2 - 1:
+        if j == DEFAULT_PRECISION_BITS // 2 and a == 0:
             need, degree = max(c for _, c in terms).bit_length() + 1, terms[-1][0]
             if need > MAX_PRECISION_BITS or need * degree > MAX_SERIES_BITS:
                 raise PrecisionExhausted(f"the root of F(x) = 1 lies below 2^-{j}, and "

@@ -48,10 +48,12 @@ ENTROPY_TOKENS = {"ln2": 2, "ln3": 3}
 
 def _parsed(parse, what: str):
     """An option's validator: ``parse(text)``; a text it rejects is a usage
-    error (exit 2)."""
+    error (exit 2), said in ``literal_fraction``'s words for an exponent."""
     def check(text: str):
         try:
             return parse(text)
+        except OverflowError as e:
+            raise ValueError(e) from None
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"expected {what}, got {text!r}") from None
     return check

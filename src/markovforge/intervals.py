@@ -283,14 +283,14 @@ _BETA_KINDS = ("rational", "exp_rational", "decimal")
 
 
 def literal_fraction(text: str) -> Fraction:
-    """``Fraction(text)``, refusing (ValueError) a decimal exponent beyond
+    """``Fraction(text)``, refusing (OverflowError) a decimal exponent beyond
     +-``spectrum.MAX_SERIES_BITS``, whose power of ten ("1e999999999")
     Fraction would build first; every base or entropy so written is refused
     later in any case."""
     from .spectrum import MAX_SERIES_BITS  # spectrum imports this module
     _, e, exponent = text.lower().rpartition("e")
     if e and abs(int(exponent)) > MAX_SERIES_BITS:
-        raise ValueError(f"exponent of {text!r} is beyond +-{MAX_SERIES_BITS}")
+        raise OverflowError(f"exponent of {text!r} is beyond +-{MAX_SERIES_BITS}")
     return Fraction(text)
 
 

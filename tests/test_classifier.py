@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovforge.errors import PrecisionExhausted
 from markovforge import (Verdict, classify, delete_loop, entropy_enclosure,
@@ -115,9 +117,11 @@ def test_bisection_compares_dyadic_midpoints_in_integers():
 def test_a_root_below_the_first_cell_is_bisected_until_it_is_positive():
     # F(x) = 2^257 x^2 has the root 2^-128.5, inside [0, 2^-128] after 128
     # steps, whose log is -infinity; R >= 1 / (2^257 + 1) bounds the steps
+    # to a positive lower end, and 127 more make the bracket relatively tight
     rep = classify(user_spectrum([0, 2 ** 257]))
     root = rep.R.value
-    assert (root.lo, root.hi) == (Fraction(1, 2 ** 129), Fraction(1, 2 ** 128))
+    assert Fraction(1, 2 ** 129) < root.lo < root.hi < Fraction(1, 2 ** 128)
+    assert root.width <= root.lo / 2 ** 127
     assert power_series([(2, 2 ** 257)], root.lo) < 1 < power_series([(2, 2 ** 257)], root.hi)
     assert near(rep.entropy, mpmath.mpf(257) / 2 * mpmath.log(2))
     assert rep.verdict is Verdict.POSITIVE_RECURRENT and rep.has_mme is True
@@ -129,10 +133,21 @@ def test_a_root_below_2_to_the_minus_4096_exhausts_the_precision():
 
 
 def test_a_root_near_2_to_the_minus_2000_is_bisected_on_at_degree_2():
-    # F(x) = 3 2^4000 x^2: 2001 steps, each an exact sum of about 8000 bits,
-    # within MAX_SERIES_BITS; the refusal past it is tested through the CLI
+    # F(x) = 3 2^4000 x^2: 2128 steps, each an exact sum of about 8250
+    # bits, within MAX_SERIES_BITS; the refusal past it is tested through the CLI
     root = classify(user_spectrum([0, 3 * 2 ** 4000])).R.value
-    assert (root.lo, root.hi) == (Fraction(1, 2 ** 2001), Fraction(1, 2 ** 2000))
+    assert Fraction(1, 2 ** 2001) < root.lo < root.hi < Fraction(1, 2 ** 2000)
+    assert root.width <= root.lo / 2 ** 127
+
+
+@given(st.lists(st.integers(0, 2 ** 600), min_size=1, max_size=8).filter(any))
+@settings(max_examples=60, deadline=None)
+def test_a_finite_root_is_bracketed_to_a_relative_width_of_2_to_the_minus_127(a):
+    # however small the root, as wide in entropy as at the root 1/2
+    root = classify(user_spectrum(a)).R.value
+    assert root.width <= root.lo / 2 ** 127
+    terms = list(enumerate(a, 1))
+    assert root.is_exact or power_series(terms, root.lo) < 1 < power_series(terms, root.hi)
 
 
 def test_entropy_of_lift(spec2):

@@ -556,6 +556,8 @@ NEAR_ONE = "1." + "0" * 119 + "1"
     (["build", "--beta", "1e999999999", "--out", "x.json"], 2),
     (["build", "--entropy", "1e999999999", "--out", "x.json"], 2),
     (["build", "--entropy", "1e-999999999", "--out", "x.json"], 2),
+    (["build", "--beta", "1e30000", "--out", "x.json"], 2),
+    (["build", "--entropy", "1e30000", "--out", "x.json"], 2),
 ], ids=["build-max-n", "build-precision", "build-huge-max-n", "build-near-one",
         "build-7e-10", "entropy-7e-10", "n0", "export-max-n", "oracle-depth", "lift-period",
         "classify-period-0", "verify-period-0", "classify-near-one",
@@ -565,7 +567,7 @@ NEAR_ONE = "1." + "0" * 119 + "1"
         "verify-a1-2", "export-a1-2", "no-command", "unknown-command", "unknown-option",
         "missing-value", "beta-and-entropy", "neither-beta-nor-entropy", "missing-period",
         "missing-file", "format-svg", "beta-1e999999999", "entropy-1e999999999",
-        "entropy-1e-999999999"])
+        "entropy-1e-999999999", "beta-1e30000", "entropy-1e30000"])
 def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run(capsys, "build", "--beta", "2", "--max-n", "16", "--out", "b.json")
@@ -606,6 +608,8 @@ def test_bad_input_exits_with_its_code(argv, code, tmp_path, capsys, monkeypatch
     assert code != 2 or out == ""
     # a failing verify names its count of failed invariants, any other an error
     assert ("invariant(s) failed" if code == cli.EXIT_VERIFY else "error") in err
+    # an exponent past the limit is refused for it, not as not a number
+    assert not {"1e999999999", "1e-999999999", "1e30000"} & set(argv) or "beyond" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x.json").exists()
 

@@ -1,14 +1,20 @@
 """End-to-end invariant suite."""
 
+import importlib.util
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import markovforge
 from markovforge import (BetaValue, Verdict, build_spectrum, classify, construction,
                          delete_loop, graph, series, user_spectrum, verification)
 from markovforge.classifier import entropy_of_lift
 from markovforge.errors import NoDeletableLoop, Unrealizable
-from markovforge.verification import run_suite
+from markovforge.verification import CheckResult, run_suite
 
 # (d, p) for h = 1/d: at the default N_max = 64 these bases e^(hp) have no
 # loop of length 2..64 to delete; they pass once a deleted loop may lie
@@ -151,3 +157,30 @@ def test_both_flavours_for_every_entropy_and_period(h, p):
         assert entropy_of_lift(s, p).contains(h)
         failed = [r for r in run_suite(s, p, oracle_depth=4) if not r.passed]
         assert not failed, failed
+
+
+THEOREM_TABLE = Path(__file__).parents[1] / "scripts" / "theorem_table.py"
+
+
+def test_theorem_table_prints_a_pass_and_an_open_row():
+    # the script CI runs on the whole grid, on one row of each status; the
+    # open row waits for ROADMAP item 1
+    env = {**os.environ, "PYTHONPATH": str(Path(markovforge.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, str(THEOREM_TABLE), "1", "1/100", "--periods", "1"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["PASS", "1", "1"], ["OPEN", "1/100", "1"]]
+    assert "Transient" in rows[0] and "open:" in rows[1]
+
+
+def test_theorem_table_fails_a_row_whose_check_fails(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("theorem_table", THEOREM_TABLE)
+    table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(table)
+    monkeypatch.setattr(table, "run_suite", lambda s, p: [CheckResult("edited", False)])
+    monkeypatch.setattr(sys, "argv", [str(THEOREM_TABLE), "1", "--periods", "1"])
+    with pytest.raises(SystemExit) as exit_:
+        table.main()
+    assert exit_.value.code == 1
+    assert capsys.readouterr().out.splitlines()[1].startswith("FAIL")
