@@ -21,7 +21,7 @@ from typing import Optional
 from .errors import FloorUndecidable, PrecisionExhausted, TailUnavailable
 from .intervals import (DEFAULT_PRECISION_BITS, GUARD, MAX_PRECISION_BITS, BetaValue, CReal,
                         _dyadic, _fraction, _mul, certified_floor, real_text)
-from .series import geometric_tail, power_series
+from .series import geometric_tail, power_series, power_series_moment
 from .spectrum import (DEFAULT_N_MAX, MAX_SERIES_BITS, MAX_SQUARE_FLOORS, CheckResult,
                        LoopSpectrum, SpectrumMeta, int_text)
 
@@ -161,43 +161,39 @@ def _square_floors(Bt: CReal, m_max: int) -> dict[int, int]:
     return floors
 
 
-def _far_floor_tail(beta: BetaValue, plan: tuple, bits: int, weight: str) -> CReal:
-    """Enclosure of sum_{m > n_ext} w(m^2) b(m^2) L^(m^2), w(n) = 1 or n, the
-    square floors the plan does not track.  Each floor lies in
-    (c beta^(m^2-m) - 1, c beta^(m^2-m)], so the sum lies within [c G - S, c G]:
+def _floor_sweep(beta: BetaValue, N_max: int, bits: int, plan: tuple,
+                 floors: dict[int, int]) -> tuple:
+    """(delta, delta_grid, tail, n_tail) of a build with this plan and its
+    square floors b(m^2), m <= n_ext: the deficit delta = 1 - sum b(n) L^n
+    clamped at 0, delta rounded outward onto the series grid, and the pairs
+    (tracked, far) that enclose sum b(n) L^n and sum n b(n) L^n over the
+    floors past N_max.  The tracked floors past N_max are summed by one sweep
+    of L's powers.  Each far floor, m > n_ext, lies in (c beta^(m^2-m) - 1,
+    c beta^(m^2-m)], so with w(n) = 1 or n its sum lies within [c G - S, c G]:
     G = sum_{m > n_ext} w(m^2) L^m, and the slack S <= sum_{n >= (n_ext+1)^2}
     w(n) L^n is 0 for integer beta, whose floors are lossless."""
-    _, n_ext, _, B, L = plan
-    geo = (B - 1) ** 2 * geometric_tail(L, n_ext + 1, "n2" if weight == "n" else "1")
-    if beta.is_integer:
-        return geo
-    slack = geometric_tail(L, (n_ext + 1) ** 2, weight)
-    return CReal(max(Fraction(0), geo.lo - slack.hi), geo.hi, bits)
-
-
-def _deficit(beta: BetaValue, N_max: int, bits: int, plan: tuple,
-             floors: dict[int, int]) -> tuple:
-    """(delta, delta_grid, floor_tail) of a build with this plan and its square
-    floors b(m^2), m <= n_ext: the deficit delta = 1 - sum b(n) L^n clamped
-    at 0, delta rounded outward onto the series grid, and floor_tail, the
-    part of that sum beyond N_max."""
-    series_bits, L = plan[0], plan[4]
-    # floors holds ascending n; those above N_max are summed once, for both
-    # the deficit and the stored tail
+    series_bits, n_ext, _, B, L = plan
     head = power_series(((n, b) for n, b in floors.items() if n <= N_max), L)
-    tracked_tail = power_series(((n, b) for n, b in floors.items() if n > N_max), L)
-    far_tail = _far_floor_tail(beta, plan, bits, "1")
+    tracked = power_series_moment(((n, b) for n, b in floors.items() if n > N_max), L)
+    far = []
+    for weight, square_weight in (("1", "1"), ("n", "n2")):
+        geo = (B - 1) ** 2 * geometric_tail(L, n_ext + 1, square_weight)
+        if not beta.is_integer:
+            slack = geometric_tail(L, (n_ext + 1) ** 2, weight)
+            geo = CReal(max(Fraction(0), geo.lo - slack.hi), geo.hi, bits)
+        far.append(geo)
 
-    delta = 1 - (head + tracked_tail + far_tail)
+    delta = 1 - (head + tracked[0] + far[0])
     delta = CReal(max(delta.lo, Fraction(0)), max(delta.hi, Fraction(0)), bits)
-    return delta, delta.round_outward(series_bits), tracked_tail + far_tail
+    return delta, delta.round_outward(series_bits), (tracked[0], far[0]), (tracked[1], far[1])
 
 
 def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     plan = _build_plan(beta, N_max, bits)
     series_bits, n_ext, Bt, B, L = plan
     floors = _square_floors(Bt, n_ext)
-    delta, delta_grid, floor_tail = _deficit(beta, N_max, bits, plan, floors)
+    sweep = _floor_sweep(beta, N_max, bits, plan, floors)
+    delta, delta_grid, (tracked, far), _ = sweep
     if not delta.certainly_lt(1):
         raise PrecisionExhausted(
             f"deficit enclosure [{delta.lo}, {delta.hi}] does not separate from 1")
@@ -210,11 +206,11 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
                            "precision bug, the remainder is below 1/beta by design")
     digits[1] += k  # the k units live in the n = 2 slot
 
-    tail = floor_tail + remainder * L ** N_max
+    tail = tracked + far + remainder * L ** N_max
     tail = CReal(tail.lo, tail.hi, bits).round_outward(series_bits)
     meta = SpectrumMeta(beta, bits, N_max, k, tail)
     # the meta keeps this derivation
-    meta.__dict__.update(_plan=plan, square_floors=floors, delta=delta_grid)
+    meta.__dict__.update(_plan=plan, square_floors=floors, floor_sweep=sweep)
     a = tuple(floors.get(n, 0) + d for n, d in enumerate(digits, 1))
     return LoopSpectrum(a, N_max, meta=meta)
 
@@ -305,12 +301,10 @@ def weighted_sum_enclosure(s: LoopSpectrum) -> Optional[CReal]:
     if s.meta is None:
         raise TailUnavailable("spectrum has no analytic metadata")
     meta = s.meta
-    floors, L = meta.square_floors, meta.L
-    if floors is None:
+    if meta.floor_sweep is None:
         return None
-    tracked = power_series(((n, n * b) for n, b in floors.items() if n > s.N_max), L)
-    far = _far_floor_tail(meta.beta, meta._plan, meta.precision_bits, "n")
-    digits = (math.ceil(meta.B.hi) - 1) * geometric_tail(L, s.N_max + 1, "n")
+    tracked, far = meta.floor_sweep[3]
+    digits = (math.ceil(meta.B.hi) - 1) * geometric_tail(meta.L, s.N_max + 1, "n")
     return s.heads[1] + tracked + far + CReal(Fraction(0), digits.hi, meta.precision_bits)
 
 

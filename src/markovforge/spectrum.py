@@ -47,8 +47,10 @@ class SpectrumMeta(Frozen):
     arithmetic.  Derived on first use as the build derived them: B and
     L = 1/B (the radius of sum a(n) z^n), c = (B-1)^2, M_bound = B + k
     (bounds each count above its square floor), square_floors, b(m^2) =
-    floor(c beta^(m^2-m)) for every m <= n_ext the plan tracks, and the
-    deficit delta, both None if a floor is undecidable at precision_bits.
+    floor(c beta^(m^2-m)) for every m <= n_ext the plan tracks, and
+    floor_sweep, their sums past N_max and the deficit delta on the series
+    grid that the build decided k from (``construction._floor_sweep``), each
+    None if a floor is undecidable at precision_bits.
     """
 
     _fields = ("beta", "precision_bits", "N_max", "k", "tail_at_L", "deleted_loop")
@@ -78,11 +80,13 @@ class SpectrumMeta(Frozen):
             return None
 
     @cached_property
-    def delta(self) -> Optional[CReal]:
+    def floor_sweep(self) -> Optional[tuple]:
         if self.square_floors is None:
             return None
-        return construction._deficit(self.beta, self.N_max, self.precision_bits,
-                                     self._plan, self.square_floors)[1]
+        return construction._floor_sweep(self.beta, self.N_max, self.precision_bits,
+                                         self._plan, self.square_floors)
+
+    delta = cached_property(lambda self: None if self.floor_sweep is None else self.floor_sweep[1])
 
 
 class LoopSpectrum(Frozen):

@@ -20,7 +20,7 @@ from markovforge import (BetaValue, CReal, build_spectrum, delete_loop,
                          weighted_sum_enclosure)
 from markovforge.errors import (FloorUndecidable, NoDeletableLoop, NotGreaterThanOne,
                                 PrecisionExhausted, TailUnavailable)
-from markovforge.construction import (_build_plan, _clamp_unit, _deficit, _floor,
+from markovforge.construction import (_build_plan, _clamp_unit, _floor, _floor_sweep,
                                       _greedy_digits, _square_floors)
 from markovforge.intervals import certified_floor
 from markovforge.spectrum import MAX_SQUARE_FLOORS
@@ -253,7 +253,7 @@ def test_dyadic_loops_give_the_creal_loops_results(text, n_max, bits):
     if isinstance(floors, str):
         return
     # the digits of the build's x0, as _build_once takes it
-    delta, delta_grid, _ = _deficit(beta, n_max, bits, plan, floors)
+    delta, delta_grid, _, _ = _floor_sweep(beta, n_max, bits, plan, floors)
     k = certified_floor(B * B * delta_grid)
     x0 = _clamp_unit(delta - k * (L * L))
     assert (_outcome(_greedy_digits, x0, B, n_max)

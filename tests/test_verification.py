@@ -11,7 +11,8 @@ import pytest
 
 import markovforge
 from markovforge import (BetaValue, Verdict, build_spectrum, classify, construction,
-                         delete_loop, graph, series, user_spectrum, verification)
+                         delete_loop, graph, series, spectrum_io, user_spectrum,
+                         verification)
 from markovforge.classifier import entropy_of_lift
 from markovforge.errors import NoDeletableLoop, Unrealizable
 from markovforge.verification import CheckResult, run_suite
@@ -145,6 +146,28 @@ def test_verify_sums_the_counts_once(monkeypatch):
     assert sums.count(list(enumerate(edited.a, 1))) == 1
     assert edited.unit_sum.lo > s.unit_sum.hi
 
+
+
+def test_verify_on_a_loaded_file_sweeps_the_floors_past_n_max_once(monkeypatch):
+    # the deficit of the k check, the floors under the stored tail and those
+    # under the mean return are one sweep of the square floors past N_max,
+    # derived once from the loaded file's base
+    sf = spectrum_io.SpectrumFile(build_spectrum(BetaValue.parse("e^7/10"), 32))
+    s = spectrum_io.from_bytes(spectrum_io.to_bytes(sf)).spectrum
+    sums = []
+
+    def counted(sweep):
+        def sum_terms(terms, x):
+            terms = list(terms)
+            sums.append(terms)
+            return sweep(terms, x)
+        return sum_terms
+    for name in ("power_series", "power_series_moment"):
+        monkeypatch.setattr(construction, name, counted(getattr(construction, name)))
+    assert all(r.passed for r in run_suite(s, oracle_depth=3))
+    past = [(n, b) for n, b in s.meta.square_floors.items() if n > s.N_max]
+    assert past and sums.count(past) == 1
+    assert [(n, n * b) for n, b in past] not in sums
 
 @pytest.mark.parametrize("h, p", _THEOREM_GRID)
 def test_both_flavours_for_every_entropy_and_period(h, p):
