@@ -165,23 +165,20 @@ def _floor_sweep(beta: BetaValue, N_max: int, bits: int, plan: tuple,
                  floors: dict[int, int]) -> tuple:
     """(delta, delta_grid, tail, n_tail) of a build with this plan and its
     square floors b(m^2), m <= n_ext: the deficit delta = 1 - sum b(n) L^n
-    clamped at 0, delta rounded outward onto the series grid, and the pairs
-    (tracked, far) that enclose sum b(n) L^n and sum n b(n) L^n over the
-    floors past N_max.  The tracked floors past N_max are summed by one sweep
-    of L's powers.  Each far floor, m > n_ext, lies in (c beta^(m^2-m) - 1,
-    c beta^(m^2-m)], so with w(n) = 1 or n its sum lies within [c G - S, c G]:
+    clamped at 0 and rounded outward onto the series grid, and the pairs
+    (tracked, far) of sum w(n) b(n) L^n over the floors past N_max, w(n) = 1
+    and n, the tracked ones from one sweep.  A far floor, m > n_ext, lies in
+    (c beta^(m^2-m) - 1, c beta^(m^2-m)], so their sum lies in [c G - S, c G]:
     G = sum_{m > n_ext} w(m^2) L^m, and the slack S <= sum_{n >= (n_ext+1)^2}
     w(n) L^n is 0 for integer beta, whose floors are lossless."""
     series_bits, n_ext, _, B, L = plan
     head = power_series(((n, b) for n, b in floors.items() if n <= N_max), L)
     tracked = power_series_moment(((n, b) for n, b in floors.items() if n > N_max), L)
-    far = []
+    c, far = (B - 1) ** 2, []
     for weight, square_weight in (("1", "1"), ("n", "n2")):
-        geo = (B - 1) ** 2 * geometric_tail(L, n_ext + 1, square_weight)
-        if not beta.is_integer:
-            slack = geometric_tail(L, (n_ext + 1) ** 2, weight)
-            geo = CReal(max(Fraction(0), geo.lo - slack.hi), geo.hi, bits)
-        far.append(geo)
+        geo = c * geometric_tail(L, n_ext + 1, square_weight)
+        slack = 0 if beta.is_integer else geometric_tail(L, (n_ext + 1) ** 2, weight).hi
+        far.append(CReal(max(Fraction(0), geo.lo - slack), geo.hi, bits))
 
     delta = 1 - (head + tracked[0] + far[0])
     delta = CReal(max(delta.lo, Fraction(0)), max(delta.hi, Fraction(0)), bits)
@@ -192,8 +189,7 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
     plan = _build_plan(beta, N_max, bits)
     series_bits, n_ext, Bt, B, L = plan
     floors = _square_floors(Bt, n_ext)
-    sweep = _floor_sweep(beta, N_max, bits, plan, floors)
-    delta, delta_grid, (tracked, far), _ = sweep
+    delta, delta_grid, (tracked, far), _ = sweep = _floor_sweep(beta, N_max, bits, plan, floors)
     if not delta.certainly_lt(1):
         raise PrecisionExhausted(
             f"deficit enclosure [{delta.lo}, {delta.hi}] does not separate from 1")
@@ -294,18 +290,25 @@ def identity_failure(s: LoopSpectrum) -> Optional[str]:
 def weighted_sum_enclosure(s: LoopSpectrum) -> Optional[CReal]:
     """Certified enclosure of the mean return sum n a(n) L^n, or None if a
     square floor is undecidable at the file's precision: the second head
-    (``LoopSpectrum.heads``), and past the stored counts each count is a
-    square floor, summed up to n_ext and enclosed beyond, plus a greedy
-    digit floor(beta r) of a remainder r in [0, 1): below beta, so the
-    digits add [0, (ceil(beta) - 1) sum_{n > N_max} n L^n] (k sits at n = 2)."""
+    (``LoopSpectrum.heads``), the floors past N_max (``_floor_sweep``), and
+    the greedy digits d(n) past N_max by parts.  T(m) = sum_{n > m} d(n) L^n,
+    a greedy remainder, is below L^m, so sum_{n > N} n d(n) L^n = (N+1) T(N)
+    + sum_{m > N} T(m) lies in (N+1) T(N) + [0, L^(N+1) / (1 - L)]; T(N) is
+    the stored tail less the floors', met with [0, L^N] (alone if they miss)."""
     if s.meta is None:
         raise TailUnavailable("spectrum has no analytic metadata")
-    meta = s.meta
+    meta, N = s.meta, s.N_max
     if meta.floor_sweep is None:
         return None
-    tracked, far = meta.floor_sweep[3]
-    digits = (math.ceil(meta.B.hi) - 1) * geometric_tail(meta.L, s.N_max + 1, "n")
-    return s.heads[1] + tracked + far + CReal(Fraction(0), digits.hi, meta.precision_bits)
+    _, _, (tracked, far), (n_tracked, n_far) = meta.floor_sweep
+    cap = meta.L ** N
+    T = meta.tail_at_L - (tracked + far)
+    lo, hi = max(T.lo, Fraction(0)), min(T.hi, cap.hi)
+    if lo > hi:
+        lo, hi = Fraction(0), cap.hi
+    rest, bits = cap * meta.L / (1 - meta.L), meta.precision_bits
+    return (s.heads[1] + n_tracked + n_far + (N + 1) * CReal(lo, hi, bits)
+            + CReal(Fraction(0), rest.hi, bits))
 
 
 def spectrum_checks(s: LoopSpectrum) -> list[CheckResult]:

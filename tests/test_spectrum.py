@@ -11,11 +11,11 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from markovforge import (BetaValue, CReal, build_spectrum, delete_loop,
-                         geometric_tail, power_series, spectrum_checks,
+                         geometric_tail, power_series, spectrum_checks, spectrum_io,
                          unit_sum_enclosure, unit_sum_target, user_spectrum,
                          weighted_sum_enclosure)
 from markovforge.errors import (FloorUndecidable, NoDeletableLoop, NotGreaterThanOne,
@@ -124,11 +124,17 @@ def test_unit_sum_target_after_deletion(spec2):
 
 def test_weighted_sum_base2(spec2):
     # sum of n a(n) 2^-n = 1/2 + sum_{m >= 2} m^2 2^-m = 6 exactly; past
-    # N_max = 64 the floors are summed, and only the digits, each 0 or 1,
-    # stay open: sum_{n > 64} n 2^-n < 2^-57
+    # N_max = 64 the floors are summed, and the digits, by parts, add
+    # 65 T(64) + [0, 2^-64], T(64) read from the stored tail
     mu = weighted_sum_enclosure(spec2)
     assert mu.contains(6)
-    assert mu.width < Fraction(1, 2 ** 50)
+    assert mu.width < Fraction(1, 2 ** 63)
+    # a stored tail that misses [0, 2^-64] past the floors' is not read:
+    # T(64) in [0, 2^-64] alone leaves exactly 65 2^-64 + 2^-64 open
+    wrong_tail = spec2.replace(meta=spec2.meta.replace(tail_at_L=CReal.exact(1)))
+    mu = weighted_sum_enclosure(wrong_tail)
+    assert mu.contains(6)
+    assert mu.width == Fraction(66, 2 ** 64)
 
 
 # every base and N_max of the benchmark workloads (ln2 lifted by 3 is 8@64)
@@ -157,6 +163,47 @@ def test_weighted_sum_lies_inside_the_comparison_series(text, n_max):
         lo, hi = _comparison_series_mean(spectrum)
         assert lo <= mu.lo <= mu.hi <= hi, text
 
+
+
+@st.composite
+def mean_return_files(draw):
+    """A built spectrum of a base near 1 (1 + 1/k off the dyadic grid, e^q
+    for small q) or far from it, with a loop deleted or not, as it loads back."""
+    kind = draw(st.sampled_from(["near_one", "exp_near_one", "far"]))
+    if kind == "near_one":
+        k = draw(st.integers(2, 20000))
+        assume(k & (k - 1))
+        beta = BetaValue.from_rational(1 + Fraction(1, k))
+    elif kind == "exp_near_one":
+        beta = BetaValue.exp_of_rational(Fraction(1, draw(st.integers(10, 2000))))
+    else:
+        beta = BetaValue.parse(draw(st.sampled_from(["2", "3", "5/2", "7/3", "e^3", "e^7/10"])))
+    s = build_spectrum(beta, draw(st.integers(4, 256)))
+    deletable = [n for n in range(2, s.N_max + 1) if s.count(n)]
+    if deletable and draw(st.booleans()):
+        s = delete_loop(s, draw(st.sampled_from(deletable)))
+    return s, spectrum_io.from_bytes(spectrum_io.to_bytes(spectrum_io.SpectrumFile(s))).spectrum
+
+
+@given(mean_return_files())
+@settings(max_examples=50, deadline=None)
+def test_mean_return_lies_inside_the_digit_bound_of_ceil_beta(files):
+    # the reference is the enclosure before the digits were summed by parts:
+    # the head, the floors past N_max, and each greedy digit past N_max below
+    # ceil(beta), [0, (ceil(beta) - 1) sum_{n > N_max} n L^n]
+    s, back = files
+    mu = weighted_sum_enclosure(back)
+    assert mu == weighted_sum_enclosure(s)
+    meta = back.meta
+    tracked, far = meta.floor_sweep[3]
+    digits = (math.ceil(meta.B.hi) - 1) * geometric_tail(meta.L, back.N_max + 1, "n")
+    reference = (back.heads[1] + tracked + far
+                 + CReal(Fraction(0), digits.hi, meta.precision_bits))
+    assert reference.lo <= mu.lo <= mu.hi <= reference.hi
+    # summation by parts leaves no more than L^(N_max+1) / (1 - L) open past
+    # the stored tail's width, where the reference leaves about N_max times that
+    rest = meta.L ** (back.N_max + 1) / (1 - meta.L)
+    assert mu.width <= rest.hi + (back.N_max + 2) * (meta.tail_at_L.width + Fraction(1, 2 ** 200))
 
 def _mp_greedy(x, beta, num_digits):
     """Independent greedy expansion in exact rationals: floats, even at 80
