@@ -100,7 +100,8 @@ def radius_L(s: LoopSpectrum) -> Radius:
     Constructed spectra have the closed form L = 1/beta, certified.  A
     finite-support spectrum is a polynomial (infinite radius).  Otherwise a
     Cauchy-Hadamard estimate over the available terms is returned, flagged
-    non-certified.
+    non-certified, or no value at all where no count is positive: nothing
+    is known past the truncation.
     """
     if s.meta is not None:
         return Radius(s.meta.L)
@@ -110,7 +111,7 @@ def radius_L(s: LoopSpectrum) -> Radius:
     ln_root = max((_ln_big(v) / n for n, v in enumerate(s.a, start=1) if v > 0),
                   default=None)
     if ln_root is None:
-        return Radius.unbounded()
+        return Radius(None, False, False)
     # e^-ln_root = 2^-k e^-(ln_root - k ln 2) stays positive however small
     k = int(ln_root / math.log(2))
     est = Fraction(math.exp(k * math.log(2) - ln_root)).limit_denominator(10 ** 18) / 2 ** k

@@ -25,10 +25,10 @@ from .intervals import _DECIMAL_LIMIT, BetaValue, CReal
 
 DEFAULT_N_MAX = 64
 # the most square floors a build computes: 1.00001 needs 4,476 at the default
-# precision (a 0.2 s build on a 2-vCPU Xeon); the cost grows with their square
+# precision and builds in about 0.1 s; the cost is linear in their number
 MAX_SQUARE_FLOORS = 5000
-# the most bits N_max log2(beta) a build gives beta^N_max: base 1000 at
-# N_max = 1700 takes 16,942; at the bound e^3 builds in about 4 s
+# the most bits N_max log2(beta) a build gives beta^N_max: base 1000 at N_max =
+# 1700 takes 16,942; e^3 at 4,600 builds in about 2.3 s (in process, 2-vCPU VM)
 MAX_SERIES_BITS = 20_000
 
 
@@ -47,10 +47,9 @@ class SpectrumMeta(Frozen):
     arithmetic.  Derived on first use as the build derived them: B and
     L = 1/B (the radius of sum a(n) z^n), c = (B-1)^2, M_bound = B + k
     (bounds each count above its square floor), square_floors, b(m^2) =
-    floor(c beta^(m^2-m)) for every m <= n_ext the plan tracks, and
-    floor_sweep, their sums past N_max and the deficit delta on the series
-    grid that the build decided k from (``construction._floor_sweep``), each
-    None if a floor is undecidable at precision_bits.
+    floor(c beta^(m^2-m)) for every m <= n_ext the plan tracks, and their
+    ``construction._floor_sweep`` past N_max, which gives the deficit delta,
+    each None if a floor is undecidable at precision_bits.
     """
 
     _fields = ("beta", "precision_bits", "N_max", "k", "tail_at_L", "deleted_loop")
@@ -79,13 +78,9 @@ class SpectrumMeta(Frozen):
         except (FloorUndecidable, PrecisionExhausted):
             return None
 
-    @cached_property
-    def floor_sweep(self) -> Optional[tuple]:
-        if self.square_floors is None:
-            return None
-        return construction._floor_sweep(self.beta, self.N_max, self.precision_bits,
-                                         self._plan, self.square_floors)
-
+    floor_sweep = cached_property(lambda self: None if self.square_floors is None else (
+        construction._floor_sweep(self.beta, self.N_max, self.precision_bits, self._plan,
+                                  self.square_floors)))
     delta = cached_property(lambda self: None if self.floor_sweep is None else self.floor_sweep[1])
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markovforge.classifier import Radius
 from markovforge.errors import PrecisionExhausted
 from markovforge import (Verdict, classify, delete_loop, entropy_enclosure,
                          entropy_of_lift, power_series, radius_L, renewal_limit,
@@ -94,6 +95,17 @@ def test_truncation_estimate_survives_huge_counts():
     # L ~ 10^(-400/3): the largest n-th root of a(n) is at n = 3
     assert abs(float(rep.L.value.lo) / 10 ** -133 - 10 ** (-1 / 3)) < 1e-9
 
+
+
+def test_truncation_with_no_positive_count_has_no_radius():
+    # nothing is known past the truncation: no value, neither infinite nor
+    # certified, where a finite polynomial would have an infinite radius
+    s = user_spectrum([0, 0, 0], finite_support=False)
+    assert radius_L(s) == Radius(None, False, False)
+    rep = classify(s)
+    assert rep.verdict is Verdict.INDETERMINATE
+    assert rep.to_dict()["L"] == {"infinite": False, "certified": False, "interval": None}
+    assert radius_L(user_spectrum([0, 0, 0])) == Radius.unbounded()
 
 def test_radius_helpers(spec2):
     assert radius_L(spec2).value.lo == Fraction(1, 2)

@@ -546,6 +546,8 @@ NEAR_ONE = "1." + "0" * 119 + "1"
     ([], 2),
     (["bogus", "b.json"], 2),
     (["verify", "b.json", "-x"], 2),
+    (["verify", "b.json", "c.json"], 2),
+    (["classify", "b.json", "--bits=1"], 2),
     (["build", "--beta", "2", "--out"], 2),
     (["build", "--beta", "2", "--entropy", "ln2", "--out", "x.json"], 2),
     (["build", "--out", "x.json"], 2),
@@ -565,6 +567,7 @@ NEAR_ONE = "1." + "0" * 119 + "1"
         "beta-abc", "beta-1/0", "beta-e^x",
         "entropy-abc", "entropy-ln5", "beta-value-1/0", "stored-beta-1/2", "stored-k-negative",
         "verify-a1-2", "export-a1-2", "no-command", "unknown-command", "unknown-option",
+        "second-file", "flag-with-value",
         "missing-value", "beta-and-entropy", "neither-beta-nor-entropy", "missing-period",
         "missing-file", "format-svg", "beta-1e999999999", "entropy-1e999999999",
         "entropy-1e-999999999", "beta-1e30000", "entropy-1e30000"])
