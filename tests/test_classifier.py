@@ -96,7 +96,6 @@ def test_truncation_estimate_survives_huge_counts():
     assert abs(float(rep.L.value.lo) / 10 ** -133 - 10 ** (-1 / 3)) < 1e-9
 
 
-
 def test_truncation_with_no_positive_count_has_no_radius():
     # nothing is known past the truncation: no value, neither infinite nor
     # certified, where a finite polynomial would have an infinite radius
@@ -106,6 +105,7 @@ def test_truncation_with_no_positive_count_has_no_radius():
     assert rep.verdict is Verdict.INDETERMINATE
     assert rep.to_dict()["L"] == {"infinite": False, "certified": False, "interval": None}
     assert radius_L(user_spectrum([0, 0, 0])) == Radius.unbounded()
+
 
 def test_radius_helpers(spec2):
     assert radius_L(spec2).value.lo == Fraction(1, 2)

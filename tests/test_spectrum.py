@@ -164,7 +164,6 @@ def test_weighted_sum_lies_inside_the_comparison_series(text, n_max):
         assert lo <= mu.lo <= mu.hi <= hi, text
 
 
-
 @st.composite
 def mean_return_files(draw):
     """A built spectrum of a base near 1 (1 + 1/k off the dyadic grid, e^q
@@ -204,6 +203,7 @@ def test_mean_return_lies_inside_the_digit_bound_of_ceil_beta(files):
     # the stored tail's width, where the reference leaves about N_max times that
     rest = meta.L ** (back.N_max + 1) / (1 - meta.L)
     assert mu.width <= rest.hi + (back.N_max + 2) * (meta.tail_at_L.width + Fraction(1, 2 ** 200))
+
 
 def _mp_greedy(x, beta, num_digits):
     """Independent greedy expansion in exact rationals: floats, even at 80

@@ -122,6 +122,15 @@ def test_a_root_alone_names_the_first_loop_past_it(a, detail):
     assert check.passed and check.detail == detail
 
 
+def _recorded(sums, sweep):
+    """``sweep``, appending the terms of each call to ``sums`` as a list."""
+    def sum_terms(terms, x):
+        terms = list(terms)
+        sums.append(terms)
+        return sweep(terms, x)
+    return sum_terms
+
+
 def test_verify_sums_the_counts_once(monkeypatch):
     # the counts are summed once, by one sweep of L's powers that gives both
     # the unit sum and the mean return's head, shared by the checks and the
@@ -129,15 +138,9 @@ def test_verify_sums_the_counts_once(monkeypatch):
     s = build_spectrum(BetaValue.parse("e^7/10"), 32)
     counts = list(enumerate(s.a, 1))
     sums = []
-
-    def counted(sweep):
-        def sum_terms(terms, x):
-            terms = list(terms)
-            sums.append(terms)
-            return sweep(terms, x)
-        return sum_terms
-    monkeypatch.setattr(construction, "power_series", counted(construction.power_series))
-    monkeypatch.setattr(series, "power_series_moment", counted(series.power_series_moment))
+    monkeypatch.setattr(construction, "power_series", _recorded(sums, construction.power_series))
+    monkeypatch.setattr(series, "power_series_moment",
+                        _recorded(sums, series.power_series_moment))
     assert all(r.passed for r in run_suite(s, oracle_depth=3))
     assert sums.count(counts) == 1
     assert [(n, n * an) for n, an in counts] not in sums  # no second sweep for the mean
@@ -147,7 +150,6 @@ def test_verify_sums_the_counts_once(monkeypatch):
     assert edited.unit_sum.lo > s.unit_sum.hi
 
 
-
 def test_verify_on_a_loaded_file_sweeps_the_floors_past_n_max_once(monkeypatch):
     # the deficit of the k check, the floors under the stored tail and those
     # under the mean return are one sweep of the square floors past N_max,
@@ -155,19 +157,13 @@ def test_verify_on_a_loaded_file_sweeps_the_floors_past_n_max_once(monkeypatch):
     sf = spectrum_io.SpectrumFile(build_spectrum(BetaValue.parse("e^7/10"), 32))
     s = spectrum_io.from_bytes(spectrum_io.to_bytes(sf)).spectrum
     sums = []
-
-    def counted(sweep):
-        def sum_terms(terms, x):
-            terms = list(terms)
-            sums.append(terms)
-            return sweep(terms, x)
-        return sum_terms
     for name in ("power_series", "power_series_moment"):
-        monkeypatch.setattr(construction, name, counted(getattr(construction, name)))
+        monkeypatch.setattr(construction, name, _recorded(sums, getattr(construction, name)))
     assert all(r.passed for r in run_suite(s, oracle_depth=3))
     past = [(n, b) for n, b in s.meta.square_floors.items() if n > s.N_max]
     assert past and sums.count(past) == 1
     assert [(n, n * b) for n, b in past] not in sums
+
 
 @pytest.mark.parametrize("h, p", _THEOREM_GRID)
 def test_both_flavours_for_every_entropy_and_period(h, p):
