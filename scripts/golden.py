@@ -238,13 +238,14 @@ def uncovered(c: Corpus) -> None:
         c.run("entropy", name, "--max-n", "12")
         c.run("export", name, "--format", "dot")
     # the loader's refusals: counts not a list, a precision past 4,096 bits, a
-    # constructed N_max below 4, an endpoint past the finest grid, a version-1 exponent
+    # constructed N_max below 4; and a stored tail_at_L, which a load ignores since
+    # format version 5, with an exponent far past the finest grid, or in version 1
     Path("bad_a.json").write_text(json.dumps({"format_version": 4, "N_max": 4, "a": "1012",
                                               "finite_support": True, "meta": None}))
     edited("b2.json", "bad_bits.json", lambda p: p["meta"].update(precision_bits=1000000))
     edited("b2.json", "bad_nmax.json", lambda p: p.update(N_max=0, a=[]))
     edited("b2.json", "bad_exp.json",
-           lambda p: p["meta"]["tail_at_L"].__setitem__(0, "0x1p-30000000"))
+           lambda p: p["meta"].update(tail_at_L=["0x1p-30000000", "0x1p-8"]))
     edited("data/b2_n128.v1.json", "bad_v1.json",
            lambda p: p["meta"]["tail_at_L"].__setitem__(0, "1e-999999999"))
     for f in ("bad_a.json", "bad_bits.json", "bad_nmax.json", "bad_exp.json", "bad_v1.json"):

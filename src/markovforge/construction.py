@@ -185,15 +185,18 @@ def _floor_sweep(beta: BetaValue, N_max: int, bits: int, plan: tuple,
     return delta, delta.round_outward(series_bits), (tracked[0], far[0]), (tracked[1], far[1])
 
 
-def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
-    plan = _build_plan(beta, N_max, bits)
-    series_bits, n_ext, Bt, B, L = plan
-    floors = _square_floors(Bt, n_ext)
-    delta, delta_grid, (tracked, far), _ = sweep = _floor_sweep(beta, N_max, bits, plan, floors)
+def _greedy_tail(N_max: int, bits: int, plan: tuple, sweep: tuple) -> tuple:
+    """(k, digits, tail_at_L) of a build with this plan and floor sweep: k =
+    floor(beta^2 delta), the greedy base-beta digits of the rest of the
+    deficit at n = 1..N_max, k added at n = 2, and sum_{n > N_max} a(n) L^n,
+    the floors' part plus the final remainder times L^N_max, rounded outward
+    onto the series grid.  PrecisionExhausted or FloorUndecidable where the
+    precision does not decide them."""
+    series_bits, _, _, B, L = plan
+    delta, delta_grid, (tracked, far), _ = sweep
     if not delta.certainly_lt(1):
         raise PrecisionExhausted(
             f"deficit enclosure [{delta.lo}, {delta.hi}] does not separate from 1")
-
     k = certified_floor(B * B * delta_grid)  # as verify decides it again
     x0 = _clamp_unit(delta - k * (L * L))  # the digits expand the unrounded deficit
     digits, remainder = _greedy_digits(x0, B, N_max)
@@ -201,12 +204,18 @@ def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
         raise RuntimeError("first expansion digit is nonzero; this indicates a "
                            "precision bug, the remainder is below 1/beta by design")
     digits[1] += k  # the k units live in the n = 2 slot
-
     tail = tracked + far + remainder * L ** N_max
-    tail = CReal(tail.lo, tail.hi, bits).round_outward(series_bits)
-    meta = SpectrumMeta(beta, bits, N_max, k, tail)
+    return k, digits, CReal(tail.lo, tail.hi, bits).round_outward(series_bits)
+
+
+def _build_once(beta: BetaValue, N_max: int, bits: int) -> LoopSpectrum:
+    plan = _build_plan(beta, N_max, bits)
+    floors = _square_floors(plan[2], plan[1])
+    sweep = _floor_sweep(beta, N_max, bits, plan, floors)
+    k, digits, tail = _greedy_tail(N_max, bits, plan, sweep)
+    meta = SpectrumMeta(beta, bits, N_max, k)
     # the meta keeps this derivation
-    meta.__dict__.update(_plan=plan, square_floors=floors, floor_sweep=sweep)
+    meta.__dict__.update(_plan=plan, square_floors=floors, floor_sweep=sweep, tail_at_L=tail)
     a = tuple(floors.get(n, 0) + d for n, d in enumerate(digits, 1))
     return LoopSpectrum(a, N_max, meta=meta)
 
@@ -237,15 +246,17 @@ def build_spectrum(beta: BetaValue, N_max: int = DEFAULT_N_MAX,
 # ---------------------------------------------------------------------------
 
 
-def unit_sum_enclosure(s: LoopSpectrum) -> CReal:
-    """Certified enclosure of sum_{n>=1} a(n) L^n (``s.heads[0]`` + stored tail).
+def unit_sum_enclosure(s: LoopSpectrum) -> Optional[CReal]:
+    """Certified enclosure of sum_{n>=1} a(n) L^n (``s.heads[0]`` plus the
+    derived ``tail_at_L``), or None where that tail is undecidable.
 
     For an intact constructed spectrum this encloses 1; after deleting a loop
     of length n0 it encloses 1 - L^n0.
     """
     if s.meta is None:
         raise TailUnavailable("spectrum has no analytic metadata")
-    return s.heads[0] + s.meta.tail_at_L
+    tail = s.meta.tail_at_L
+    return None if tail is None else s.heads[0] + tail
 
 
 def unit_sum_target(s: LoopSpectrum) -> CReal:
@@ -281,33 +292,34 @@ def identity_failure(s: LoopSpectrum) -> Optional[str]:
     :func:`counts_failure` finds nothing and ``s.unit_sum`` meets that target."""
     failure = counts_failure(s)
     if failure is None:
-        target = unit_sum_target(s)
-        if s.unit_sum.certainly_lt(target) or s.unit_sum.certainly_gt(target):
+        target, enc = unit_sum_target(s), s.unit_sum
+        if enc is None:
+            return f"the tail past N_max is undecidable at {s.meta.precision_bits} bits"
+        if enc.certainly_lt(target) or enc.certainly_gt(target):
             return "the unit-sum enclosure misses its target"
     return failure
 
 
 def weighted_sum_enclosure(s: LoopSpectrum) -> Optional[CReal]:
     """Certified enclosure of the mean return sum n a(n) L^n, or None if a
-    square floor is undecidable at the file's precision: the second head
-    (``LoopSpectrum.heads``), the floors past N_max (``_floor_sweep``), and
-    the greedy digits d(n) past N_max by parts.  T(m) = sum_{n > m} d(n) L^n,
-    a greedy remainder, is below L^m, so sum_{n > N} n d(n) L^n = (N+1) T(N)
-    + sum_{m > N} T(m) lies in (N+1) T(N) + [0, L^(N+1) / (1 - L)]; T(N) is
-    the stored tail less the floors', met with [0, L^N] (alone if they miss)."""
+    square floor or greedy digit is undecidable at the file's precision: the
+    second head (``LoopSpectrum.heads``), the floors past N_max
+    (``_floor_sweep``), and the greedy digits d(n) past N_max by parts.
+    T(m) = sum_{n > m} d(n) L^n, a greedy remainder, is below L^m, so
+    sum_{n > N} n d(n) L^n = (N+1) T(N) + sum_{m > N} T(m) lies in
+    (N+1) T(N) + [0, L^(N+1) / (1 - L)]; T(N) is the derived tail less the
+    floors', met with [0, L^N], which it meets as both enclose the true T(N)."""
     if s.meta is None:
         raise TailUnavailable("spectrum has no analytic metadata")
     meta, N = s.meta, s.N_max
-    if meta.floor_sweep is None:
+    if meta.tail_at_L is None:
         return None
     _, _, (tracked, far), (n_tracked, n_far) = meta.floor_sweep
-    cap = meta.L ** N
+    cap, bits = meta.L ** N, meta.precision_bits
     T = meta.tail_at_L - (tracked + far)
-    lo, hi = max(T.lo, Fraction(0)), min(T.hi, cap.hi)
-    if lo > hi:
-        lo, hi = Fraction(0), cap.hi
-    rest, bits = cap * meta.L / (1 - meta.L), meta.precision_bits
-    return (s.heads[1] + n_tracked + n_far + (N + 1) * CReal(lo, hi, bits)
+    rest = cap * meta.L / (1 - meta.L)
+    return (s.heads[1] + n_tracked + n_far
+            + (N + 1) * CReal(max(T.lo, Fraction(0)), min(T.hi, cap.hi), bits)
             + CReal(Fraction(0), rest.hi, bits))
 
 
@@ -329,14 +341,13 @@ def spectrum_checks(s: LoopSpectrum) -> list[CheckResult]:
     results.append(CheckResult("a(1) = 1", parent_count(1) == 1,
                                f"a(1) = {int_text(parent_count(1))}"))
 
-    enc = s.unit_sum
-    target = unit_sum_target(s)
-    overlap = enc.lo <= target.hi and target.lo <= enc.hi
-    width_ok = enc.width <= Fraction(1, 10 ** 30)
+    enc, target = s.unit_sum, unit_sum_target(s)
+    overlap = enc is not None and enc.lo <= target.hi and target.lo <= enc.hi
     results.append(CheckResult(
         "unit sum encloses target",
-        overlap and width_ok,
-        f"width = {real_text(enc.width, '.3e')}, target in enclosure: {overlap}"))
+        overlap and enc.width <= Fraction(1, 10 ** 30),
+        f"width = {real_text(enc.width, '.3e')}, target in enclosure: {overlap}" if enc is not None
+        else f"the tail past N_max is undecidable at {meta.precision_bits} bits"))
 
     # k = floor(beta^2 delta) is certified when k <= B^2 delta < k + 1
     delta = meta.delta

@@ -42,27 +42,27 @@ def __getattr__(name: str):  # names moved to construction resolve here too
 class SpectrumMeta(Frozen):
     """Certified analytic metadata of a constructed spectrum.
 
-    Stored: the build's inputs, k = floor(beta^2 delta) and tail_at_L
-    (sum_{n > N_max} a(n) L^n), on the dyadic grid of the build's series
-    arithmetic.  Derived on first use as the build derived them: B and
-    L = 1/B (the radius of sum a(n) z^n), c = (B-1)^2, M_bound = B + k
-    (bounds each count above its square floor), square_floors, b(m^2) =
-    floor(c beta^(m^2-m)) for every m <= n_ext the plan tracks, and their
-    ``construction._floor_sweep`` past N_max, which gives the deficit delta,
-    each None if a floor is undecidable at precision_bits.
+    Stored: the build's inputs and k = floor(beta^2 delta).  Derived on first
+    use as the build derived them: B and L = 1/B (the radius of sum a(n) z^n),
+    c = (B-1)^2, M_bound = B + k (bounds each count above its square floor),
+    square_floors, b(m^2) = floor(c beta^(m^2-m)) for every m <= n_ext the
+    plan tracks, their ``construction._floor_sweep`` past N_max, which gives
+    the deficit delta, and tail_at_L = sum_{n > N_max} a(n) L^n of the
+    construction (``construction._greedy_tail``), each None if a floor or a
+    greedy digit is undecidable at precision_bits.
     """
 
-    _fields = ("beta", "precision_bits", "N_max", "k", "tail_at_L", "deleted_loop")
+    _fields = ("beta", "precision_bits", "N_max", "k", "deleted_loop")
 
     def __init__(self, beta: BetaValue, precision_bits: int, N_max: int, k: int,
-                 tail_at_L: CReal, deleted_loop: Optional[int] = None) -> None:
+                 deleted_loop: Optional[int] = None) -> None:
         try:
             beta.require_above_one()
         except NotGreaterThanOne as e:  # a file error, as a bad k is
             raise ValueError(*e.args) from None
         if k < 0:
             raise ValueError(f"M_bound = beta + k needs k >= 0, not k = {k}")
-        self._init(beta, precision_bits, N_max, k, tail_at_L, deleted_loop)
+        self._init(beta, precision_bits, N_max, k, deleted_loop)
 
     _plan = cached_property(
         lambda self: construction._build_plan(self.beta, self.N_max, self.precision_bits))
@@ -82,6 +82,16 @@ class SpectrumMeta(Frozen):
         construction._floor_sweep(self.beta, self.N_max, self.precision_bits, self._plan,
                                   self.square_floors)))
     delta = cached_property(lambda self: None if self.floor_sweep is None else self.floor_sweep[1])
+
+    @cached_property
+    def tail_at_L(self) -> Optional[CReal]:
+        if self.floor_sweep is None:
+            return None
+        try:
+            return construction._greedy_tail(self.N_max, self.precision_bits, self._plan,
+                                             self.floor_sweep)[2]
+        except (FloorUndecidable, PrecisionExhausted):
+            return None
 
 
 class LoopSpectrum(Frozen):

@@ -1,16 +1,14 @@
-"""Spectrum file format (version 4).
+"""Spectrum file format (version 5).
 
 JSON with big integers as strings: decimal, or hex ("0x1f...") for those of
 more than 4,300 digits, which CPython will not convert to decimal by
 default; a reader takes either.  A constructed spectrum stores its counts
 a(1..N_max), its base and, of the metadata, only what beta, N_max and the
-precision cannot give back: k, the deleted loop, and tail_at_L, whose
-dyadic endpoints are written exactly ("-0x1a3p-384"), so a load returns
-what was saved.  The square floors and the deficit delta are recomputed
-from beta (SpectrumMeta).  Versions 1 to 3 are read; the delta, the
-entropy_target and the digit trace they may hold are ignored, and the
-40-digit decimal endpoints of version 1 are rounded outward onto the grid
-2^-precision_bits.
+precision cannot give back: k and the deleted loop.  The square floors, the
+deficit delta and the tail past N_max, tail_at_L, are derived again from
+beta (SpectrumMeta), so a load returns what was saved.  Versions 1 to 4 are
+read; the tail_at_L, delta, entropy_target and digit trace they may hold
+are ignored.
 """
 
 from __future__ import annotations
@@ -22,13 +20,10 @@ from typing import Union
 
 from ._frozen import Frozen
 from .errors import SpectrumFileError
-from .intervals import MAX_PRECISION_BITS, BetaValue, CReal
-from .spectrum import MAX_SERIES_BITS, LoopSpectrum, SpectrumMeta, int_text
+from .intervals import MAX_PRECISION_BITS, BetaValue
+from .spectrum import LoopSpectrum, SpectrumMeta, int_text
 
-FORMAT_VERSION = 4
-# the finest grid a build's series arithmetic reaches (construction._build_plan:
-# the precision, 64 guard bits and the bits of beta^N_max)
-MAX_EXPONENT = MAX_PRECISION_BITS + 64 + MAX_SERIES_BITS
+FORMAT_VERSION = 5
 
 
 class SpectrumFile(Frozen):
@@ -57,40 +52,12 @@ def _int_in(value) -> int:
     return int(value, 16) if type(value) is str and value.startswith("0x") else int(value)
 
 
-def _interval_out(x: CReal) -> list[str]:
-    """Each endpoint m 2^e as "<hex m>p<e>", m odd unless 0: one text per value."""
-    out = []
-    for v in (x.lo, x.hi):
-        m, den = v.numerator, v.denominator
-        if den & (den - 1):
-            raise ValueError(f"endpoint {v} is not dyadic")
-        zeros = (m & -m).bit_length() - 1 if m else 0
-        out.append(f"{m >> zeros:#x}p{zeros + 1 - den.bit_length():+d}")
-    return out
-
-
 def _plain_in(text) -> Fraction:
     """``Fraction(text)`` of a text without an exponent, whose power of ten
     ("1e-999999999") Fraction would build first."""
     if type(text) is not str or "e" in text.lower():
         raise ValueError(f"{text!r} is not a plain decimal")
     return Fraction(text)
-
-
-def _dyadic_in(text: str) -> Fraction:
-    # hex int parsing has no digit limit, unlike decimal str <-> int
-    m, e = text.split("p")
-    m, e = int(m, 16), int(e)
-    if abs(e) > MAX_EXPONENT:  # the shift below costs as much as e is large
-        raise ValueError(f"endpoint exponent {e} is beyond +-{MAX_EXPONENT}")
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
-
-
-def _interval_in(v, bits: int, version: int) -> CReal:
-    lo, hi = v
-    if version == 1:
-        return CReal(_plain_in(lo), _plain_in(hi), bits).round_outward(bits)
-    return CReal(_dyadic_in(lo), _dyadic_in(hi), bits)
 
 
 def to_dict(sf: SpectrumFile) -> dict:
@@ -109,7 +76,6 @@ def to_dict(sf: SpectrumFile) -> dict:
         payload["beta"] = {"kind": m.beta.kind, "value": str(m.beta.value),
                            "text": m.beta.text}
         payload["meta"] = {"precision_bits": m.precision_bits, "k": m.k,
-                           "tail_at_L": _interval_out(m.tail_at_L),
                            "deleted_loop": m.deleted_loop}
     return payload
 
@@ -117,7 +83,7 @@ def to_dict(sf: SpectrumFile) -> dict:
 def from_dict(payload: dict) -> SpectrumFile:
     try:
         version = payload["format_version"]
-        if version not in (1, 2, 3, FORMAT_VERSION):
+        if version not in range(1, FORMAT_VERSION + 1):
             raise SpectrumFileError(f"unsupported format_version {version!r}")
         n_max = _whole(payload, "N_max")
         if type(payload["a"]) is not list:
@@ -133,8 +99,7 @@ def from_dict(payload: dict) -> SpectrumFile:
                 raise ValueError(f"N_max {n_max} of a constructed spectrum is below 4")
             meta = SpectrumMeta(
                 BetaValue(b["kind"], _plain_in(b["value"]), b["text"]), bits, n_max,
-                _whole(m, "k"), _interval_in(m["tail_at_L"], bits, version),
-                None if m["deleted_loop"] is None else _whole(m, "deleted_loop"))
+                _whole(m, "k"), None if m["deleted_loop"] is None else _whole(m, "deleted_loop"))
         if n_max < 1:  # no command reads an empty count list
             raise ValueError(f"N_max {n_max} is below 1")
         finite = payload.get("finite_support", False)

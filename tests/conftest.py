@@ -67,22 +67,17 @@ def exported(g, fmt="json"):
 def costly_files(spec2):
     """(name, payload, message) of constructed files whose few bytes would
     cost unbounded time, or crash a command, if they were not refused."""
-    def changed(edit, version_1=False):
-        payload = (json.loads((DATA / "b2_n128.v1.json").read_bytes()) if version_1
-                   else spectrum_io.to_dict(spectrum_io.SpectrumFile(spec2)))
+    def changed(edit):
+        payload = spectrum_io.to_dict(spectrum_io.SpectrumFile(spec2))
         edit(payload)
         return payload
 
     def meta(key, value):
         return lambda payload: payload["meta"].__setitem__(key, value)
 
-    def tail(lo, hi="0x1p+0"):
-        return meta("tail_at_L", [lo, hi])
-
     def n_max(n):
         return lambda payload: payload.update(N_max=n, a=payload["a"][:n])
 
-    far = spectrum_io.MAX_EXPONENT + 1
     return [
         ("precision", changed(meta("precision_bits", 10 ** 6)),
          "precision_bits 1000000 is above 4096"),
@@ -90,13 +85,6 @@ def costly_files(spec2):
          "above 4096"),
         ("n_max_0", changed(n_max(0)), "N_max 0 of a constructed spectrum is below 4"),
         ("n_max_3", changed(n_max(3)), "N_max 3 of a constructed spectrum is below 4"),
-        ("tail_exponent", changed(tail("0x1p-30000000")), "exponent -30000000 is beyond"),
-        ("tail_past_grid", changed(tail(f"0x1p-{far}")), f"exponent -{far} is beyond"),
-        ("tail_positive_exponent", changed(tail("0x0p+0", f"0x1p+{far}")),
-         f"exponent {far} is beyond"),
-        ("v1_exponent", changed(tail("1e-999999999"), True),
-         "'1e-999999999' is not a plain decimal"),
-        ("v1_upper_exponent", changed(tail("0", "1E+5"), True), "not a plain decimal"),
         ("beta_exponent", changed(lambda payload: payload["beta"].update(value="1e999999999")),
          "not a plain decimal"),
     ]

@@ -195,6 +195,44 @@ def test_costly_or_malformed_files_exit_1_at_once(spec2, tmp_path, capsys):
             assert time.monotonic() - t0 < 1, (name, command)
 
 
+@pytest.mark.parametrize("tail", [["-0x3fp-8", "-0x3fp-8"], ["-0x1p-2", "0x1p-8"]],
+                         ids=["narrow", "wide"])
+def test_a_stored_tail_is_not_trusted(spec2, tmp_path, capsys, tail):
+    # base 2 with a(2) = 1, where the construction gives 0: with the
+    # construction's tail past N_max, F(1/2) = 5/4, so R < 1/2.  A version 4
+    # file whose stored tail makes up the difference, exactly or within a
+    # wide enclosure, must not be certified positive recurrent with R = 1/2
+    payload = spectrum_io.to_dict(spectrum_io.SpectrumFile(spec2))
+    payload["format_version"] = 4
+    payload["a"][1] = "1"
+    payload["meta"]["tail_at_L"] = tail
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(payload))
+    code, stdout, _ = run(capsys, "classify", str(path))
+    assert (code, json.loads(stdout)["verdict"]) == (0, "Indeterminate")
+    assert run(capsys, "verify", str(path))[0] == cli.EXIT_VERIFY
+
+
+def test_an_undecidable_greedy_digit_is_indeterminate(spec2, tmp_path, capsys, monkeypatch):
+    # tail_at_L is then unknown: no F(L) and no mean return, and verify fails
+    path = tmp_path / "b2.json"
+    spectrum_io.save(spectrum_io.SpectrumFile(spec2), path)
+
+    def undecidable(*args):
+        raise FloorUndecidable("a digit at the file's precision")
+
+    monkeypatch.setattr(construction, "_greedy_digits", undecidable)
+    code, stdout, _ = run(capsys, "classify", str(path))
+    report = json.loads(stdout)
+    assert (code, report["verdict"]) == (0, "Indeterminate")
+    assert report["F_at_L"] is None and report["mean_return_bound"] is None
+    assert report["notes"] == [
+        "construction identity not certified: the tail past N_max is undecidable at 256 bits"]
+    code, stdout, _ = run(capsys, "verify", str(path))
+    assert code == cli.EXIT_VERIFY
+    assert "[FAIL] unit sum encloses target: the tail past N_max is undecidable" in stdout
+
+
 def test_negative_count_is_malformed(spec_e07, tmp_path, capsys):
     # a(2) = 0 for e^7/10: one less is no spectrum at all
     path = tmp_path / "e07.json"
