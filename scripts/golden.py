@@ -238,8 +238,8 @@ def uncovered(c: Corpus) -> None:
         c.run("entropy", name, "--max-n", "12")
         c.run("export", name, "--format", "dot")
     # the loader's refusals: counts not a list, a precision past 4,096 bits, a
-    # constructed N_max below 4; and a stored tail_at_L, which a load ignores since
-    # format version 5, with an exponent far past the finest grid, or in version 1
+    # constructed N_max below 4; and stored tails, which no load reads since format
+    # version 5: a huge binary exponent, and a decimal exponent in version 1
     Path("bad_a.json").write_text(json.dumps({"format_version": 4, "N_max": 4, "a": "1012",
                                               "finite_support": True, "meta": None}))
     edited("b2.json", "bad_bits.json", lambda p: p["meta"].update(precision_bits=1000000))

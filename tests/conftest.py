@@ -1,9 +1,7 @@
 import io
-import json
 import time
 from array import array
 from math import gcd
-from pathlib import Path
 
 import pytest
 
@@ -13,7 +11,6 @@ from markovforge.intervals import MAX_PRECISION_BITS
 from markovforge.oracle import count_first_returns
 
 BETA_TEXTS = ("2", "3", "e^7/10", "8")
-DATA = Path(__file__).parent / "data"
 
 _cache = {}
 BUILD_TIMES = {}
