@@ -151,7 +151,7 @@ def test_verify_sums_the_counts_once(monkeypatch):
 
 
 def test_verify_on_a_loaded_file_sweeps_the_floors_past_n_max_once(monkeypatch):
-    # the deficit of the k check, the floors under the stored tail and those
+    # the deficit of the k check, the floors under the derived tail and those
     # under the mean return are one sweep of the square floors past N_max,
     # derived once from the loaded file's base
     sf = spectrum_io.SpectrumFile(build_spectrum(BetaValue.parse("e^7/10"), 32))
