@@ -83,8 +83,9 @@ class ExplicitGraph(Frozen):
 
         Built from :meth:`successor_runs` on the first call and kept on the
         instance; it is not a field, so equality and hashing are unaffected.
-        Callers must not mutate it.  Its entries are the ints of one list of
-        the indices 0..size, so reading it allocates nothing.
+        Callers must not mutate it.  ``one`` is one list of the indices
+        0..size, shifted in place, and the fans hold its ints, so reading
+        the form allocates nothing.
         """
         return self._successors
 
@@ -177,16 +178,21 @@ def _flower_runs(g: ExplicitGraph, reverse: bool) -> Runs:
 
 def _neighbours(size: int, runs: Runs, reverse: bool) -> Neighbours:
     """The form of :meth:`ExplicitGraph.adjacency` of the successor ``runs``
-    or, with ``reverse``, the predecessor runs.  A vertex without a run or
-    neighbours is vertex 0 (reverse) or the last, to which the shift gives size."""
-    ids = list(range(size + 1))
+    or, with ``reverse``, the predecessor runs, on one list of the indices
+    0..size: the fans and the copies' ints are read from it, then it is
+    shifted in place.  A vertex without a run or neighbours is vertex 0
+    (reverse) or the last, to which the shift gives size."""
+    one = list(range(size + 1))
     copies, sums = runs
-    one = ids[-1:] + ids[:-2] if reverse else ids[1:]
-    for start, count, step, w in copies:
-        one[start:start + count * step:step] = [ids[w]] * count
     fans: dict[int, list[int]] = {}
     for start, count, step, v in sums:
-        fans.setdefault(v, []).extend(ids[start:start + count * step:step])
+        fans.setdefault(v, []).extend(one[start:start + count * step:step])
+    sources = [one[w] for *_, w in copies]
+    del one[-2 if reverse else 0]
+    if reverse:
+        one.insert(0, one.pop())
+    for (start, count, step, _), w in zip(copies, sources):
+        one[start:start + count * step:step] = [w] * count
     for v, fan in fans.items():
         one[v] = fan[0]
     return one, {v: fan for v, fan in fans.items() if len(fan) > 1}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain, islice, repeat
-from operator import mul
+from operator import countOf, mul
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Optional, Sequence
 
 from ._frozen import Frozen
@@ -86,12 +86,12 @@ def count_first_returns(g: ExplicitGraph, u: int, N: int) -> list[int]:
         raise ValueError("N must be >= 0")
     out: list[int] = []
     # the cells count paths from u that have not revisited u; once none is
-    # left every later count is 0, which is looked for at t = 1, 2, 4, ...
+    # left every later count is 0, looked for at t = 1, 2, 4, ... below N
     for cells, o in _pull(g, u, N):
         out.append(cells[u + o])
         cells[u + o] = 0
         t = N - o
-        if not t & (t - 1) and not any(cells):
+        if o and not t & (t - 1) and not any(cells):
             return out + [0] * o
     return out
 
@@ -137,50 +137,59 @@ def _levels(g: ExplicitGraph, u: int, v: int, budget: int,
 
     The frontier holds one vertex per walk, never merged by endpoint (that
     would make this the DP again): each walk steps to its first neighbour,
-    each walk at a hub adds a copy of the hub's further steps (those past
-    ``one[h]``), and a step into a dead end is dropped.  A walk step is one
-    vertex visited, the start included; BudgetExceeded is raised as soon as
-    more than ``budget`` steps would be walked.  Each level is charged
-    before it is built, less the ``ended`` walks, whose first step ends them
-    (``ending``).  These and the walks at v and at each hub are counted as
-    the level is built, on its mapped steps and once per fan times its
-    hub's walks (``into[x]`` lists the hubs with a further step to x).
+    each walk at a hub adds the hub's fan, read in place, less its first
+    step, and a step into a dead end is dropped.  A walk step is one vertex
+    visited, the start included; BudgetExceeded is raised as soon as more
+    than ``budget`` steps would be walked.  Each level is charged before it
+    is built, less the ``ended`` walks, whose first step ends them
+    (``ending``).  The walks at v and at each hub are counted as the level
+    is built, on its mapped steps and once per fan times its hub's walks
+    (``into[x]`` lists the hubs with a further step to x).  Where no walk
+    ends, the next level holds at least this one's walks: a level after
+    which it cannot be charged is counted on the frontier and not built.
     """
     one, hubs = g.adjacency()
     ends = {u} if stop else set()
     if not g.loop_lengths and g.size in one:
         ends.add(g.size)
-    ending = bytearray(map(ends.__contains__, one)) if ends else bytes(g.size)
-    fans = {h: [w for w in fan[1:] if w not in ends] if ends else fan[1:]
-            for h, fan in hubs.items()}
-    fan_ends = {h: sum(map(ending.__getitem__, fan)) if ends else 0 for h, fan in fans.items()}
-    into = {x: [h for h, fan in hubs.items() if x in fan[1:]] for x in {v, *hubs}}
-    frontier, walks, ended = [u], {x: int(x == u) for x in into}, ending[u]
+    into = {x: [h for h, fan in hubs.items() if x in islice(fan, 1, None)] for x in {v, *hubs}}
+    ending = bytearray(map(ends.__contains__, one)) if ends else b""
+    # the fans as they are or, where walks end, less the further steps that end
+    fans = {h: [fan[0], *more] for h, fan in hubs.items()
+            if (more := [w for w in fan[1:] if w not in ends])} if ends else hubs
+    frontier, walks, ended = [u], {x: int(x == u) for x in into}, ending[u] if ends else 0
     walked = _charge(0, 1, budget)
     yield walks[v]
     while True:
-        steps = len(frontier) - ended + sum(len(fan) * walks[h] for h, fan in fans.items())
+        steps = len(frontier) - ended + sum((len(fan) - 1) * walks[h] for h, fan in fans.items())
         walked = _charge(walked, steps, budget)
-        level = list(map(one.__getitem__, frontier))
-        counts = {x: level.count(x) + sum(map(walks.__getitem__, hs)) for x, hs in into.items()}
+        if not ends and walked + steps > budget:  # the last: the next has at least its walks
+            walks = {x: countOf(map(one.__getitem__, frontier), x)
+                     + sum(map(walks.__getitem__, hs)) for x, hs in into.items()}
+            yield walks[v]
+            _charge(walked, steps + sum((len(fan) - 1) * walks[h] for h, fan in fans.items()),
+                    budget)
+        frontier = list(map(one.__getitem__, frontier))  # the level before is dropped here
+        counts = {x: frontier.count(x) + sum(map(walks.__getitem__, hs)) for x, hs in into.items()}
         if ended:
-            level = [w for w in level if w not in ends]
-        ended = sum(map(ending.__getitem__, level)) if ends else 0
+            frontier = [w for w in frontier if w not in ends]
         for h, fan in fans.items():
-            ended += fan_ends[h] * walks[h]
             for _ in repeat(None, walks[h]):
-                level += fan  # not fan * walks, which would hold the steps twice
+                frontier += fan  # not fan * walks, which would hold the steps twice
+                frontier[1 - len(fan)] = frontier.pop()  # over the first, held by the mapped steps
+        ended = sum(map(ending.__getitem__, frontier)) if ends else 0
         yield counts[v]
         if stop:
             counts[u] = 0  # the returns, dropped
-        frontier, walks = level, counts
+        walks = counts
 
 
 def walk_path_counts(g: ExplicitGraph, u: int, v: int,
                      budget: int = ENUMERATION_BUDGET) -> Iterator[int]:
     """Counts of length-n paths from u to v, n = 0, 1, ..., from one walk;
     level n is walked on demand and charged what a call for length n is.
-    A level over the budget is counted, and raises, but is never built."""
+    A level over the budget raises and is never built, nor, unless a walk
+    ends, is the level before it."""
     return _levels(g, u, v, budget)
 
 

@@ -14,6 +14,8 @@ walk the neighbour forms, which every graph builds from its runs, so the
 forms of hand-built graphs are checked against their arrows as well.
 """
 
+import sys
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -319,3 +321,48 @@ def test_each_direction_of_the_search_can_fail_alone():
 @settings(max_examples=300, deadline=None)
 def test_the_bitset_search_matches_the_reference(g):
     assert_search_matches_reference(g)
+
+
+# ---------------------------------------------------------------------------
+# what the neighbour form and the walk hold
+# ---------------------------------------------------------------------------
+
+
+def traced_peak(make):
+    """(what ``make()`` returns, the traced peak of the call)."""
+    tracemalloc.start()
+    try:
+        made = make()
+        return made, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_form_holds_one_list_and_the_walk_builds_no_last_level():
+    # shaped like e^3 to length 8 at N_max = 64: the root's self-loop and
+    # K loops of length 4, so 3K + 1 vertices, and level n of the walk from
+    # the root has nK + 1 walks for n <= 3
+    K = 20_000
+    g = realize(user_spectrum([1, 0, 0, K]), 4)
+    g.successor_runs()
+    (one, hubs), form_peak = traced_peak(g.adjacency)
+    _, indices = traced_peak(lambda: list(range(g.size + 1)))
+    # the form: one list of the indices over one int per vertex, the root's
+    # fan of K + 1 ints, and for a moment the slice assignment of the K loop
+    # ends, its values and the items they replace; a second list of the
+    # indices, as a form built over a copy of them holds, is a list more
+    fan = sys.getsizeof(hubs[g.root])
+    assignment = 2 * sys.getsizeof([g.root] * K)
+    assert form_peak < indices + fan + assignment + sys.getsizeof(one) // 3, form_peak
+
+    # a budget of levels 0 to 3, 6K + 4 steps, to which level 4's 4K + 1
+    # cannot be added: level 3 is counted on level 2's steps, never built
+    def walk():
+        counts = []
+        with pytest.raises(BudgetExceeded):
+            for count in walk_path_counts(g, g.root, g.root, 8 * K):
+                counts.append(count)
+        return counts
+    counts, walk_peak = traced_peak(walk)
+    assert counts == count_paths(g, g.root, g.root, 3)
+    assert walk_peak < sys.getsizeof([g.root] * (3 * K + 1)), walk_peak
